@@ -22,15 +22,12 @@ from .functions import (
     GridSpec,
     SmoothFunction,
     constant,
-    evaluate,
-    jet_at,
     probe,
     probe_deriv_closed_form,
-    seminorm_p,
     seminorm_profile,
     zero,
 )
-from .jets import MAX_ORDER, TaylorJet, deriv_from_jet, jet_add, jet_compose, jet_mul
+from .jets import MAX_ORDER, TaylorJet, deriv_from_jet
 from .maps import (
     CirclePullback,
     DomainViolation,
@@ -46,7 +43,6 @@ from .primitives import (
     Polynomial,
     ScalarPrimitive,
     Sin,
-    Tanh,
 )
 from .tameness import PNormSpec, TameCheckReport, check_tame_estimate, pnorm_eval
 

@@ -20,16 +20,8 @@ from .driver import (
     growth_sweep,
     _locate_anchor,
 )
-from .functions import (
-    PERIODIC,
-    UNIT_INTERVAL,
-    Constant,
-    GridSpec,
-    SinusoidProbe,
-    SmoothFunction,
-    zero,
-)
-from .maps import CirclePullback, PostComposition
+from .functions import Constant, GridSpec, SinusoidProbe, SmoothFunction, zero
+from .maps import CirclePullback, DomainViolation, PostComposition
 from .primitives import (
     TWO_PI,
     AffineMap,
@@ -47,6 +39,12 @@ EXIT_BUDGET = 65
 EXIT_OUTPUT = 66
 
 DEFAULT_M_LIST = tuple(2**e for e in range(4, 13))
+
+# variant name -> map built from the outer function phi and the winding n
+VARIANTS = {
+    "ex2": CirclePullback,
+    "ex4": lambda phi, n: PostComposition(phi),
+}
 
 
 class ConfigError(ValueError):
@@ -110,14 +108,13 @@ class ScenarioConfig:
     output: str | None = None
 
     def validate(self):
-        if self.variant not in ("ex2", "ex4"):
-            raise ConfigError(f"variant must be ex2 or ex4, got {self.variant!r}")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {', '.join(VARIANTS)}, "
+                              f"got {self.variant!r}")
         if self.k % 2 != 1 or self.k < 1:
             raise ConfigError("k must be odd")
         if self.l < 1:
             raise ConfigError("l must be a positive integer")
-        if self.variant == "ex2" and self.n == 0:
-            raise ConfigError("n must be nonzero for ex2")
         if any(m < 1 for m in self.m_list) or \
                 any(b <= a for a, b in zip(self.m_list, self.m_list[1:])):
             raise ConfigError("m values must be positive and ascending")
@@ -129,16 +126,13 @@ class ScenarioConfig:
     def build_map(self):
         phi = parse_phi(self.phi)
         try:
-            if self.variant == "ex2":
-                return CirclePullback(phi, self.n)
-            return PostComposition(phi)
+            return VARIANTS[self.variant](phi, self.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def build_x(self):
-        domain = PERIODIC if self.variant == "ex2" else UNIT_INTERVAL
+    def build_x(self, map_spec):
         try:
-            return parse_x(self.x, domain)
+            return parse_x(self.x, map_spec.domain_tag)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -159,9 +153,12 @@ def _config_from_args(args) -> ScenarioConfig:
                 setattr(cfg, key, data[key])
         if "m_list" in data:
             cfg.m_list = tuple(int(m) for m in data["m_list"])
-        for key, attr in (("rho1", "rho1"), ("rho2", "rho2")):
+        for key in ("rho1", "rho2"):
             if key in data:
-                setattr(cfg, attr, PNormSpec.from_dict(data[key]))
+                try:
+                    setattr(cfg, key, PNormSpec.from_dict(data[key]))
+                except (AttributeError, TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad {key} in config: {exc}") from None
         if "format" in data:
             cfg.fmt = data["format"]
         if "output" in data:
@@ -203,7 +200,7 @@ def _print_table(result, out):
 def cmd_demo(cfg: ScenarioConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
     map_spec = cfg.build_map()
-    x = cfg.build_x()
+    x = cfg.build_x(map_spec)
     grid = cfg.grid()
     result = growth_sweep(map_spec, x, cfg.rho1, cfg.rho2, cfg.k, cfg.l,
                           cfg.m_list, grid)
@@ -230,7 +227,7 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
     if not cfg.output:
         raise ConfigError("sweep requires an output path")
     map_spec = cfg.build_map()
-    x = cfg.build_x()
+    x = cfg.build_x(map_spec)
     result = growth_sweep(map_spec, x, cfg.rho1, cfg.rho2, cfg.k, cfg.l,
                           cfg.m_list, cfg.grid())
     if cfg.fmt == "csv":
@@ -289,7 +286,7 @@ def _load_probes(path: str, cfg: ScenarioConfig, map_spec, x):
 def cmd_check_tame(cfg: ScenarioConfig, probe_path: str, out=None) -> int:
     out = out if out is not None else sys.stdout
     map_spec = cfg.build_map()
-    x = cfg.build_x()
+    x = cfg.build_x(map_spec)
     probes = _load_probes(probe_path, cfg, map_spec, x)
     report = check_tame_estimate(map_spec, x, cfg.rho1, cfg.rho2, probes,
                                  cfg.grid())
@@ -313,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("variant", nargs="?", choices=("ex2", "ex4"),
+        p.add_argument("variant", nargs="?", choices=tuple(VARIANTS),
                        help="map variant")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--phi", help="outer function descriptor")
@@ -354,6 +351,9 @@ def main(argv=None) -> int:
         return cmd_check_tame(cfg, args.probes)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DomainViolation as exc:
+        print(f"error: base point {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PrecisionBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,17 @@
 """Counterexample driver: probe construction, m-sweeps, residual bounds.
 
-The driver locates a point where the relevant derivative of the outer
-function is nonzero, builds the oscillatory probe pair (z, u), and sweeps
-the frequency parameter m. For the pullback map the top derivative order of
-the difference v of directional derivatives is k-1; for the composition
-map it is k. In both cases the top derivative at the anchor point grows
-like sqrt(m) while the residual (everything except the extracted leading
-term) stays bounded, which is what defeats any fixed uniform estimate.
+The driver locates an anchor (t0, s0) where the leading derivative of the
+outer function is nonzero, builds the oscillatory probe pair (z, u), and
+sweeps the frequency parameter m. At the anchor the top derivative of the
+difference v of directional derivatives grows like sqrt(m) while the
+residual (everything except the extracted leading term) stays bounded,
+which is what defeats any fixed uniform estimate.
+
+The algorithms here are generic: argmax over candidates for t0, root
+bracketing plus `brentq` for s0, the residual pass, and the power-of-two
+search for a certified m. What differs between the maps (the leading
+derivative, the top order, phi's argument, the search ranges, the fallback
+anchor and the certifying inequality) comes from the `MapSpec` hooks.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .functions import (
+    _CHUNK,
     GridSpec,
     SmoothFunction,
     constant,
@@ -27,12 +33,13 @@ from .functions import (
     seminorm_profile,
 )
 from .jets import deriv_from_jet
-from .maps import CirclePullback, MapSpec, PostComposition, SampledFunction
+from .maps import MapSpec, SampledFunction
 from .primitives import TWO_PI
 from .tameness import PNormSpec, pnorm_eval
 
 MAX_M = 2**14
-_CHUNK = 1 << 16
+ANCHOR_POINTS = 8192
+RESIDUAL_M_COARSE = (16, 64, 256)
 
 
 class DegenerateMapError(ValueError):
@@ -96,56 +103,28 @@ class SweepResult:
     deriv_mag: float
 
 
-def _leading_primitive(map_spec: MapSpec):
-    """phi' for the pullback map, phi'' for the composition map."""
-    if isinstance(map_spec, CirclePullback):
-        return map_spec.phi.derivative()
-    return map_spec.phi.derivative().derivative()
-
-
-def top_order(map_spec: MapSpec, k: int) -> int:
-    return k - 1 if isinstance(map_spec, CirclePullback) else k
-
-
-def find_t0(map_spec: MapSpec, x: SmoothFunction | None = None,
-            points: int = 8192) -> float:
-    """Point where the relevant derivative of phi is (maximally) nonzero.
+def find_t0(map_spec: MapSpec, x: SmoothFunction | None = None) -> float:
+    """Point where the leading derivative of phi is (maximally) nonzero.
 
     Ties break toward the smallest candidate; a maximum below tolerance
     signals the degenerate (estimate-satisfying) case.
     """
-    lead = _leading_primitive(map_spec)
-    if isinstance(map_spec, CirclePullback):
-        t = np.arange(points) / points
-        vals = np.abs(lead(t))
-        j = int(np.argmax(vals))
-        if vals[j] < 1e-9:
-            raise DegenerateMapError("no usable t0: phi' vanishes on the grid")
-        return float(t[j])
-    if x is None:
-        raise ValueError("the composition map needs the base point x to find t0")
-    s = np.linspace(0.0, 1.0, points + 1)
-    xs = x.evaluate(s)
-    vals = np.abs(lead(xs))
+    t = map_spec.t0_candidates(x, ANCHOR_POINTS)
+    vals = np.abs(map_spec.leading_primitive()(t))
     j = int(np.argmax(vals))
     if vals[j] < 1e-9:
-        raise DegenerateMapError("no usable t0: phi'' vanishes on rng x")
-    return float(xs[j])
+        raise DegenerateMapError(
+            f"no usable t0: phi derivative {map_spec.lead_order} vanishes "
+            "on the candidates")
+    return float(t[j])
 
 
-def find_s0(map_spec: MapSpec, x: SmoothFunction, t0: float,
-            points: int = 8192) -> float:
-    """Anchor point with n*s0 + x(s0) = t0 (pullback) or x(s0) = t0."""
-    if isinstance(map_spec, CirclePullback):
-        n = map_spec.n
-        # n*s + x(s) is onto since x is bounded; bracket around t0/n
-        half = (seminorm_profile(x, 0)[0] + 1.0) / abs(n)
-        lo, hi = t0 / n - half, t0 / n + half
-        g = lambda s: n * s + x.evaluate(s) - t0
-    else:
-        lo, hi = 0.0, 1.0
-        g = lambda s: x.evaluate(s) - t0
-    s = np.linspace(lo, hi, points + 1)
+def find_s0(map_spec: MapSpec, x: SmoothFunction, t0: float) -> float:
+    """Anchor point where phi's argument equals t0: n*s0 + x(s0) = t0 for
+    the pullback, x(s0) = t0 for the composition."""
+    lo, hi = map_spec.s0_bracket(x, t0)
+    g = lambda s: map_spec.phi_argument(x, s) - t0
+    s = np.linspace(lo, hi, ANCHOR_POINTS + 1)
     vals = g(s)
     exact = np.nonzero(np.abs(vals) < 1e-12)[0]
     if exact.size:
@@ -171,12 +150,6 @@ def _difference_tree(map_spec: MapSpec, x: SmoothFunction,
     return map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)
 
 
-def _composed_argument(map_spec: MapSpec, x, z, s):
-    if isinstance(map_spec, CirclePullback):
-        return map_spec.n * s + x.evaluate(s) + z.evaluate(s)
-    return x.evaluate(s) + z.evaluate(s)
-
-
 def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
                 z: SmoothFunction, u: SmoothFunction,
                 v: SmoothFunction | None = None,
@@ -189,18 +162,19 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
     """
     if v is None:
         v = _difference_tree(map_spec, x, z, u)
-    top = top_order(map_spec, params.k)
-    lead = _leading_primitive(map_spec)
+    top = map_spec.top_order(params.k)
+    lead = map_spec.leading_primitive()
     s = (grid or GridSpec()).points(v)
     fact = math.factorial(top)
     tz_vals = np.empty_like(s)
     for lo in range(0, s.size, _CHUNK):
         sc = s[lo:lo + _CHUNK]
         v_top = fact * v.node.coeffs(sc, top)[top]
-        c = _composed_argument(map_spec, x, z, sc)
+        c = map_spec.phi_argument(x, sc) + z.evaluate(sc)
         zk = probe_deriv_closed_form(params.m, params.k, params.s0, params.k, sc)
         tz_vals[lo:lo + _CHUNK] = v_top / params.eps0 - lead(c) * zk
-    c0 = _composed_argument(map_spec, x, z, np.array([params.s0]))
+    at_s0 = np.array([params.s0])
+    c0 = map_spec.phi_argument(x, at_s0) + z.evaluate(at_s0)
     zk0 = probe_deriv_closed_form(params.m, params.k, params.s0, params.k,
                                   params.s0)
     leading_at_s0 = params.eps0 * float(lead(c0)[0]) * zk0
@@ -209,28 +183,17 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
 
 def _locate_anchor(map_spec: MapSpec, x: SmoothFunction):
     """(t0, s0, deriv_mag, degenerate) for a sweep."""
-    lead = _leading_primitive(map_spec)
     try:
         t0 = find_t0(map_spec, x)
+        s0 = map_spec.interior_s0(x)
+        degenerate = False
     except DegenerateMapError:
-        if isinstance(map_spec, CirclePullback):
-            t0 = 0.0
-            s0 = find_s0(map_spec, x, t0)
-        else:
-            s0 = 0.5
-            t0 = x.evaluate(0.5)
-        return t0, s0, abs(float(lead(t0))), True
-    if isinstance(map_spec, PostComposition) and _is_constant_tree(x):
-        s0 = 0.5  # interior placement keeps z's full oscillation inside I
-    else:
+        t0, s0 = map_spec.fallback_anchor(x)
+        degenerate = True
+    if s0 is None:
         s0 = find_s0(map_spec, x, t0)
-    return t0, s0, abs(float(lead(t0))), False
-
-
-def _is_constant_tree(x: SmoothFunction) -> bool:
-    s = np.linspace(0.0, 1.0, 17)
-    vals = x.evaluate(s)
-    return bool(np.max(vals) - np.min(vals) < 1e-14)
+    deriv_mag = abs(float(map_spec.leading_primitive()(t0)))
+    return t0, s0, deriv_mag, degenerate
 
 
 def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
@@ -245,7 +208,7 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
         raise ValueError("k must be odd and positive")
     t0, s0, deriv_mag, degenerate = _locate_anchor(map_spec, x)
     eps0 = 1.0 / l
-    top = top_order(map_spec, k)
+    top = map_spec.top_order(k)
     records = []
     for m in m_list:
         params = ProbeParams(k=k, l=l, eps0=eps0, m=m, s0=s0, t0=t0)
@@ -278,7 +241,6 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
 
 def estimate_residual_bound(map_spec: MapSpec, x: SmoothFunction,
                             k: int, l: int,
-                            m_coarse: Sequence[int] = (16, 64, 256),
                             grid: GridSpec | None = None) -> float:
     """Empirical upper bound for the residual: twice the coarse-sweep
     maximum of sup|T_z|, plus one."""
@@ -287,7 +249,7 @@ def estimate_residual_bound(map_spec: MapSpec, x: SmoothFunction,
         return 1.0
     eps0 = 1.0 / l
     worst = 0.0
-    for m in m_coarse:
+    for m in RESIDUAL_M_COARSE:
         params = ProbeParams(k=k, l=l, eps0=eps0, m=m, s0=s0, t0=t0)
         z, u = build_probe(params, map_spec)
         _, tz = residual_tz(map_spec, x, params, z, u, grid=grid)
@@ -296,20 +258,17 @@ def estimate_residual_bound(map_spec: MapSpec, x: SmoothFunction,
 
 
 def fix_m(map_spec: MapSpec, k: int, l: int, m_estimate: float,
-          deriv_mag: float, max_m: int = MAX_M) -> int:
+          deriv_mag: float) -> int:
     """Smallest power-of-two m certifying the blow-up inequalities."""
     if m_estimate < 0.0:
         raise ValueError("M estimate must be nonnegative")
+    if not (math.isfinite(deriv_mag) and deriv_mag > 0.0):
+        raise ValueError(
+            f"|phi derivative at t0| must be positive and finite, got {deriv_mag}")
     m = 1
-    while m <= max_m:
-        root = math.sqrt(TWO_PI * m)
-        if isinstance(map_spec, CirclePullback):
-            ok = (1.0 / root <= 1.0 / k) and (l + m_estimate < root * deriv_mag)
-        else:
-            bound = max(k**2, (l + m_estimate)**2 / deriv_mag**2) / TWO_PI
-            ok = m > bound
-        if ok:
+    while m <= MAX_M:
+        if map_spec.certifies(m, k, l, m_estimate, deriv_mag):
             return m
         m *= 2
     raise PrecisionBudgetError(
-        f"required m exceeds precision budget (max {max_m})")
+        f"required m exceeds precision budget (max {MAX_M})")

@@ -18,12 +18,13 @@ from typing import Optional
 import numpy as np
 
 from .jets import MAX_ORDER, TaylorJet, compose_series, convolve_trunc
-from .primitives import TWO_PI, ScalarPrimitive, trig_cycle
+from .primitives import TWO_PI, ScalarPrimitive, trig_cycle, trig_taylor
 
 PERIODIC = "periodic"
 UNIT_INTERVAL = "unit_interval"
 
 _CHUNK = 1 << 16
+MIN_GRID_POINTS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +119,8 @@ class SinusoidProbe(Node):
 
     def coeffs(self, s, order):
         theta = TWO_PI * self.frequency * (s - self.phase)
-        out = np.empty((order + 1, s.size))
-        w = TWO_PI * self.frequency
-        for i in range(order + 1):
-            out[i] = self.amplitude * w**i * trig_cycle(theta, i) / math.factorial(i)
-        return out
+        return trig_taylor(theta, self.amplitude, TWO_PI * self.frequency,
+                           order, 0)
 
     def diff(self):
         # d/ds sin(th) = 2*pi*f*cos(th); cos is sin shifted a quarter period
@@ -326,14 +324,6 @@ class SmoothFunction:
         return TaylorJet(float(arr[0]), self.node.coeffs(arr, order)[:, 0])
 
 
-def evaluate(f: SmoothFunction, s):
-    return f.evaluate(s)
-
-
-def jet_at(f: SmoothFunction, s, order: int) -> TaylorJet:
-    return f.jet_at(s, order)
-
-
 # ---------------------------------------------------------------------------
 # grids and seminorms
 
@@ -341,17 +331,16 @@ def jet_at(f: SmoothFunction, s, order: int) -> TaylorJet:
 class GridSpec:
     """Uniform sampling recipe for sup computations.
 
-    The grid has ``max(min_points, factor * ceil(f_max))`` base points plus
+    The grid has ``max(MIN_GRID_POINTS, factor * ceil(f_max))`` base points plus
     one or two extra; the odd total breaks phase locking against integer
     frequencies, so the sampled phases of a frequency-m sinusoid fill its
     period densely rather than aliasing to ``factor`` distinct values.
     """
 
     factor: int = 64
-    min_points: int = 4096
 
     def points(self, f: SmoothFunction) -> np.ndarray:
-        n = max(self.min_points, self.factor * math.ceil(f.node.max_frequency()))
+        n = max(MIN_GRID_POINTS, self.factor * math.ceil(f.node.max_frequency()))
         if f.domain == PERIODIC:
             g = n + 1
             return np.arange(g) / g
@@ -395,11 +384,6 @@ def seminorm_profile(f: SmoothFunction, max_order: int,
         c = f.node.coeffs(s[lo:lo + _CHUNK], max_order)
         np.maximum(sup, np.abs(c).max(axis=1) * fact, out=sup)
     return np.maximum.accumulate(sup)
-
-
-def seminorm_p(f: SmoothFunction, i: int, grid: GridSpec | None = None) -> float:
-    """p_i(f): sup over the domain and derivative orders l <= i."""
-    return float(seminorm_profile(f, i, grid)[i])
 
 
 def probe_deriv_closed_form(m: int, k: int, s0: float, i: int, s):

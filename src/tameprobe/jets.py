@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .primitives import ScalarPrimitive
-
 MAX_ORDER = 16
 
 
@@ -90,37 +88,6 @@ class TaylorJet:
     @property
     def value(self) -> float:
         return float(self.coeffs[0])
-
-
-def _check_compatible(a: TaylorJet, b: TaylorJet):
-    if a.order != b.order:
-        raise ValueError(f"jet order mismatch: {a.order} != {b.order}")
-    if a.base_point != b.base_point:
-        raise ValueError(
-            f"jet base point mismatch: {a.base_point} != {b.base_point}")
-
-
-def jet_add(a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    _check_compatible(a, b)
-    return TaylorJet(a.base_point, a.coeffs + b.coeffs)
-
-
-def jet_mul(a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    _check_compatible(a, b)
-    ca = a.coeffs[:, None]
-    cb = b.coeffs[:, None]
-    return TaylorJet(a.base_point, convolve_trunc(ca, cb)[:, 0])
-
-
-def jet_compose(outer: ScalarPrimitive, inner: TaylorJet) -> TaylorJet:
-    """Jet of ``outer(inner(s))`` at the inner jet's base point."""
-    if not isinstance(outer, ScalarPrimitive):
-        raise ValueError(f"unsupported outer primitive: {outer!r}")
-    n = inner.order
-    t = np.array([inner.value])
-    outer_c = outer.taylor_coeffs(t, n)
-    out = compose_series(outer_c, inner.coeffs[:, None])
-    return TaylorJet(inner.base_point, out[:, 0])
 
 
 def deriv_from_jet(j: TaylorJet, i: int) -> float:

@@ -1,4 +1,5 @@
-"""The two concrete nonlinear maps and their directional derivatives.
+"""The two concrete nonlinear maps, their directional derivatives, and the
+geometry of their counterexamples.
 
 `CirclePullback` is the local coordinate form of pulling back a 1-form on
 the circle through a winding-n immersion perturbed by a periodic function:
@@ -9,6 +10,12 @@ Directional derivatives are hard-coded analytic trees (the drivers
 differentiate them several more times, which a numeric limit could not
 support); `gateaux_fd` is the central-difference oracle used to validate
 them.
+
+Everything the driver needs to know about one map lives on its class: which
+derivative of phi carries the sqrt(m) blow-up (`lead_order`: phi' for the
+pullback, phi'' for the composition), the argument phi is evaluated at,
+where the anchor (t0, s0) may be searched for or must be placed, and the
+inequality that certifies a frequency m.
 """
 
 from __future__ import annotations
@@ -21,19 +28,23 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .functions import (
+    DEFAULT_GRID,
     PERIODIC,
     UNIT_INTERVAL,
     Affine,
     Constant,
-    GridSpec,
     PrimitiveCompose,
     Product,
     SmoothFunction,
     Sum,
+    seminorm_profile,
 )
-from .primitives import ScalarPrimitive
+from .primitives import TWO_PI, DerivedPrimitive, ScalarPrimitive
 
 DOMAIN_MARGIN_TOL = 1e-9
+FD_POINTS = 2049
+# s at which the composition map places its probe when no root search applies
+INTERIOR_S0 = 0.5
 
 
 class DomainViolation(Exception):
@@ -56,10 +67,47 @@ class SampledFunction:
 
 
 class MapSpec:
-    """Common surface of the two map variants."""
+    """Common surface of the two map variants.
+
+    ``lead_order`` is the derivative of phi whose value at t0 scales the
+    sqrt(m) growth of the top derivative of v = df(x+z, u) - df(x, u).
+    """
 
     domain_tag: str
-    cli_token: str
+    lead_order: int
+    phi: ScalarPrimitive
+
+    def leading_primitive(self) -> ScalarPrimitive:
+        return DerivedPrimitive(self.phi, self.lead_order)
+
+    def top_order(self, k: int) -> int:
+        """Derivative order of v at which a k-probe shows sqrt(m) growth."""
+        return k + self.lead_order - 2
+
+    def phi_argument(self, x: SmoothFunction, s):
+        """The point phi is evaluated at, at parameter s, for base point x."""
+        raise NotImplementedError
+
+    def t0_candidates(self, x: SmoothFunction | None, points: int):
+        """Points t among which t0 maximizes |phi_lead(t)|."""
+        raise NotImplementedError
+
+    def s0_bracket(self, x: SmoothFunction, t0: float):
+        """Interval holding a root of phi_argument(x, s) = t0."""
+        raise NotImplementedError
+
+    def interior_s0(self, x: SmoothFunction):
+        """A fixed s0 for a usable t0, or None to solve for s0."""
+        return None
+
+    def fallback_anchor(self, x: SmoothFunction):
+        """(t0, s0) when phi_lead vanishes; s0 None means solve for it."""
+        raise NotImplementedError
+
+    def certifies(self, m: int, k: int, l: int, m_estimate: float,
+                  deriv_mag: float) -> bool:
+        """Whether frequency m certifies the blow-up inequalities."""
+        raise NotImplementedError
 
     def in_domain(self, x: SmoothFunction):
         raise NotImplementedError
@@ -83,7 +131,7 @@ class CirclePullback(MapSpec):
     """x -> phi(n*s + x(s)) * (n + x'(s)) on 1-periodic functions."""
 
     domain_tag = PERIODIC
-    cli_token = "ex2"
+    lead_order = 1
 
     def __init__(self, phi: ScalarPrimitive, n: int):
         if n == 0:
@@ -96,13 +144,32 @@ class CirclePullback(MapSpec):
     def _inner(self, x: SmoothFunction):
         return Sum(Affine(float(self.n), 0.0), x.node)
 
-    def in_domain(self, x: SmoothFunction, grid: GridSpec | None = None):
+    def phi_argument(self, x, s):
+        return self.n * s + x.evaluate(s)
+
+    def t0_candidates(self, x, points):
+        # phi is 1-periodic, so one period of t covers its whole range
+        return np.arange(points) / points
+
+    def s0_bracket(self, x, t0):
+        # n*s + x(s) is onto since x is bounded; bracket around t0/n
+        half = (seminorm_profile(x, 0)[0] + 1.0) / abs(self.n)
+        return t0 / self.n - half, t0 / self.n + half
+
+    def fallback_anchor(self, x):
+        return 0.0, None
+
+    def certifies(self, m, k, l, m_estimate, deriv_mag):
+        root = math.sqrt(TWO_PI * m)
+        return (1.0 / root <= 1.0 / k) and (l + m_estimate < root * deriv_mag)
+
+    def in_domain(self, x: SmoothFunction):
         """Grid infimum of |n + x'| with local refinement, and whether it
         clears the positivity tolerance."""
         if x.domain != self.domain_tag:
             raise ValueError("domain tag mismatch")
         dx = x.derivative()
-        s = (grid or GridSpec()).points(x)
+        s = DEFAULT_GRID.points(x)
         signed = self.n + dx.evaluate(s)
         if np.any(signed == 0.0) or np.any(signed[:-1] * signed[1:] < 0.0):
             return 0.0, False  # n + x' crosses zero, so the infimum is zero
@@ -138,12 +205,37 @@ class PostComposition(MapSpec):
     """x -> phi(x(s)) on smooth functions of the unit interval."""
 
     domain_tag = UNIT_INTERVAL
-    cli_token = "ex4"
+    lead_order = 2
 
     def __init__(self, phi: ScalarPrimitive):
         if not phi.is_increasing_on():
             raise ValueError("phi must have positive derivative (sampled on [-10, 10])")
         self.phi = phi
+
+    def phi_argument(self, x, s):
+        return x.evaluate(s)
+
+    def t0_candidates(self, x, points):
+        # t0 must be attained by x, so the candidates are x on a grid
+        if x is None:
+            raise ValueError("the composition map needs the base point x to find t0")
+        return x.evaluate(np.linspace(0.0, 1.0, points + 1))
+
+    def s0_bracket(self, x, t0):
+        return 0.0, 1.0
+
+    def interior_s0(self, x):
+        # a constant x attains t0 everywhere; an interior anchor keeps z's
+        # full oscillation inside I
+        vals = x.evaluate(np.linspace(0.0, 1.0, 17))
+        return INTERIOR_S0 if np.max(vals) - np.min(vals) < 1e-14 else None
+
+    def fallback_anchor(self, x):
+        return x.evaluate(INTERIOR_S0), INTERIOR_S0
+
+    def certifies(self, m, k, l, m_estimate, deriv_mag):
+        bound = max(k**2, (l + m_estimate)**2 / deriv_mag**2) / TWO_PI
+        return m > bound
 
     def in_domain(self, x: SmoothFunction):
         if x.domain != self.domain_tag:
@@ -161,7 +253,7 @@ class PostComposition(MapSpec):
 
 
 def gateaux_fd(map_spec: MapSpec, x: SmoothFunction, u: SmoothFunction,
-               t: float, num: int = 2049) -> SampledFunction:
+               t: float) -> SampledFunction:
     """Central-difference approximation of the directional derivative.
 
     Both perturbed base points must stay inside the map's domain.
@@ -171,8 +263,8 @@ def gateaux_fd(map_spec: MapSpec, x: SmoothFunction, u: SmoothFunction,
     fp = map_spec.apply(x + t * u)
     fm = map_spec.apply(x + (-t) * u)
     if x.domain == PERIODIC:
-        s = np.arange(num) / num
+        s = np.arange(FD_POINTS) / FD_POINTS
     else:
-        s = np.linspace(0.0, 1.0, num)
+        s = np.linspace(0.0, 1.0, FD_POINTS)
     vals = (fp.evaluate(s) - fm.evaluate(s)) / (2.0 * t)
     return SampledFunction(s, vals)

@@ -24,6 +24,15 @@ def trig_cycle(theta, i):
     return _TRIG_CYCLE[i % 4](theta)
 
 
+def trig_taylor(theta, amplitude, w, order, shift):
+    """Taylor coefficients in s of amplitude * trig_cycle(theta, shift),
+    for a phase theta that grows at rate w; shift 0 is sin, 1 is cos."""
+    out = np.empty((order + 1,) + theta.shape)
+    for i in range(order + 1):
+        out[i] = amplitude * w**i * trig_cycle(theta, i + shift) / math.factorial(i)
+    return out
+
+
 class ScalarPrimitive:
     """Base class for smooth scalar primitives.
 
@@ -64,11 +73,7 @@ class Sin(ScalarPrimitive):
 
     def taylor_coeffs(self, t, order):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        theta = self.omega * t
-        out = np.empty((order + 1,) + t.shape)
-        for i in range(order + 1):
-            out[i] = self.amplitude * self.omega**i * trig_cycle(theta, i) / math.factorial(i)
-        return out
+        return trig_taylor(self.omega * t, self.amplitude, self.omega, order, 0)
 
     @property
     def is_one_periodic(self):
@@ -88,12 +93,8 @@ class Cos(ScalarPrimitive):
 
     def taylor_coeffs(self, t, order):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        theta = self.omega * t
-        out = np.empty((order + 1,) + t.shape)
-        for i in range(order + 1):
-            # cos = sin shifted by one cycle step
-            out[i] = self.amplitude * self.omega**i * trig_cycle(theta, i + 1) / math.factorial(i)
-        return out
+        # cos = sin shifted by one cycle step
+        return trig_taylor(self.omega * t, self.amplitude, self.omega, order, 1)
 
     @property
     def is_one_periodic(self):
@@ -117,27 +118,6 @@ class Exp(ScalarPrimitive):
 
     def __repr__(self):
         return "Exp()"
-
-
-class Tanh(ScalarPrimitive):
-    """t -> tanh(t), expanded via the Riccati recurrence y' = 1 - y^2."""
-
-    def taylor_coeffs(self, t, order):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros((order + 1,) + t.shape)
-        out[0] = np.tanh(t)
-        for j in range(order):
-            sq = np.zeros_like(out[0])
-            for a in range(j + 1):
-                sq += out[a] * out[j - a]
-            rhs = -sq
-            if j == 0:
-                rhs = rhs + 1.0
-            out[j + 1] = rhs / (j + 1)
-        return out
-
-    def __repr__(self):
-        return "Tanh()"
 
 
 class Polynomial(ScalarPrimitive):

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .functions import GridSpec, SmoothFunction, seminorm_profile
-from .maps import MapSpec
+from .jets import MAX_ORDER
+from .maps import DomainViolation, MapSpec
 
 TRANSFORMS = ("bounded", "linear")
 
@@ -30,8 +31,8 @@ class PNormSpec:
     weights: tuple | None = None
 
     def __post_init__(self):
-        if self.truncation < 0:
-            raise ValueError("truncation must be nonnegative")
+        if not 0 <= self.truncation <= MAX_ORDER:
+            raise ValueError(f"truncation must be in 0..{MAX_ORDER}")
         if self.transform not in TRANSFORMS:
             raise ValueError(f"transform must be one of {TRANSFORMS}")
         if self.weights is not None:
@@ -46,10 +47,6 @@ class PNormSpec:
         if self.weights is not None:
             return self.weights[i]
         return 2.0**(-i)
-
-    def to_dict(self) -> dict:
-        return {"truncation": self.truncation, "transform": self.transform,
-                "weights": list(self.weights) if self.weights else None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PNormSpec":
@@ -91,9 +88,9 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
     probes = list(probes)
     if not probes:
         raise ValueError("probe list must be nonempty")
-    _, ok = map_spec.in_domain(x)
+    margin, ok = map_spec.in_domain(x)
     if not ok:
-        raise ValueError("base point x is outside the map's domain")
+        raise DomainViolation(margin)
     report = TameCheckReport(satisfied=True)
     for z, u in probes:
         if pnorm_eval(rho1, z, grid) > 1.0:

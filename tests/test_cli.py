@@ -69,6 +69,15 @@ class TestDemo:
     def test_nonperiodic_phi_rejected(self):
         assert main(["demo", "ex2", "--phi", "poly:0,1"]) == EXIT_CONFIG
 
+    def test_base_point_outside_domain(self, capsys):
+        # x' reaches -pi, so n + x' crosses zero for n = 1
+        code = main(["demo", "ex2", "--x", "sinusoid:0.5,1",
+                     "--m-list", "16,32"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "outside map domain (margin 0.000e+00)" in err
+        assert "Traceback" not in err
+
     def test_budget_exceeded(self, capsys):
         # second derivative of phi is tiny but nonzero, so no m in the
         # double-precision budget can certify the inequalities
@@ -199,6 +208,18 @@ class TestConfigFile:
         code = main(["demo", "--config", str(path), "--k", "4"])
         assert code == EXIT_CONFIG
         assert "k must be odd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho1", [
+        {"truncation": 20},
+        {"truncation": 2, "weights": [1, 1]},
+    ], ids=["truncation-above-cap", "weight-count"])
+    def test_bad_pnorm_rejected(self, tmp_path, capsys, rho1):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"rho1": rho1}))
+        code = main(["demo", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "bad rho1 in config" in err
 
     def test_missing_config(self):
         assert main(["demo", "--config", "/nope.json"]) == EXIT_CONFIG

@@ -20,7 +20,6 @@ from tameprobe.functions import (
     GridSpec,
     UNIT_INTERVAL,
     constant,
-    seminorm_p,
     seminorm_profile,
     zero,
 )
@@ -99,9 +98,9 @@ class TestBuildProbe:
         k, l, m = 3, 8, 64
         params = ProbeParams(k=k, l=l, eps0=1.0 / l, m=m, s0=0.25, t0=0.25)
         z, u = build_probe(params, pullback_sin())
-        assert seminorm_p(z, k - 1) == pytest.approx((TWO_PI * m)**-0.5,
-                                                     rel=1e-12)
-        assert seminorm_p(u, l) == pytest.approx(1.0 / l, rel=1e-15)
+        assert seminorm_profile(z, k - 1)[k - 1] == pytest.approx(
+            (TWO_PI * m)**-0.5, rel=1e-12)
+        assert seminorm_profile(u, l)[l] == pytest.approx(1.0 / l, rel=1e-15)
         assert z.evaluate(0.25) == 0.0
 
     def test_small_once_m_large(self):
@@ -109,7 +108,7 @@ class TestBuildProbe:
         k, m = 3, 2
         params = ProbeParams(k=k, l=8, eps0=0.125, m=m, s0=0.0, t0=0.0)
         z, _ = build_probe(params, pullback_sin())
-        assert seminorm_p(z, k - 1) <= 1.0 / k
+        assert seminorm_profile(z, k - 1)[k - 1] <= 1.0 / k
 
 
 class TestResidual:
@@ -186,6 +185,24 @@ class TestGrowthSweep:
                            PNormSpec(), PNormSpec(), 3, 8, [16, 32])
         assert res.s0 == 0.5
 
+    def test_degenerate_pullback_anchor(self):
+        # phi' vanishes everywhere: t0 falls back to 0, s0 solves s + x(s) = 0
+        x = random_small_function(np.random.default_rng(79))
+        mp = CirclePullback(AffineMap(0.0, 0.3), 1)
+        res = growth_sweep(mp, x, PNormSpec(), PNormSpec(), 3, 8, [16, 32])
+        assert res.degenerate
+        assert res.t0 == 0.0
+        assert res.s0 == find_s0(mp, x, 0.0)
+
+    def test_degenerate_composition_anchor(self):
+        # phi'' vanishes everywhere: s0 falls back to 0.5, t0 to x(0.5)
+        x = random_small_function(np.random.default_rng(83), UNIT_INTERVAL)
+        res = growth_sweep(PostComposition(AffineMap(2.0, 1.0)), x,
+                           PNormSpec(), PNormSpec(), 3, 8, [16, 32])
+        assert res.degenerate
+        assert res.s0 == 0.5
+        assert res.t0 == x.evaluate(0.5)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             growth_sweep(pullback_sin(), zero(), PNormSpec(), PNormSpec(),
@@ -203,6 +220,12 @@ class TestFixM:
     def test_composition_bound(self):
         m = fix_m(composition_exp(), 3, 8, 0.0, 1.0)
         assert m == 16
+
+    @pytest.mark.parametrize("make", [pullback_sin, composition_exp])
+    @pytest.mark.parametrize("deriv_mag", [0.0, math.nan])
+    def test_rejects_bad_deriv_mag(self, make, deriv_mag):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fix_m(make(), 3, 8, 1.0, deriv_mag)
 
     def test_budget_guard(self):
         with pytest.raises(PrecisionBudgetError):

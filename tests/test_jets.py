@@ -5,21 +5,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tameprobe.functions import (
+    Affine,
+    Constant,
+    Identity,
+    PrimitiveCompose,
+    Sum,
+)
 from tameprobe.jets import (
     MAX_ORDER,
     TaylorJet,
+    compose_series,
+    convolve_trunc,
     deriv_from_jet,
-    jet_add,
-    jet_compose,
-    jet_mul,
 )
-from tameprobe.primitives import Cos, Exp, Polynomial, Sin, Tanh
+from tameprobe.primitives import Cos, Exp, Polynomial, Sin
 
 TWO_PI = 2.0 * math.pi
 
 
 def prim_jet(prim, t, order):
     return TaylorJet(t, prim.taylor_coeffs(np.array([t]), order)[:, 0])
+
+
+def tree_jet(node, s, order):
+    """Jet of an expression-tree node at s, from its coefficient kernel."""
+    return TaylorJet(s, node.coeffs(np.array([s]), order)[:, 0])
+
+
+def mul(a, b):
+    """Truncated product of two single-point jets via convolve_trunc."""
+    return TaylorJet(a.base_point,
+                     convolve_trunc(a.coeffs[:, None], b.coeffs[:, None])[:, 0])
+
+
+def of_s(prim):
+    """The tree s -> prim(s)."""
+    return PrimitiveCompose(prim, Identity())
 
 
 class TestConstruction:
@@ -46,40 +68,33 @@ class TestConstruction:
 
 class TestAdd:
     def test_coefficientwise(self):
-        out = jet_add(TaylorJet(0.0, [1, 2]), TaylorJet(0.0, [3, -2]))
+        out = tree_jet(Sum(Affine(2.0, 1.0), Affine(-2.0, 3.0)), 0.0, 1)
         np.testing.assert_array_equal(out.coeffs, [4.0, 0.0])
 
     def test_zero_identity(self):
-        a = TaylorJet(1.5, [2.0, -1.0, 0.5])
-        z = TaylorJet(1.5, [0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(jet_add(a, z).coeffs, a.coeffs)
+        a = of_s(Polynomial([2.0, -1.0, 0.5]))
+        np.testing.assert_array_equal(
+            tree_jet(Sum(a, Constant(0.0)), 1.5, 2).coeffs,
+            tree_jet(a, 1.5, 2).coeffs)
 
     def test_additive_inverse(self):
-        s = 0.7
-        a = prim_jet(Sin(), s, 5)
-        b = prim_jet(Sin(amplitude=-1.0), s, 5)
-        np.testing.assert_array_equal(jet_add(a, b).coeffs, np.zeros(6))
-
-    def test_mismatch_errors(self):
-        with pytest.raises(ValueError):
-            jet_add(TaylorJet(0.0, [1, 2]), TaylorJet(0.0, [1, 2, 3]))
-        with pytest.raises(ValueError):
-            jet_add(TaylorJet(0.0, [1, 2]), TaylorJet(1.0, [1, 2]))
+        out = tree_jet(Sum(of_s(Sin()), of_s(Sin(amplitude=-1.0))), 0.7, 5)
+        np.testing.assert_array_equal(out.coeffs, np.zeros(6))
 
 
 class TestMul:
     def test_truncated_product(self):
-        out = jet_mul(TaylorJet(0.0, [1, 1]), TaylorJet(0.0, [1, -1]))
+        out = mul(TaylorJet(0.0, [1, 1]), TaylorJet(0.0, [1, -1]))
         np.testing.assert_array_equal(out.coeffs, [1.0, 0.0])
 
     def test_unit_identity(self):
         a = TaylorJet(0.0, [2.0, 3.0, -1.0, 0.25])
         one = TaylorJet(0.0, [1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(jet_mul(a, one).coeffs, a.coeffs)
+        np.testing.assert_array_equal(mul(a, one).coeffs, a.coeffs)
 
     def test_sin_times_cos(self):
         # sin(s)*cos(s) = (1/2) sin(2s); oracle is the primitive jet routine
-        prod = jet_mul(prim_jet(Sin(), 0.0, 3), prim_jet(Cos(), 0.0, 3))
+        prod = mul(prim_jet(Sin(), 0.0, 3), prim_jet(Cos(), 0.0, 3))
         direct = prim_jet(Sin(omega=2.0, amplitude=0.5), 0.0, 3)
         np.testing.assert_allclose(prod.coeffs, direct.coeffs,
                                    rtol=1e-14, atol=1e-14)
@@ -87,21 +102,21 @@ class TestMul:
 
 class TestCompose:
     def test_sin_of_linear(self):
-        inner = TaylorJet(0.0, [0.0, TWO_PI, 0.0])
-        out = jet_compose(Sin(), inner)
+        out = tree_jet(PrimitiveCompose(Sin(), Affine(TWO_PI, 0.0)), 0.0, 2)
         np.testing.assert_allclose(out.coeffs, [0.0, TWO_PI, 0.0], atol=1e-14)
 
     def test_exp_of_zero_jet(self):
-        out = jet_compose(Exp(), TaylorJet(0.0, [0.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.coeffs, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
+        out = compose_series(Exp().taylor_coeffs(np.array([0.0]), 3),
+                             np.zeros((4, 1)))
+        np.testing.assert_allclose(out[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_sin_of_square_matches_symbolic(self):
         import sympy
 
         s = sympy.Symbol("s")
         expr = sympy.sin(s**2)
-        inner = prim_jet(Polynomial([0.0, 0.0, 1.0]), 1.0, 4)
-        out = jet_compose(Sin(), inner)
+        square = of_s(Polynomial([0.0, 0.0, 1.0]))
+        out = tree_jet(PrimitiveCompose(Sin(), square), 1.0, 4)
         for i in range(5):
             expected = float(sympy.diff(expr, s, i).subs(s, 1))
             assert deriv_from_jet(out, i) == pytest.approx(expected, rel=1e-10)
@@ -110,31 +125,27 @@ class TestCompose:
         from conftest import fd_derivative
 
         fn = lambda s: math.sin(s * s)
-        inner = prim_jet(Polynomial([0.0, 0.0, 1.0]), 1.0, 4)
-        out = jet_compose(Sin(), inner)
+        square = of_s(Polynomial([0.0, 0.0, 1.0]))
+        out = tree_jet(PrimitiveCompose(Sin(), square), 1.0, 4)
         for i, h in ((1, 1e-3), (2, 1e-3), (3, 1e-2)):
             expected = fd_derivative(fn, 1.0, i, h)
             assert deriv_from_jet(out, i) == pytest.approx(expected, rel=1e-6)
 
-    @pytest.mark.parametrize("prim", [Sin(), Cos(), Exp(), Tanh()])
+    @pytest.mark.parametrize("prim", [Sin(), Cos(), Exp()])
     def test_primitive_recurrences_match_symbolic(self, prim):
         import sympy
 
         s = sympy.Symbol("s")
-        sym = {"Sin": sympy.sin(s), "Cos": sympy.cos(s), "Exp": sympy.exp(s),
-               "Tanh": sympy.tanh(s)}[type(prim).__name__]
-        inner = prim_jet(Polynomial([0.1, 2.0, -0.5, 0.25]), 0.4, 6)
+        sym = {"Sin": sympy.sin(s), "Cos": sympy.cos(s),
+               "Exp": sympy.exp(s)}[type(prim).__name__]
+        inner = of_s(Polynomial([0.1, 2.0, -0.5, 0.25]))
         poly = 0.1 + 2 * s - 0.5 * s**2 + 0.25 * s**3
         expr = sym.subs(s, poly)
-        out = jet_compose(prim, inner)
+        out = tree_jet(PrimitiveCompose(prim, inner), 0.4, 6)
         for i in range(7):
             expected = float(sympy.diff(expr, s, i).subs(s, 0.4))
             assert deriv_from_jet(out, i) == pytest.approx(expected, rel=1e-10,
                                                            abs=1e-12)
-
-    def test_unsupported_outer(self):
-        with pytest.raises(ValueError):
-            jet_compose(math.sin, TaylorJet(0.0, [0.0, 1.0]))
 
 
 class TestDerivFromJet:
@@ -169,7 +180,7 @@ class TestProperties:
     def test_leibniz_identity(self, ca, cb):
         a = TaylorJet(0.0, ca)
         b = TaylorJet(0.0, cb)
-        prod = jet_mul(a, b)
+        prod = mul(a, b)
         for i in range(10):
             expected = sum(math.comb(i, j) * deriv_from_jet(a, j)
                            * deriv_from_jet(b, i - j) for j in range(i + 1))
@@ -180,8 +191,8 @@ class TestProperties:
         rng = np.random.default_rng(7)
         a = TaylorJet(0.0, rng.standard_normal(8))
         b = TaylorJet(0.0, rng.standard_normal(8))
-        first = jet_mul(a, b).coeffs
-        second = jet_mul(a, b).coeffs
+        first = mul(a, b).coeffs
+        second = mul(a, b).coeffs
         np.testing.assert_array_equal(first, second)
 
     def test_commutativity_and_associativity(self):
@@ -189,9 +200,8 @@ class TestProperties:
         a = TaylorJet(0.0, rng.standard_normal(8))
         b = TaylorJet(0.0, rng.standard_normal(8))
         c = TaylorJet(0.0, rng.standard_normal(8))
-        np.testing.assert_array_equal(jet_add(a, b).coeffs, jet_add(b, a).coeffs)
-        np.testing.assert_allclose(jet_mul(a, b).coeffs, jet_mul(b, a).coeffs,
+        np.testing.assert_allclose(mul(a, b).coeffs, mul(b, a).coeffs,
                                    rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(jet_mul(jet_mul(a, b), c).coeffs,
-                                   jet_mul(a, jet_mul(b, c)).coeffs,
+        np.testing.assert_allclose(mul(mul(a, b), c).coeffs,
+                                   mul(a, mul(b, c)).coeffs,
                                    rtol=1e-12, atol=1e-10)

@@ -14,7 +14,8 @@ from tameprobe.functions import (
     seminorm_profile,
     zero,
 )
-from tameprobe.maps import CirclePullback, PostComposition
+from tameprobe.jets import MAX_ORDER
+from tameprobe.maps import CirclePullback, DomainViolation, PostComposition
 from tameprobe.primitives import AffineMap, Sin
 from tameprobe.tameness import PNormSpec, check_tame_estimate, pnorm_eval
 
@@ -31,6 +32,8 @@ class TestPNormSpec:
         with pytest.raises(ValueError):
             PNormSpec(truncation=-1)
         with pytest.raises(ValueError):
+            PNormSpec(truncation=MAX_ORDER + 1)
+        with pytest.raises(ValueError):
             PNormSpec(transform="exotic")
         with pytest.raises(ValueError):
             PNormSpec(truncation=2, weights=(1.0, 2.0))
@@ -38,10 +41,12 @@ class TestPNormSpec:
             PNormSpec(truncation=1, weights=(1.0, -1.0))
 
     def test_dict_round_trip(self):
+        weights = [1.0, 0.5, 0.25, 0.125, 0.0625]
         spec = PNormSpec(truncation=4, transform="linear",
-                         weights=(1.0, 0.5, 0.25, 0.125, 0.0625))
-        assert PNormSpec.from_dict(spec.to_dict()) == spec
-        assert PNormSpec.from_dict(PNormSpec().to_dict()) == PNormSpec()
+                         weights=tuple(weights))
+        assert PNormSpec.from_dict({"truncation": 4, "transform": "linear",
+                                    "weights": weights}) == spec
+        assert PNormSpec.from_dict({}) == PNormSpec()
 
 
 class TestPNormEval:
@@ -152,6 +157,13 @@ class TestCheckTameEstimate:
         r_more = check_tame_estimate(m, zero(), PNormSpec(), PNormSpec(), more)
         if not r_few.satisfied:
             assert not r_more.satisfied
+
+    def test_base_point_outside_domain(self):
+        steep = SmoothFunction(SinusoidProbe(2.0 / TWO_PI, 1.0, 0.0), PERIODIC)
+        with pytest.raises(DomainViolation) as exc:
+            check_tame_estimate(self.pullback(), steep, PNormSpec(),
+                                PNormSpec(), self.default_probes([16]))
+        assert exc.value.margin < 1e-9
 
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError):
