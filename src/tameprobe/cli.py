@@ -115,6 +115,8 @@ class ScenarioConfig:
             raise ConfigError("k must be odd")
         if self.l < 1:
             raise ConfigError("l must be a positive integer")
+        if not self.m_list:
+            raise ConfigError("m list must not be empty")
         if any(m < 1 for m in self.m_list) or \
                 any(b <= a for a, b in zip(self.m_list, self.m_list[1:])):
             raise ConfigError("m values must be positive and ascending")
@@ -140,6 +142,19 @@ class ScenarioConfig:
         return GridSpec(factor=self.grid_factor)
 
 
+# JSON type of each scalar config key that maps onto a ScenarioConfig field
+CONFIG_SCALARS = {"variant": str, "phi": str, "x": str, "n": int, "k": int,
+                  "l": int, "grid_factor": int}
+
+
+def _typed(val, what: str, typ: type):
+    """``val`` if it has JSON type ``typ``; true and false are not ints."""
+    if not isinstance(val, typ) or isinstance(val, bool):
+        name = "an integer" if typ is int else "a string"
+        raise ConfigError(f"{what} must be {name}, got {val!r}")
+    return val
+
+
 def _config_from_args(args) -> ScenarioConfig:
     cfg = ScenarioConfig()
     if args.config:
@@ -148,11 +163,17 @@ def _config_from_args(args) -> ScenarioConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        for key in ("variant", "phi", "n", "x", "k", "l", "grid_factor"):
+        if not isinstance(data, dict):
+            raise ConfigError("config file must hold a JSON object")
+        for key, typ in CONFIG_SCALARS.items():
             if key in data:
-                setattr(cfg, key, data[key])
+                setattr(cfg, key, _typed(data[key], key, typ))
         if "m_list" in data:
-            cfg.m_list = tuple(int(m) for m in data["m_list"])
+            if not isinstance(data["m_list"], list):
+                raise ConfigError("m_list must be a list of integers, "
+                                  f"got {data['m_list']!r}")
+            cfg.m_list = tuple(_typed(m, "m_list entry", int)
+                               for m in data["m_list"])
         for key in ("rho1", "rho2"):
             if key in data:
                 try:
@@ -160,9 +181,9 @@ def _config_from_args(args) -> ScenarioConfig:
                 except (AttributeError, TypeError, ValueError) as exc:
                     raise ConfigError(f"bad {key} in config: {exc}") from None
         if "format" in data:
-            cfg.fmt = data["format"]
+            cfg.fmt = _typed(data["format"], "format", str)
         if "output" in data:
-            cfg.output = data["output"]
+            cfg.output = _typed(data["output"], "output", str)
     if getattr(args, "variant", None):
         cfg.variant = args.variant
     for key in ("phi", "n", "x", "k", "l", "grid_factor"):
@@ -211,8 +232,10 @@ def cmd_demo(cfg: ScenarioConfig, out=None) -> int:
     print(f"fitted slope = {slope}", file=out)
     print(f"estimate violated = {result.violation}", file=out)
     if result.degenerate:
-        print("degenerate outer function: difference of directional "
-              "derivatives vanishes identically", file=out)
+        # only phi's leading derivative was checked, not v itself
+        lead = "phi" + "'" * map_spec.lead_order
+        print(f"degenerate anchor: {lead} vanishes on the anchor candidates, "
+              "so no sqrt(m) growth is predicted", file=out)
         expected = not result.violation
     else:
         m_est = estimate_residual_bound(map_spec, x, cfg.k, cfg.l, grid=grid)

@@ -224,8 +224,11 @@ class PrimitiveCompose(Node):
 
     def coeffs(self, s, order):
         inner = self.child.coeffs(s, order)
-        outer = self.primitive.taylor_coeffs(inner[0], order)
-        return compose_series(outer, inner)
+        ode = self.primitive.ode
+        # the ODE supplies every row of g past the first len(ode)
+        outer = self.primitive.taylor_coeffs(inner[0],
+                                             min(len(ode) - 1, order))
+        return compose_series(outer, inner, ode)
 
     def diff(self):
         return Product(PrimitiveCompose(self.primitive.derivative(), self.child),

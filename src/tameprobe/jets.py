@@ -8,6 +8,11 @@ converted to raw derivatives at extraction time.
 The array kernels (`convolve_trunc`, `compose_series`) operate on stacked
 coefficient arrays of shape ``(order + 1, npoints)`` so that grid sweeps
 can reuse the same code paths vectorized over many base points.
+`convolve_trunc` is the truncated Cauchy product, O(n^2) per point for n
+coefficients. `compose_series` substitutes a series into a primitive g
+through the linear ODE of order r that g satisfies (see `primitives`):
+the coefficients of g^(i)(w(s)), i < r, follow from each other by the
+chain rule, which costs O(r n^2) per point.
 """
 
 from __future__ import annotations
@@ -32,31 +37,49 @@ def convolve_trunc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def compose_series(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Substitute the series ``inner`` into ``outer`` (Horner form).
+def compose_series(outer: np.ndarray, inner: np.ndarray, ode) -> np.ndarray:
+    """Taylor coefficients of g(w(s)) from the ODE that g satisfies.
 
-    ``outer`` holds Taylor coefficients of g at the inner value; ``inner``
-    holds the inner function's coefficients at the base point. The constant
-    term of ``inner`` is ignored (it is already absorbed into ``outer``).
+    ``ode`` holds ``(a_0, .., a_{r-1})`` with ``g^(r) = sum_i a_i g^(i)``;
+    ``outer`` holds the Taylor coefficients g^(i)(w_0) / i! for i < r (rows
+    past the order of ``inner`` may be left out); ``inner`` holds the
+    coefficients w_j of w at the base point and is overwritten. With
+    G_i = g^(i)(w(s)) and G_r = sum_i a_i G_i, the chain rule
+    G_i' = G_{i+1} w' gives
+
+        k G_{i,k} = sum_{j=1..k} j w_j G_{i+1,k-j},
+
+    so the n coefficients of G_0 cost O(r n^2) per point, and O(r n) for a
+    linear w. G_i is only needed to order n-1-i, and G_r is contracted
+    term by term, skipping zero a_i, rather than stored.
     """
-    n = outer.shape[0]
-    w = inner.copy()
-    w[0] = 0.0
-    if n > 1 and not np.any(w[2:]):
-        # linear inner: out[i] = outer[i] * w1^i, no convolutions needed
-        out = np.empty_like(outer)
-        out[0] = outer[0]
-        power = np.ones_like(w[0])
-        for i in range(1, n):
-            power = power * w[1]
-            out[i] = outer[i] * power
-        return out
-    out = np.zeros_like(outer)
-    out[0] = outer[n - 1]
-    for i in range(n - 2, -1, -1):
-        out = convolve_trunc(out, w)
-        out[0] += outer[i]
-    return out
+    n, r = inner.shape[0], len(ode)
+    # row j becomes j * w_j, the coefficient of w' at order j - 1
+    inner *= np.arange(n).reshape((n,) + (1,) * (inner.ndim - 1))
+    # rows of w past its degree d only add zeros to a contraction
+    d = max((j for j in range(1, n) if inner[j].any()), default=0)
+    # G_0, the result, outlives the scratch G_i and is allocated after
+    # them; this order measured about 1 MiB less peak RSS on the ex2 demo
+    g = [np.empty((n - i,) + inner.shape[1:])
+         for i in reversed(range(min(r, n)))][::-1]
+    for i, row in enumerate(g):
+        row[0] = outer[i] * math.factorial(i)
+    for k in range(1, n):
+        top = min(k, d)
+        dw = inner[1:top + 1]
+        for i in range(min(r, n - k)):
+            out = g[i][k]
+            if i + 1 < r:
+                np.einsum("j...,j...->...", dw, g[i + 1][k - top:k][::-1],
+                          out=out)
+            else:
+                out[...] = 0.0
+                for q, a in enumerate(ode):
+                    if a:
+                        out += a * np.einsum("j...,j...->...", dw,
+                                             g[q][k - top:k][::-1])
+            out /= k
+    return g[0]
 
 
 @dataclass(frozen=True)

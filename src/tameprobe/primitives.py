@@ -5,6 +5,11 @@ its truncated Taylor expansion at any point. Coefficients are stored in
 Taylor form (i-th derivative divided by i!), which keeps downstream series
 products and compositions numerically tame even when large frequency
 factors appear in the raw derivatives.
+
+Each primitive g also declares the linear ODE with constant coefficients
+that it satisfies, ``g^(r) = sum_{i<r} ode[i] * g^(i)``. Composition
+(`jets.compose_series`) runs on this recurrence, so it needs only the
+first r derivatives of g at the inner value.
 """
 
 from __future__ import annotations
@@ -26,10 +31,17 @@ def trig_cycle(theta, i):
 
 def trig_taylor(theta, amplitude, w, order, shift):
     """Taylor coefficients in s of amplitude * trig_cycle(theta, shift),
-    for a phase theta that grows at rate w; shift 0 is sin, 1 is cos."""
+    for a phase theta that grows at rate w; shift 0 is sin, 1 is cos.
+
+    Row i needs trig_cycle(theta, i + shift); the cycle is evaluated for
+    the first two rows only, and rows i >= 2 take the sign flip of row
+    i - 2 on the scalar factor, which rounds the same as on the array.
+    """
+    base = [trig_cycle(theta, shift + i) for i in range(min(order, 1) + 1)]
     out = np.empty((order + 1,) + theta.shape)
     for i in range(order + 1):
-        out[i] = amplitude * w**i * trig_cycle(theta, i + shift) / math.factorial(i)
+        sign = -1.0 if i % 4 >= 2 else 1.0
+        out[i] = sign * amplitude * w**i * base[i % 2] / math.factorial(i)
     return out
 
 
@@ -38,8 +50,11 @@ class ScalarPrimitive:
 
     Subclasses implement ``taylor_coeffs(t, order)`` returning an array of
     shape ``(order + 1,) + t.shape`` with entry ``i`` equal to
-    ``g^(i)(t) / i!``.
+    ``g^(i)(t) / i!``, and declare ``ode``, the coefficients
+    ``(a_0, .., a_{r-1})`` of the ODE ``g^(r) = sum_i a_i * g^(i)``.
     """
+
+    ode: tuple
 
     def taylor_coeffs(self, t: np.ndarray, order: int) -> np.ndarray:
         raise NotImplementedError
@@ -76,6 +91,10 @@ class Sin(ScalarPrimitive):
         return trig_taylor(self.omega * t, self.amplitude, self.omega, order, 0)
 
     @property
+    def ode(self):
+        return (-self.omega**2, 0.0)
+
+    @property
     def is_one_periodic(self):
         k = self.omega / TWO_PI
         return self.amplitude == 0.0 or abs(k - round(k)) < 1e-12
@@ -97,6 +116,10 @@ class Cos(ScalarPrimitive):
         return trig_taylor(self.omega * t, self.amplitude, self.omega, order, 1)
 
     @property
+    def ode(self):
+        return (-self.omega**2, 0.0)
+
+    @property
     def is_one_periodic(self):
         k = self.omega / TWO_PI
         return self.amplitude == 0.0 or abs(k - round(k)) < 1e-12
@@ -107,6 +130,8 @@ class Cos(ScalarPrimitive):
 
 class Exp(ScalarPrimitive):
     """t -> exp(t)."""
+
+    ode = (1.0,)
 
     def taylor_coeffs(self, t, order):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -127,6 +152,8 @@ class Polynomial(ScalarPrimitive):
         self.coeffs = tuple(float(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("polynomial needs at least one coefficient")
+        # derivative d+1 of a degree-d polynomial vanishes
+        self.ode = (0.0,) * len(self.coeffs)
 
     def taylor_coeffs(self, t, order):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -151,6 +178,8 @@ class Polynomial(ScalarPrimitive):
 class AffineMap(ScalarPrimitive):
     """t -> a*t + b."""
 
+    ode = (0.0, 0.0)
+
     def __init__(self, a: float, b: float):
         self.a = float(a)
         self.b = float(b)
@@ -174,6 +203,9 @@ class AffineMap(ScalarPrimitive):
 class IdentityPlusExp(ScalarPrimitive):
     """t -> t + exp(t); a globally increasing diffeomorphism of R."""
 
+    # g'' = exp(t) is not a multiple of g' = 1 + exp(t), but g''' = g''
+    ode = (0.0, 0.0, 1.0)
+
     def taylor_coeffs(self, t, order):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = Exp().taylor_coeffs(t, order)
@@ -195,6 +227,8 @@ class DerivedPrimitive(ScalarPrimitive):
             base = base.base
         self.base = base
         self.k = int(k)
+        # the derivatives of g satisfy g's own constant-coefficient ODE
+        self.ode = base.ode
 
     def taylor_coeffs(self, t, order):
         c = self.base.taylor_coeffs(t, order + self.k)

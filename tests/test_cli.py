@@ -58,6 +58,16 @@ class TestDemo:
         assert "estimate violated = False" in out
         assert "degenerate" in out
 
+    def test_degenerate_label_names_what_was_checked(self, capsys):
+        # phi'' vanishes on the range of x = 0, but v = -0.003 z^2 u does not
+        code = main(["demo", "ex4", "--phi", "poly:0,1,0,-0.001",
+                     "--m-list", "16,32"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert ("degenerate anchor: phi'' vanishes on the anchor candidates, "
+                "so no sqrt(m) growth is predicted") in out
+        assert "vanishes identically" not in out
+
     def test_even_k_rejected(self, capsys):
         code = main(["demo", "ex2", "--k", "4"])
         assert code == EXIT_CONFIG
@@ -220,6 +230,30 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "bad rho1 in config" in err
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"k": "3"}, "k must be an integer, got '3'"),
+        ({"m_list": 5}, "m_list must be a list of integers, got 5"),
+        ({"grid_factor": "64"}, "grid_factor must be an integer, got '64'"),
+        ({"output": 5}, "output must be a string, got 5"),
+        ("k3", "config file must hold a JSON object"),
+    ], ids=["k-string", "m-list-int", "grid-factor-string", "output-int",
+            "not-an-object"])
+    def test_wrong_type_rejected(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["demo", "--config", str(path), "--m-list", "16,32"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_empty_m_list_rejected(self, tmp_path, capsys):
+        # an empty sweep used to report "estimate violated = False", exit 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"m_list": []}))
+        assert main(["demo", "--config", str(path)]) == EXIT_CONFIG
+        assert "m list must not be empty" in capsys.readouterr().err
 
     def test_missing_config(self):
         assert main(["demo", "--config", "/nope.json"]) == EXIT_CONFIG

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tameprobe import primitives
 from tameprobe.functions import (
     Affine,
     Constant,
     Identity,
     PrimitiveCompose,
+    SinusoidProbe,
     Sum,
 )
 from tameprobe.jets import (
@@ -19,7 +21,17 @@ from tameprobe.jets import (
     convolve_trunc,
     deriv_from_jet,
 )
-from tameprobe.primitives import Cos, Exp, Polynomial, Sin
+from tameprobe.primitives import (
+    AffineMap,
+    Cos,
+    DerivedPrimitive,
+    Exp,
+    IdentityPlusExp,
+    Polynomial,
+    ScalarPrimitive,
+    Sin,
+    trig_cycle,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,6 +54,34 @@ def mul(a, b):
 def of_s(prim):
     """The tree s -> prim(s)."""
     return PrimitiveCompose(prim, Identity())
+
+
+def horner_compose(outer, inner):
+    """Oracle: substitute the series ``inner`` into the full series ``outer``
+    of g at the inner value (Horner form, O(n^3) per point)."""
+    n = outer.shape[0]
+    w = inner.copy()
+    w[0] = 0.0
+    out = np.zeros_like(outer)
+    out[0] = outer[n - 1]
+    for i in range(n - 2, -1, -1):
+        out = convolve_trunc(out, w)
+        out[0] += outer[i]
+    return out
+
+
+# one primitive of every kind, with its ODE as declared
+ODE_PRIMITIVES = [Sin(omega=TWO_PI, amplitude=0.7), Cos(omega=3.0), Exp(),
+                  IdentityPlusExp(), AffineMap(2.0, -1.0),
+                  Polynomial([0.5, -1.0, 0.25, 0.125]),
+                  DerivedPrimitive(Sin(omega=TWO_PI), 2),
+                  DerivedPrimitive(IdentityPlusExp(), 1)]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
 
 
 class TestConstruction:
@@ -106,8 +146,8 @@ class TestCompose:
         np.testing.assert_allclose(out.coeffs, [0.0, TWO_PI, 0.0], atol=1e-14)
 
     def test_exp_of_zero_jet(self):
-        out = compose_series(Exp().taylor_coeffs(np.array([0.0]), 3),
-                             np.zeros((4, 1)))
+        out = compose_series(Exp().taylor_coeffs(np.array([0.0]), 0),
+                             np.zeros((4, 1)), Exp().ode)
         np.testing.assert_allclose(out[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_sin_of_square_matches_symbolic(self):
@@ -146,6 +186,92 @@ class TestCompose:
             expected = float(sympy.diff(expr, s, i).subs(s, 0.4))
             assert deriv_from_jet(out, i) == pytest.approx(expected, rel=1e-10,
                                                            abs=1e-12)
+
+
+class TestOdeRecurrence:
+    """`compose_series` runs on each primitive's ODE; Horner on the full
+    outer series is the oracle."""
+
+    @pytest.mark.parametrize("prim", ODE_PRIMITIVES, ids=repr)
+    @pytest.mark.parametrize("order", range(13))
+    def test_matches_horner(self, prim, order):
+        s = np.linspace(0.0, 1.0, 7)
+        inner = PrimitiveCompose(Sin(omega=TWO_PI, amplitude=0.3),
+                                 Identity()).coeffs(s, order)
+        inner[0] += 0.2
+        inner[1:2] += 1.0
+        expected = horner_compose(prim.taylor_coeffs(inner[0], order), inner)
+        r = len(prim.ode)
+        got = compose_series(prim.taylor_coeffs(inner[0], min(r - 1, order)),
+                             inner.copy(), prim.ode)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("cls", sorted(_subclasses(ScalarPrimitive),
+                                           key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_every_primitive_satisfies_its_ode(self, cls):
+        # (i+r)!/i! c_{i+r} = sum_j a_j (i+j)!/i! c_{i+j}, rows from taylor_coeffs
+        prims = [p for p in ODE_PRIMITIVES if type(p) is cls]
+        assert prims, f"{cls.__name__} has no case in ODE_PRIMITIVES"
+        t = np.linspace(-1.5, 1.5, 11)
+        for prim in prims:
+            assert isinstance(prim.ode, tuple) and prim.ode
+            r = len(prim.ode)
+            c = prim.taylor_coeffs(t, r + 6)
+            for i in range(7):
+                lhs = math.perm(i + r, r) * c[i + r]
+                rhs = sum(a * math.perm(i + j, j) * c[i + j]
+                          for j, a in enumerate(prim.ode))
+                np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    def test_linear_inner(self):
+        # sin(2 pi (3 s + b)) = sin(6 pi (s + b/3)); rows scale like (6 pi)^i / i!
+        s = np.linspace(0.05, 0.95, 5)
+        node = PrimitiveCompose(Sin(omega=TWO_PI), Affine(3.0, 0.2))
+        expected = Sin(omega=TWO_PI * 3.0).taylor_coeffs(s + 0.2 / 3.0, 12)
+        scale = np.abs(expected).max(axis=1, keepdims=True)
+        np.testing.assert_allclose(node.coeffs(s, 12) / scale,
+                                   expected / scale, rtol=0, atol=1e-12)
+
+
+class TestTrigOnce:
+    """Sin, Cos and SinusoidProbe evaluate sin and cos once per call, and
+    their rows equal the per-order trig cycle bit for bit."""
+
+    @staticmethod
+    def per_order(theta, amplitude, w, order, shift):
+        return np.array([amplitude * w**i * trig_cycle(theta, i + shift)
+                         / math.factorial(i) for i in range(order + 1)])
+
+    @pytest.mark.parametrize("order", range(13))
+    def test_bit_identical(self, order):
+        t = np.linspace(-0.9, 1.3, 101)
+        for omega, amp in ((TWO_PI, 1.0), (TWO_PI * 4096, 0.3), (-2.5, -1.7)):
+            theta = omega * t
+            assert np.array_equal(Sin(omega, amp).taylor_coeffs(t, order),
+                                  self.per_order(theta, amp, omega, order, 0))
+            assert np.array_equal(Cos(omega, amp).taylor_coeffs(t, order),
+                                  self.per_order(theta, amp, omega, order, 1))
+        node = SinusoidProbe((TWO_PI * 64)**-2.5, 64.0, 0.3)
+        w = TWO_PI * node.frequency
+        assert np.array_equal(
+            node.coeffs(t, order),
+            self.per_order(w * (t - node.phase), node.amplitude, w, order, 0))
+
+    def test_trig_cycle_called_twice(self, monkeypatch):
+        calls = []
+        real = primitives.trig_cycle
+
+        def counted(theta, i):
+            calls.append(i)
+            return real(theta, i)
+
+        monkeypatch.setattr(primitives, "trig_cycle", counted)
+        SinusoidProbe(1.0, 3.0).coeffs(np.linspace(0.0, 1.0, 9), 12)
+        assert calls == [0, 1]
+        calls.clear()
+        Cos(TWO_PI).taylor_coeffs(np.zeros(3), 12)
+        assert calls == [1, 2]
 
 
 class TestDerivFromJet:
