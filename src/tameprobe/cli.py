@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from .driver import (
     PrecisionBudgetError,
@@ -21,6 +22,7 @@ from .driver import (
     _locate_anchor,
 )
 from .functions import Constant, GridSpec, SinusoidProbe, SmoothFunction, zero
+from .jets import MAX_ORDER
 from .maps import CirclePullback, DomainViolation, PostComposition
 from .primitives import (
     TWO_PI,
@@ -51,20 +53,30 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite(args: str) -> list:
+    """The comma-separated numbers of a descriptor, all finite."""
+    vals = [float(v) for v in args.split(",")]
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError("numbers must be finite")
+    return vals
+
+
 def parse_phi(descriptor: str):
     """Named outer-function registry: sin, cos, affine:a,b, poly:c0,..,
     t_plus_exp."""
-    name, _, args = descriptor.partition(":")
+    name, sep, args = descriptor.partition(":")
     try:
+        if name in ("sin", "cos", "t_plus_exp") and sep:
+            raise ValueError(f"{name} takes no numbers")
         if name == "sin":
             return Sin(omega=TWO_PI)
         if name == "cos":
             return Cos(omega=TWO_PI)
         if name == "affine":
-            a, b = (float(v) for v in args.split(","))
+            a, b = _finite(args)
             return AffineMap(a, b)
         if name == "poly":
-            return Polynomial([float(v) for v in args.split(",")])
+            return Polynomial(_finite(args))
         if name == "t_plus_exp":
             return IdentityPlusExp()
     except (ValueError, TypeError) as exc:
@@ -75,17 +87,22 @@ def parse_phi(descriptor: str):
 
 def parse_x(descriptor: str, domain: str) -> SmoothFunction:
     """Base-point registry: zero | const:c | sinusoid:amp,freq[,phase]."""
-    name, _, args = descriptor.partition(":")
+    name, sep, args = descriptor.partition(":")
     try:
+        if name == "zero" and sep:
+            raise ValueError("zero takes no numbers")
         if name == "zero":
             return zero(domain)
         if name == "const":
-            return SmoothFunction(Constant(float(args)), domain)
+            c, = _finite(args)
+            return SmoothFunction(Constant(c), domain)
         if name == "sinusoid":
-            parts = [float(v) for v in args.split(",")]
-            amp, freq = parts[0], parts[1]
-            phase = parts[2] if len(parts) > 2 else 0.0
-            return SmoothFunction(SinusoidProbe(amp, freq, phase), domain)
+            amp, freq, *phase = _finite(args)
+            if len(phase) > 1:
+                raise ValueError("sinusoid takes amp,freq[,phase]")
+            if freq == 0.0:
+                raise ValueError("sinusoid frequency must be nonzero")
+            return SmoothFunction(SinusoidProbe(amp, freq, *phase), domain)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad x descriptor {descriptor!r}: {exc}") from None
     raise ConfigError(f"unknown base point {name!r} (known: zero, const:c, "
@@ -104,7 +121,7 @@ class ScenarioConfig:
     grid_factor: int = 64
     rho1: PNormSpec = field(default_factory=PNormSpec)
     rho2: PNormSpec = field(default_factory=PNormSpec)
-    fmt: str = "csv"
+    format: str = "csv"
     output: str | None = None
 
     def validate(self):
@@ -122,21 +139,19 @@ class ScenarioConfig:
             raise ConfigError("m values must be positive and ascending")
         if self.grid_factor < 1:
             raise ConfigError("grid factor must be positive")
-        if self.fmt not in ("csv", "json"):
+        if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
 
     def build_map(self):
         phi = parse_phi(self.phi)
         try:
-            return VARIANTS[self.variant](phi, self.n)
+            map_spec = VARIANTS[self.variant](phi, self.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    def build_x(self, map_spec):
-        try:
-            return parse_x(self.x, map_spec.domain_tag)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        # the probe needs derivative k of z, the sweep derivative top of v
+        if max(self.k, map_spec.top_order(self.k)) > MAX_ORDER:
+            raise ConfigError(f"k = {self.k} exceeds the order cap {MAX_ORDER}")
+        return map_spec
 
     def grid(self) -> GridSpec:
         return GridSpec(factor=self.grid_factor)
@@ -144,7 +159,7 @@ class ScenarioConfig:
 
 # JSON type of each scalar config key that maps onto a ScenarioConfig field
 CONFIG_SCALARS = {"variant": str, "phi": str, "x": str, "n": int, "k": int,
-                  "l": int, "grid_factor": int}
+                  "l": int, "grid_factor": int, "format": str, "output": str}
 
 
 def _typed(val, what: str, typ: type):
@@ -180,14 +195,10 @@ def _config_from_args(args) -> ScenarioConfig:
                     setattr(cfg, key, PNormSpec.from_dict(data[key]))
                 except (AttributeError, TypeError, ValueError) as exc:
                     raise ConfigError(f"bad {key} in config: {exc}") from None
-        if "format" in data:
-            cfg.fmt = _typed(data["format"], "format", str)
-        if "output" in data:
-            cfg.output = _typed(data["output"], "output", str)
     if getattr(args, "variant", None):
         cfg.variant = args.variant
-    for key in ("phi", "n", "x", "k", "l", "grid_factor"):
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in ("phi", "n", "x", "k", "l", "grid_factor", "format", "output"):
+        val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
     if getattr(args, "m_list", None):
@@ -195,10 +206,6 @@ def _config_from_args(args) -> ScenarioConfig:
             cfg.m_list = tuple(int(v) for v in args.m_list.split(","))
         except ValueError:
             raise ConfigError(f"bad m list {args.m_list!r}") from None
-    if getattr(args, "format", None):
-        cfg.fmt = args.format
-    if getattr(args, "output", None):
-        cfg.output = args.output
     cfg.validate()
     return cfg
 
@@ -207,8 +214,7 @@ CSV_HEADER = "m,p_km1_z,rho1_z,rho1_u,top_deriv_s0,predicted,Tz_sup,rho2_v"
 
 
 def _record_row(r) -> str:
-    vals = [r.p_km1_z, r.rho1_z, r.rho1_u, r.top_deriv_s0, r.predicted,
-            r.tz_sup, r.rho2_v]
+    m, *vals = astuple(r)
     return ",".join([str(r.m)] + [format(v, ".17g") for v in vals])
 
 
@@ -221,7 +227,7 @@ def _print_table(result, out):
 def cmd_demo(cfg: ScenarioConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
     map_spec = cfg.build_map()
-    x = cfg.build_x(map_spec)
+    x = parse_x(cfg.x, map_spec.domain_tag)
     grid = cfg.grid()
     result = growth_sweep(map_spec, x, cfg.rho1, cfg.rho2, cfg.k, cfg.l,
                           cfg.m_list, grid)
@@ -250,14 +256,15 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
     if not cfg.output:
         raise ConfigError("sweep requires an output path")
     map_spec = cfg.build_map()
-    x = cfg.build_x(map_spec)
+    x = parse_x(cfg.x, map_spec.domain_tag)
     result = growth_sweep(map_spec, x, cfg.rho1, cfg.rho2, cfg.k, cfg.l,
                           cfg.m_list, cfg.grid())
-    if cfg.fmt == "csv":
+    if cfg.format == "csv":
         body = "\n".join([CSV_HEADER] + [_record_row(r) for r in result.records])
         body += "\n"
     else:
-        body = json.dumps([r.as_dict() for r in result.records], indent=2)
+        body = json.dumps([dict(zip(CSV_HEADER.split(","), astuple(r)))
+                           for r in result.records], indent=2)
         body += "\n"
     try:
         with open(cfg.output, "w") as fh:
@@ -309,7 +316,7 @@ def _load_probes(path: str, cfg: ScenarioConfig, map_spec, x):
 def cmd_check_tame(cfg: ScenarioConfig, probe_path: str, out=None) -> int:
     out = out if out is not None else sys.stdout
     map_spec = cfg.build_map()
-    x = cfg.build_x(map_spec)
+    x = parse_x(cfg.x, map_spec.domain_tag)
     probes = _load_probes(probe_path, cfg, map_spec, x)
     report = check_tame_estimate(map_spec, x, cfg.rho1, cfg.rho2, probes,
                                  cfg.grid())

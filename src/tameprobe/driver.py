@@ -12,6 +12,9 @@ bracketing plus `brentq` for s0, the residual pass, and the power-of-two
 search for a certified m. What differs between the maps (the leading
 derivative, the top order, phi's argument, the search ranges, the fallback
 anchor and the certifying inequality) comes from the `MapSpec` hooks.
+
+A sweep makes one grid pass over v per m (`residual_tz`) for both sup|T_z|
+and rho2(v); the residual bound is read off a coarse sweep.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from scipy.optimize import brentq
 
 from .functions import (
     _CHUNK,
+    DEFAULT_GRID,
     GridSpec,
     SmoothFunction,
     constant,
@@ -33,7 +37,7 @@ from .functions import (
     seminorm_profile,
 )
 from .jets import deriv_from_jet
-from .maps import MapSpec, SampledFunction
+from .maps import MapSpec
 from .primitives import TWO_PI
 from .tameness import PNormSpec, pnorm_eval
 
@@ -74,7 +78,8 @@ class ProbeParams:
 
 @dataclass(frozen=True)
 class GrowthRecord:
-    """One row of an m-sweep."""
+    """One row of an m-sweep; the fields are in the order of the CSV
+    columns."""
 
     m: int
     p_km1_z: float
@@ -84,12 +89,6 @@ class GrowthRecord:
     predicted: float
     tz_sup: float
     rho2_v: float
-
-    def as_dict(self) -> dict:
-        return {"m": self.m, "p_km1_z": self.p_km1_z, "rho1_z": self.rho1_z,
-                "rho1_u": self.rho1_u, "top_deriv_s0": self.top_deriv_s0,
-                "predicted": self.predicted, "Tz_sup": self.tz_sup,
-                "rho2_v": self.rho2_v}
 
 
 @dataclass
@@ -145,40 +144,33 @@ def build_probe(params: ProbeParams, map_spec: MapSpec):
     return z, u
 
 
-def _difference_tree(map_spec: MapSpec, x: SmoothFunction,
-                     z: SmoothFunction, u: SmoothFunction) -> SmoothFunction:
-    return map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)
-
-
 def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
-                z: SmoothFunction, u: SmoothFunction,
-                v: SmoothFunction | None = None,
+                z: SmoothFunction, v: SmoothFunction, order: int,
                 grid: GridSpec | None = None):
-    """Split the top derivative of v into leading term and residual.
+    """One chunked grid pass over v = df(x+z, u) - df(x, u).
 
-    Returns ``(leading_at_s0, tz)`` where ``leading_at_s0`` is
-    eps0 * phi_lead(composed point at s0) * z^(k)(s0) and ``tz`` samples
-    v^(top)/eps0 minus the leading term divided by eps0.
+    Returns ``(tz_sup, profile)``: the sup over the grid of |T_z|, where
+    T_z = v^(top)/eps0 - phi_lead(phi's argument + z) * z^(k) is what is
+    left of the top derivative once the leading term is taken out, and the
+    seminorms p_0 .. p_order of v. Each chunk's Taylor coefficients of v
+    are evaluated once, to order max(order, top), and feed both.
     """
-    if v is None:
-        v = _difference_tree(map_spec, x, z, u)
     top = map_spec.top_order(params.k)
     lead = map_spec.leading_primitive()
-    s = (grid or GridSpec()).points(v)
-    fact = math.factorial(top)
-    tz_vals = np.empty_like(s)
+    n = max(order, top)
+    s = (grid or DEFAULT_GRID).points(v)
+    fact = np.array([math.factorial(i) for i in range(n + 1)])
+    sup = np.zeros(n + 1)
+    tz_sup = 0.0
     for lo in range(0, s.size, _CHUNK):
         sc = s[lo:lo + _CHUNK]
-        v_top = fact * v.node.coeffs(sc, top)[top]
+        coeffs = v.node.coeffs(sc, n)
+        np.maximum(sup, np.abs(coeffs).max(axis=1) * fact, out=sup)
         c = map_spec.phi_argument(x, sc) + z.evaluate(sc)
         zk = probe_deriv_closed_form(params.m, params.k, params.s0, params.k, sc)
-        tz_vals[lo:lo + _CHUNK] = v_top / params.eps0 - lead(c) * zk
-    at_s0 = np.array([params.s0])
-    c0 = map_spec.phi_argument(x, at_s0) + z.evaluate(at_s0)
-    zk0 = probe_deriv_closed_form(params.m, params.k, params.s0, params.k,
-                                  params.s0)
-    leading_at_s0 = params.eps0 * float(lead(c0)[0]) * zk0
-    return leading_at_s0, SampledFunction(s, tz_vals)
+        tz = fact[top] * coeffs[top] / params.eps0 - lead(c) * zk
+        tz_sup = np.maximum(tz_sup, np.abs(tz).max())
+    return float(tz_sup), np.maximum.accumulate(sup[:order + 1])
 
 
 def _locate_anchor(map_spec: MapSpec, x: SmoothFunction):
@@ -209,23 +201,25 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
     t0, s0, deriv_mag, degenerate = _locate_anchor(map_spec, x)
     eps0 = 1.0 / l
     top = map_spec.top_order(k)
+    u = constant(eps0, map_spec.domain_tag)
+    rho1_u = pnorm_eval(rho1, u, grid)
     records = []
     for m in m_list:
         params = ProbeParams(k=k, l=l, eps0=eps0, m=m, s0=s0, t0=t0)
-        z, u = build_probe(params, map_spec)
-        v = _difference_tree(map_spec, x, z, u)
-        jet = v.jet_at(s0, top)
-        top_deriv = abs(deriv_from_jet(jet, top))
-        _, tz = residual_tz(map_spec, x, params, z, u, v=v, grid=grid)
+        z = probe(m, k, s0, u.domain)
+        v = map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)
+        top_deriv = abs(deriv_from_jet(v.jet_at(s0, top), top))
+        tz_sup, v_profile = residual_tz(map_spec, x, params, z, v,
+                                        rho2.truncation, grid)
         records.append(GrowthRecord(
             m=m,
             p_km1_z=float(seminorm_profile(z, k - 1, grid)[k - 1]),
             rho1_z=pnorm_eval(rho1, z, grid),
-            rho1_u=pnorm_eval(rho1, u, grid),
+            rho1_u=rho1_u,
             top_deriv_s0=top_deriv,
             predicted=eps0 * math.sqrt(TWO_PI * m) * deriv_mag,
-            tz_sup=tz.sup(),
-            rho2_v=pnorm_eval(rho2, v, grid),
+            tz_sup=tz_sup,
+            rho2_v=rho2.of_profile(v_profile),
         ))
     tops = np.array([r.top_deriv_s0 for r in records])
     if np.all(tops > 0.0) and len(records) >= 2:
@@ -242,19 +236,14 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
 def estimate_residual_bound(map_spec: MapSpec, x: SmoothFunction,
                             k: int, l: int,
                             grid: GridSpec | None = None) -> float:
-    """Empirical upper bound for the residual: twice the coarse-sweep
-    maximum of sup|T_z|, plus one."""
-    t0, s0, _, degenerate = _locate_anchor(map_spec, x)
-    if degenerate:
+    """Empirical upper bound for the residual: twice the maximum of
+    sup|T_z| over a coarse sweep (m in RESIDUAL_M_COARSE), plus one; 1.0
+    when the anchor is degenerate."""
+    sweep = growth_sweep(map_spec, x, PNormSpec(0), PNormSpec(0), k, l,
+                         RESIDUAL_M_COARSE, grid)
+    if sweep.degenerate:
         return 1.0
-    eps0 = 1.0 / l
-    worst = 0.0
-    for m in RESIDUAL_M_COARSE:
-        params = ProbeParams(k=k, l=l, eps0=eps0, m=m, s0=s0, t0=t0)
-        z, u = build_probe(params, map_spec)
-        _, tz = residual_tz(map_spec, x, params, z, u, grid=grid)
-        worst = max(worst, tz.sup())
-    return 2.0 * worst + 1.0
+    return 2.0 * max(r.tz_sup for r in sweep.records) + 1.0
 
 
 def fix_m(map_spec: MapSpec, k: int, l: int, m_estimate: float,

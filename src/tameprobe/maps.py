@@ -62,9 +62,6 @@ class SampledFunction:
     s: np.ndarray
     values: np.ndarray
 
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
 
 class MapSpec:
     """Common surface of the two map variants.

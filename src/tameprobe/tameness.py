@@ -48,6 +48,16 @@ class PNormSpec:
             return self.weights[i]
         return 2.0**(-i)
 
+    def of_profile(self, p) -> float:
+        """The P-norm of a function whose seminorms are p_0, p_1, ..."""
+        total = 0.0
+        for i in range(self.truncation + 1):
+            if self.transform == "bounded":
+                total += self.weight(i) * p[i] / (1.0 + p[i])
+            else:
+                total += self.weight(i) * p[i]
+        return total
+
     @classmethod
     def from_dict(cls, d: dict) -> "PNormSpec":
         w = d.get("weights")
@@ -58,14 +68,7 @@ class PNormSpec:
 
 def pnorm_eval(spec: PNormSpec, x: SmoothFunction,
                grid: GridSpec | None = None) -> float:
-    p = seminorm_profile(x, spec.truncation, grid)
-    total = 0.0
-    for i in range(spec.truncation + 1):
-        if spec.transform == "bounded":
-            total += spec.weight(i) * p[i] / (1.0 + p[i])
-        else:
-            total += spec.weight(i) * p[i]
-    return total
+    return spec.of_profile(seminorm_profile(x, spec.truncation, grid))
 
 
 @dataclass

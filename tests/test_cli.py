@@ -1,18 +1,25 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tameprobe.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_OUTPUT,
+    EXIT_UNEXPECTED,
     ConfigError,
+    ScenarioConfig,
     main,
     parse_phi,
     parse_x,
 )
 from tameprobe.functions import PERIODIC
+from tameprobe.jets import MAX_ORDER
 from tameprobe.primitives import AffineMap, IdentityPlusExp, Polynomial, Sin
 
 SMALL = "16,32,64"
@@ -87,6 +94,49 @@ class TestDemo:
         assert code == EXIT_CONFIG
         assert "outside map domain (margin 0.000e+00)" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--x", "sinusoid:0.5"], "expected at least 2, got 1"),
+        (["--x", "sinusoid:0.01,1,2,3"], "sinusoid takes amp,freq[,phase]"),
+        (["--x", "sinusoid:0.01,0"], "sinusoid frequency must be nonzero"),
+        (["--x", "const:inf"], "numbers must be finite"),
+        (["--x", "const:nan"], "numbers must be finite"),
+        (["--x", "sinusoid:nan,1"], "numbers must be finite"),
+        (["--phi", "poly:nan"], "numbers must be finite"),
+        (["--phi", "sin:3"], "sin takes no numbers"),
+        (["--x", "zero:1"], "zero takes no numbers"),
+    ], ids=["sinusoid-one-number", "sinusoid-four-numbers",
+            "sinusoid-zero-frequency", "const-inf", "const-nan",
+            "sinusoid-nan", "poly-nan", "sin-with-numbers",
+            "zero-with-number"])
+    def test_bad_descriptor_rejected(self, capsys, flags, message):
+        code = main(["demo", "ex2", "--m-list", "16,32"] + flags)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert message in err
+
+    def test_infinite_affine_phi_rejected(self, capsys):
+        code = main(["demo", "ex4", "--phi", "affine:inf,0",
+                     "--m-list", "16,32"])
+        assert code == EXIT_CONFIG
+        assert "numbers must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant, phi", [("ex2", "sin"),
+                                              ("ex4", "t_plus_exp")])
+    def test_k_above_order_cap_rejected(self, capsys, variant, phi):
+        code = main(["demo", variant, "--phi", phi, "--k", "17",
+                     "--m-list", "16,32"])
+        assert code == EXIT_CONFIG
+        assert f"exceeds the order cap {MAX_ORDER}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant, phi", [("ex2", "sin"),
+                                              ("ex4", "t_plus_exp")])
+    def test_largest_k_accepted(self, variant, phi):
+        # ex4 differentiates v k times, ex2 k - 1 times; z needs k for both
+        k = MAX_ORDER - 1
+        ScenarioConfig(variant=variant, phi=phi, k=k).build_map()
+        with pytest.raises(ConfigError):
+            ScenarioConfig(variant=variant, phi=phi, k=k + 2).build_map()
 
     def test_budget_exceeded(self, capsys):
         # second derivative of phi is tiny but nonzero, so no m in the
@@ -257,3 +307,60 @@ class TestConfigFile:
 
     def test_missing_config(self):
         assert main(["demo", "--config", "/nope.json"]) == EXIT_CONFIG
+
+
+# a small argv grammar for `demo`: well-formed descriptors, and malformed
+# ones whose numbers are zero, non-finite or of the wrong count; k in
+# -1..19; one or two m <= 64
+PHIS = ("sin", "cos", "t_plus_exp", "affine:2,1", "affine:0,0.3",
+        "poly:0,1,0,1", "poly:0,1,0,-0.001")
+XS = ("zero", "const:0.3", "sinusoid:0.01,1", "sinusoid:0.3,2,0.25",
+      "sinusoid:0.5,1")
+PHI_NAMES = ("sin", "cos", "t_plus_exp", "affine", "poly", "tan")
+X_NAMES = ("zero", "const", "sinusoid", "blob")
+NUMBERS = ("0", "0.01", "0.3", "1", "2", "-1", "nan", "inf", "-inf", "x")
+
+
+@st.composite
+def descriptors(draw, known, names):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(known))
+    name = draw(st.sampled_from(names))
+    numbers = draw(st.lists(st.sampled_from(NUMBERS), max_size=4))
+    if not numbers and draw(st.booleans()):
+        return name
+    return name + ":" + ",".join(numbers)
+
+
+@st.composite
+def demo_argv(draw):
+    argv = ["demo", draw(st.sampled_from(("ex2", "ex4")))]
+    for flag, known, names in (("--phi", PHIS, PHI_NAMES),
+                               ("--x", XS, X_NAMES)):
+        if draw(st.booleans()):
+            argv += [flag, draw(descriptors(known, names))]
+    argv += ["--k", str(draw(st.integers(-1, 19)))]
+    m_list = draw(st.lists(st.integers(1, 64), min_size=1, max_size=2))
+    return argv + ["--m-list", ",".join(map(str, m_list))]
+
+
+class TestFuzz:
+    @given(demo_argv())
+    @example(["demo", "ex2", "--x", "sinusoid:0.5", "--m-list", "16,32"])
+    @example(["demo", "ex2", "--x", "sinusoid:0.01,0", "--m-list", "16"])
+    @example(["demo", "ex2", "--x", "const:inf", "--m-list", "16"])
+    @example(["demo", "ex2", "--x", "const:nan", "--m-list", "16"])
+    @example(["demo", "ex2", "--x", "sinusoid:nan,1", "--m-list", "16"])
+    @example(["demo", "ex2", "--phi", "poly:nan", "--m-list", "16"])
+    @example(["demo", "ex4", "--phi", "affine:inf,0", "--m-list", "16"])
+    @example(["demo", "ex2", "--k", "17", "--m-list", "16,32"])
+    @example(["demo", "ex4", "--phi", "t_plus_exp", "--k", "17",
+              "--m-list", "16,32"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_demo_ends_in_documented_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_UNEXPECTED, EXIT_CONFIG, EXIT_BUDGET,
+                        EXIT_OUTPUT)
+        assert "Traceback" not in err.getvalue()

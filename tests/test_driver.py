@@ -17,9 +17,13 @@ from tameprobe.driver import (
     residual_tz,
 )
 from tameprobe.functions import (
-    GridSpec,
+    _CHUNK,
+    PERIODIC,
     UNIT_INTERVAL,
-    constant,
+    GridSpec,
+    SinusoidProbe,
+    SmoothFunction,
+    probe_deriv_closed_form,
     seminorm_profile,
     zero,
 )
@@ -111,40 +115,84 @@ class TestBuildProbe:
         assert seminorm_profile(z, k - 1)[k - 1] <= 1.0 / k
 
 
+def two_pass_residual(mp, x, params, z, v, order):
+    """The residual and the seminorms of v from two separate grid passes:
+    v at order top for T_z, then `seminorm_profile` for the seminorms."""
+    top = mp.top_order(params.k)
+    lead = mp.leading_primitive()
+    s = GridSpec().points(v)
+    fact = math.factorial(top)
+    tz = np.empty_like(s)
+    for lo in range(0, s.size, _CHUNK):
+        sc = s[lo:lo + _CHUNK]
+        v_top = fact * v.node.coeffs(sc, top)[top]
+        c = mp.phi_argument(x, sc) + z.evaluate(sc)
+        zk = probe_deriv_closed_form(params.m, params.k, params.s0, params.k,
+                                     sc)
+        tz[lo:lo + _CHUNK] = v_top / params.eps0 - lead(c) * zk
+    return float(np.max(np.abs(tz))), seminorm_profile(v, order)
+
+
+def difference(mp, x, z, u):
+    return mp.gateaux(x + z, u) - mp.gateaux(x, u)
+
+
 class TestResidual:
-    def test_leading_term_at_anchor(self):
-        k, l, m = 3, 8, 64
-        mp = pullback_sin()
-        x = zero()
-        params = ProbeParams(k=k, l=l, eps0=1.0 / l, m=m, s0=0.0, t0=0.0)
+    CASES = {
+        "ex2-zero": (pullback_sin, zero),
+        "ex2-sinusoid": (pullback_sin,
+                         lambda: SmoothFunction(SinusoidProbe(0.02, 1.0, 0.2),
+                                                PERIODIC)),
+        "ex4-zero": (composition_exp, lambda: zero(UNIT_INTERVAL)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("m", [16, 64])
+    @pytest.mark.parametrize("order", [0, "top", 12])
+    def test_one_pass_matches_two_passes(self, case, m, order):
+        self.check_against_two_passes(case, m, order)
+
+    def test_pass_spans_chunks(self):
+        # v's grid at m = 1024 has 64 * 1024 + 1 points: two chunks
+        assert 64 * 1024 + 1 > _CHUNK
+        self.check_against_two_passes("ex2-zero", 1024, "top")
+
+    def check_against_two_passes(self, case, m, order):
+        make_map, make_x = self.CASES[case]
+        mp, x = make_map(), make_x()
+        k, l = 3, 8
+        t0 = find_t0(mp, x)
+        s0 = mp.interior_s0(x)
+        if s0 is None:
+            s0 = find_s0(mp, x, t0)
+        params = ProbeParams(k=k, l=l, eps0=1.0 / l, m=m, s0=s0, t0=t0)
         z, u = build_probe(params, mp)
-        leading, tz = residual_tz(mp, x, params, z, u)
-        # z at s0 vanishes, so the composed point is exactly t0
-        expected = (1.0 / l) * TWO_PI * (-math.sqrt(TWO_PI * m))
-        assert leading == pytest.approx(expected, rel=1e-12)
-        assert np.isfinite(tz.values).all()
+        v = difference(mp, x, z, u)
+        if order == "top":
+            order = mp.top_order(k)
+        tz_sup, profile = residual_tz(mp, x, params, z, v, order)
+        want_tz, want_profile = two_pass_residual(mp, x, params, z, v, order)
+        assert tz_sup == want_tz
+        assert np.array_equal(profile, want_profile)
+        assert math.isfinite(tz_sup)
+        assert np.isfinite(profile).all()
 
     def test_constant_phi_residual_vanishes(self):
         mp = CirclePullback(AffineMap(0.0, 0.3), 1)
         params = ProbeParams(k=3, l=8, eps0=0.125, m=16, s0=0.0, t0=0.0)
         z, u = build_probe(params, mp)
-        leading, tz = residual_tz(mp, zero(), params, z, u)
-        assert leading == 0.0
-        assert tz.sup() == pytest.approx(0.0, abs=1e-14)
+        v = difference(mp, zero(), z, u)
+        tz_sup, profile = residual_tz(mp, zero(), params, z, v, 0)
+        assert tz_sup == pytest.approx(0.0, abs=1e-14)
+        assert profile.shape == (1,)
 
     def test_top_derivative_consistency(self):
-        # v^(top) = eps0 * (leading/eps0 + Tz) pointwise at the anchor
-        mp = composition_exp()
-        x = zero(UNIT_INTERVAL)
-        k, l, m = 3, 8, 32
-        params = ProbeParams(k=k, l=l, eps0=1.0 / l, m=m, s0=0.5, t0=0.0)
-        z, u = build_probe(params, mp)
-        v = mp.gateaux(x + z, u) - mp.gateaux(x, u)
-        leading, tz = residual_tz(mp, x, params, z, u, v=v)
-        j = v.jet_at(0.5, k)
-        top = math.factorial(k) * j.coeffs[k]
-        # Tz at the anchor is tiny for this variant
-        assert top == pytest.approx(leading, rel=1e-6)
+        # T_z at the anchor is tiny for this variant, so |v^(top)(s0)| is
+        # the leading term eps0 * |phi''(t0)| * sqrt(2 pi m)
+        res = growth_sweep(composition_exp(), zero(UNIT_INTERVAL),
+                           PNormSpec(), PNormSpec(), 3, 8, [32])
+        r = res.records[0]
+        assert r.top_deriv_s0 == pytest.approx(r.predicted, rel=1e-6)
 
 
 class TestGrowthSweep:
