@@ -13,6 +13,7 @@ import sys
 from dataclasses import astuple, dataclass, field
 
 from .driver import (
+    MAX_M,
     PrecisionBudgetError,
     ProbeParams,
     build_probe,
@@ -137,6 +138,8 @@ class ScenarioConfig:
         if any(m < 1 for m in self.m_list) or \
                 any(b <= a for a, b in zip(self.m_list, self.m_list[1:])):
             raise ConfigError("m values must be positive and ascending")
+        if self.m_list[-1] > MAX_M:
+            raise ConfigError(f"m = {self.m_list[-1]} exceeds {MAX_M}")
         if self.grid_factor < 1:
             raise ConfigError("grid factor must be positive")
         if self.format not in ("csv", "json"):
@@ -162,11 +165,23 @@ CONFIG_SCALARS = {"variant": str, "phi": str, "x": str, "n": int, "k": int,
                   "l": int, "grid_factor": int, "format": str, "output": str}
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
 def _typed(val, what: str, typ: type):
-    """``val`` if it has JSON type ``typ``; true and false are not ints."""
-    if not isinstance(val, typ) or isinstance(val, bool):
-        name = "an integer" if typ is int else "a string"
-        raise ConfigError(f"{what} must be {name}, got {val!r}")
+    """``val`` if it has JSON type ``typ``; true and false are not ints,
+    and an integer is a number."""
+    ok = (int, float) if typ is float else typ
+    if not isinstance(val, ok) or isinstance(val, bool):
+        raise ConfigError(f"{what} must be {_TYPE_NAMES[typ]}, got {val!r}")
+    return val
+
+
+def _finite_number(val, what: str) -> float:
+    """``val`` as a float if it is a finite JSON number."""
+    val = float(_typed(val, what, float))
+    if not math.isfinite(val):
+        raise ConfigError(f"{what} must be finite, got {val!r}")
     return val
 
 
@@ -191,8 +206,12 @@ def _config_from_args(args) -> ScenarioConfig:
                                for m in data["m_list"])
         for key in ("rho1", "rho2"):
             if key in data:
+                spec = data[key]
+                # from_dict would truncate 2.7 to 2 and read true as 1
+                if isinstance(spec, dict) and "truncation" in spec:
+                    _typed(spec["truncation"], f"{key} truncation", int)
                 try:
-                    setattr(cfg, key, PNormSpec.from_dict(data[key]))
+                    setattr(cfg, key, PNormSpec.from_dict(spec))
                 except (AttributeError, TypeError, ValueError) as exc:
                     raise ConfigError(f"bad {key} in config: {exc}") from None
     if getattr(args, "variant", None):
@@ -275,6 +294,28 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
     return EXIT_OK
 
 
+def _explicit_probe(entry: dict, domain: str):
+    """(z, u) of a probe entry that gives both: a sinusoid z and a
+    constant u."""
+    zd, ud = entry["z"], entry["u"]
+    if not (isinstance(zd, dict) and isinstance(ud, dict)
+            and {"amplitude", "frequency"} <= zd.keys() and "constant" in ud):
+        raise ConfigError(f"bad probe entry {entry!r}: z needs amplitude "
+                          "and frequency, u needs constant")
+    freq = _finite_number(zd["frequency"], "probe z frequency")
+    if not 0.0 < abs(freq) <= MAX_M:
+        raise ConfigError(f"probe z frequency must be nonzero with magnitude "
+                          f"at most {MAX_M}, got {freq!r}")
+    node = SinusoidProbe(_finite_number(zd["amplitude"], "probe z amplitude"),
+                         freq, _finite_number(zd.get("phase", 0.0),
+                                              "probe z phase"))
+    u = Constant(_finite_number(ud["constant"], "probe u constant"))
+    try:
+        return SmoothFunction(node, domain), SmoothFunction(u, domain)
+    except ValueError as exc:
+        raise ConfigError(f"bad probe entry {entry!r}: {exc}") from None
+
+
 def _load_probes(path: str, cfg: ScenarioConfig, map_spec, x):
     try:
         with open(path) as fh:
@@ -290,26 +331,26 @@ def _load_probes(path: str, cfg: ScenarioConfig, map_spec, x):
         if not isinstance(entry, dict):
             raise ConfigError(f"bad probe entry {entry!r}")
         if "z" in entry and "u" in entry:
-            zd, ud = entry["z"], entry["u"]
-            try:
-                z = SmoothFunction(SinusoidProbe(float(zd["amplitude"]),
-                                                 float(zd["frequency"]),
-                                                 float(zd.get("phase", 0.0))),
-                                   domain)
-                u = SmoothFunction(Constant(float(ud["constant"])), domain)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad probe entry {entry!r}: {exc}") from None
+            probes.append(_explicit_probe(entry, domain))
         elif "m" in entry and "k" in entry:
+            m = _typed(entry["m"], "probe m", int)
+            k = _typed(entry["k"], "probe k", int)
+            if m > MAX_M:
+                raise ConfigError(f"probe m = {m} exceeds {MAX_M}")
+            # as for the config's k; a huge k would also overflow the
+            # exponent of the probe's amplitude (2 pi m)^(1/2 - k)
+            if k > MAX_ORDER:
+                raise ConfigError(f"probe k = {k} exceeds the order cap "
+                                  f"{MAX_ORDER}")
+            s0_entry = _finite_number(entry.get("s0", s0), "probe s0")
             try:
-                params = ProbeParams(k=int(entry["k"]), l=cfg.l,
-                                     eps0=1.0 / cfg.l, m=int(entry["m"]),
-                                     s0=float(entry.get("s0", s0)), t0=t0)
-            except (TypeError, ValueError) as exc:
+                params = ProbeParams(k=k, l=cfg.l, eps0=1.0 / cfg.l, m=m,
+                                     s0=s0_entry, t0=t0)
+            except ValueError as exc:
                 raise ConfigError(f"bad probe entry {entry!r}: {exc}") from None
-            z, u = build_probe(params, map_spec)
+            probes.append(build_probe(params, map_spec))
         else:
             raise ConfigError(f"probe entry needs (m, k) or (z, u): {entry!r}")
-        probes.append((z, u))
     return probes
 
 

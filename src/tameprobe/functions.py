@@ -152,7 +152,7 @@ class Sum(Node):
         return out
 
     def diff(self):
-        return Sum(*[ch.diff() for ch in self.children])
+        return add(*[ch.diff() for ch in self.children])
 
     def max_frequency(self):
         return max(ch.max_frequency() for ch in self.children)
@@ -185,8 +185,8 @@ class Product(Node):
         for i, ch in enumerate(self.children):
             factors = list(self.children)
             factors[i] = ch.diff()
-            terms.append(Product(*factors))
-        return Sum(*terms)
+            terms.append(mul(*factors))
+        return add(*terms)
 
     def max_frequency(self):
         return sum(ch.max_frequency() for ch in self.children)
@@ -207,7 +207,7 @@ class Scale(Node):
         return self.c * self.child.coeffs(s, order)
 
     def diff(self):
-        return Scale(self.c, self.child.diff())
+        return scale(self.c, self.child.diff())
 
     def max_frequency(self):
         return self.child.max_frequency()
@@ -231,8 +231,8 @@ class PrimitiveCompose(Node):
         return compose_series(outer, inner, ode)
 
     def diff(self):
-        return Product(PrimitiveCompose(self.primitive.derivative(), self.child),
-                       self.child.diff())
+        return mul(PrimitiveCompose(self.primitive.derivative(), self.child),
+                   self.child.diff())
 
     def max_frequency(self):
         a = self.child.affine_slope()
@@ -249,6 +249,45 @@ class PrimitiveCompose(Node):
                 and abs(a - round(a)) < 1e-12:
             return 0.0
         return None
+
+
+# ---------------------------------------------------------------------------
+# folding constructors
+#
+# Every tree the package builds goes through these. Each gives the node of
+# the same value as Sum / Product / Scale with the identically zero and
+# unit terms left out, so no grid pass evaluates them; the remaining
+# children keep their order, so the arithmetic on them is unchanged. The
+# raw classes stay available for trees that must keep such terms.
+
+def _is_constant(node: Node, c: float) -> bool:
+    return isinstance(node, Constant) and node.c == c
+
+
+def add(*nodes: Node) -> Node:
+    """Sum of ``nodes`` without its Constant(0.0) summands."""
+    kept = [nd for nd in nodes if not _is_constant(nd, 0.0)]
+    if not kept:
+        return Constant(0.0)
+    return kept[0] if len(kept) == 1 else Sum(*kept)
+
+
+def mul(*nodes: Node) -> Node:
+    """Product of ``nodes``: Constant(0.0) if a factor is, else the product
+    without its Constant(1.0) factors."""
+    if any(_is_constant(nd, 0.0) for nd in nodes):
+        return Constant(0.0)
+    kept = [nd for nd in nodes if not _is_constant(nd, 1.0)]
+    if not kept:
+        return Constant(1.0)
+    return kept[0] if len(kept) == 1 else Product(*kept)
+
+
+def scale(c: float, node: Node) -> Node:
+    """``c * node``, folded as ``mul`` folds a constant factor c."""
+    if c == 0.0 or _is_constant(node, 0.0):
+        return Constant(0.0)
+    return node if c == 1.0 else Scale(c, node)
 
 
 # ---------------------------------------------------------------------------
@@ -283,26 +322,27 @@ class SmoothFunction:
         other = self._combine(other)
         if other is NotImplemented:
             return other
-        return SmoothFunction(Sum(self.node, other.node), self.domain)
+        return SmoothFunction(add(self.node, other.node), self.domain)
 
     def __sub__(self, other):
         other = self._combine(other)
         if other is NotImplemented:
             return other
-        return SmoothFunction(Sum(self.node, Scale(-1.0, other.node)), self.domain)
+        return SmoothFunction(add(self.node, scale(-1.0, other.node)),
+                              self.domain)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return SmoothFunction(Scale(float(other), self.node), self.domain)
+            return SmoothFunction(scale(float(other), self.node), self.domain)
         other = self._combine(other)
         if other is NotImplemented:
             return other
-        return SmoothFunction(Product(self.node, other.node), self.domain)
+        return SmoothFunction(mul(self.node, other.node), self.domain)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SmoothFunction(Scale(-1.0, self.node), self.domain)
+        return SmoothFunction(scale(-1.0, self.node), self.domain)
 
     def derivative(self) -> "SmoothFunction":
         return SmoothFunction(self.node.diff(), self.domain)

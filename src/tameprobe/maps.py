@@ -34,9 +34,9 @@ from .functions import (
     Affine,
     Constant,
     PrimitiveCompose,
-    Product,
     SmoothFunction,
-    Sum,
+    add,
+    mul,
     seminorm_profile,
 )
 from .primitives import TWO_PI, DerivedPrimitive, ScalarPrimitive
@@ -139,7 +139,7 @@ class CirclePullback(MapSpec):
         self.n = int(n)
 
     def _inner(self, x: SmoothFunction):
-        return Sum(Affine(float(self.n), 0.0), x.node)
+        return add(Affine(float(self.n), 0.0), x.node)
 
     def phi_argument(self, x, s):
         return self.n * s + x.evaluate(s)
@@ -184,18 +184,19 @@ class CirclePullback(MapSpec):
     def apply(self, x: SmoothFunction) -> SmoothFunction:
         self._require_domain(x)
         inner = self._inner(x)
-        node = Product(PrimitiveCompose(self.phi, inner),
-                       Sum(Constant(float(self.n)), x.node.diff()))
+        node = mul(PrimitiveCompose(self.phi, inner),
+                   add(Constant(float(self.n)), x.node.diff()))
         return SmoothFunction(node, PERIODIC)
 
     def gateaux(self, x: SmoothFunction, u: SmoothFunction) -> SmoothFunction:
         self._require_domain(x)
         inner = self._inner(x)
-        term1 = Product(PrimitiveCompose(self.phi.derivative(), inner),
-                        u.node,
-                        Sum(Constant(float(self.n)), x.node.diff()))
-        term2 = Product(PrimitiveCompose(self.phi, inner), u.node.diff())
-        return SmoothFunction(Sum(term1, term2), PERIODIC)
+        term1 = mul(PrimitiveCompose(self.phi.derivative(), inner),
+                    u.node,
+                    add(Constant(float(self.n)), x.node.diff()))
+        # zero for a constant direction u, and then left out
+        term2 = mul(PrimitiveCompose(self.phi, inner), u.node.diff())
+        return SmoothFunction(add(term1, term2), PERIODIC)
 
 
 class PostComposition(MapSpec):
@@ -245,7 +246,7 @@ class PostComposition(MapSpec):
 
     def gateaux(self, x: SmoothFunction, u: SmoothFunction) -> SmoothFunction:
         self._require_domain(x)
-        node = Product(PrimitiveCompose(self.phi.derivative(), x.node), u.node)
+        node = mul(PrimitiveCompose(self.phi.derivative(), x.node), u.node)
         return SmoothFunction(node, UNIT_INTERVAL)
 
 

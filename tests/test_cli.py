@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,7 @@ from tameprobe.cli import (
     parse_phi,
     parse_x,
 )
+from tameprobe.driver import MAX_M
 from tameprobe.functions import PERIODIC
 from tameprobe.jets import MAX_ORDER
 from tameprobe.primitives import AffineMap, IdentityPlusExp, Polynomial, Sin
@@ -248,6 +251,35 @@ class TestCheckTame:
         path = self.probe_file(tmp_path, [{"frequency": 16}])
         assert main(["check-tame", "ex2", "--probes", path]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("variant, phi", [("ex2", "sin"),
+                                              ("ex4", "t_plus_exp")])
+    @pytest.mark.parametrize("entry, message", [
+        ({"m": 1.5, "k": 3}, "probe m must be an integer, got 1.5"),
+        ({"m": True, "k": 3}, "probe m must be an integer, got True"),
+        ({"m": 16, "k": 3.0}, "probe k must be an integer, got 3.0"),
+        ({"m": MAX_M * 2, "k": 3}, f"probe m = {MAX_M * 2} exceeds {MAX_M}"),
+        ({"m": 16, "k": 10**400 + 1}, "exceeds the order cap"),
+        ({"z": {"amplitude": 1e-4, "frequency": 0}, "u": {"constant": 0.125}},
+         "probe z frequency must be nonzero"),
+        ({"z": {"amplitude": float("nan"), "frequency": 2},
+          "u": {"constant": 0.125}}, "probe z amplitude must be finite"),
+        ({"z": {"amplitude": 1e-4, "frequency": 1e300},
+          "u": {"constant": 0.125}}, "probe z frequency must be nonzero"),
+        ({"z": {"amplitude": 1e-4, "frequency": MAX_M * 2},
+          "u": {"constant": 0.125}}, "probe z frequency must be nonzero"),
+        ({"z": {"amplitude": 1e-4, "frequency": 2},
+          "u": {"constant": float("inf")}}, "probe u constant must be finite"),
+    ], ids=["m-float", "m-bool", "k-float", "m-above-cap", "k-huge",
+            "zero-frequency", "nan-amplitude", "huge-frequency",
+            "frequency-above-cap", "inf-constant"])
+    def test_bad_probe_value_rejected(self, tmp_path, capsys, variant, phi,
+                                      entry, message):
+        path = self.probe_file(tmp_path, [entry])
+        code = main(["check-tame", variant, "--phi", phi, "--probes", path])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert message in err
+
 
 class TestConfigFile:
     def test_json_config(self, tmp_path, capsys):
@@ -298,6 +330,28 @@ class TestConfigFile:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("truncation", [2.7, True])
+    def test_non_integer_truncation_rejected(self, tmp_path, capsys,
+                                             truncation):
+        # 2.7 ran as truncation 2, true as 1
+        path = tmp_path / "cfg.json"
+        out = tmp_path / "sweep.csv"
+        path.write_text(json.dumps({"rho2": {"truncation": truncation},
+                                    "m_list": [16, 32]}))
+        code = main(["sweep", "--config", str(path), "-o", str(out)])
+        assert code == EXIT_CONFIG
+        assert "rho2 truncation must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_m_above_cap_rejected(self, tmp_path, capsys, source):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"m_list": [16, MAX_M * 2]}))
+        argv = ["demo", "--config", str(path)] if source == "config" else \
+            ["demo", "ex2", "--m-list", f"16,{MAX_M * 2}"]
+        assert main(argv) == EXIT_CONFIG
+        assert f"m = {MAX_M * 2} exceeds {MAX_M}" in capsys.readouterr().err
+
     def test_empty_m_list_rejected(self, tmp_path, capsys):
         # an empty sweep used to report "estimate violated = False", exit 2
         path = tmp_path / "cfg.json"
@@ -344,6 +398,41 @@ def demo_argv(draw):
     return argv + ["--m-list", ",".join(map(str, m_list))]
 
 
+# a small grammar for check-tame probe files: (m, k) entries and explicit
+# (z, u) entries whose values are mostly valid and otherwise floats,
+# booleans, strings, zero, negative, non-finite, above the cap or missing;
+# valid frequencies stay at most 64 so that every grid is small
+NAN, INF = float("nan"), float("inf")
+ODD_NUMBERS = (NAN, INF, -INF, "0.01", None, True)
+
+
+def _mostly(draw, valid, odd):
+    """A valid value three times in four, else an odd one."""
+    if draw(st.integers(0, 3)):
+        return draw(st.sampled_from(valid))
+    return draw(st.sampled_from(odd))
+
+
+@st.composite
+def probe_entry(draw):
+    if draw(st.booleans()):
+        entry = {"m": _mostly(draw, range(1, 65),
+                              (0, -1, 1.5, MAX_M * 2) + ODD_NUMBERS),
+                 "k": _mostly(draw, (1, 3, 5), (2, -1, 3.0, 17, 10**400 + 1)
+                              + ODD_NUMBERS)}
+        if draw(st.booleans()):
+            entry["s0"] = _mostly(draw, (0.1, 0.5), ODD_NUMBERS)
+        return entry
+    z = {"amplitude": _mostly(draw, (0.0, 1e-4, 0.01, 0.3), ODD_NUMBERS),
+         "frequency": _mostly(draw, (1, 2, 3, 64, -2, 1.5),
+                              (0, 0.0, 1e300, MAX_M * 2) + ODD_NUMBERS),
+         "phase": _mostly(draw, (0.0, 0.25), ODD_NUMBERS)}
+    if not draw(st.integers(0, 3)):
+        del z[draw(st.sampled_from(sorted(z)))]
+    return {"z": z,
+            "u": {"constant": _mostly(draw, (0.125, 0.0, 1.0), ODD_NUMBERS)}}
+
+
 class TestFuzz:
     @given(demo_argv())
     @example(["demo", "ex2", "--x", "sinusoid:0.5", "--m-list", "16,32"])
@@ -361,6 +450,36 @@ class TestFuzz:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        assert code in (EXIT_OK, EXIT_UNEXPECTED, EXIT_CONFIG, EXIT_BUDGET,
+                        EXIT_OUTPUT)
+        assert "Traceback" not in err.getvalue()
+
+    @given(st.sampled_from(("ex2", "ex4")),
+           st.lists(probe_entry(), min_size=1, max_size=3))
+    @example("ex2", [{"m": 1.5, "k": 3}])
+    @example("ex4", [{"m": True, "k": 3}])
+    @example("ex2", [{"z": {"amplitude": 1e-4, "frequency": 0},
+                      "u": {"constant": 0.125}}])
+    @example("ex2", [{"z": {"amplitude": NAN, "frequency": 2},
+                      "u": {"constant": 0.125}}])
+    @example("ex4", [{"z": {"amplitude": NAN, "frequency": 2},
+                      "u": {"constant": 0.125}}])
+    @example("ex4", [{"z": {"amplitude": 1e-4, "frequency": 1e300},
+                      "u": {"constant": 0.125}}])
+    @example("ex2", [{"m": MAX_M * 2, "k": 3}])
+    @example("ex2", [{"m": 16, "k": 10**400 + 1}])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_check_tame_ends_in_documented_exit_code(self, variant, entries):
+        phi = "sin" if variant == "ex2" else "t_plus_exp"
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "probes.json")
+            with open(path, "w") as fh:
+                json.dump(entries, fh)
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["check-tame", variant, "--phi", phi,
+                             "--probes", path])
         assert code in (EXIT_OK, EXIT_UNEXPECTED, EXIT_CONFIG, EXIT_BUDGET,
                         EXIT_OUTPUT)
         assert "Traceback" not in err.getvalue()

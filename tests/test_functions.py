@@ -12,11 +12,16 @@ from tameprobe.functions import (
     GridSpec,
     Identity,
     PrimitiveCompose,
+    Product,
+    Scale,
     SinusoidProbe,
     SmoothFunction,
     Sum,
+    add,
+    mul,
     probe,
     probe_deriv_closed_form,
+    scale,
     seminorm_profile,
 )
 from tameprobe.primitives import Sin
@@ -201,3 +206,60 @@ class TestGridSpec:
         g = GridSpec()
         f = SmoothFunction(Constant(1.0), PERIODIC)
         assert g.points(f).size >= 4096
+
+
+class TestFolding:
+    A = SinusoidProbe(0.1, 2.0, 0.0)
+    B = Affine(2.0, 1.0)
+    C = Constant(0.5)
+
+    def test_zero_summand_dropped(self):
+        assert add(self.A, Constant(0.0), self.B) == Sum(self.A, self.B)
+        assert add(Constant(0.0), Constant(0.0)) == Constant(0.0)
+
+    def test_zero_factor_annihilates(self):
+        assert mul(self.A, self.B, Constant(0.0)) == Constant(0.0)
+        assert mul(Constant(0.0), Constant(1.0)) == Constant(0.0)
+
+    def test_unit_factor_dropped(self):
+        assert mul(Constant(1.0), self.A, Constant(1.0), self.B) == \
+            Product(self.A, self.B)
+        assert mul(Constant(1.0), Constant(1.0)) == Constant(1.0)
+
+    def test_single_operand_returned(self):
+        assert add(self.A) is self.A
+        assert mul(self.A) is self.A
+        assert add(Constant(0.0), self.A) is self.A
+        assert mul(self.A, Constant(1.0)) is self.A
+
+    def test_no_reordering_or_flattening(self):
+        # other constants stay where they are, and nested nodes stay nested
+        inner = Sum(self.B, self.C)
+        assert add(self.C, Constant(0.0), self.A, inner) == \
+            Sum(self.C, self.A, inner)
+        assert mul(self.B, Constant(1.0), self.C, self.A) == \
+            Product(self.B, self.C, self.A)
+        assert mul(self.A, Constant(2.0)) == Product(self.A, Constant(2.0))
+
+    def test_scale(self):
+        assert scale(-1.0, Constant(0.0)) == Constant(0.0)
+        assert scale(0.0, self.A) == Constant(0.0)
+        assert scale(1.0, self.A) is self.A
+        assert scale(-1.0, self.A) == Scale(-1.0, self.A)
+
+    def test_raw_constructors_do_not_fold(self):
+        assert Sum(self.A, Constant(0.0)).children == (self.A, Constant(0.0))
+        assert Product(self.A, Constant(1.0)).children == \
+            (self.A, Constant(1.0))
+
+    def test_derivatives_fold(self):
+        # d/ds of sin(2 pi s) * s: the product rule's Identity' = 1 is left
+        # out, and a constant's derivative drops out of a sum
+        sin = PrimitiveCompose(Sin(omega=TWO_PI), Identity())
+        first, second = Product(sin, Identity()).diff().children
+        assert isinstance(first, Product) and len(first.children) == 2
+        assert second is sin
+        assert Sum(self.A, self.C).diff() == self.A.diff()
+        assert Scale(3.0, self.C).diff() == Constant(0.0)
+        fn = SmoothFunction(Sum(self.A, self.C), PERIODIC)
+        assert (fn - fn.derivative().derivative() * 0.0).node == fn.node

@@ -274,6 +274,50 @@ class TestTrigOnce:
         assert calls == [1, 2]
 
 
+def full_convolve(a, b):
+    """Oracle: the truncated Cauchy product contracting every row of b."""
+    out = np.empty_like(a)
+    for i in range(a.shape[0]):
+        np.einsum("j...,j...->...", a[:i + 1], b[i::-1], out=out[i])
+    return out
+
+
+class TestConvolveDegree:
+    """convolve_trunc contracts only up to b's degree, with results equal
+    to the full contraction."""
+
+    @pytest.mark.parametrize("points", [1, 4096])
+    @pytest.mark.parametrize("order", range(13))
+    def test_matches_full_contraction(self, order, points):
+        rng = np.random.default_rng(order)
+        n = order + 1
+        a = rng.standard_normal((n, points))
+        for d in range(n):
+            b = rng.standard_normal((n, points))
+            b[d + 1:] = 0.0
+            assert np.array_equal(convolve_trunc(a, b), full_convolve(a, b))
+        if n >= 3:
+            # a zero row below the top one does not lower the degree
+            b = rng.standard_normal((n, points))
+            b[n // 2] = 0.0
+            assert np.array_equal(convolve_trunc(a, b), full_convolve(a, b))
+
+    def test_constant_factor_contracts_one_row(self, monkeypatch):
+        rows = []
+        real = np.einsum
+
+        def counting(spec, x, y, **kw):
+            rows.append(x.shape[0])
+            return real(spec, x, y, **kw)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        a = np.ones((13, 5))
+        b = np.zeros((13, 5))
+        b[0] = 2.0
+        assert np.array_equal(convolve_trunc(a, b), 2.0 * a)
+        assert rows == [1] * 13
+
+
 class TestDerivFromJet:
     def test_sine_slope(self):
         j = prim_jet(Sin(omega=TWO_PI), 0.0, 3)

@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import random_small_function
+from tameprobe.cli import parse_x
 from tameprobe.functions import (
+    _CHUNK,
+    DEFAULT_GRID,
     PERIODIC,
     UNIT_INTERVAL,
+    Affine,
     Constant,
+    PrimitiveCompose,
+    Product,
+    Scale,
     SinusoidProbe,
     SmoothFunction,
+    Sum,
     constant,
     probe,
     zero,
@@ -193,3 +201,65 @@ class TestDegenerateStability:
         v = m.gateaux(x + z, u) - m.gateaux(x, u)
         s = np.linspace(0.0, 1.0, 513)
         np.testing.assert_allclose(v.evaluate(s), 0.0, atol=1e-14)
+
+
+def unfolded_diff(node):
+    """Derivative tree without folding, for the node types of the base
+    points and probes below."""
+    if isinstance(node, Constant):
+        return Constant(0.0)
+    if isinstance(node, Sum):
+        return Sum(*[unfolded_diff(ch) for ch in node.children])
+    return node.diff()
+
+
+def unfolded_gateaux(map_spec, x_node, u_node):
+    """The directional-derivative tree with every zero and unit term kept."""
+    if isinstance(map_spec, PostComposition):
+        return Product(PrimitiveCompose(map_spec.phi.derivative(), x_node),
+                       u_node)
+    n = float(map_spec.n)
+    inner = Sum(Affine(n, 0.0), x_node)
+    return Sum(Product(PrimitiveCompose(map_spec.phi.derivative(), inner),
+                       u_node, Sum(Constant(n), unfolded_diff(x_node))),
+               Product(PrimitiveCompose(map_spec.phi, inner),
+                       unfolded_diff(u_node)))
+
+
+class TestFoldedTrees:
+    """v = df(x+z, u) - df(x, u) built through the folding constructors
+    has bit-identical coefficients to the unfolded tree, on the same grid."""
+
+    CASES = [pytest.param(pullback_sin(n), x, id=f"ex2-n{n}-{x}")
+             for n in (1, 2)
+             for x in ("zero", "const:0.1", "sinusoid:0.02,1")] + \
+        [pytest.param(PostComposition(IdentityPlusExp()), "sinusoid:0.3,1.5",
+                      id="ex4-sinusoid:0.3,1.5")]
+
+    @pytest.mark.parametrize("m", [16, 4096])
+    @pytest.mark.parametrize("map_spec, x_desc", CASES)
+    def test_bit_identical(self, map_spec, x_desc, m):
+        domain = map_spec.domain_tag
+        x = parse_x(x_desc, domain)
+        z = probe(m, 3, 0.2, domain)
+        u = constant(0.125, domain)
+        v = map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)
+        raw = Sum(unfolded_gateaux(map_spec, Sum(x.node, z.node), u.node),
+                  Scale(-1.0, unfolded_gateaux(map_spec, x.node, u.node)))
+        assert v.node.max_frequency() == raw.max_frequency()
+        s = DEFAULT_GRID.points(v)
+        assert s.size == DEFAULT_GRID.points(SmoothFunction(raw, domain)).size
+        # every 16th point of the first chunk: the arithmetic is per point
+        s = s[:_CHUNK:16]
+        for order in range(13):
+            assert np.array_equal(v.node.coeffs(s, order),
+                                  raw.coeffs(s, order))
+
+    def test_constant_direction_drops_second_term(self):
+        # phi'(s + 0) * u * (1 + 0') + phi(s + 0) * u' is phi'(s) * u
+        g = pullback_sin().gateaux(zero(), constant(0.125)).node
+        assert isinstance(g, Product)
+        lead, u = g.children
+        assert u == Constant(0.125)
+        assert isinstance(lead, PrimitiveCompose)
+        assert lead.child == Affine(1.0, 0.0)
