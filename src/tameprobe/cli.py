@@ -101,8 +101,6 @@ def parse_x(descriptor: str, domain: str) -> SmoothFunction:
             amp, freq, *phase = _finite(args)
             if len(phase) > 1:
                 raise ValueError("sinusoid takes amp,freq[,phase]")
-            if freq == 0.0:
-                raise ValueError("sinusoid frequency must be nonzero")
             return SmoothFunction(SinusoidProbe(amp, freq, *phase), domain)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad x descriptor {descriptor!r}: {exc}") from None
@@ -207,9 +205,16 @@ def _config_from_args(args) -> ScenarioConfig:
         for key in ("rho1", "rho2"):
             if key in data:
                 spec = data[key]
-                # from_dict would truncate 2.7 to 2 and read true as 1
+                # from_dict would truncate 2.7 to 2, read true as 1 and
+                # coerce "1" to 1.0
                 if isinstance(spec, dict) and "truncation" in spec:
                     _typed(spec["truncation"], f"{key} truncation", int)
+                if isinstance(spec, dict) and spec.get("weights") is not None:
+                    if not isinstance(spec["weights"], list):
+                        raise ConfigError(f"{key} weights must be a list of "
+                                          f"numbers, got {spec['weights']!r}")
+                    for w in spec["weights"]:
+                        _finite_number(w, f"{key} weight")
                 try:
                     setattr(cfg, key, PNormSpec.from_dict(spec))
                 except (AttributeError, TypeError, ValueError) as exc:
@@ -306,12 +311,12 @@ def _explicit_probe(entry: dict, domain: str):
     if not 0.0 < abs(freq) <= MAX_M:
         raise ConfigError(f"probe z frequency must be nonzero with magnitude "
                           f"at most {MAX_M}, got {freq!r}")
-    node = SinusoidProbe(_finite_number(zd["amplitude"], "probe z amplitude"),
-                         freq, _finite_number(zd.get("phase", 0.0),
-                                              "probe z phase"))
+    amp = _finite_number(zd["amplitude"], "probe z amplitude")
+    phase = _finite_number(zd.get("phase", 0.0), "probe z phase")
     u = Constant(_finite_number(ud["constant"], "probe u constant"))
     try:
-        return SmoothFunction(node, domain), SmoothFunction(u, domain)
+        z = SmoothFunction(SinusoidProbe(amp, freq, phase), domain)
+        return z, SmoothFunction(u, domain)
     except ValueError as exc:
         raise ConfigError(f"bad probe entry {entry!r}: {exc}") from None
 

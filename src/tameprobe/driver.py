@@ -8,7 +8,7 @@ residual (everything except the extracted leading term) stays bounded,
 which is what defeats any fixed uniform estimate.
 
 The algorithms here are generic: argmax over candidates for t0, root
-bracketing plus `brentq` for s0, the residual pass, and the power-of-two
+bracketing plus bisection for s0, the residual pass, and the power-of-two
 search for a certified m. What differs between the maps (the leading
 derivative, the top order, phi's argument, the search ranges, the fallback
 anchor and the certifying inequality) comes from the `MapSpec` hooks.
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .functions import (
     _CHUNK,
@@ -132,8 +131,21 @@ def find_s0(map_spec: MapSpec, x: SmoothFunction, t0: float) -> float:
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if not flips.size:
         raise ValueError("no root bracket found: t0 not attained on the grid")
+    # bisect the first bracket until its midpoint is one of its ends
     j = flips[0]
-    return float(brentq(g, s[j], s[j + 1], xtol=1e-13))
+    a, b = float(s[j]), float(s[j + 1])
+    lo_negative = vals[j] < 0.0
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        gm = g(mid)
+        if gm == 0.0:
+            break
+        if (gm < 0.0) == lo_negative:
+            a = mid
+        else:
+            b = mid
+        mid = 0.5 * (a + b)
+    return mid
 
 
 def build_probe(params: ProbeParams, map_spec: MapSpec):

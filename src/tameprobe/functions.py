@@ -117,6 +117,13 @@ class SinusoidProbe(Node):
     frequency: float
     phase: float = 0.0
 
+    def __post_init__(self):
+        # diff shifts the phase by a quarter period, 0.25 / frequency
+        if not (math.isfinite(self.frequency) and self.frequency != 0.0
+                and math.isfinite(0.25 / self.frequency)):
+            raise ValueError("sinusoid frequency must be nonzero with a "
+                             f"finite period, got {self.frequency!r}")
+
     def coeffs(self, s, order):
         theta = TWO_PI * self.frequency * (s - self.phase)
         return trig_taylor(theta, self.amplitude, TWO_PI * self.frequency,

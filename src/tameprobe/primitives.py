@@ -71,13 +71,6 @@ class ScalarPrimitive:
     def is_one_periodic(self) -> bool:
         return False
 
-    def is_increasing_on(self, lo: float = -10.0, hi: float = 10.0,
-                         points: int = 2001) -> bool:
-        """Sampled surrogate check that the first derivative is positive."""
-        t = np.linspace(lo, hi, points)
-        d1 = self.derivative()
-        return bool(np.all(d1.taylor_coeffs(t, 0)[0] > 0.0))
-
 
 class Sin(ScalarPrimitive):
     """t -> amplitude * sin(omega * t)."""

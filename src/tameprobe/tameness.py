@@ -63,7 +63,7 @@ class PNormSpec:
         w = d.get("weights")
         return cls(truncation=int(d.get("truncation", 12)),
                    transform=d.get("transform", "bounded"),
-                   weights=tuple(w) if w else None)
+                   weights=None if w is None else tuple(w))
 
 
 def pnorm_eval(spec: PNormSpec, x: SmoothFunction,

@@ -26,6 +26,7 @@ from tameprobe.jets import MAX_ORDER
 from tameprobe.primitives import AffineMap, IdentityPlusExp, Polynomial, Sin
 
 SMALL = "16,32,64"
+NAN, INF = float("nan"), float("inf")
 
 
 class TestParsers:
@@ -102,6 +103,9 @@ class TestDemo:
         (["--x", "sinusoid:0.5"], "expected at least 2, got 1"),
         (["--x", "sinusoid:0.01,1,2,3"], "sinusoid takes amp,freq[,phase]"),
         (["--x", "sinusoid:0.01,0"], "sinusoid frequency must be nonzero"),
+        (["--x", "sinusoid:0.01,1e-320"],
+         "bad x descriptor 'sinusoid:0.01,1e-320': sinusoid frequency must "
+         "be nonzero with a finite period"),
         (["--x", "const:inf"], "numbers must be finite"),
         (["--x", "const:nan"], "numbers must be finite"),
         (["--x", "sinusoid:nan,1"], "numbers must be finite"),
@@ -109,7 +113,8 @@ class TestDemo:
         (["--phi", "sin:3"], "sin takes no numbers"),
         (["--x", "zero:1"], "zero takes no numbers"),
     ], ids=["sinusoid-one-number", "sinusoid-four-numbers",
-            "sinusoid-zero-frequency", "const-inf", "const-nan",
+            "sinusoid-zero-frequency", "sinusoid-subnormal-frequency",
+            "const-inf", "const-nan",
             "sinusoid-nan", "poly-nan", "sin-with-numbers",
             "zero-with-number"])
     def test_bad_descriptor_rejected(self, capsys, flags, message):
@@ -267,11 +272,14 @@ class TestCheckTame:
           "u": {"constant": 0.125}}, "probe z frequency must be nonzero"),
         ({"z": {"amplitude": 1e-4, "frequency": MAX_M * 2},
           "u": {"constant": 0.125}}, "probe z frequency must be nonzero"),
+        ({"z": {"amplitude": 1e-4, "frequency": 1e-320},
+          "u": {"constant": 0.125}}, "sinusoid frequency must be nonzero "
+         "with a finite period, got 1e-320"),
         ({"z": {"amplitude": 1e-4, "frequency": 2},
           "u": {"constant": float("inf")}}, "probe u constant must be finite"),
     ], ids=["m-float", "m-bool", "k-float", "m-above-cap", "k-huge",
             "zero-frequency", "nan-amplitude", "huge-frequency",
-            "frequency-above-cap", "inf-constant"])
+            "frequency-above-cap", "subnormal-frequency", "inf-constant"])
     def test_bad_probe_value_rejected(self, tmp_path, capsys, variant, phi,
                                       entry, message):
         path = self.probe_file(tmp_path, [entry])
@@ -352,6 +360,23 @@ class TestConfigFile:
         assert main(argv) == EXIT_CONFIG
         assert f"m = {MAX_M * 2} exceeds {MAX_M}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights, message", [
+        (["1", True, 0.5], "rho1 weight must be a number, got '1'"),
+        ([1, True, 0.5], "rho1 weight must be a number, got True"),
+        ([1, NAN, 0.5], "rho1 weight must be finite, got nan"),
+        ("111", "rho1 weights must be a list of numbers, got '111'"),
+        ([], "need truncation+1 weights"),
+    ], ids=["string", "bool", "nan", "not-a-list", "empty"])
+    def test_bad_weights_rejected(self, tmp_path, capsys, weights, message):
+        # the string and boolean were coerced to 1.0, and [] meant the
+        # default weights
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"rho1": {"truncation": 2,
+                                             "weights": weights}}))
+        code = main(["demo", "--config", str(path), "--m-list", "16,32"])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_empty_m_list_rejected(self, tmp_path, capsys):
         # an empty sweep used to report "estimate violated = False", exit 2
         path = tmp_path / "cfg.json"
@@ -402,7 +427,6 @@ def demo_argv(draw):
 # (z, u) entries whose values are mostly valid and otherwise floats,
 # booleans, strings, zero, negative, non-finite, above the cap or missing;
 # valid frequencies stay at most 64 so that every grid is small
-NAN, INF = float("nan"), float("inf")
 ODD_NUMBERS = (NAN, INF, -INF, "0.01", None, True)
 
 
@@ -425,12 +449,79 @@ def probe_entry(draw):
         return entry
     z = {"amplitude": _mostly(draw, (0.0, 1e-4, 0.01, 0.3), ODD_NUMBERS),
          "frequency": _mostly(draw, (1, 2, 3, 64, -2, 1.5),
-                              (0, 0.0, 1e300, MAX_M * 2) + ODD_NUMBERS),
+                              (0, 0.0, 1e-320, 1e300, MAX_M * 2)
+                              + ODD_NUMBERS),
          "phase": _mostly(draw, (0.0, 0.25), ODD_NUMBERS)}
     if not draw(st.integers(0, 3)):
         del z[draw(st.sampled_from(sorted(z)))]
     return {"z": z,
             "u": {"constant": _mostly(draw, (0.125, 0.0, 1.0), ODD_NUMBERS)}}
+
+
+# a small grammar for --config files: each key absent, valid, or of a
+# wrong JSON type or value; rho1 and rho2 are P-norm objects (or not
+# objects) whose weights lists may hold strings, booleans, NaN and
+# nonpositive numbers, be empty, have the wrong length or not be lists.
+# Valid m lists stay at most 32 so that every grid is small.
+CONFIG_VALUES = {
+    "variant": (("ex2", "ex4"), ("ex9", 2, None)),
+    "phi": (("sin", "t_plus_exp", "affine:2,1"), (1, None, ["sin"])),
+    "x": (("zero", "sinusoid:0.01,1"), (0, {}, "sinusoid:0.01,1e-320")),
+    "n": ((1, 2, -1), (0, 1.5, "1", True)),
+    "k": ((1, 3, 5), (2, 3.0, "3", True, 10**400 + 1)),
+    "l": ((1, 8), (0, 2.5, None)),
+    "grid_factor": ((16, 64), (0, -1, "64", 1.5)),
+    "format": (("csv", "json"), ("xml", 1)),
+    "output": (("out.csv",), (5, [])),
+    "m_list": (([16], [16, 32]),
+               (16, [], [16.0], [True], [32, 16], [0], ["16"], [MAX_M * 2])),
+}
+ODD_WEIGHTS = ("1", True, NAN, INF, -1.0, 0, None)
+
+
+@st.composite
+def weights_value(draw, truncation):
+    size = truncation + 1 if type(truncation) is int and \
+        0 <= truncation <= MAX_ORDER else 3
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return [draw(st.sampled_from((1, 0.5, 2.0)))] * size
+    if kind == 1:
+        return [1.0] * draw(st.integers(0, MAX_ORDER + 2))
+    if kind == 2:
+        return draw(st.sampled_from(("111", {}, 1)))
+    weights = [1.0] * size
+    weights[draw(st.integers(0, size - 1))] = draw(st.sampled_from(ODD_WEIGHTS))
+    return weights
+
+
+@st.composite
+def pnorm_value(draw):
+    if not draw(st.integers(0, 3)):
+        return draw(st.sampled_from(("bounded", 3, [], None)))
+    spec = {}
+    if draw(st.booleans()):
+        spec["truncation"] = _mostly(draw, (0, 2, 12),
+                                     (MAX_ORDER + 1, -1, 2.7, True, "2"))
+    if draw(st.booleans()):
+        spec["transform"] = _mostly(draw, ("bounded", "linear"),
+                                    ("log", 1, None))
+    if draw(st.booleans()):
+        spec["weights"] = draw(weights_value(spec.get("truncation", 12)))
+    return spec
+
+
+@st.composite
+def config_file(draw):
+    cfg = {}
+    for key, (valid, odd) in CONFIG_VALUES.items():
+        # without an m list the demo would sweep m up to 4096
+        if key == "m_list" or draw(st.booleans()):
+            cfg[key] = _mostly(draw, valid, odd)
+    for key in ("rho1", "rho2"):
+        if draw(st.booleans()):
+            cfg[key] = draw(pnorm_value())
+    return cfg
 
 
 class TestFuzz:
@@ -468,6 +559,8 @@ class TestFuzz:
                       "u": {"constant": 0.125}}])
     @example("ex2", [{"m": MAX_M * 2, "k": 3}])
     @example("ex2", [{"m": 16, "k": 10**400 + 1}])
+    @example("ex2", [{"z": {"amplitude": 1e-4, "frequency": 1e-320},
+                      "u": {"constant": 0.125}}])
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_check_tame_ends_in_documented_exit_code(self, variant, entries):
         phi = "sin" if variant == "ex2" else "t_plus_exp"
@@ -480,6 +573,24 @@ class TestFuzz:
                     contextlib.redirect_stderr(err):
                 code = main(["check-tame", variant, "--phi", phi,
                              "--probes", path])
+        assert code in (EXIT_OK, EXIT_UNEXPECTED, EXIT_CONFIG, EXIT_BUDGET,
+                        EXIT_OUTPUT)
+        assert "Traceback" not in err.getvalue()
+
+    @given(config_file())
+    @example({"rho1": {"truncation": 2, "weights": ["1", True, 0.5]},
+              "m_list": [16]})
+    @example({"rho1": {"weights": []}, "m_list": [16]})
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_config_ends_in_documented_exit_code(self, cfg):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["demo", "--config", path])
         assert code in (EXIT_OK, EXIT_UNEXPECTED, EXIT_CONFIG, EXIT_BUDGET,
                         EXIT_OUTPUT)
         assert "Traceback" not in err.getvalue()

@@ -89,6 +89,22 @@ class TestFindS0:
         s0 = find_s0(m, x, t0)
         assert s0 + x.evaluate(s0) == pytest.approx(t0, abs=1e-10)
 
+    @pytest.mark.parametrize("map_spec, x", [
+        (pullback_sin(1), SmoothFunction(SinusoidProbe(0.05, 1.0, 0.2),
+                                         PERIODIC)),
+        (pullback_sin(2), SmoothFunction(SinusoidProbe(0.05, 3.0, 0.1),
+                                         PERIODIC)),
+        (composition_exp(), SmoothFunction(SinusoidProbe(0.3, 1.5),
+                                           UNIT_INTERVAL)),
+    ], ids=["ex2-n1", "ex2-n2", "ex4"])
+    @pytest.mark.parametrize("t0", [0.1, 0.2371, -0.05])
+    def test_root_bracketed_to_old_tolerance(self, map_spec, x, t0):
+        # the root must lie within 1e-13 of s0, the xtol brentq was run at
+        s0 = find_s0(map_spec, x, t0)
+        g = lambda s: map_spec.phi_argument(x, s) - t0
+        assert isinstance(s0, float)
+        assert g(s0 - 1e-13) * g(s0 + 1e-13) <= 0.0
+
     def test_composition_constant_base(self):
         assert find_s0(composition_exp(), zero(UNIT_INTERVAL), 0.0) == 0.0
 

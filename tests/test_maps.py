@@ -20,6 +20,7 @@ from tameprobe.functions import (
     Sum,
     constant,
     probe,
+    seminorm_profile,
     zero,
 )
 from tameprobe.maps import (
@@ -63,6 +64,34 @@ class TestInDomain:
     def test_steep_perturbation_excluded(self):
         # x' has sup 2, so |1 + x'| reaches zero somewhere
         x = SmoothFunction(SinusoidProbe(2.0 / TWO_PI, 1.0, 0.0), PERIODIC)
+        margin, ok = pullback_sin().in_domain(x)
+        assert not ok and margin < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, -1])
+    @pytest.mark.parametrize("amp, freq", [
+        (0.01, 1.0), (0.15, 1.0), (-0.02, 3.0), (1e-4, 64.0), (0.001, 50.0),
+    ])
+    def test_margin_bounds_sinusoid_infimum(self, n, amp, freq):
+        x = SmoothFunction(SinusoidProbe(amp, freq, 0.1), PERIODIC)
+        margin, ok = pullback_sin(n).in_domain(x)
+        infimum = abs(n) - TWO_PI * abs(amp * freq)
+        h = DEFAULT_GRID.points(x)[1]
+        p2 = seminorm_profile(x, 2)[2]
+        assert ok
+        assert infimum - 2.0 * h * p2 <= margin <= infimum
+
+    def test_margin_below_dense_minimum(self):
+        x = SmoothFunction(SinusoidProbe(0.1, 1.0, 0.1), PERIODIC) + \
+            SmoothFunction(SinusoidProbe(0.004, 9.0, 0.37), PERIODIC)
+        margin, ok = pullback_sin().in_domain(x)
+        s = np.arange(2**20) / 2**20
+        assert ok
+        assert margin <= np.abs(1.0 + x.derivative().evaluate(s)).min()
+
+    def test_tangent_between_grid_points_excluded(self):
+        # 1 + x' = 1 + cos(2 pi s) touches zero at s = 1/2, off the grid
+        x = SmoothFunction(SinusoidProbe(1.0 / TWO_PI, 1.0, 0.0), PERIODIC)
+        assert 0.5 not in DEFAULT_GRID.points(x)
         margin, ok = pullback_sin().in_domain(x)
         assert not ok and margin < 1e-9
 
