@@ -14,7 +14,10 @@ derivative, the top order, phi's argument, the search ranges, the fallback
 anchor and the certifying inequality) comes from the `MapSpec` hooks.
 
 A sweep makes one grid pass over v per m (`residual_tz`) for both sup|T_z|
-and rho2(v); the residual bound is read off a coarse sweep.
+and rho2(v); the residual bound is read off a coarse sweep. v's Taylor
+coefficients at the grid point nearest s0 bound its seminorms from below,
+and the pass evaluates v only up to the rung below the first one that
+bound proves saturated under rho2's bounded transform.
 """
 
 from __future__ import annotations
@@ -53,6 +56,13 @@ class PrecisionBudgetError(RuntimeError):
     """The certified m would exceed the double-precision budget."""
 
 
+def _check_k_l(k: int, l: int):
+    if k < 1 or k % 2 != 1:
+        raise ValueError("k must be odd and positive")
+    if l < 1:
+        raise ValueError("l must be a positive integer")
+
+
 @dataclass(frozen=True)
 class ProbeParams:
     """Quantifier bundle for one counterexample instance."""
@@ -65,10 +75,7 @@ class ProbeParams:
     t0: float
 
     def __post_init__(self):
-        if self.k < 1 or self.k % 2 != 1:
-            raise ValueError("k must be an odd positive integer")
-        if self.l < 1:
-            raise ValueError("l must be a positive integer")
+        _check_k_l(self.k, self.l)
         if abs(self.eps0 * self.l - 1.0) > 1e-12:
             raise ValueError("eps0 must equal 1/l")
         if self.m < 1:
@@ -157,32 +164,52 @@ def build_probe(params: ProbeParams, map_spec: MapSpec):
 
 
 def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
-                z: SmoothFunction, v: SmoothFunction, order: int,
+                z: SmoothFunction, v: SmoothFunction, rho2: PNormSpec,
                 grid: GridSpec | None = None):
     """One chunked grid pass over v = df(x+z, u) - df(x, u).
 
     Returns ``(tz_sup, profile)``: the sup over the grid of |T_z|, where
     T_z = v^(top)/eps0 - phi_lead(phi's argument + z) * z^(k) is what is
     left of the top derivative once the leading term is taken out, and the
-    seminorms p_0 .. p_order of v. Each chunk's Taylor coefficients of v
-    are evaluated once, to order max(order, top), and feed both.
+    seminorms p_0 .. p_truncation of v that ``rho2.of_profile`` reads.
+
+    v's Taylor coefficients at the grid point nearest s0, max-accumulated,
+    are lower bounds on its seminorms. Let c be the first rung whose bound
+    is at least 2^54 (``rho2.first_saturated``; never under "linear").
+    The chunked pass's value at that point differs from the one-point
+    value only by rounding, far less than the factor 2, so the grid's
+    seminorms from rung c up are at least 2^53, where the bounded P-norm
+    term is exactly w_i. The pass therefore evaluates v only to order
+    max(c - 1, top), and the profile holds the lower bounds, not the grid
+    seminorms, at rungs c and above; ``rho2.of_profile`` is the same
+    either way. With no cut the pass runs to max(truncation, top) and the
+    whole profile is the grid's.
     """
     top = map_spec.top_order(params.k)
     lead = map_spec.leading_primitive()
-    n = max(order, top)
     s = (grid or DEFAULT_GRID).points(v)
-    fact = np.array([math.factorial(i) for i in range(n + 1)])
+    fact = np.array([math.factorial(i)
+                     for i in range(max(rho2.truncation, top) + 1)])
+    j = int(np.searchsorted(s, params.s0).clip(1, s.size - 1))
+    if params.s0 - s[j - 1] <= s[j] - params.s0:
+        j -= 1
+    anchor = v.node.coeffs(s[j:j + 1], rho2.truncation)[:, 0]
+    lower = np.maximum.accumulate(np.abs(anchor) * fact[:rho2.truncation + 1])
+    cut = rho2.first_saturated(lower)
+    n_profile = rho2.truncation + 1 if cut is None else cut
+    n = max(n_profile - 1, top)
     sup = np.zeros(n + 1)
     tz_sup = 0.0
     for lo in range(0, s.size, _CHUNK):
         sc = s[lo:lo + _CHUNK]
         coeffs = v.node.coeffs(sc, n)
-        np.maximum(sup, np.abs(coeffs).max(axis=1) * fact, out=sup)
+        np.maximum(sup, np.abs(coeffs).max(axis=1) * fact[:n + 1], out=sup)
         c = map_spec.phi_argument(x, sc) + z.evaluate(sc)
         zk = probe_deriv_closed_form(params.m, params.k, params.s0, params.k, sc)
         tz = fact[top] * coeffs[top] / params.eps0 - lead(c) * zk
         tz_sup = np.maximum(tz_sup, np.abs(tz).max())
-    return float(tz_sup), np.maximum.accumulate(sup[:order + 1])
+    profile = np.concatenate([sup[:n_profile], lower[n_profile:]])
+    return float(tz_sup), np.maximum.accumulate(profile)
 
 
 def _locate_anchor(map_spec: MapSpec, x: SmoothFunction):
@@ -206,10 +233,11 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
                  grid: GridSpec | None = None) -> SweepResult:
     """One GrowthRecord per m, plus the fitted log-log slope."""
     m_list = list(m_list)
+    if not m_list:
+        raise ValueError("m_list must be nonempty")
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be strictly ascending")
-    if k % 2 != 1 or k < 1:
-        raise ValueError("k must be odd and positive")
+    _check_k_l(k, l)
     t0, s0, deriv_mag, degenerate = _locate_anchor(map_spec, x)
     eps0 = 1.0 / l
     top = map_spec.top_order(k)
@@ -221,8 +249,8 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
         z = probe(m, k, s0, u.domain)
         v = map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)
         top_deriv = abs(deriv_from_jet(v.jet_at(s0, top), top))
-        tz_sup, v_profile = residual_tz(map_spec, x, params, z, v,
-                                        rho2.truncation, grid)
+        tz_sup, v_profile = residual_tz(map_spec, x, params, z, v, rho2,
+                                        grid)
         records.append(GrowthRecord(
             m=m,
             p_km1_z=float(seminorm_profile(z, k - 1, grid)[k - 1]),
@@ -261,8 +289,10 @@ def estimate_residual_bound(map_spec: MapSpec, x: SmoothFunction,
 def fix_m(map_spec: MapSpec, k: int, l: int, m_estimate: float,
           deriv_mag: float) -> int:
     """Smallest power-of-two m certifying the blow-up inequalities."""
-    if m_estimate < 0.0:
-        raise ValueError("M estimate must be nonnegative")
+    _check_k_l(k, l)
+    if not (math.isfinite(m_estimate) and m_estimate >= 0.0):
+        raise ValueError(
+            f"M estimate must be nonnegative and finite, got {m_estimate}")
     if not (math.isfinite(deriv_mag) and deriv_mag > 0.0):
         raise ValueError(
             f"|phi derivative at t0| must be positive and finite, got {deriv_mag}")

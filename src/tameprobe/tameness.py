@@ -15,6 +15,7 @@ leaves the map's domain counts as a violation of the membership clause.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .functions import GridSpec, SmoothFunction, seminorm_profile
@@ -22,6 +23,11 @@ from .jets import MAX_ORDER
 from .maps import DomainViolation, MapSpec
 
 TRANSFORMS = ("bounded", "linear")
+# A bounded term w * (p / (1 + p)) is exactly w once 1 + p rounds to p,
+# i.e. for p >= 2^53. A lower bound must reach twice that before a rung is
+# called saturated, so that the value the rung would have had from a
+# differently rounded evaluation is still at least 2^53.
+SATURATION = 2.0**54
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,8 @@ class PNormSpec:
             w = tuple(float(v) for v in self.weights)
             if len(w) != self.truncation + 1:
                 raise ValueError("need truncation+1 weights")
-            if any(v <= 0.0 for v in w):
-                raise ValueError("weights must be positive")
+            if not all(math.isfinite(v) and v > 0.0 for v in w):
+                raise ValueError("weights must be positive and finite")
             object.__setattr__(self, "weights", w)
 
     def weight(self, i: int) -> float:
@@ -53,10 +59,22 @@ class PNormSpec:
         total = 0.0
         for i in range(self.truncation + 1):
             if self.transform == "bounded":
-                total += self.weight(i) * p[i] / (1.0 + p[i])
+                total += self.weight(i) * (p[i] / (1.0 + p[i]))
             else:
                 total += self.weight(i) * p[i]
         return total
+
+    def first_saturated(self, lower) -> int | None:
+        """The first rung whose lower bound ``lower[i]`` is at least
+        SATURATION, or None (always None under "linear"). From that rung
+        upward every seminorm at or above the bound adds exactly w_i, so
+        ``of_profile`` needs no more than the bound there."""
+        if self.transform != "bounded":
+            return None
+        for i in range(self.truncation + 1):
+            if lower[i] >= SATURATION:
+                return i
+        return None
 
     @classmethod
     def from_dict(cls, d: dict) -> "PNormSpec":

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from tameprobe.functions import (
 )
 from tameprobe.maps import CirclePullback, PostComposition
 from tameprobe.primitives import AffineMap, IdentityPlusExp, Sin
-from tameprobe.tameness import PNormSpec
+from tameprobe.tameness import SATURATION, PNormSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -153,6 +154,33 @@ def difference(mp, x, z, u):
     return mp.gateaux(x + z, u) - mp.gateaux(x, u)
 
 
+def anchored_difference(mp, x, m, k=3, l=8):
+    """ProbeParams, z and v for a k-probe of frequency m at x's anchor."""
+    t0 = find_t0(mp, x)
+    s0 = mp.interior_s0(x)
+    if s0 is None:
+        s0 = find_s0(mp, x, t0)
+    params = ProbeParams(k=k, l=l, eps0=1.0 / l, m=m, s0=s0, t0=t0)
+    z, u = build_probe(params, mp)
+    return params, z, difference(mp, x, z, u)
+
+
+def record_coeff_orders(mpatch, node):
+    """Patch ``node``'s class so that each ``coeffs`` call on ``node``
+    itself appends (points, order) to the returned list."""
+    calls = []
+    cls = type(node)
+    original = cls.coeffs
+
+    def coeffs(self, s, order):
+        if self is node:
+            calls.append((s.size, order))
+        return original(self, s, order)
+
+    mpatch.setattr(cls, "coeffs", coeffs)
+    return calls
+
+
 class TestResidual:
     CASES = {
         "ex2-zero": (pullback_sin, zero),
@@ -174,19 +202,14 @@ class TestResidual:
         self.check_against_two_passes("ex2-zero", 1024, "top")
 
     def check_against_two_passes(self, case, m, order):
+        # a linear P-norm never cuts the pass, so every rung is the grid's
         make_map, make_x = self.CASES[case]
         mp, x = make_map(), make_x()
-        k, l = 3, 8
-        t0 = find_t0(mp, x)
-        s0 = mp.interior_s0(x)
-        if s0 is None:
-            s0 = find_s0(mp, x, t0)
-        params = ProbeParams(k=k, l=l, eps0=1.0 / l, m=m, s0=s0, t0=t0)
-        z, u = build_probe(params, mp)
-        v = difference(mp, x, z, u)
+        params, z, v = anchored_difference(mp, x, m)
         if order == "top":
-            order = mp.top_order(k)
-        tz_sup, profile = residual_tz(mp, x, params, z, v, order)
+            order = mp.top_order(params.k)
+        tz_sup, profile = residual_tz(mp, x, params, z, v,
+                                      PNormSpec(order, "linear"))
         want_tz, want_profile = two_pass_residual(mp, x, params, z, v, order)
         assert tz_sup == want_tz
         assert np.array_equal(profile, want_profile)
@@ -198,7 +221,7 @@ class TestResidual:
         params = ProbeParams(k=3, l=8, eps0=0.125, m=16, s0=0.0, t0=0.0)
         z, u = build_probe(params, mp)
         v = difference(mp, zero(), z, u)
-        tz_sup, profile = residual_tz(mp, zero(), params, z, v, 0)
+        tz_sup, profile = residual_tz(mp, zero(), params, z, v, PNormSpec(0))
         assert tz_sup == pytest.approx(0.0, abs=1e-14)
         assert profile.shape == (1,)
 
@@ -209,6 +232,74 @@ class TestResidual:
                            PNormSpec(), PNormSpec(), 3, 8, [32])
         r = res.records[0]
         assert r.top_deriv_s0 == pytest.approx(r.predicted, rel=1e-6)
+
+
+CUSTOM_WEIGHTS = tuple(0.3 + 0.1 * i for i in range(13))
+UNCUT = PNormSpec(12, "linear")
+CUT_CASES = {
+    "ex2-zero": (pullback_sin, zero),
+    "ex4-sinusoid": (composition_exp,
+                     lambda: SmoothFunction(SinusoidProbe(0.3, 1.5),
+                                            UNIT_INTERVAL)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def cut_and_uncut(case, m, weights=None):
+    """residual_tz under a bounded order-12 P-norm and under ``UNCUT``,
+    plus the order of the cut pass's grid evaluation of v."""
+    make_map, make_x = CUT_CASES[case]
+    mp, x = make_map(), make_x()
+    params, z, v = anchored_difference(mp, x, m)
+    rho2 = PNormSpec(12, weights=weights)
+    with pytest.MonkeyPatch.context() as mpatch:
+        calls = record_coeff_orders(mpatch, v.node)
+        cut = residual_tz(mp, x, params, z, v, rho2)
+    grid_order, = {order for points, order in calls if points > 1}
+    return rho2, cut, residual_tz(mp, x, params, z, v, UNCUT), grid_order
+
+
+class TestSaturationCut:
+    @pytest.mark.parametrize("case", sorted(CUT_CASES))
+    @pytest.mark.parametrize("m", [16, 4096])
+    def test_tz_sup_unchanged(self, case, m):
+        _, (tz_sup, _), (want, _), _ = cut_and_uncut(case, m)
+        assert tz_sup == want
+
+    @pytest.mark.parametrize("case", sorted(CUT_CASES))
+    @pytest.mark.parametrize("m", [16, 4096])
+    @pytest.mark.parametrize("weights", [None, CUSTOM_WEIGHTS],
+                             ids=["default", "custom"])
+    def test_pnorm_unchanged(self, case, m, weights):
+        rho2, (_, profile), (_, full), grid_order = cut_and_uncut(
+            case, m, weights)
+        assert grid_order < rho2.truncation   # the pass was cut
+        assert rho2.of_profile(profile) == rho2.of_profile(full)
+
+    @pytest.mark.parametrize("case", sorted(CUT_CASES))
+    @pytest.mark.parametrize("m", [16, 4096])
+    def test_cut_is_sound(self, case, m):
+        _, (_, profile), (_, full), grid_order = cut_and_uncut(case, m)
+        cut = grid_order + 1
+        assert profile.shape == full.shape == (13,)
+        assert np.array_equal(profile[:cut], full[:cut])
+        # the grid saturates at the cut rung, and the filled rungs are
+        # saturated lower bounds
+        assert full[cut] >= 2.0**53
+        assert (profile[cut:] >= SATURATION).all()
+        assert (profile[cut:] <= full[cut:] * (1.0 + 1e-12)).all()
+
+    def test_pass_shrinks(self, monkeypatch):
+        mp = pullback_sin()
+        params, z, v = anchored_difference(mp, zero(), 4096)
+        calls = record_coeff_orders(monkeypatch, v.node)
+        residual_tz(mp, zero(), params, z, v, PNormSpec(12))
+        # one anchor point to order 12, then the chunks to order 5
+        assert calls[0] == (1, 12)
+        assert {order for _, order in calls[1:]} == {5}
+        calls.clear()
+        residual_tz(mp, zero(), params, z, v, UNCUT)
+        assert {order for points, order in calls if points > 1} == {12}
 
 
 class TestGrowthSweep:
@@ -268,12 +359,12 @@ class TestGrowthSweep:
         assert res.t0 == x.evaluate(0.5)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            growth_sweep(pullback_sin(), zero(), PNormSpec(), PNormSpec(),
-                         3, 8, [32, 16])
-        with pytest.raises(ValueError):
-            growth_sweep(pullback_sin(), zero(), PNormSpec(), PNormSpec(),
-                         2, 8, [16, 32])
+        # descending m, even k, l = 0 and an empty m_list
+        for k, l, m_list in [(3, 8, [32, 16]), (2, 8, [16, 32]),
+                             (3, 0, [16, 32]), (3, 8, [])]:
+            with pytest.raises(ValueError):
+                growth_sweep(pullback_sin(), zero(), PNormSpec(),
+                             PNormSpec(), k, l, m_list)
 
 
 class TestFixM:
@@ -290,6 +381,21 @@ class TestFixM:
     def test_rejects_bad_deriv_mag(self, make, deriv_mag):
         with pytest.raises(ValueError, match="positive and finite"):
             fix_m(make(), 3, 8, 1.0, deriv_mag)
+
+    @pytest.mark.parametrize("make", [pullback_sin, composition_exp])
+    @pytest.mark.parametrize("k, l, m_estimate, match", [
+        (3, 8, math.nan, "nonnegative and finite"),
+        (3, 8, math.inf, "nonnegative and finite"),
+        (3, 8, -1.0, "nonnegative and finite"),
+        (2, 8, 1.0, "odd and positive"),
+        (0, 8, 1.0, "odd and positive"),
+        (-1, 8, 1.0, "odd and positive"),
+        (3, 0, 0.0, "l must be a positive"),
+        (3, -5, 0.0, "l must be a positive"),
+    ])
+    def test_rejects_bad_input(self, make, k, l, m_estimate, match):
+        with pytest.raises(ValueError, match=match):
+            fix_m(make(), k, l, m_estimate, TWO_PI)
 
     def test_budget_guard(self):
         with pytest.raises(PrecisionBudgetError):

@@ -17,7 +17,12 @@ from tameprobe.functions import (
 from tameprobe.jets import MAX_ORDER
 from tameprobe.maps import CirclePullback, DomainViolation, PostComposition
 from tameprobe.primitives import AffineMap, Sin
-from tameprobe.tameness import PNormSpec, check_tame_estimate, pnorm_eval
+from tameprobe.tameness import (
+    SATURATION,
+    PNormSpec,
+    check_tame_estimate,
+    pnorm_eval,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,6 +44,25 @@ class TestPNormSpec:
             PNormSpec(truncation=2, weights=(1.0, 2.0))
         with pytest.raises(ValueError):
             PNormSpec(truncation=1, weights=(1.0, -1.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                PNormSpec(truncation=2, weights=(1.0, bad, 0.5))
+
+    def test_first_saturated(self):
+        below = SATURATION * (1.0 - 2.0**-53)
+        lower = [1.0, 1e6, below, SATURATION, 1e30]
+        assert PNormSpec(4).first_saturated(lower) == 3
+        assert PNormSpec(2).first_saturated(lower) is None
+        assert PNormSpec(4, "linear").first_saturated(lower) is None
+        assert PNormSpec(4).first_saturated([math.nan] * 5) is None
+
+    def test_saturated_term_is_its_weight(self):
+        # fl(w * p) / p misses w for these weights and seminorms
+        weights = (0.4, 0.7, 1.3)
+        spec = PNormSpec(2, weights=weights)
+        for p in (2.0**53, 3.0 * 2.0**53, SATURATION, 1e30):
+            assert spec.of_profile([0.0, 0.0, p]) == weights[2]
+            assert spec.of_profile([0.0, p, p]) == weights[1] + weights[2]
 
     def test_dict_round_trip(self):
         weights = [1.0, 0.5, 0.25, 0.125, 0.0625]
