@@ -27,7 +27,7 @@ from .functions import (
     seminorm_profile,
     zero,
 )
-from .jets import MAX_ORDER, TaylorJet, deriv_from_jet
+from .jets import MAX_ORDER
 from .maps import (
     CirclePullback,
     DomainViolation,

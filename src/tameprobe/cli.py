@@ -330,7 +330,7 @@ def _load_probes(path: str, cfg: ScenarioConfig, map_spec, x):
     if not isinstance(entries, list) or not entries:
         raise ConfigError("probe file must be a nonempty JSON list")
     domain = map_spec.domain_tag
-    t0, s0, _, _ = _locate_anchor(map_spec, x)
+    _, s0, _, _ = _locate_anchor(map_spec, x)
     probes = []
     for entry in entries:
         if not isinstance(entry, dict):
@@ -349,8 +349,7 @@ def _load_probes(path: str, cfg: ScenarioConfig, map_spec, x):
                                   f"{MAX_ORDER}")
             s0_entry = _finite_number(entry.get("s0", s0), "probe s0")
             try:
-                params = ProbeParams(k=k, l=cfg.l, eps0=1.0 / cfg.l, m=m,
-                                     s0=s0_entry, t0=t0)
+                params = ProbeParams(k=k, l=cfg.l, m=m, s0=s0_entry)
             except ValueError as exc:
                 raise ConfigError(f"bad probe entry {entry!r}: {exc}") from None
             probes.append(build_probe(params, map_spec))

@@ -13,17 +13,19 @@ search for a certified m. What differs between the maps (the leading
 derivative, the top order, phi's argument, the search ranges, the fallback
 anchor and the certifying inequality) comes from the `MapSpec` hooks.
 
-A sweep makes one grid pass over v per m (`residual_tz`) for both sup|T_z|
-and rho2(v); the residual bound is read off a coarse sweep. v's Taylor
-coefficients at the grid point nearest s0 bound its seminorms from below,
-and the pass evaluates v only up to the rung below the first one that
-bound proves saturated under rho2's bounded transform.
+A sweep evaluates v once per m at two points, s0 and the grid point
+nearest it, and makes one grid pass over v (`residual_tz`). The first
+point gives the witness v^(top)(s0); the second bounds v's seminorms from
+below, so that the grid pass, which gives sup|T_z| and rho2(v), evaluates
+v only up to the rung below the first one that bound proves saturated
+under rho2's bounded transform. The residual bound is read off a coarse
+sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,13 +34,13 @@ from .functions import (
     _CHUNK,
     DEFAULT_GRID,
     GridSpec,
+    PrecisionBudgetError,
     SmoothFunction,
     constant,
     probe,
     probe_deriv_closed_form,
     seminorm_profile,
 )
-from .jets import deriv_from_jet
 from .maps import MapSpec
 from .primitives import TWO_PI
 from .tameness import PNormSpec, pnorm_eval
@@ -50,10 +52,6 @@ RESIDUAL_M_COARSE = (16, 64, 256)
 
 class DegenerateMapError(ValueError):
     """The outer function has no usable point of nonzero derivative."""
-
-
-class PrecisionBudgetError(RuntimeError):
-    """The certified m would exceed the double-precision budget."""
 
 
 def _check_k_l(k: int, l: int):
@@ -69,17 +67,18 @@ class ProbeParams:
 
     k: int
     l: int
-    eps0: float
     m: int
     s0: float
-    t0: float
 
     def __post_init__(self):
         _check_k_l(self.k, self.l)
-        if abs(self.eps0 * self.l - 1.0) > 1e-12:
-            raise ValueError("eps0 must equal 1/l")
         if self.m < 1:
             raise ValueError("m must be a positive integer")
+
+    @property
+    def eps0(self) -> float:
+        """The size 1/l of the constant direction u."""
+        return 1.0 / self.l
 
 
 @dataclass(frozen=True)
@@ -166,35 +165,40 @@ def build_probe(params: ProbeParams, map_spec: MapSpec):
 def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
                 z: SmoothFunction, v: SmoothFunction, rho2: PNormSpec,
                 grid: GridSpec | None = None):
-    """One chunked grid pass over v = df(x+z, u) - df(x, u).
+    """One evaluation of v = df(x+z, u) - df(x, u) at the anchor, then one
+    chunked grid pass over v.
 
-    Returns ``(tz_sup, profile)``: the sup over the grid of |T_z|, where
-    T_z = v^(top)/eps0 - phi_lead(phi's argument + z) * z^(k) is what is
-    left of the top derivative once the leading term is taken out, and the
-    seminorms p_0 .. p_truncation of v that ``rho2.of_profile`` reads.
+    Returns ``(top_deriv, tz_sup, profile)``: |v^(top)(s0)|, the witness
+    whose sqrt(m) growth the sweep fits; the sup over the grid of |T_z|,
+    where T_z = v^(top)/eps0 - phi_lead(phi's argument + z) * z^(k) is what
+    is left of the top derivative once the leading term is taken out; and
+    the seminorms p_0 .. p_truncation of v that ``rho2.of_profile`` reads.
 
-    v's Taylor coefficients at the grid point nearest s0, max-accumulated,
-    are lower bounds on its seminorms. Let c be the first rung whose bound
-    is at least 2^54 (``rho2.first_saturated``; never under "linear").
-    The chunked pass's value at that point differs from the one-point
-    value only by rounding, far less than the factor 2, so the grid's
-    seminorms from rung c up are at least 2^53, where the bounded P-norm
-    term is exactly w_i. The pass therefore evaluates v only to order
-    max(c - 1, top), and the profile holds the lower bounds, not the grid
-    seminorms, at rungs c and above; ``rho2.of_profile`` is the same
+    The anchor evaluation takes v to order max(truncation, top) at s0 and
+    at the grid point nearest s0. The coefficients at the grid point,
+    max-accumulated, are lower bounds on v's seminorms. Let c be the first
+    rung whose bound is at least 2^54 (``rho2.first_saturated``; never
+    under "linear"). The chunked pass's value at that point differs from
+    the anchor value only by rounding, far less than the factor 2, so the
+    grid's seminorms from rung c up are at least 2^53, where the bounded
+    P-norm term is exactly w_i. The pass therefore evaluates v only to
+    order max(c - 1, top), and the profile holds the lower bounds, not the
+    grid seminorms, at rungs c and above; ``rho2.of_profile`` is the same
     either way. With no cut the pass runs to max(truncation, top) and the
     whole profile is the grid's.
     """
     top = map_spec.top_order(params.k)
     lead = map_spec.leading_primitive()
     s = (grid or DEFAULT_GRID).points(v)
-    fact = np.array([math.factorial(i)
-                     for i in range(max(rho2.truncation, top) + 1)])
+    order = max(rho2.truncation, top)
+    fact = np.array([math.factorial(i) for i in range(order + 1)])
     j = int(np.searchsorted(s, params.s0).clip(1, s.size - 1))
     if params.s0 - s[j - 1] <= s[j] - params.s0:
         j -= 1
-    anchor = v.node.coeffs(s[j:j + 1], rho2.truncation)[:, 0]
-    lower = np.maximum.accumulate(np.abs(anchor) * fact[:rho2.truncation + 1])
+    anchor = v.node.coeffs(np.array([params.s0, s[j]]), order)
+    top_deriv = abs(float(fact[top] * anchor[top, 0]))
+    lower = np.maximum.accumulate(np.abs(anchor[:rho2.truncation + 1, 1])
+                                  * fact[:rho2.truncation + 1])
     cut = rho2.first_saturated(lower)
     n_profile = rho2.truncation + 1 if cut is None else cut
     n = max(n_profile - 1, top)
@@ -209,7 +213,7 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
         tz = fact[top] * coeffs[top] / params.eps0 - lead(c) * zk
         tz_sup = np.maximum(tz_sup, np.abs(tz).max())
     profile = np.concatenate([sup[:n_profile], lower[n_profile:]])
-    return float(tz_sup), np.maximum.accumulate(profile)
+    return top_deriv, float(tz_sup), np.maximum.accumulate(profile)
 
 
 def _locate_anchor(map_spec: MapSpec, x: SmoothFunction):
@@ -239,28 +243,32 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
         raise ValueError("m_list must be strictly ascending")
     _check_k_l(k, l)
     t0, s0, deriv_mag, degenerate = _locate_anchor(map_spec, x)
-    eps0 = 1.0 / l
-    top = map_spec.top_order(k)
-    u = constant(eps0, map_spec.domain_tag)
-    rho1_u = pnorm_eval(rho1, u, grid)
     records = []
     for m in m_list:
-        params = ProbeParams(k=k, l=l, eps0=eps0, m=m, s0=s0, t0=t0)
-        z = probe(m, k, s0, u.domain)
+        params = ProbeParams(k=k, l=l, m=m, s0=s0)
+        z, u = build_probe(params, map_spec)
+        if not records:
+            rho1_u = pnorm_eval(rho1, u, grid)   # u is the same for every m
         v = map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)
-        top_deriv = abs(deriv_from_jet(v.jet_at(s0, top), top))
-        tz_sup, v_profile = residual_tz(map_spec, x, params, z, v, rho2,
-                                        grid)
-        records.append(GrowthRecord(
+        top_deriv, tz_sup, v_profile = residual_tz(map_spec, x, params, z, v,
+                                                   rho2, grid)
+        record = GrowthRecord(
             m=m,
             p_km1_z=float(seminorm_profile(z, k - 1, grid)[k - 1]),
             rho1_z=pnorm_eval(rho1, z, grid),
             rho1_u=rho1_u,
             top_deriv_s0=top_deriv,
-            predicted=eps0 * math.sqrt(TWO_PI * m) * deriv_mag,
+            predicted=params.eps0 * math.sqrt(TWO_PI * m) * deriv_mag,
             tz_sup=tz_sup,
             rho2_v=rho2.of_profile(v_profile),
-        ))
+        )
+        bad = [f.name for f in fields(record)
+               if not math.isfinite(getattr(record, f.name))]
+        if bad:
+            raise PrecisionBudgetError(
+                f"{', '.join(bad)} not finite at m = {m}: a value left "
+                "double range")
+        records.append(record)
     tops = np.array([r.top_deriv_s0 for r in records])
     if np.all(tops > 0.0) and len(records) >= 2:
         slope = float(np.polyfit(np.log([r.m for r in records]),

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jets import MAX_ORDER, TaylorJet, compose_series, convolve_trunc
+from .jets import MAX_ORDER, compose_series, convolve_trunc
 from .primitives import TWO_PI, ScalarPrimitive, trig_cycle, trig_taylor
 
 PERIODIC = "periodic"
@@ -25,6 +25,15 @@ UNIT_INTERVAL = "unit_interval"
 
 _CHUNK = 1 << 16
 MIN_GRID_POINTS = 4096
+# 2^24 points is 128 MiB per row of float64; the ex2 sweep at the CLI's cap
+# m = 16384 over x = zero evaluates v on 2^21 + 65 points
+MAX_GRID_POINTS = 2**24
+
+
+class PrecisionBudgetError(RuntimeError):
+    """A computation would leave the double-precision or grid budget: a
+    value beyond double range, a grid above MAX_GRID_POINTS points, or a
+    certified m above the driver's cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -66,25 +75,6 @@ class Constant(Node):
 
     def affine_slope(self):
         return 0.0
-
-
-@dataclass(frozen=True)
-class Identity(Node):
-    def coeffs(self, s, order):
-        out = np.zeros((order + 1, s.size))
-        out[0] = s
-        if order >= 1:
-            out[1] = 1.0
-        return out
-
-    def diff(self):
-        return Constant(1.0)
-
-    def max_frequency(self):
-        return 0.0
-
-    def affine_slope(self):
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -366,13 +356,6 @@ class SmoothFunction:
         vals = self.node.coeffs(arr, 0)[0]
         return float(vals[0]) if np.isscalar(s) or np.ndim(s) == 0 else vals
 
-    def jet_at(self, s: float, order: int) -> TaylorJet:
-        if order > MAX_ORDER:
-            raise ValueError(f"order {order} exceeds cap {MAX_ORDER}")
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
-        self._check_arg(arr)
-        return TaylorJet(float(arr[0]), self.node.coeffs(arr, order)[:, 0])
-
 
 # ---------------------------------------------------------------------------
 # grids and seminorms
@@ -385,16 +368,25 @@ class GridSpec:
     one or two extra; the odd total breaks phase locking against integer
     frequencies, so the sampled phases of a frequency-m sinusoid fill its
     period densely rather than aliasing to ``factor`` distinct values.
+    A grid above MAX_GRID_POINTS points raises PrecisionBudgetError.
     """
 
     factor: int = 64
 
     def points(self, f: SmoothFunction) -> np.ndarray:
-        n = max(MIN_GRID_POINTS, self.factor * math.ceil(f.node.max_frequency()))
+        f_max = f.node.max_frequency()
+        n = max(MIN_GRID_POINTS, self.factor * math.ceil(f_max)) \
+            if math.isfinite(f_max) else math.inf
+        size = n + 1 if f.domain == PERIODIC else n + 2
+        if size > MAX_GRID_POINTS:
+            # an int size past double range has no float to format
+            shown = size if size < 1e300 else math.inf
+            raise PrecisionBudgetError(
+                f"a grid of {shown:.4g} points exceeds the cap of "
+                f"{MAX_GRID_POINTS}")
         if f.domain == PERIODIC:
-            g = n + 1
-            return np.arange(g) / g
-        return np.linspace(0.0, 1.0, n + 2)
+            return np.arange(size) / size
+        return np.linspace(0.0, 1.0, size)
 
 
 DEFAULT_GRID = GridSpec()

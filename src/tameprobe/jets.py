@@ -1,13 +1,10 @@
-"""Univariate Taylor-jet arithmetic of bounded order.
+"""Kernels for truncated Taylor series of bounded order.
 
-A jet stores the value and Taylor coefficients of a smooth function at a
-single base point. All high-order derivatives in the package are obtained
-through jets; coefficients are Taylor-normalized (derivative / i!) and only
-converted to raw derivatives at extraction time.
+Coefficients are Taylor-normalized (derivative / i!) and stacked in arrays
+of shape ``(order + 1, npoints)``, one column per base point, so that a
+grid pass and an evaluation at a few anchor points run the same code. A
+caller multiplies row i by i! to read a raw derivative.
 
-The array kernels (`convolve_trunc`, `compose_series`) operate on stacked
-coefficient arrays of shape ``(order + 1, npoints)`` so that grid sweeps
-can reuse the same code paths vectorized over many base points.
 `convolve_trunc` is the truncated Cauchy product, O(n^2) per point for n
 coefficients, and O(n d) when the second factor has degree d.
 `compose_series` substitutes a series into a primitive g through the
@@ -19,7 +16,6 @@ chain rule, which costs O(r n^2) per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,41 +87,3 @@ def compose_series(outer: np.ndarray, inner: np.ndarray, ode) -> np.ndarray:
                                              g[q][k - top:k][::-1])
             out /= k
     return g[0]
-
-
-@dataclass(frozen=True)
-class TaylorJet:
-    """Value plus Taylor coefficients of a smooth function at a point.
-
-    ``coeffs[i]`` is the i-th derivative divided by i!.
-    """
-
-    base_point: float
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coeffs must be a nonempty 1-d array")
-        if c.size - 1 > MAX_ORDER:
-            raise ValueError(f"jet order {c.size - 1} exceeds cap {MAX_ORDER}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("jet coefficients must be finite")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.size - 1
-
-    @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
-
-
-def deriv_from_jet(j: TaylorJet, i: int) -> float:
-    """Raw i-th derivative, i.e. ``i! * coeffs[i]``."""
-    if not 0 <= i <= j.order:
-        raise ValueError(f"derivative order {i} out of range for jet of order {j.order}")
-    return float(math.factorial(i) * j.coeffs[i])

@@ -238,7 +238,9 @@ class PostComposition(MapSpec):
         return x.evaluate(INTERIOR_S0), INTERIOR_S0
 
     def certifies(self, m, k, l, m_estimate, deriv_mag):
-        bound = max(k**2, (l + m_estimate)**2 / deriv_mag**2) / TWO_PI
+        # square the ratio, not its parts: (l + M)^2 alone overflows once
+        # l + M passes about 1.3e154
+        bound = max(k**2, ((l + m_estimate) / deriv_mag)**2) / TWO_PI
         return m > bound
 
     def in_domain(self, x: SmoothFunction):

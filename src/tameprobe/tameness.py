@@ -18,7 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .functions import GridSpec, SmoothFunction, seminorm_profile
+from .functions import (
+    GridSpec,
+    PrecisionBudgetError,
+    SmoothFunction,
+    seminorm_profile,
+)
 from .jets import MAX_ORDER
 from .maps import DomainViolation, MapSpec
 
@@ -104,7 +109,9 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
     """Evaluate the uniform estimate over a probe family.
 
     ``probes`` is a nonempty sequence of (z, u) pairs. Pairs with
-    rho1(z) > 1 are outside the quantifier's range and only counted.
+    rho1(z) > 1 are outside the quantifier's range and only counted. A
+    rho2(v) or rho1(u) beyond double range raises PrecisionBudgetError: a
+    NaN would compare false and read as "satisfied".
     """
     probes = list(probes)
     if not probes:
@@ -125,6 +132,10 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
         v = map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)
         lhs = pnorm_eval(rho2, v, grid)
         rhs = pnorm_eval(rho1, u, grid)
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise PrecisionBudgetError(
+                f"rho2(v) = {lhs:.12g}, rho1(u) = {rhs:.12g}: a value is "
+                "beyond double range")
         report.samples_checked += 1
         if lhs > rhs:
             report.witnesses.append((z, u, lhs, rhs))

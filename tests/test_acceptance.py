@@ -99,7 +99,7 @@ def test_criterion_4_degenerate_consistency(capsys):
     for map_spec, x, s0 in cases:
         probes = []
         for m in (16, 64, 256):
-            params = ProbeParams(k=3, l=8, eps0=0.125, m=m, s0=s0, t0=0.0)
+            params = ProbeParams(k=3, l=8, m=m, s0=s0)
             z, u = build_probe(params, map_spec)
             probes.append((z, u))
             v = map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)

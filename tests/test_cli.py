@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -146,6 +147,40 @@ class TestDemo:
         with pytest.raises(ConfigError):
             ScenarioConfig(variant=variant, phi=phi, k=k + 2).build_map()
 
+    # a value beyond double range or a grid above 2^24 points exits 65, and
+    # no step may raise a Python error on the way
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--phi", "t_plus_exp", "--x", "const:800"], EXIT_BUDGET,
+         "top_deriv_s0, predicted, tz_sup, rho2_v not finite at m = 16"),
+        (["--phi", "poly:0,1,0,1", "--x", "const:1e200"], EXIT_BUDGET,
+         "rho2_v not finite at m = 16"),
+        # v's seminorms overflow from rung 6 on, so rho2(v) is NaN
+        (["--phi", "t_plus_exp", "--x", "const:700"], EXIT_BUDGET,
+         "rho2_v not finite at m = 16"),
+        # the sweep is finite, and (l + M)^2 alone would overflow
+        (["--phi", "t_plus_exp", "--x", "const:600"], EXIT_OK, ""),
+    ], ids=["exp-800", "cubic-1e200", "exp-700", "exp-600"])
+    def test_double_range_ends_cleanly(self, capsys, argv, code, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = main(["demo", "ex4"] + argv)
+        out, err = capsys.readouterr()
+        assert got == code
+        assert message in err
+        if code == EXIT_OK:
+            assert "certified m = 2" in out
+
+    @pytest.mark.parametrize("argv, size", [
+        (["--n", "1000000000000"], "6.4e+13"),
+        (["--grid-factor", "100000000", "--m-list", "16"], "3.3e+09"),
+        (["--x", "sinusoid:1e-12,100000000"], "6.4e+09"),
+        (["--grid-factor", "1" + "0" * 400, "--m-list", "16"], "inf"),
+    ], ids=["winding", "grid-factor", "x-frequency", "grid-factor-huge"])
+    def test_grid_above_cap_rejected(self, capsys, argv, size):
+        assert main(["demo", "ex2"] + argv) == EXIT_BUDGET
+        assert (f"a grid of {size} points exceeds the cap of 16777216"
+                in capsys.readouterr().err)
+
     def test_budget_exceeded(self, capsys):
         # second derivative of phi is tiny but nonzero, so no m in the
         # double-precision budget can certify the inequalities
@@ -242,6 +277,25 @@ class TestCheckTame:
         path = self.probe_file(tmp_path, [{"z": z, "u": {"constant": 0.125}}])
         code = main(["check-tame", "ex2", "--probes", path])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("argv, message", [
+        # rho2(v) is NaN, and NaN > rhs would read as "satisfied = True"
+        (["ex4", "--phi", "t_plus_exp", "--x", "const:800"],
+         "rho2(v) = nan, rho1(u) = 0.222195095486: a value is beyond "
+         "double range"),
+        (["ex2", "--x", "sinusoid:1e-12,100000000"],
+         "a grid of 6.4e+09 points exceeds the cap of 16777216"),
+    ], ids=["exp-800", "x-frequency"])
+    def test_budget_exceeded(self, tmp_path, capsys, argv, message):
+        path = self.probe_file(tmp_path, [{"m": 16, "k": 3},
+                                          {"m": 64, "k": 3}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["check-tame"] + argv + ["--probes", path])
+        out, err = capsys.readouterr()
+        assert code == EXIT_BUDGET
+        assert message in err
+        assert "satisfied" not in out
 
     def test_empty_file_rejected(self, tmp_path):
         path = self.probe_file(tmp_path, [])
@@ -536,6 +590,18 @@ class TestFuzz:
     @example(["demo", "ex2", "--k", "17", "--m-list", "16,32"])
     @example(["demo", "ex4", "--phi", "t_plus_exp", "--k", "17",
               "--m-list", "16,32"])
+    @example(["demo", "ex4", "--phi", "t_plus_exp", "--x", "const:800",
+              "--m-list", "16"])
+    @example(["demo", "ex4", "--phi", "poly:0,1,0,1", "--x", "const:1e200",
+              "--m-list", "16"])
+    @example(["demo", "ex4", "--phi", "t_plus_exp", "--x", "const:700",
+              "--m-list", "16"])
+    @example(["demo", "ex4", "--phi", "t_plus_exp", "--x", "const:600",
+              "--m-list", "16"])
+    @example(["demo", "ex2", "--n", "1000000000000", "--m-list", "16"])
+    @example(["demo", "ex2", "--grid-factor", "100000000", "--m-list", "16"])
+    @example(["demo", "ex2", "--x", "sinusoid:1e-12,100000000",
+              "--m-list", "16"])
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_demo_ends_in_documented_exit_code(self, argv):
         out, err = io.StringIO(), io.StringIO()

@@ -1,10 +1,12 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_small_function
+from tameprobe import driver
 from tameprobe.driver import (
     DegenerateMapError,
     PrecisionBudgetError,
@@ -24,12 +26,14 @@ from tameprobe.functions import (
     GridSpec,
     SinusoidProbe,
     SmoothFunction,
+    Sum,
+    constant,
     probe_deriv_closed_form,
     seminorm_profile,
     zero,
 )
 from tameprobe.maps import CirclePullback, PostComposition
-from tameprobe.primitives import AffineMap, IdentityPlusExp, Sin
+from tameprobe.primitives import AffineMap, IdentityPlusExp, Polynomial, Sin
 from tameprobe.tameness import SATURATION, PNormSpec
 
 TWO_PI = 2.0 * math.pi
@@ -45,15 +49,15 @@ def composition_exp():
 
 class TestProbeParams:
     def test_valid(self):
-        ProbeParams(k=3, l=8, eps0=0.125, m=16, s0=0.0, t0=0.0)
+        ProbeParams(k=3, l=8, m=16, s0=0.0)
 
     def test_even_k_rejected(self):
         with pytest.raises(ValueError):
-            ProbeParams(k=4, l=8, eps0=0.125, m=16, s0=0.0, t0=0.0)
+            ProbeParams(k=4, l=8, m=16, s0=0.0)
 
-    def test_eps0_must_match_l(self):
-        with pytest.raises(ValueError):
-            ProbeParams(k=3, l=8, eps0=0.2, m=16, s0=0.0, t0=0.0)
+    def test_eps0_is_one_over_l(self):
+        assert ProbeParams(k=3, l=8, m=16, s0=0.0).eps0 == 0.125
+        assert ProbeParams(k=3, l=3, m=16, s0=0.0).eps0 == 1.0 / 3.0
 
 
 class TestFindT0:
@@ -117,7 +121,7 @@ class TestFindS0:
 class TestBuildProbe:
     def test_seminorm_levels(self):
         k, l, m = 3, 8, 64
-        params = ProbeParams(k=k, l=l, eps0=1.0 / l, m=m, s0=0.25, t0=0.25)
+        params = ProbeParams(k=k, l=l, m=m, s0=0.25)
         z, u = build_probe(params, pullback_sin())
         assert seminorm_profile(z, k - 1)[k - 1] == pytest.approx(
             (TWO_PI * m)**-0.5, rel=1e-12)
@@ -127,7 +131,7 @@ class TestBuildProbe:
     def test_small_once_m_large(self):
         # (2 pi m)^(-1/2) <= 1/k already at m = 2 for k = 3
         k, m = 3, 2
-        params = ProbeParams(k=k, l=8, eps0=0.125, m=m, s0=0.0, t0=0.0)
+        params = ProbeParams(k=k, l=8, m=m, s0=0.0)
         z, _ = build_probe(params, pullback_sin())
         assert seminorm_profile(z, k - 1)[k - 1] <= 1.0 / k
 
@@ -160,7 +164,7 @@ def anchored_difference(mp, x, m, k=3, l=8):
     s0 = mp.interior_s0(x)
     if s0 is None:
         s0 = find_s0(mp, x, t0)
-    params = ProbeParams(k=k, l=l, eps0=1.0 / l, m=m, s0=s0, t0=t0)
+    params = ProbeParams(k=k, l=l, m=m, s0=s0)
     z, u = build_probe(params, mp)
     return params, z, difference(mp, x, z, u)
 
@@ -208,8 +212,8 @@ class TestResidual:
         params, z, v = anchored_difference(mp, x, m)
         if order == "top":
             order = mp.top_order(params.k)
-        tz_sup, profile = residual_tz(mp, x, params, z, v,
-                                      PNormSpec(order, "linear"))
+        _, tz_sup, profile = residual_tz(mp, x, params, z, v,
+                                         PNormSpec(order, "linear"))
         want_tz, want_profile = two_pass_residual(mp, x, params, z, v, order)
         assert tz_sup == want_tz
         assert np.array_equal(profile, want_profile)
@@ -218,10 +222,11 @@ class TestResidual:
 
     def test_constant_phi_residual_vanishes(self):
         mp = CirclePullback(AffineMap(0.0, 0.3), 1)
-        params = ProbeParams(k=3, l=8, eps0=0.125, m=16, s0=0.0, t0=0.0)
+        params = ProbeParams(k=3, l=8, m=16, s0=0.0)
         z, u = build_probe(params, mp)
         v = difference(mp, zero(), z, u)
-        tz_sup, profile = residual_tz(mp, zero(), params, z, v, PNormSpec(0))
+        _, tz_sup, profile = residual_tz(mp, zero(), params, z, v,
+                                         PNormSpec(0))
         assert tz_sup == pytest.approx(0.0, abs=1e-14)
         assert profile.shape == (1,)
 
@@ -255,7 +260,7 @@ def cut_and_uncut(case, m, weights=None):
     with pytest.MonkeyPatch.context() as mpatch:
         calls = record_coeff_orders(mpatch, v.node)
         cut = residual_tz(mp, x, params, z, v, rho2)
-    grid_order, = {order for points, order in calls if points > 1}
+    grid_order, = {order for points, order in calls if points > 2}
     return rho2, cut, residual_tz(mp, x, params, z, v, UNCUT), grid_order
 
 
@@ -263,7 +268,7 @@ class TestSaturationCut:
     @pytest.mark.parametrize("case", sorted(CUT_CASES))
     @pytest.mark.parametrize("m", [16, 4096])
     def test_tz_sup_unchanged(self, case, m):
-        _, (tz_sup, _), (want, _), _ = cut_and_uncut(case, m)
+        _, (_, tz_sup, _), (_, want, _), _ = cut_and_uncut(case, m)
         assert tz_sup == want
 
     @pytest.mark.parametrize("case", sorted(CUT_CASES))
@@ -271,7 +276,7 @@ class TestSaturationCut:
     @pytest.mark.parametrize("weights", [None, CUSTOM_WEIGHTS],
                              ids=["default", "custom"])
     def test_pnorm_unchanged(self, case, m, weights):
-        rho2, (_, profile), (_, full), grid_order = cut_and_uncut(
+        rho2, (_, _, profile), (_, _, full), grid_order = cut_and_uncut(
             case, m, weights)
         assert grid_order < rho2.truncation   # the pass was cut
         assert rho2.of_profile(profile) == rho2.of_profile(full)
@@ -279,7 +284,7 @@ class TestSaturationCut:
     @pytest.mark.parametrize("case", sorted(CUT_CASES))
     @pytest.mark.parametrize("m", [16, 4096])
     def test_cut_is_sound(self, case, m):
-        _, (_, profile), (_, full), grid_order = cut_and_uncut(case, m)
+        _, (_, _, profile), (_, _, full), grid_order = cut_and_uncut(case, m)
         cut = grid_order + 1
         assert profile.shape == full.shape == (13,)
         assert np.array_equal(profile[:cut], full[:cut])
@@ -294,12 +299,66 @@ class TestSaturationCut:
         params, z, v = anchored_difference(mp, zero(), 4096)
         calls = record_coeff_orders(monkeypatch, v.node)
         residual_tz(mp, zero(), params, z, v, PNormSpec(12))
-        # one anchor point to order 12, then the chunks to order 5
-        assert calls[0] == (1, 12)
+        # s0 and its nearest grid point to order 12, then the chunks to
+        # order 5
+        assert calls[0] == (2, 12)
         assert {order for _, order in calls[1:]} == {5}
         calls.clear()
         residual_tz(mp, zero(), params, z, v, UNCUT)
-        assert {order for points, order in calls if points > 1} == {12}
+        assert {order for points, order in calls if points > 2} == {12}
+
+
+ANCHOR_CASES = {
+    "ex2-zero": (pullback_sin, zero),
+    "ex2-sinusoid": (pullback_sin,
+                     lambda: SmoothFunction(SinusoidProbe(0.05, 3.0, 0.2),
+                                            PERIODIC)),
+    "ex4-sinusoid": CUT_CASES["ex4-sinusoid"],
+}
+
+
+class TestAnchorEvaluation:
+    @pytest.mark.parametrize("case", sorted(ANCHOR_CASES))
+    @pytest.mark.parametrize("m", [16, 4096])
+    def test_top_derivative_is_the_one_point_value(self, case, m):
+        # the witness comes from a two-point evaluation to order
+        # max(truncation, top); it must equal v evaluated at s0 alone to
+        # order top, bit for bit
+        make_map, make_x = ANCHOR_CASES[case]
+        mp, x = make_map(), make_x()
+        params, z, v = anchored_difference(mp, x, m)
+        on_grid = params.s0 in GridSpec().points(v)
+        assert on_grid == (case == "ex2-zero")
+        top = mp.top_order(params.k)
+        want = math.factorial(top) * v.node.coeffs(np.array([params.s0]),
+                                                   top)[top, 0]
+        top_deriv, _, _ = residual_tz(mp, x, params, z, v, PNormSpec())
+        assert top_deriv == abs(want)
+
+    @pytest.mark.parametrize("case", sorted(ANCHOR_CASES))
+    def test_sweep_evaluates_v_off_the_grid_once_per_m(self, case,
+                                                       monkeypatch):
+        roots, small = [], []
+        real_residual, real_coeffs = driver.residual_tz, Sum.coeffs
+
+        def residual(map_spec, x, params, z, v, *args):
+            roots.append(v.node)
+            return real_residual(map_spec, x, params, z, v, *args)
+
+        def coeffs(self, s, order):
+            if s.size <= 2:
+                small.append(self)
+            return real_coeffs(self, s, order)
+
+        monkeypatch.setattr(driver, "residual_tz", residual)
+        monkeypatch.setattr(Sum, "coeffs", coeffs)
+        make_map, make_x = ANCHOR_CASES[case]
+        growth_sweep(make_map(), make_x(), PNormSpec(), PNormSpec(), 3, 8,
+                     [16, 64])
+        assert len(roots) == 2
+        for root in roots:
+            assert type(root) is Sum
+            assert sum(node is root for node in small) == 1
 
 
 class TestGrowthSweep:
@@ -367,6 +426,23 @@ class TestGrowthSweep:
                              PNormSpec(), k, l, m_list)
 
 
+class TestDoubleRange:
+    @pytest.mark.parametrize("phi, c, fields", [
+        (IdentityPlusExp(), 800.0, "top_deriv_s0, predicted, tz_sup, rho2_v"),
+        (Polynomial([0.0, 1.0, 0.0, 1.0]), 1e200, "rho2_v"),
+        (IdentityPlusExp(), 700.0, "rho2_v"),
+    ], ids=["exp-800", "cubic-1e200", "exp-700"])
+    def test_nonfinite_record_raises(self, phi, c, fields):
+        # any field counts: a NaN rho2(v) alone would read as no violation
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(PrecisionBudgetError,
+                               match=f"^{fields} not finite at m = 16"):
+                growth_sweep(PostComposition(phi),
+                             constant(c, UNIT_INTERVAL), PNormSpec(),
+                             PNormSpec(), 3, 8, [16, 32])
+
+
 class TestFixM:
     def test_pullback_inequalities(self):
         m = fix_m(pullback_sin(), 3, 8, 0.0, TWO_PI)
@@ -396,6 +472,10 @@ class TestFixM:
     def test_rejects_bad_input(self, make, k, l, m_estimate, match):
         with pytest.raises(ValueError, match=match):
             fix_m(make(), k, l, m_estimate, TWO_PI)
+
+    def test_composition_huge_estimate(self):
+        # (l + M)^2 alone is beyond double range; the squared ratio is not
+        assert fix_m(composition_exp(), 3, 8, 1e257, math.exp(600.0)) == 2
 
     def test_budget_guard(self):
         with pytest.raises(PrecisionBudgetError):

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import fd_derivative, random_small_function
+from tameprobe import functions
 from tameprobe.functions import (
+    MAX_GRID_POINTS,
     PERIODIC,
     UNIT_INTERVAL,
     Affine,
     Constant,
     GridSpec,
-    Identity,
+    PrecisionBudgetError,
     PrimitiveCompose,
     Product,
     Scale,
@@ -27,6 +29,7 @@ from tameprobe.functions import (
 from tameprobe.primitives import Sin
 
 TWO_PI = 2.0 * math.pi
+IDENTITY = Affine(1.0, 0.0)
 
 
 def sin_2pi(domain=PERIODIC):
@@ -49,7 +52,7 @@ class TestEvaluate:
                                                        rel=1e-14)
 
     def test_unit_interval_domain_check(self):
-        f = SmoothFunction(Identity(), UNIT_INTERVAL)
+        f = SmoothFunction(IDENTITY, UNIT_INTERVAL)
         assert f.evaluate(1.0) == 1.0
         with pytest.raises(ValueError):
             f.evaluate(1.5)
@@ -71,7 +74,7 @@ class TestPeriodicStructure:
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
-            SmoothFunction(Identity(), PERIODIC)
+            SmoothFunction(IDENTITY, PERIODIC)
 
     def test_winding_composition_accepted(self):
         # integer-slope argument under a 1-periodic outer function
@@ -86,32 +89,35 @@ class TestPeriodicStructure:
             SmoothFunction(node, PERIODIC)
 
 
+def jet_at(f, s, order):
+    """Taylor coefficients of f at the single point s."""
+    return f.node.coeffs(np.array([s]), order)[:, 0]
+
+
 class TestJetAt:
     def test_constant(self):
         f = SmoothFunction(Constant(2.5), PERIODIC)
-        np.testing.assert_array_equal(f.jet_at(0.3, 4).coeffs,
-                                      [2.5, 0, 0, 0, 0])
+        np.testing.assert_array_equal(jet_at(f, 0.3, 4), [2.5, 0, 0, 0, 0])
 
     def test_identity(self):
-        f = SmoothFunction(Identity(), UNIT_INTERVAL)
-        np.testing.assert_array_equal(f.jet_at(0.5, 2).coeffs, [0.5, 1.0, 0.0])
+        f = SmoothFunction(IDENTITY, UNIT_INTERVAL)
+        np.testing.assert_array_equal(jet_at(f, 0.5, 2), [0.5, 1.0, 0.0])
 
     def test_sum_linearity(self):
         rng = np.random.default_rng(5)
         a = random_small_function(rng)
         b = random_small_function(rng)
-        j = (a + b).jet_at(0.4, 6)
-        expected = a.jet_at(0.4, 6).coeffs + b.jet_at(0.4, 6).coeffs
-        np.testing.assert_allclose(j.coeffs, expected, rtol=1e-14,
-                                   atol=1e-16)
+        j = jet_at(a + b, 0.4, 6)
+        expected = jet_at(a, 0.4, 6) + jet_at(b, 0.4, 6)
+        np.testing.assert_allclose(j, expected, rtol=1e-14, atol=1e-16)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         f = random_small_function(rng, scale=1.0)
-        j = f.jet_at(0.37, 3)
+        j = jet_at(f, 0.37, 3)
         for i, h in ((1, 1e-3), (2, 1e-3), (3, 1e-2)):
             fd = fd_derivative(f.evaluate, 0.37, i, h)
-            assert math.factorial(i) * j.coeffs[i] == pytest.approx(
+            assert math.factorial(i) * j[i] == pytest.approx(
                 fd, rel=1e-6, abs=1e-8)
 
 
@@ -182,9 +188,9 @@ class TestProbeClosedForm:
     def test_matches_tree_jets(self):
         m, k, s0 = 16, 5, 0.1
         z = probe(m, k, s0)
-        j = z.jet_at(0.37, k)
+        j = jet_at(z, 0.37, k)
         for i in range(k + 1):
-            assert math.factorial(i) * j.coeffs[i] == pytest.approx(
+            assert math.factorial(i) * j[i] == pytest.approx(
                 probe_deriv_closed_form(m, k, s0, i, 0.37), rel=1e-11)
 
     def test_validation(self):
@@ -206,6 +212,29 @@ class TestGridSpec:
         g = GridSpec()
         f = SmoothFunction(Constant(1.0), PERIODIC)
         assert g.points(f).size >= 4096
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        # the minimal grids have 4097 (periodic) and 4098 points
+        monkeypatch.setattr(functions, "MAX_GRID_POINTS", 4097)
+        assert GridSpec().points(sin_2pi()).size == 4097
+        with pytest.raises(PrecisionBudgetError,
+                           match="a grid of 4098 points exceeds the cap of "
+                                 "4097"):
+            GridSpec().points(sin_2pi(UNIT_INTERVAL))
+
+    def test_cap(self):
+        # 64 * 2^18 + 1 points; raised before anything is allocated
+        with pytest.raises(PrecisionBudgetError, match="1.678e\\+07 points"):
+            GridSpec().points(probe(2**18, 3, 0.0))
+        assert MAX_GRID_POINTS == 2**24
+
+    def test_unbounded_frequency(self):
+        # frequencies add up in a product, here past double range
+        big = SinusoidProbe(1.0, 1e308)
+        f = SmoothFunction(Product(big, big), UNIT_INTERVAL)
+        assert f.node.max_frequency() == math.inf
+        with pytest.raises(PrecisionBudgetError, match="a grid of inf points"):
+            GridSpec().points(f)
 
 
 class TestFolding:
@@ -253,10 +282,10 @@ class TestFolding:
             (self.A, Constant(1.0))
 
     def test_derivatives_fold(self):
-        # d/ds of sin(2 pi s) * s: the product rule's Identity' = 1 is left
+        # d/ds of sin(2 pi s) * s: the product rule's s' = 1 is left
         # out, and a constant's derivative drops out of a sum
-        sin = PrimitiveCompose(Sin(omega=TWO_PI), Identity())
-        first, second = Product(sin, Identity()).diff().children
+        sin = PrimitiveCompose(Sin(omega=TWO_PI), IDENTITY)
+        first, second = Product(sin, IDENTITY).diff().children
         assert isinstance(first, Product) and len(first.children) == 2
         assert second is sin
         assert Sum(self.A, self.C).diff() == self.A.diff()

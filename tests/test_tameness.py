@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import random_small_function
 from tameprobe.functions import (
     PERIODIC,
     UNIT_INTERVAL,
+    PrecisionBudgetError,
     SinusoidProbe,
     SmoothFunction,
     constant,
@@ -16,7 +18,7 @@ from tameprobe.functions import (
 )
 from tameprobe.jets import MAX_ORDER
 from tameprobe.maps import CirclePullback, DomainViolation, PostComposition
-from tameprobe.primitives import AffineMap, Sin
+from tameprobe.primitives import AffineMap, IdentityPlusExp, Sin
 from tameprobe.tameness import (
     SATURATION,
     PNormSpec,
@@ -154,6 +156,26 @@ class TestCheckTameEstimate:
         assert report.witnesses
         for _, _, lhs, rhs in report.witnesses:
             assert lhs > rhs
+
+    def test_nonfinite_lhs_raises(self):
+        # rho2(v) is NaN here, and NaN > rhs would read as "satisfied"
+        probes = self.default_probes([16], domain=UNIT_INTERVAL, s0=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(PrecisionBudgetError, match="rho2.v. = nan"):
+                check_tame_estimate(PostComposition(IdentityPlusExp()),
+                                    constant(800.0, UNIT_INTERVAL),
+                                    PNormSpec(), PNormSpec(), probes)
+
+    def test_nonfinite_rhs_raises(self):
+        # z = 0 passes rho1(z) <= 1, and rho1(u) = 1e300 * 1e10 overflows
+        z = SmoothFunction(SinusoidProbe(0.0, 1.0), PERIODIC)
+        rho1 = PNormSpec(2, "linear", (1e300, 1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(PrecisionBudgetError, match="rho1.u. = inf"):
+                check_tame_estimate(self.pullback(), zero(), rho1,
+                                    PNormSpec(), [(z, constant(1e10))])
 
     def test_large_z_skipped(self):
         big = SmoothFunction(SinusoidProbe(10.0, 1.0, 0.0), PERIODIC)
