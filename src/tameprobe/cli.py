@@ -12,6 +12,8 @@ import math
 import sys
 from dataclasses import astuple, dataclass, field
 
+import numpy as np
+
 from .driver import (
     MAX_M,
     PrecisionBudgetError,
@@ -419,11 +421,15 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         cfg = _config_from_args(args)
-        if args.command == "demo":
-            return cmd_demo(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        return cmd_check_tame(cfg, args.probes)
+        # a value that overflows to inf, or the NaN made from it, is caught
+        # where it is used and ends as PrecisionBudgetError (exit 65); numpy's
+        # warning about it would only precede that error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "demo":
+                return cmd_demo(cfg)
+            if args.command == "sweep":
+                return cmd_sweep(cfg)
+            return cmd_check_tame(cfg, args.probes)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -248,6 +248,38 @@ class PrimitiveCompose(Node):
         return None
 
 
+class Memo(Node):
+    """``child`` with its last evaluation kept.
+
+    A call with points equal to the last call's (``np.array_equal``) and
+    the same order returns the kept coefficients without evaluating the
+    child again. The result is always a copy, since callers may overwrite
+    what they get (``compose_series`` overwrites its ``inner``). The kept
+    evaluation is one chunk of coefficients at most, as ``seminorm_profile``
+    evaluates a chunk at a time.
+    """
+
+    def __init__(self, child: Node):
+        self.child = child
+        self._last = None   # (points, order, coefficients)
+
+    def coeffs(self, s, order):
+        last = self._last
+        if last is None or last[1] != order or not np.array_equal(last[0], s):
+            # a grid chunk is a view, which would keep the whole grid alive
+            last = self._last = (s.copy(), order, self.child.coeffs(s, order))
+        return last[2].copy()
+
+    def diff(self):
+        return self.child.diff()
+
+    def max_frequency(self):
+        return self.child.max_frequency()
+
+    def affine_slope(self):
+        return self.child.affine_slope()
+
+
 # ---------------------------------------------------------------------------
 # folding constructors
 #

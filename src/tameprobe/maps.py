@@ -135,6 +135,13 @@ class CirclePullback(MapSpec):
     def __init__(self, phi: ScalarPrimitive, n: int):
         if n == 0:
             raise ValueError("winding number n must be nonzero")
+        try:
+            finite = math.isfinite(float(n))
+        except OverflowError:   # an int past double range
+            finite = False
+        if not finite:
+            raise ValueError("winding number n must be finite in double "
+                             "precision")
         if not phi.is_one_periodic:
             raise ValueError("phi must be 1-periodic for the pullback map")
         self.phi = phi

@@ -11,6 +11,11 @@ are ignored.
 rho2(df(x+z, u) - df(x, u)) <= rho1(u) over a supplied probe family,
 restricted to perturbations with rho1(z) <= 1. A perturbed base point that
 leaves the map's domain counts as a violation of the membership clause.
+The base half df(x, u) and rho1(u) depend on u only, so they are built
+once per distinct u of the family. The base half's node is wrapped in a
+`Memo`, so consecutive probes with one u on one grid reuse its
+coefficients and evaluate only df(x+z, u). One Memo is kept at a time, so
+the kept coefficients never take more than one chunk of the grid pass.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass, field
 
 from .functions import (
     GridSpec,
+    Memo,
     PrecisionBudgetError,
     SmoothFunction,
     seminorm_profile,
@@ -120,6 +126,8 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
     if not ok:
         raise DomainViolation(margin)
     report = TameCheckReport(satisfied=True)
+    halves = {}   # u -> (df(x, u), rho1(u))
+    memo_of = memo = None   # memo wraps the df(x, u) memo_of
     for z, u in probes:
         if pnorm_eval(rho1, z, grid) > 1.0:
             report.skipped_large_z += 1
@@ -129,9 +137,14 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
             report.domain_exits.append((z, margin))
             report.satisfied = False
             continue
-        v = map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)
+        if u not in halves:
+            halves[u] = map_spec.gateaux(x, u), pnorm_eval(rho1, u, grid)
+        base, rhs = halves[u]
+        if base is not memo_of:
+            # a Memo keeps a chunk of coefficients, so only the last u's lives
+            memo_of, memo = base, SmoothFunction(Memo(base.node), base.domain)
+        v = map_spec.gateaux(x + z, u) - memo
         lhs = pnorm_eval(rho2, v, grid)
-        rhs = pnorm_eval(rho1, u, grid)
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise PrecisionBudgetError(
                 f"rho2(v) = {lhs:.12g}, rho1(u) = {rhs:.12g}: a value is "

@@ -88,6 +88,14 @@ class TestDemo:
     def test_zero_winding_rejected(self):
         assert main(["demo", "ex2", "--n", "0"]) == EXIT_CONFIG
 
+    def test_winding_past_double_range_rejected(self, capsys):
+        # float(n) would overflow when the map builds its inner argument
+        code = main(["demo", "ex2", "--n", "1" + "0" * 400,
+                     "--m-list", "16"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: winding number n must be finite in double precision\n"
+
     def test_nonperiodic_phi_rejected(self):
         assert main(["demo", "ex2", "--phi", "poly:0,1"]) == EXIT_CONFIG
 
@@ -161,14 +169,18 @@ class TestDemo:
         (["--phi", "t_plus_exp", "--x", "const:600"], EXIT_OK, ""),
     ], ids=["exp-800", "cubic-1e200", "exp-700", "exp-600"])
     def test_double_range_ends_cleanly(self, capsys, argv, code, message):
+        # a numpy overflow warning would raise here, not print ahead of
+        # the error line
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             got = main(["demo", "ex4"] + argv)
         out, err = capsys.readouterr()
         assert got == code
-        assert message in err
         if code == EXIT_OK:
             assert "certified m = 2" in out
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert message in err
 
     @pytest.mark.parametrize("argv, size", [
         (["--n", "1000000000000"], "6.4e+13"),
@@ -290,11 +302,11 @@ class TestCheckTame:
         path = self.probe_file(tmp_path, [{"m": 16, "k": 3},
                                           {"m": 64, "k": 3}])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             code = main(["check-tame"] + argv + ["--probes", path])
         out, err = capsys.readouterr()
         assert code == EXIT_BUDGET
-        assert message in err
+        assert err == f"error: {message}\n"
         assert "satisfied" not in out
 
     def test_empty_file_rejected(self, tmp_path):
@@ -599,6 +611,7 @@ class TestFuzz:
     @example(["demo", "ex4", "--phi", "t_plus_exp", "--x", "const:600",
               "--m-list", "16"])
     @example(["demo", "ex2", "--n", "1000000000000", "--m-list", "16"])
+    @example(["demo", "ex2", "--n", "1" + "0" * 400, "--m-list", "16"])
     @example(["demo", "ex2", "--grid-factor", "100000000", "--m-list", "16"])
     @example(["demo", "ex2", "--x", "sinusoid:1e-12,100000000",
               "--m-list", "16"])

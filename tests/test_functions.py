@@ -12,6 +12,7 @@ from tameprobe.functions import (
     Affine,
     Constant,
     GridSpec,
+    Memo,
     PrecisionBudgetError,
     PrimitiveCompose,
     Product,
@@ -235,6 +236,46 @@ class TestGridSpec:
         assert f.node.max_frequency() == math.inf
         with pytest.raises(PrecisionBudgetError, match="a grid of inf points"):
             GridSpec().points(f)
+
+
+class TestMemo:
+    CHILD = SinusoidProbe(0.3, 2.0, 0.1)
+
+    def test_primitive_compose_repeats(self):
+        # compose_series overwrites its inner series, here the memo's output
+        node = PrimitiveCompose(Sin(omega=TWO_PI), Memo(self.CHILD))
+        s = np.arange(257) / 257
+        first, second = node.coeffs(s, 8), node.coeffs(s, 8)
+        assert np.array_equal(first, second)
+        assert np.array_equal(
+            first, PrimitiveCompose(Sin(omega=TWO_PI), self.CHILD).coeffs(s, 8))
+
+    def test_reuse_needs_equal_points_and_order(self, monkeypatch):
+        calls = []
+        child_coeffs = SinusoidProbe.coeffs
+
+        def counted(node, s, order):
+            calls.append(order)
+            return child_coeffs(node, s, order)
+
+        monkeypatch.setattr(SinusoidProbe, "coeffs", counted)
+        memo = Memo(self.CHILD)
+        s = np.arange(257) / 257
+        t = s + 0.5 / 257   # the same size, other points
+        # (points, order, child evaluations so far); only the last is kept
+        for pts, order, evaluated in [(s, 6, 1), (s.copy(), 6, 1),
+                                      (t, 6, 2), (t, 4, 3), (t, 4, 3),
+                                      (s, 6, 4)]:
+            got = memo.coeffs(pts, order)
+            assert len(calls) == evaluated
+            assert np.array_equal(got, child_coeffs(self.CHILD, pts, order))
+            got[...] = np.nan   # the caller owns what it gets
+
+    def test_delegates_structure(self):
+        memo = Memo(self.CHILD)
+        assert memo.diff() == self.CHILD.diff()
+        assert memo.max_frequency() == self.CHILD.max_frequency()
+        assert memo.affine_slope() == self.CHILD.affine_slope()
 
 
 class TestFolding:

@@ -43,6 +43,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CirclePullback(Sin(omega=TWO_PI), 0)
 
+    @pytest.mark.parametrize("n", [10**400, math.inf, math.nan],
+                             ids=["int-past-double", "inf", "nan"])
+    def test_winding_past_double_range_rejected(self, n):
+        with pytest.raises(ValueError, match="must be finite"):
+            CirclePullback(Sin(omega=TWO_PI), n)
+
     def test_nonperiodic_phi_rejected(self):
         with pytest.raises(ValueError):
             CirclePullback(Sin(omega=1.0), 1)

@@ -1,14 +1,18 @@
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_small_function
+from tameprobe.driver import ProbeParams, build_probe, find_s0, find_t0
 from tameprobe.functions import (
     PERIODIC,
     UNIT_INTERVAL,
+    Memo,
     PrecisionBudgetError,
+    Product,
     SinusoidProbe,
     SmoothFunction,
     constant,
@@ -22,6 +26,7 @@ from tameprobe.primitives import AffineMap, IdentityPlusExp, Sin
 from tameprobe.tameness import (
     SATURATION,
     PNormSpec,
+    TameCheckReport,
     check_tame_estimate,
     pnorm_eval,
 )
@@ -215,3 +220,164 @@ class TestCheckTameEstimate:
         with pytest.raises(ValueError):
             check_tame_estimate(self.pullback(), zero(), PNormSpec(),
                                 PNormSpec(), [])
+
+
+def check_per_probe(map_spec, x, rho1, rho2, probes, grid=None):
+    """Oracle: the estimate checked with v = df(x+z, u) - df(x, u) and
+    rho1(u) built and evaluated afresh for every probe."""
+    report = TameCheckReport(satisfied=True)
+    for z, u in probes:
+        if pnorm_eval(rho1, z, grid) > 1.0:
+            report.skipped_large_z += 1
+            continue
+        margin, ok = map_spec.in_domain(x + z)
+        if not ok:
+            report.domain_exits.append((z, margin))
+            report.satisfied = False
+            continue
+        v = map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)
+        lhs, rhs = pnorm_eval(rho2, v, grid), pnorm_eval(rho1, u, grid)
+        report.samples_checked += 1
+        if lhs > rhs:
+            report.witnesses.append((z, u, lhs, rhs))
+            report.satisfied = False
+    return report
+
+
+def anchored_probes(map_spec, x, pairs, l=8):
+    """The (z, u) probes of (m, k) pairs, anchored as the CLI anchors them."""
+    s0 = find_s0(map_spec, x, find_t0(map_spec, x))
+    return [build_probe(ProbeParams(k=k, l=l, m=m, s0=s0), map_spec)
+            for m, k in pairs]
+
+
+def ex4_map():
+    """ex4 with phi(t) = t + e^t, and the base point x = sinusoid:0.3,1.5."""
+    return (PostComposition(IdentityPlusExp()),
+            SmoothFunction(SinusoidProbe(0.3, 1.5), UNIT_INTERVAL))
+
+
+def ex4_seed0_family():
+    """ex4 probed by the benchmark's seed-0 family: (m, k) for m = 1..64,
+    k in {1, 3, 5}, and 16 drawn sinusoids z with u = 1/8, all in an order
+    shuffled by the seed."""
+    map_spec, x = ex4_map()
+    rng = random.Random(0)
+    entries = [(m, k) for m in range(1, 65) for k in (1, 3, 5)]
+    for _ in range(16):
+        entries.append((rng.uniform(0.001, 0.05),
+                        rng.choice((0.5, 1.5, 2.0, 3.0, 7.0)), rng.random()))
+    rng.shuffle(entries)
+    probes = []
+    for e in entries:
+        if len(e) == 2:
+            probes += anchored_probes(map_spec, x, [e])
+        else:
+            probes.append((SmoothFunction(SinusoidProbe(*e), UNIT_INTERVAL),
+                           constant(0.125, UNIT_INTERVAL)))
+    return map_spec, x, probes
+
+
+def ex2_family():
+    """ex2 with phi = sin(2 pi t), n = 2 at x = sinusoid:0.05,2; m = 64
+    takes v onto a finer grid than the others."""
+    map_spec = CirclePullback(Sin(omega=TWO_PI), 2)
+    x = SmoothFunction(SinusoidProbe(0.05, 2.0), PERIODIC)
+    pairs = [(m, k) for m in (1, 4, 16, 64) for k in (1, 3, 5)]
+    return map_spec, x, anchored_probes(map_spec, x, pairs)
+
+
+def alternating_family():
+    """ex2 at x = 0 with two u constants, and v's grid (4097 points for
+    m = 16, 8257 for m = 64) changing from one probe to the next; u = 0
+    makes both halves of v the zero constant."""
+    map_spec = CirclePullback(Sin(omega=TWO_PI), 1)
+    z16, z64 = probe(16, 3, 0.0), probe(64, 3, 0.0)
+    u1, u2 = constant(0.125), constant(0.3)
+    probes = [(z16, u1), (z64, u1), (z16, u2), (z64, u2), (z16, u1),
+              (z64, u2), (z16, u2), (z64, u1), (z16, zero()), (z64, zero())]
+    return map_spec, zero(), probes
+
+
+class TestSharedBaseHalf:
+    """check_tame_estimate builds df(x, u) and rho1(u) once per distinct u
+    and reuses the last u's base-half coefficients on a repeated grid."""
+
+    # (checked, skipped, witnesses) are those of the benchmark's output
+    @pytest.mark.parametrize("family, counts", [
+        (ex4_seed0_family, (144, 64, 22)),
+        (ex2_family, None),
+        (alternating_family, None),
+    ], ids=["ex4-seed0", "ex2", "alternating"])
+    def test_report_equals_per_probe_oracle(self, family, counts):
+        map_spec, x, probes = family()
+        got = check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(),
+                                  probes)
+        want = check_per_probe(map_spec, x, PNormSpec(), PNormSpec(), probes)
+        assert want.samples_checked > 0 and want.witnesses
+        if counts is not None:
+            assert (want.samples_checked, want.skipped_large_z,
+                    len(want.witnesses)) == counts
+        # lhs and rhs of every witness compare by ==
+        assert got == want
+
+    def test_base_half_evaluated_once_per_grid(self, monkeypatch):
+        # ex4's base half is Product(PrimitiveCompose(phi', x), u); four
+        # probes share a 4098-point grid, then two share an 8194-point one
+        map_spec, x = ex4_map()
+        probes = anchored_probes(map_spec, x, [(2, 3), (2, 5), (3, 3),
+                                               (3, 5), (128, 3), (128, 5)])
+        want = check_per_probe(map_spec, x, PNormSpec(), PNormSpec(), probes)
+        base_calls, all_calls = [], []
+        product_coeffs, memo_coeffs = Product.coeffs, Memo.coeffs
+
+        def counted(node, s, order):
+            all_calls.append(order)
+            if node.children[0].child == x.node:
+                base_calls.append((s.size, order))
+            return product_coeffs(node, s, order)
+
+        def overwriting(node, s, order):
+            # a caller may overwrite what it gets, as compose_series does
+            out = memo_coeffs(node, s, order)
+            kept = out.copy()
+            out[...] = np.nan
+            return kept
+
+        monkeypatch.setattr(Product, "coeffs", counted)
+        monkeypatch.setattr(Memo, "coeffs", overwriting)
+        got = check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(),
+                                  probes)
+        assert got == want
+        assert got.samples_checked == 6
+        assert base_calls == [(4098, 12), (8194, 12)]
+        assert len(all_calls) == 6 + 2
+
+    def test_one_memo_at_a_time(self, monkeypatch):
+        # df(x, u) is built once per distinct u, but only the last u's
+        # coefficients are kept, so u1, u2, u1 on one grid evaluate the
+        # base half three times
+        map_spec, x = ex4_map()
+        z = probe(2, 3, 0.5, UNIT_INTERVAL)
+        u1, u2 = constant(0.125, UNIT_INTERVAL), constant(0.3, UNIT_INTERVAL)
+        probes = [(z, u1), (z, u1), (z, u2), (z, u1)]
+        built, evaluated = [], []
+        gateaux, product_coeffs = PostComposition.gateaux, Product.coeffs
+
+        def counted_gateaux(spec, at, u):
+            if at == x:
+                built.append(u)
+            return gateaux(spec, at, u)
+
+        def counted_coeffs(node, s, order):
+            if node.children[0].child == x.node:
+                evaluated.append(s.size)
+            return product_coeffs(node, s, order)
+
+        monkeypatch.setattr(PostComposition, "gateaux", counted_gateaux)
+        monkeypatch.setattr(Product, "coeffs", counted_coeffs)
+        report = check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(),
+                                     probes)
+        assert report.samples_checked == 4
+        assert built == [u1, u2]
+        assert evaluated == [4098] * 3
