@@ -434,7 +434,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DomainViolation as exc:
-        print(f"error: base point {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PrecisionBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

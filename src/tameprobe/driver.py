@@ -41,7 +41,7 @@ from .functions import (
     probe_deriv_closed_form,
     seminorm_profile,
 )
-from .maps import MapSpec
+from .maps import DomainViolation, MapSpec
 from .primitives import TWO_PI
 from .tameness import PNormSpec, pnorm_eval
 
@@ -235,21 +235,35 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
                  rho1: PNormSpec, rho2: PNormSpec,
                  k: int, l: int, m_list: Sequence[int],
                  grid: GridSpec | None = None) -> SweepResult:
-    """One GrowthRecord per m, plus the fitted log-log slope."""
+    """One GrowthRecord per m, plus the fitted log-log slope.
+
+    Raises DomainViolation when x, or x + z at some m, leaves the map's
+    domain; x is checked once, before the anchor search.
+    """
     m_list = list(m_list)
     if not m_list:
         raise ValueError("m_list must be nonempty")
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be strictly ascending")
     _check_k_l(k, l)
+    margin, ok = map_spec.in_domain(x)
+    if not ok:
+        raise DomainViolation(margin)
     t0, s0, deriv_mag, degenerate = _locate_anchor(map_spec, x)
     records = []
     for m in m_list:
         params = ProbeParams(k=k, l=l, m=m, s0=s0)
         z, u = build_probe(params, map_spec)
         if not records:
-            rho1_u = pnorm_eval(rho1, u, grid)   # u is the same for every m
-        v = map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)
+            # u is the same for every m, and so is df(x, u)
+            rho1_u = pnorm_eval(rho1, u, grid)
+            base = map_spec.gateaux(x, u)
+        try:
+            v = map_spec.gateaux(x + z, u) - base
+        except DomainViolation as exc:
+            raise DomainViolation(
+                exc.margin, f"x + z at m = {m} leaves the map's domain"
+            ) from None
         top_deriv, tz_sup, v_profile = residual_tz(map_spec, x, params, z, v,
                                                    rho2, grid)
         record = GrowthRecord(

@@ -6,7 +6,8 @@ grid pass and an evaluation at a few anchor points run the same code. A
 caller multiplies row i by i! to read a raw derivative.
 
 `convolve_trunc` is the truncated Cauchy product, O(n^2) per point for n
-coefficients, and O(n d) when the second factor has degree d.
+coefficients, O(n d) when the second factor has degree d, and one multiply
+when it is a constant.
 `compose_series` substitutes a series into a primitive g through the
 linear ODE of order r that g satisfies (see `primitives`):
 the coefficients of g^(i)(w(s)), i < r, follow from each other by the
@@ -34,9 +35,12 @@ def convolve_trunc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     in ascending j so results are bit-for-bit reproducible across runs.
     Only the terms with ``i - j`` up to b's degree d are contracted; the
     others are products with zero rows, so a factor of degree d costs
-    O(n d) per point, O(n) for a constant.
+    O(n d) per point. A constant factor (d = 0) is one multiply, whose
+    products equal the one-term contractions' but for the sign of a zero.
     """
     d = _degree(b)
+    if d == 0:
+        return a * b[0]
     out = np.empty_like(a)
     for i in range(a.shape[0]):
         lo = max(i - d, 0)

@@ -50,10 +50,12 @@ INTERIOR_S0 = 0.5
 
 
 class DomainViolation(Exception):
-    """Raised when the base point leaves the map's open domain."""
+    """Raised when a point leaves the map's open domain: the base point x,
+    or, in a sweep, a perturbed point x + z, which ``what`` then names."""
 
-    def __init__(self, margin: float):
-        super().__init__(f"outside map domain (margin {margin:.3e})")
+    def __init__(self, margin: float,
+                 what: str = "base point outside map domain"):
+        super().__init__(f"{what} (margin {margin:.3e})")
         self.margin = margin
 
 

@@ -220,8 +220,15 @@ class DerivedPrimitive(ScalarPrimitive):
             base = base.base
         self.base = base
         self.k = int(k)
-        # the derivatives of g satisfy g's own constant-coefficient ODE
-        self.ode = base.ode
+        # If g^(r) = sum_{i<r} a_i g^(i) with a_0 = 0, then h = g' satisfies
+        # h^(r-1) = sum_{1<=i<r} a_i h^(i-1): each derivative can drop one
+        # leading zero coefficient, and composition costs O(r n^2)
+        ode = tuple(base.ode)
+        for _ in range(self.k):
+            if len(ode) == 1 or ode[0] != 0.0:
+                break
+            ode = ode[1:]
+        self.ode = ode
 
     def taylor_coeffs(self, t, order):
         c = self.base.taylor_coeffs(t, order + self.k)

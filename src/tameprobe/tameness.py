@@ -14,8 +14,13 @@ leaves the map's domain counts as a violation of the membership clause.
 The base half df(x, u) and rho1(u) depend on u only, so they are built
 once per distinct u of the family. The base half's node is wrapped in a
 `Memo`, so consecutive probes with one u on one grid reuse its
-coefficients and evaluate only df(x+z, u). One Memo is kept at a time, so
-the kept coefficients never take more than one chunk of the grid pass.
+coefficients and evaluate only df(x+z, u). One such Memo is kept at a
+time, so its coefficients never take more than one chunk of the grid
+pass. A second Memo, made once per call, wraps x's node, and every
+perturbed point x + z is built from it: x is the same on every probe, so
+the perturbed halves of consecutive probes on one grid evaluate it once.
+A constant x is left unwrapped, so that `add` still folds a zero x out of
+x + z.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 from .functions import (
+    Constant,
     GridSpec,
     Memo,
     PrecisionBudgetError,
@@ -125,6 +131,9 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
     margin, ok = map_spec.in_domain(x)
     if not ok:
         raise DomainViolation(margin)
+    # x + z is built on every probe, so x's coefficients are kept too
+    x_memo = x if isinstance(x.node, Constant) else \
+        SmoothFunction(Memo(x.node), x.domain)
     report = TameCheckReport(satisfied=True)
     halves = {}   # u -> (df(x, u), rho1(u))
     memo_of = memo = None   # memo wraps the df(x, u) memo_of
@@ -132,7 +141,8 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
         if pnorm_eval(rho1, z, grid) > 1.0:
             report.skipped_large_z += 1
             continue
-        margin, ok = map_spec.in_domain(x + z)
+        perturbed = x_memo + z
+        margin, ok = map_spec.in_domain(perturbed)
         if not ok:
             report.domain_exits.append((z, margin))
             report.satisfied = False
@@ -143,7 +153,7 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
         if base is not memo_of:
             # a Memo keeps a chunk of coefficients, so only the last u's lives
             memo_of, memo = base, SmoothFunction(Memo(base.node), base.domain)
-        v = map_spec.gateaux(x + z, u) - memo
+        v = map_spec.gateaux(perturbed, u) - memo
         lhs = pnorm_eval(rho2, v, grid)
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise PrecisionBudgetError(

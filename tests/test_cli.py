@@ -105,8 +105,16 @@ class TestDemo:
                      "--m-list", "16,32"])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert "outside map domain (margin 0.000e+00)" in err
-        assert "Traceback" not in err
+        assert err == "error: base point outside map domain (margin 0.000e+00)\n"
+
+    def test_perturbed_point_outside_domain(self, capsys):
+        # x = 0 is in the domain (n + x' = 1), but z' has amplitude
+        # (2 pi 16)^(1/2) ~ 10 at k = 1, so n + x' + z' crosses zero
+        code = main(["demo", "ex2", "--k", "1", "--m-list", "16,32"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == ("error: x + z at m = 16 leaves the map's domain "
+                       "(margin 0.000e+00)\n")
 
     @pytest.mark.parametrize("flags, message", [
         (["--x", "sinusoid:0.5"], "expected at least 2, got 1"),

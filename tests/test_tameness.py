@@ -381,3 +381,41 @@ class TestSharedBaseHalf:
         assert report.samples_checked == 4
         assert built == [u1, u2]
         assert evaluated == [4098] * 3
+
+    def test_x_evaluated_once_per_grid(self, monkeypatch):
+        # the seed-0 family has one u and puts every v on one 4098-point
+        # grid; x + z is built from one memoized x, so the 144 perturbed
+        # halves evaluate x once, and the base half evaluates it once more
+        map_spec, x, probes = ex4_seed0_family()
+        calls = []
+        sinusoid_coeffs = SinusoidProbe.coeffs
+
+        def counted(node, s, order):
+            if node == x.node:
+                calls.append((s.tobytes(), order))
+            return sinusoid_coeffs(node, s, order)
+
+        monkeypatch.setattr(SinusoidProbe, "coeffs", counted)
+        report = check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(),
+                                     probes)
+        assert report.samples_checked == 144
+        assert len(set(calls)) == 1
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("c", [0.0, 0.3])
+    def test_constant_x_not_wrapped(self, monkeypatch, c):
+        # a zero x still folds out of x + z, and no Memo wraps a constant
+        map_spec = PostComposition(IdentityPlusExp())
+        x = constant(c, UNIT_INTERVAL)
+        z, u = probe(2, 3, 0.5, UNIT_INTERVAL), constant(0.125, UNIT_INTERVAL)
+        seen = []
+        gateaux = PostComposition.gateaux
+
+        def recording(spec, at, u):
+            seen.append(at)
+            return gateaux(spec, at, u)
+
+        monkeypatch.setattr(PostComposition, "gateaux", recording)
+        check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(), [(z, u)])
+        assert seen == [x, x + z]
+        assert (seen[1] == z) == (c == 0.0)
