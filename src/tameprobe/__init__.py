@@ -35,15 +35,7 @@ from .maps import (
     SampledFunction,
     gateaux_fd,
 )
-from .primitives import (
-    AffineMap,
-    Cos,
-    Exp,
-    IdentityPlusExp,
-    Polynomial,
-    ScalarPrimitive,
-    Sin,
-)
+from .primitives import Cos, Exp, Polynomial, ScalarPrimitive, Sin
 from .tameness import PNormSpec, TameCheckReport, check_tame_estimate, pnorm_eval
 
 __version__ = "0.1.0"

@@ -27,14 +27,7 @@ from .driver import (
 from .functions import Constant, GridSpec, SinusoidProbe, SmoothFunction, zero
 from .jets import MAX_ORDER
 from .maps import CirclePullback, DomainViolation, PostComposition
-from .primitives import (
-    TWO_PI,
-    AffineMap,
-    Cos,
-    IdentityPlusExp,
-    Polynomial,
-    Sin,
-)
+from .primitives import TWO_PI, Cos, Exp, Polynomial, Sin
 from .tameness import PNormSpec, check_tame_estimate
 
 EXIT_OK = 0
@@ -77,11 +70,11 @@ def parse_phi(descriptor: str):
             return Cos(omega=TWO_PI)
         if name == "affine":
             a, b = _finite(args)
-            return AffineMap(a, b)
+            return Polynomial([b, a])
         if name == "poly":
             return Polynomial(_finite(args))
         if name == "t_plus_exp":
-            return IdentityPlusExp()
+            return Exp((0.0, 1.0))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad phi descriptor {descriptor!r}: {exc}") from None
     raise ConfigError(f"unknown phi {name!r} (known: sin, cos, affine:a,b, "

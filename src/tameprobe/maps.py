@@ -13,7 +13,8 @@ them.
 
 Everything the driver needs to know about one map lives on its class: which
 derivative of phi carries the sqrt(m) blow-up (`lead_order`: phi' for the
-pullback, phi'' for the composition), the argument phi is evaluated at,
+pullback, phi'' for the composition; `leading_primitive` builds it with
+phi's closed-form `derivative()`), the argument phi is evaluated at,
 where the anchor (t0, s0) may be searched for or must be placed, and the
 inequality that certifies a frequency m.
 """
@@ -38,7 +39,7 @@ from .functions import (
     mul,
     seminorm_profile,
 )
-from .primitives import TWO_PI, DerivedPrimitive, ScalarPrimitive
+from .primitives import TWO_PI, ScalarPrimitive
 
 DOMAIN_MARGIN_TOL = 1e-9
 FD_POINTS = 2049
@@ -79,7 +80,10 @@ class MapSpec:
     phi: ScalarPrimitive
 
     def leading_primitive(self) -> ScalarPrimitive:
-        return DerivedPrimitive(self.phi, self.lead_order)
+        lead = self.phi
+        for _ in range(self.lead_order):
+            lead = lead.derivative()
+        return lead
 
     def top_order(self, k: int) -> int:
         """Derivative order of v at which a k-probe shows sqrt(m) growth."""

@@ -10,11 +10,18 @@ Each primitive g also declares the linear ODE with constant coefficients
 that it satisfies, ``g^(r) = sum_{i<r} ode[i] * g^(i)``. Composition
 (`jets.compose_series`) runs on this recurrence, so it needs only the
 first r derivatives of g at the inner value.
+
+There are four families, each a frozen dataclass closed under
+differentiation: `Sin`, `Cos`, `Polynomial` and `Exp` (e^t plus a
+polynomial). ``derivative()`` returns g' as one of the four in closed form,
+so a derivative of any order costs what g itself costs, and primitives with
+equal parameters compare and hash equal.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +57,9 @@ class ScalarPrimitive:
 
     Subclasses implement ``taylor_coeffs(t, order)`` returning an array of
     shape ``(order + 1,) + t.shape`` with entry ``i`` equal to
-    ``g^(i)(t) / i!``, and declare ``ode``, the coefficients
-    ``(a_0, .., a_{r-1})`` of the ODE ``g^(r) = sum_i a_i * g^(i)``.
+    ``g^(i)(t) / i!`` and ``derivative()`` returning g' in closed form, and
+    declare ``ode``, the coefficients ``(a_0, .., a_{r-1})`` of the ODE
+    ``g^(r) = sum_i a_i * g^(i)``.
     """
 
     ode: tuple
@@ -59,29 +67,38 @@ class ScalarPrimitive:
     def taylor_coeffs(self, t: np.ndarray, order: int) -> np.ndarray:
         raise NotImplementedError
 
+    def derivative(self) -> "ScalarPrimitive":
+        raise NotImplementedError
+
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
         out = self.taylor_coeffs(arr, 0)[0]
         return float(out[0]) if arr.ndim == 0 else out
-
-    def derivative(self) -> "ScalarPrimitive":
-        return DerivedPrimitive(self, 1)
 
     @property
     def is_one_periodic(self) -> bool:
         return False
 
 
+@dataclass(frozen=True)
 class Sin(ScalarPrimitive):
     """t -> amplitude * sin(omega * t)."""
 
-    def __init__(self, omega: float = 1.0, amplitude: float = 1.0):
-        self.omega = float(omega)
-        self.amplitude = float(amplitude)
+    omega: float = 1.0
+    amplitude: float = 1.0
+    # steps along the trig cycle; `Cos` is one step on
+    shift = 0
 
     def taylor_coeffs(self, t, order):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return trig_taylor(self.omega * t, self.amplitude, self.omega, order, 0)
+        return trig_taylor(self.omega * t, self.amplitude, self.omega, order,
+                           self.shift)
+
+    def derivative(self):
+        # sin' = cos and cos' = -sin, each times omega
+        if self.shift:
+            return Sin(self.omega, -self.amplitude * self.omega)
+        return Cos(self.omega, self.amplitude * self.omega)
 
     @property
     def ode(self):
@@ -92,39 +109,71 @@ class Sin(ScalarPrimitive):
         k = self.omega / TWO_PI
         return self.amplitude == 0.0 or abs(k - round(k)) < 1e-12
 
-    def __repr__(self):
-        return f"Sin(omega={self.omega!r}, amplitude={self.amplitude!r})"
 
-
-class Cos(ScalarPrimitive):
+class Cos(Sin):
     """t -> amplitude * cos(omega * t)."""
 
-    def __init__(self, omega: float = 1.0, amplitude: float = 1.0):
-        self.omega = float(omega)
-        self.amplitude = float(amplitude)
+    shift = 1
 
-    def taylor_coeffs(self, t, order):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        # cos = sin shifted by one cycle step
-        return trig_taylor(self.omega * t, self.amplitude, self.omega, order, 1)
+
+def _derivative_coeffs(coeffs: tuple) -> tuple:
+    """Ascending coefficients of p' for those of p; () for a constant."""
+    return tuple(j * coeffs[j] for j in range(1, len(coeffs)))
+
+
+def _poly_rows(coeffs: tuple, t):
+    """The Taylor rows p^(i)(t) / i! of the polynomial with ascending
+    ``coeffs``, up to its degree."""
+    for i in range(len(coeffs)):
+        yield np.polyval(coeffs[::-1], t) / math.factorial(i)
+        coeffs = _derivative_coeffs(coeffs)
+
+
+@dataclass(frozen=True)
+class Polynomial(ScalarPrimitive):
+    """t -> c0 + c1*t + ... + cd*t^d (coefficients in ascending order)."""
+
+    coeffs: tuple
+
+    def __post_init__(self):
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not coeffs:
+            raise ValueError("polynomial needs at least one coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def ode(self):
-        return (-self.omega**2, 0.0)
+        # derivative d+1 of a degree-d polynomial vanishes
+        return (0.0,) * len(self.coeffs)
+
+    def taylor_coeffs(self, t, order):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.zeros((order + 1,) + t.shape)
+        for i, row in zip(range(order + 1), _poly_rows(self.coeffs, t)):
+            out[i] = row
+        return out
+
+    def derivative(self):
+        return Polynomial(_derivative_coeffs(self.coeffs) or (0.0,))
 
     @property
     def is_one_periodic(self):
-        k = self.omega / TWO_PI
-        return self.amplitude == 0.0 or abs(k - round(k)) < 1e-12
-
-    def __repr__(self):
-        return f"Cos(omega={self.omega!r}, amplitude={self.amplitude!r})"
+        # only constants are periodic polynomials
+        return all(c == 0.0 for c in self.coeffs[1:])
 
 
+@dataclass(frozen=True)
 class Exp(ScalarPrimitive):
-    """t -> exp(t)."""
+    """t -> exp(t) + p(t), p given by the tuple of its ascending
+    coefficients ``poly`` (empty for exp alone); ``Exp((0.0, 1.0))`` is
+    t + e^t, a globally increasing diffeomorphism of R."""
 
-    ode = (1.0,)
+    poly: tuple = ()
+
+    @property
+    def ode(self):
+        # len(poly) derivatives leave e^t, which is its own derivative
+        return (0.0,) * len(self.poly) + (1.0,)
 
     def taylor_coeffs(self, t, order):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -132,115 +181,9 @@ class Exp(ScalarPrimitive):
         out = np.empty((order + 1,) + t.shape)
         for i in range(order + 1):
             out[i] = e / math.factorial(i)
+        for i, row in zip(range(order + 1), _poly_rows(self.poly, t)):
+            out[i] += row
         return out
 
-    def __repr__(self):
-        return "Exp()"
-
-
-class Polynomial(ScalarPrimitive):
-    """t -> c0 + c1*t + ... + cd*t^d (coefficients in ascending order)."""
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(float(c) for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
-        # derivative d+1 of a degree-d polynomial vanishes
-        self.ode = (0.0,) * len(self.coeffs)
-
-    def taylor_coeffs(self, t, order):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros((order + 1,) + t.shape)
-        d = list(self.coeffs)
-        for i in range(order + 1):
-            if d:
-                out[i] = np.polyval(d[::-1], t) / math.factorial(i)
-            # differentiate in place for the next row
-            d = [j * d[j] for j in range(1, len(d))]
-        return out
-
-    @property
-    def is_one_periodic(self):
-        # only constants are periodic polynomials
-        return all(c == 0.0 for c in self.coeffs[1:])
-
-    def __repr__(self):
-        return f"Polynomial({list(self.coeffs)!r})"
-
-
-class AffineMap(ScalarPrimitive):
-    """t -> a*t + b."""
-
-    ode = (0.0, 0.0)
-
-    def __init__(self, a: float, b: float):
-        self.a = float(a)
-        self.b = float(b)
-
-    def taylor_coeffs(self, t, order):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros((order + 1,) + t.shape)
-        out[0] = self.a * t + self.b
-        if order >= 1:
-            out[1] = self.a
-        return out
-
-    @property
-    def is_one_periodic(self):
-        return self.a == 0.0
-
-    def __repr__(self):
-        return f"AffineMap({self.a!r}, {self.b!r})"
-
-
-class IdentityPlusExp(ScalarPrimitive):
-    """t -> t + exp(t); a globally increasing diffeomorphism of R."""
-
-    # g'' = exp(t) is not a multiple of g' = 1 + exp(t), but g''' = g''
-    ode = (0.0, 0.0, 1.0)
-
-    def taylor_coeffs(self, t, order):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = Exp().taylor_coeffs(t, order)
-        out[0] = out[0] + t
-        if order >= 1:
-            out[1] = out[1] + 1.0
-        return out
-
-    def __repr__(self):
-        return "IdentityPlusExp()"
-
-
-class DerivedPrimitive(ScalarPrimitive):
-    """k-th derivative of another primitive, computed from its jet."""
-
-    def __init__(self, base: ScalarPrimitive, k: int):
-        if isinstance(base, DerivedPrimitive):
-            k += base.k
-            base = base.base
-        self.base = base
-        self.k = int(k)
-        # If g^(r) = sum_{i<r} a_i g^(i) with a_0 = 0, then h = g' satisfies
-        # h^(r-1) = sum_{1<=i<r} a_i h^(i-1): each derivative can drop one
-        # leading zero coefficient, and composition costs O(r n^2)
-        ode = tuple(base.ode)
-        for _ in range(self.k):
-            if len(ode) == 1 or ode[0] != 0.0:
-                break
-            ode = ode[1:]
-        self.ode = ode
-
-    def taylor_coeffs(self, t, order):
-        c = self.base.taylor_coeffs(t, order + self.k)
-        out = np.empty((order + 1,) + c.shape[1:])
-        for i in range(order + 1):
-            # g^(k) coefficient i = c_{k+i} * (k+i)! / i!
-            out[i] = c[self.k + i] * math.perm(self.k + i, self.k)
-        return out
-
-    @property
-    def is_one_periodic(self):
-        return self.base.is_one_periodic
-
-    def __repr__(self):
-        return f"DerivedPrimitive({self.base!r}, {self.k})"
+    def derivative(self):
+        return Exp(_derivative_coeffs(self.poly))

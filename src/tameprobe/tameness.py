@@ -10,13 +10,14 @@ are ignored.
 `check_tame_estimate` tests the uniform estimate
 rho2(df(x+z, u) - df(x, u)) <= rho1(u) over a supplied probe family,
 restricted to perturbations with rho1(z) <= 1. A perturbed base point that
-leaves the map's domain counts as a violation of the membership clause.
-The base half df(x, u) and rho1(u) depend on u only, so they are built
-once per distinct u of the family. The base half's node is wrapped in a
-`Memo`, so consecutive probes with one u on one grid reuse its
-coefficients and evaluate only df(x+z, u). One such Memo is kept at a
-time, so its coefficients never take more than one chunk of the grid
-pass. A second Memo, made once per call, wraps x's node, and every
+leaves the map's domain counts as a violation of the membership clause;
+building df(x+z, u) checks the domain, so each probe checks it once. The
+base half df(x, u) and rho1(u) depend on u only, so they are built once
+per distinct u of the family, after the perturbed half. The base half's
+node is wrapped in a `Memo`, so consecutive probes with one u on one grid
+reuse its coefficients and evaluate only df(x+z, u). One such Memo is
+kept at a time, so its coefficients never take more than one chunk of the
+grid pass. A second Memo, made once per call, wraps x's node, and every
 perturbed point x + z is built from it: x is the same on every probe, so
 the perturbed halves of consecutive probes on one grid evaluate it once.
 A constant x is left unwrapped, so that `add` still folds a zero x out of
@@ -141,10 +142,11 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
         if pnorm_eval(rho1, z, grid) > 1.0:
             report.skipped_large_z += 1
             continue
-        perturbed = x_memo + z
-        margin, ok = map_spec.in_domain(perturbed)
-        if not ok:
-            report.domain_exits.append((z, margin))
+        try:
+            # gateaux checks x + z's domain, once per probe
+            perturbed_half = map_spec.gateaux(x_memo + z, u)
+        except DomainViolation as exc:
+            report.domain_exits.append((z, exc.margin))
             report.satisfied = False
             continue
         if u not in halves:
@@ -153,7 +155,7 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
         if base is not memo_of:
             # a Memo keeps a chunk of coefficients, so only the last u's lives
             memo_of, memo = base, SmoothFunction(Memo(base.node), base.domain)
-        v = map_spec.gateaux(perturbed, u) - memo
+        v = perturbed_half - memo
         lhs = pnorm_eval(rho2, v, grid)
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise PrecisionBudgetError(

@@ -31,7 +31,7 @@ from tameprobe.functions import (
     zero,
 )
 from tameprobe.maps import CirclePullback, PostComposition, gateaux_fd
-from tameprobe.primitives import AffineMap, IdentityPlusExp, Sin
+from tameprobe.primitives import Exp, Polynomial, Sin
 from tameprobe.tameness import PNormSpec, check_tame_estimate, pnorm_eval
 
 TWO_PI = 2.0 * math.pi
@@ -55,7 +55,7 @@ def ex2_sweep():
 
 @pytest.fixture(scope="module")
 def ex4_sweep():
-    return growth_sweep(PostComposition(IdentityPlusExp()),
+    return growth_sweep(PostComposition(Exp((0.0, 1.0))),
                         zero(UNIT_INTERVAL), PNormSpec(), PNormSpec(),
                         3, 8, M_RANGE)
 
@@ -91,8 +91,8 @@ def test_criterion_3_estimate_violation_witness(ex2_sweep, capsys):
 
 def test_criterion_4_degenerate_consistency(capsys):
     cases = [
-        (CirclePullback(AffineMap(0.0, 0.3), 1), zero(), 0.0),
-        (PostComposition(AffineMap(2.0, 1.0)), zero(UNIT_INTERVAL), 0.5),
+        (CirclePullback(Polynomial([0.3, 0.0]), 1), zero(), 0.0),
+        (PostComposition(Polynomial([1.0, 2.0])), zero(UNIT_INTERVAL), 0.5),
     ]
     worst = 0.0
     all_satisfied = True
@@ -151,7 +151,7 @@ def test_criterion_7_gateaux_matches_fd_oracle(capsys):
     ratios = []
     for map_spec, domain in (
         (CirclePullback(Sin(omega=TWO_PI), 1), PERIODIC),
-        (PostComposition(IdentityPlusExp()), UNIT_INTERVAL),
+        (PostComposition(Exp((0.0, 1.0))), UNIT_INTERVAL),
     ):
         for _ in range(20):
             x = random_small_function(rng, domain=domain)
@@ -201,7 +201,7 @@ def test_criterion_9_fix_m_certificates(capsys):
     root2 = math.sqrt(TWO_PI * m2)
     ok2 = (1.0 / root2 <= 1.0 / 3.0) and (8.0 + m_est2 < root2 * TWO_PI)
 
-    ex4 = PostComposition(IdentityPlusExp())
+    ex4 = PostComposition(Exp((0.0, 1.0)))
     m_est4 = estimate_residual_bound(ex4, zero(UNIT_INTERVAL), 3, 8)
     deriv4 = 1.0  # second derivative of t + e^t at t0 = 0
     m4 = fix_m(ex4, 3, 8, m_est4, deriv4)

@@ -33,7 +33,7 @@ from tameprobe.functions import (
     zero,
 )
 from tameprobe.maps import CirclePullback, PostComposition
-from tameprobe.primitives import AffineMap, IdentityPlusExp, Polynomial, Sin
+from tameprobe.primitives import Exp, Polynomial, Sin
 from tameprobe.tameness import SATURATION, PNormSpec
 
 TWO_PI = 2.0 * math.pi
@@ -44,7 +44,7 @@ def pullback_sin(n=1):
 
 
 def composition_exp():
-    return PostComposition(IdentityPlusExp())
+    return PostComposition(Exp((0.0, 1.0)))
 
 
 class TestProbeParams:
@@ -67,14 +67,15 @@ class TestFindT0:
 
     def test_constant_phi_degenerate(self):
         with pytest.raises(DegenerateMapError):
-            find_t0(CirclePullback(AffineMap(0.0, 0.3), 1))
+            find_t0(CirclePullback(Polynomial([0.3, 0.0]), 1))
 
     def test_composition_at_zero_base(self):
         assert find_t0(composition_exp(), zero(UNIT_INTERVAL)) == 0.0
 
     def test_affine_composition_degenerate(self):
         with pytest.raises(DegenerateMapError):
-            find_t0(PostComposition(AffineMap(2.0, 1.0)), zero(UNIT_INTERVAL))
+            find_t0(PostComposition(Polynomial([1.0, 2.0])),
+                    zero(UNIT_INTERVAL))
 
 
 class TestFindS0:
@@ -221,7 +222,7 @@ class TestResidual:
         assert np.isfinite(profile).all()
 
     def test_constant_phi_residual_vanishes(self):
-        mp = CirclePullback(AffineMap(0.0, 0.3), 1)
+        mp = CirclePullback(Polynomial([0.3, 0.0]), 1)
         params = ProbeParams(k=3, l=8, m=16, s0=0.0)
         z, u = build_probe(params, mp)
         v = difference(mp, zero(), z, u)
@@ -386,7 +387,7 @@ class TestGrowthSweep:
         assert abs(coarse.slope - fine.slope) <= 0.02
 
     def test_degenerate_composition(self):
-        res = growth_sweep(PostComposition(AffineMap(2.0, 1.0)),
+        res = growth_sweep(PostComposition(Polynomial([1.0, 2.0])),
                            zero(UNIT_INTERVAL), PNormSpec(), PNormSpec(),
                            3, 8, [16, 32])
         assert res.degenerate
@@ -402,7 +403,7 @@ class TestGrowthSweep:
     def test_degenerate_pullback_anchor(self):
         # phi' vanishes everywhere: t0 falls back to 0, s0 solves s + x(s) = 0
         x = random_small_function(np.random.default_rng(79))
-        mp = CirclePullback(AffineMap(0.0, 0.3), 1)
+        mp = CirclePullback(Polynomial([0.3, 0.0]), 1)
         res = growth_sweep(mp, x, PNormSpec(), PNormSpec(), 3, 8, [16, 32])
         assert res.degenerate
         assert res.t0 == 0.0
@@ -411,7 +412,7 @@ class TestGrowthSweep:
     def test_degenerate_composition_anchor(self):
         # phi'' vanishes everywhere: s0 falls back to 0.5, t0 to x(0.5)
         x = random_small_function(np.random.default_rng(83), UNIT_INTERVAL)
-        res = growth_sweep(PostComposition(AffineMap(2.0, 1.0)), x,
+        res = growth_sweep(PostComposition(Polynomial([1.0, 2.0])), x,
                            PNormSpec(), PNormSpec(), 3, 8, [16, 32])
         assert res.degenerate
         assert res.s0 == 0.5
@@ -428,9 +429,9 @@ class TestGrowthSweep:
 
 class TestDoubleRange:
     @pytest.mark.parametrize("phi, c, fields", [
-        (IdentityPlusExp(), 800.0, "top_deriv_s0, predicted, tz_sup, rho2_v"),
+        (Exp((0.0, 1.0)), 800.0, "top_deriv_s0, predicted, tz_sup, rho2_v"),
         (Polynomial([0.0, 1.0, 0.0, 1.0]), 1e200, "rho2_v"),
-        (IdentityPlusExp(), 700.0, "rho2_v"),
+        (Exp((0.0, 1.0)), 700.0, "rho2_v"),
     ], ids=["exp-800", "cubic-1e200", "exp-700"])
     def test_nonfinite_record_raises(self, phi, c, fields):
         # any field counts: a NaN rho2(v) alone would read as no violation
@@ -497,6 +498,6 @@ class TestEstimateResidualBound:
         assert got == again > 1.0
 
     def test_degenerate_default(self):
-        got = estimate_residual_bound(CirclePullback(AffineMap(0.0, 0.1), 1),
-                                      zero(), 3, 8)
+        const = CirclePullback(Polynomial([0.1, 0.0]), 1)
+        got = estimate_residual_bound(const, zero(), 3, 8)
         assert got == 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tameprobe import primitives
+from tameprobe.cli import parse_phi
 from tameprobe.functions import (
     Affine,
     Constant,
@@ -15,11 +17,8 @@ from tameprobe.functions import (
 )
 from tameprobe.jets import compose_series, convolve_trunc
 from tameprobe.primitives import (
-    AffineMap,
     Cos,
-    DerivedPrimitive,
     Exp,
-    IdentityPlusExp,
     Polynomial,
     ScalarPrimitive,
     Sin,
@@ -70,14 +69,13 @@ def horner_compose(outer, inner):
 
 
 # one primitive of every kind, with its ODE as declared
+CUBIC = Polynomial([0.5, -1.0, 0.25, 0.125])
 ODE_PRIMITIVES = [Sin(omega=TWO_PI, amplitude=0.7), Cos(omega=3.0), Exp(),
-                  IdentityPlusExp(), AffineMap(2.0, -1.0),
-                  Polynomial([0.5, -1.0, 0.25, 0.125]),
-                  DerivedPrimitive(Sin(omega=TWO_PI), 2),
-                  DerivedPrimitive(IdentityPlusExp(), 1),
-                  DerivedPrimitive(IdentityPlusExp(), 2),
-                  DerivedPrimitive(Polynomial([0.5, -1.0, 0.25, 0.125]), 2),
-                  DerivedPrimitive(AffineMap(2.0, -1.0), 1)]
+                  Exp((0.0, 1.0)), Polynomial([-1.0, 2.0]), CUBIC,
+                  Sin(omega=TWO_PI).derivative().derivative(),
+                  Exp((0.0, 1.0)).derivative(),
+                  CUBIC.derivative().derivative(),
+                  Polynomial([-1.0, 2.0]).derivative()]
 
 
 def _subclasses(cls):
@@ -203,20 +201,6 @@ class TestOdeRecurrence:
                           for j, a in enumerate(prim.ode))
                 np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("prim, order", [
-        (DerivedPrimitive(IdentityPlusExp(), 1), 2),
-        (DerivedPrimitive(IdentityPlusExp(), 2), 1),
-        (DerivedPrimitive(DerivedPrimitive(IdentityPlusExp(), 1), 1), 1),
-        (DerivedPrimitive(Polynomial([0.5, -1.0, 0.25, 0.125]), 2), 2),
-        (DerivedPrimitive(AffineMap(2.0, -1.0), 3), 1),
-        (DerivedPrimitive(Sin(omega=TWO_PI), 2), 2),
-    ], ids=["t_plus_exp'", "t_plus_exp''", "(t_plus_exp')'", "cubic''",
-            "affine'''", "sin''"])
-    def test_derived_ode_drops_leading_zeros(self, prim, order):
-        # one leading zero coefficient per derivative, keeping at least one
-        assert len(prim.ode) == order
-        assert prim.ode == prim.base.ode[len(prim.base.ode) - order:]
-
     def test_linear_inner(self):
         # sin(2 pi (3 s + b)) = sin(6 pi (s + b/3)); rows scale like (6 pi)^i / i!
         s = np.linspace(0.05, 0.95, 5)
@@ -225,6 +209,53 @@ class TestOdeRecurrence:
         scale = np.abs(expected).max(axis=1, keepdims=True)
         np.testing.assert_allclose(node.coeffs(s, 12) / scale,
                                    expected / scale, rtol=0, atol=1e-12)
+
+
+class TestFamilies:
+    """The four primitive families are frozen dataclasses, closed under a
+    closed-form derivative(), and compare by value."""
+
+    FAMILIES = sorted(_subclasses(ScalarPrimitive), key=lambda c: c.__name__)
+
+    def test_four_frozen_families(self):
+        assert [c.__name__ for c in self.FAMILIES] == ["Cos", "Exp",
+                                                       "Polynomial", "Sin"]
+        for prim in ODE_PRIMITIVES:
+            assert type(prim.derivative()) in self.FAMILIES
+            name = dataclasses.fields(prim)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(prim, name, 0.0)
+
+    @pytest.mark.parametrize("cls", FAMILIES, ids=lambda c: c.__name__)
+    def test_derivative_matches_shifted_rows(self, cls):
+        # row i of g' is (i + 1) times row i + 1 of g
+        prims = [p for p in ODE_PRIMITIVES if type(p) is cls]
+        assert prims, f"{cls.__name__} has no case in ODE_PRIMITIVES"
+        t = np.linspace(-1.5, 1.5, 11)
+        for prim in prims:
+            for n in range(13):
+                got = prim.derivative().taylor_coeffs(t, n)
+                rows = prim.taylor_coeffs(t, n + 1)[1:]
+                want = np.arange(1, n + 2)[:, None] * rows
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_ode_lengths(self):
+        # t + e^t, then phi' and phi'' as the two maps compose them
+        chain = [Exp((0.0, 1.0))]
+        for _ in range(2):
+            chain.append(chain[-1].derivative())
+        assert [len(p.ode) for p in chain] == [3, 2, 1]
+        assert len(Sin(omega=TWO_PI).derivative().derivative().ode) == 2
+
+    def test_value_equality(self):
+        assert Sin(TWO_PI).derivative() == Cos(TWO_PI, TWO_PI)
+        assert hash(Sin(TWO_PI).derivative()) == hash(Cos(TWO_PI, TWO_PI))
+        assert Sin(1.0, 2.0) != Cos(1.0, 2.0)
+        assert parse_phi("affine:2,1") == Polynomial([1.0, 2.0])
+        # (t + e^t)'' is e^t, the case Exp() above
+        assert Exp((0.0, 1.0)).derivative().derivative() == Exp()
+        keyed = {Exp((0.0, 1.0)).derivative(): "phi'"}
+        assert keyed[Exp((1.0,))] == "phi'"
 
 
 class TestTrigOnce:

@@ -29,7 +29,7 @@ from tameprobe.maps import (
     PostComposition,
     gateaux_fd,
 )
-from tameprobe.primitives import AffineMap, IdentityPlusExp, Sin
+from tameprobe.primitives import Exp, Polynomial, Sin
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,8 +58,8 @@ class TestConstruction:
             PostComposition(Sin(omega=TWO_PI))
 
     def test_diffeomorphism_accepted(self):
-        PostComposition(IdentityPlusExp())
-        PostComposition(AffineMap(2.0, 1.0))
+        PostComposition(Exp((0.0, 1.0)))
+        PostComposition(Polynomial([1.0, 2.0]))
 
 
 class TestInDomain:
@@ -102,7 +102,7 @@ class TestInDomain:
         assert not ok and margin < 1e-9
 
     def test_composition_always_true(self):
-        _, ok = PostComposition(IdentityPlusExp()).in_domain(
+        _, ok = PostComposition(Exp((0.0, 1.0))).in_domain(
             zero(UNIT_INTERVAL))
         assert ok
 
@@ -116,7 +116,7 @@ class TestApply:
         assert f.evaluate(0.25) == pytest.approx(1.0, rel=1e-15)
 
     def test_composition_at_zero(self):
-        f = PostComposition(IdentityPlusExp()).apply(zero(UNIT_INTERVAL))
+        f = PostComposition(Exp((0.0, 1.0))).apply(zero(UNIT_INTERVAL))
         assert f.evaluate(0.3) == pytest.approx(1.0, rel=1e-15)
 
     def test_domain_violation_raised(self):
@@ -157,11 +157,22 @@ class TestGateaux:
                                    rtol=1e-12, atol=1e-14)
 
     def test_composition_formula(self):
-        m = PostComposition(IdentityPlusExp())
+        m = PostComposition(Exp((0.0, 1.0)))
         x = zero(UNIT_INTERVAL)
         u = constant(0.5, UNIT_INTERVAL)
         # phi'(0) * u = (1 + e^0) * 0.5
         assert m.gateaux(x, u).evaluate(0.2) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("map_spec, domain", [
+        (pullback_sin(), PERIODIC),
+        (PostComposition(Exp((0.0, 1.0))), UNIT_INTERVAL),
+    ], ids=["ex2", "ex4"])
+    def test_built_twice_compares_equal(self, map_spec, domain):
+        # phi' is built afresh on every call, and compares by value
+        rng = np.random.default_rng(41)
+        x = random_small_function(rng, domain)
+        u = random_small_function(rng, domain)
+        assert map_spec.gateaux(x, u) == map_spec.gateaux(x, u)
 
 
 class TestGateauxFd:
@@ -169,7 +180,7 @@ class TestGateauxFd:
         lambda rng: (pullback_sin(),
                      random_small_function(rng),
                      random_small_function(rng)),
-        lambda rng: (PostComposition(IdentityPlusExp()),
+        lambda rng: (PostComposition(Exp((0.0, 1.0))),
                      random_small_function(rng, UNIT_INTERVAL),
                      random_small_function(rng, UNIT_INTERVAL)),
     ])
@@ -197,7 +208,7 @@ class TestGateauxFd:
             assert np.max(np.abs(fd.values - g.evaluate(fd.s))) <= 1e-5 * scale
 
     def test_affine_composition_exact(self):
-        m = PostComposition(AffineMap(2.0, 1.0))
+        m = PostComposition(Polynomial([1.0, 2.0]))
         rng = np.random.default_rng(47)
         x = random_small_function(rng, UNIT_INTERVAL)
         u = random_small_function(rng, UNIT_INTERVAL)
@@ -218,7 +229,7 @@ class TestGateauxFd:
 
 class TestDegenerateStability:
     def test_constant_phi_pullback(self):
-        m = CirclePullback(AffineMap(0.0, 0.7), 1)
+        m = CirclePullback(Polynomial([0.7, 0.0]), 1)
         rng = np.random.default_rng(53)
         x = random_small_function(rng)
         z = probe(16, 3, 0.0)
@@ -228,7 +239,7 @@ class TestDegenerateStability:
         np.testing.assert_allclose(v.evaluate(s), 0.0, atol=1e-14)
 
     def test_affine_phi_composition(self):
-        m = PostComposition(AffineMap(3.0, -1.0))
+        m = PostComposition(Polynomial([-1.0, 3.0]))
         rng = np.random.default_rng(59)
         x = random_small_function(rng, UNIT_INTERVAL)
         z = probe(16, 3, 0.5, UNIT_INTERVAL)
@@ -268,7 +279,7 @@ class TestFoldedTrees:
     CASES = [pytest.param(pullback_sin(n), x, id=f"ex2-n{n}-{x}")
              for n in (1, 2)
              for x in ("zero", "const:0.1", "sinusoid:0.02,1")] + \
-        [pytest.param(PostComposition(IdentityPlusExp()), "sinusoid:0.3,1.5",
+        [pytest.param(PostComposition(Exp((0.0, 1.0))), "sinusoid:0.3,1.5",
                       id="ex4-sinusoid:0.3,1.5")]
 
     @pytest.mark.parametrize("m", [16, 4096])

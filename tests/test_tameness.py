@@ -22,7 +22,7 @@ from tameprobe.functions import (
 )
 from tameprobe.jets import MAX_ORDER
 from tameprobe.maps import CirclePullback, DomainViolation, PostComposition
-from tameprobe.primitives import AffineMap, IdentityPlusExp, Sin
+from tameprobe.primitives import Exp, Polynomial, Sin
 from tameprobe.tameness import (
     SATURATION,
     PNormSpec,
@@ -139,7 +139,7 @@ class TestCheckTameEstimate:
         return [(probe(m, k, s0, domain), u) for m in m_values]
 
     def test_affine_composition_satisfied(self):
-        m = PostComposition(AffineMap(2.0, 1.0))
+        m = PostComposition(Polynomial([1.0, 2.0]))
         probes = self.default_probes([16, 64], domain=UNIT_INTERVAL, s0=0.5)
         report = check_tame_estimate(m, zero(UNIT_INTERVAL), PNormSpec(),
                                      PNormSpec(), probes)
@@ -148,7 +148,7 @@ class TestCheckTameEstimate:
         assert not report.witnesses
 
     def test_constant_phi_satisfied(self):
-        m = self.pullback(AffineMap(0.0, 0.4))
+        m = self.pullback(Polynomial([0.4, 0.0]))
         report = check_tame_estimate(m, zero(), PNormSpec(), PNormSpec(),
                                      self.default_probes([16, 64]))
         assert report.satisfied
@@ -168,7 +168,7 @@ class TestCheckTameEstimate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(PrecisionBudgetError, match="rho2.v. = nan"):
-                check_tame_estimate(PostComposition(IdentityPlusExp()),
+                check_tame_estimate(PostComposition(Exp((0.0, 1.0))),
                                     constant(800.0, UNIT_INTERVAL),
                                     PNormSpec(), PNormSpec(), probes)
 
@@ -199,6 +199,23 @@ class TestCheckTameEstimate:
                                      PNormSpec(), [(steep, constant(0.125))])
         assert not report.satisfied
         assert len(report.domain_exits) == 1
+
+    def test_one_domain_check_per_probe(self, monkeypatch):
+        # x once up front and once more in df(x, u) for the one u, then
+        # x + z once per probe, inside df(x + z, u)
+        checked = []
+        in_domain = CirclePullback.in_domain
+
+        def counted(spec, f):
+            checked.append(f)
+            return in_domain(spec, f)
+
+        monkeypatch.setattr(CirclePullback, "in_domain", counted)
+        probes = self.default_probes([16, 32, 64])
+        report = check_tame_estimate(self.pullback(), zero(), PNormSpec(),
+                                     PNormSpec(), probes)
+        assert report.samples_checked == 3
+        assert len(checked) == 2 + 3
 
     def test_probe_monotonicity(self):
         m = self.pullback()
@@ -253,7 +270,7 @@ def anchored_probes(map_spec, x, pairs, l=8):
 
 def ex4_map():
     """ex4 with phi(t) = t + e^t, and the base point x = sinusoid:0.3,1.5."""
-    return (PostComposition(IdentityPlusExp()),
+    return (PostComposition(Exp((0.0, 1.0))),
             SmoothFunction(SinusoidProbe(0.3, 1.5), UNIT_INTERVAL))
 
 
@@ -405,7 +422,7 @@ class TestSharedBaseHalf:
     @pytest.mark.parametrize("c", [0.0, 0.3])
     def test_constant_x_not_wrapped(self, monkeypatch, c):
         # a zero x still folds out of x + z, and no Memo wraps a constant
-        map_spec = PostComposition(IdentityPlusExp())
+        map_spec = PostComposition(Exp((0.0, 1.0)))
         x = constant(c, UNIT_INTERVAL)
         z, u = probe(2, 3, 0.5, UNIT_INTERVAL), constant(0.125, UNIT_INTERVAL)
         seen = []
@@ -417,5 +434,6 @@ class TestSharedBaseHalf:
 
         monkeypatch.setattr(PostComposition, "gateaux", recording)
         check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(), [(z, u)])
-        assert seen == [x, x + z]
-        assert (seen[1] == z) == (c == 0.0)
+        # the perturbed half is built first, as it checks x + z's domain
+        assert seen == [x + z, x]
+        assert (seen[0] == z) == (c == 0.0)
