@@ -68,14 +68,29 @@ def horner_compose(outer, inner):
     return out
 
 
-# one primitive of every kind, with its ODE as declared
+# one primitive of every kind, with its ODE as declared; the keys are the
+# cases' test ids, kept from the constructors they were first written with
+# (affine a t + b, t + e^t, and k-th derivatives of a base primitive)
 CUBIC = Polynomial([0.5, -1.0, 0.25, 0.125])
-ODE_PRIMITIVES = [Sin(omega=TWO_PI, amplitude=0.7), Cos(omega=3.0), Exp(),
-                  Exp((0.0, 1.0)), Polynomial([-1.0, 2.0]), CUBIC,
-                  Sin(omega=TWO_PI).derivative().derivative(),
-                  Exp((0.0, 1.0)).derivative(),
-                  CUBIC.derivative().derivative(),
-                  Polynomial([-1.0, 2.0]).derivative()]
+ODE_CASES = {
+    "Sin(omega=6.283185307179586, amplitude=0.7)":
+        Sin(omega=TWO_PI, amplitude=0.7),
+    "Cos(omega=3.0, amplitude=1.0)": Cos(omega=3.0),
+    "Exp()": Exp(),
+    "IdentityPlusExp()": Exp((0.0, 1.0)),
+    "AffineMap(2.0, -1.0)": Polynomial([-1.0, 2.0]),
+    "Polynomial([0.5, -1.0, 0.25, 0.125])": CUBIC,
+    "DerivedPrimitive(Sin(omega=6.283185307179586, amplitude=1.0), 2)":
+        Sin(omega=TWO_PI).derivative().derivative(),
+    "DerivedPrimitive(IdentityPlusExp(), 1)": Exp((0.0, 1.0)).derivative(),
+    "DerivedPrimitive(IdentityPlusExp(), 2)":
+        Exp((0.0, 1.0)).derivative().derivative(),
+    "DerivedPrimitive(Polynomial([0.5, -1.0, 0.25, 0.125]), 2)":
+        CUBIC.derivative().derivative(),
+    "DerivedPrimitive(AffineMap(2.0, -1.0), 1)":
+        Polynomial([-1.0, 2.0]).derivative(),
+}
+ODE_PRIMITIVES = list(ODE_CASES.values())
 
 
 def _subclasses(cls):
@@ -169,7 +184,7 @@ class TestOdeRecurrence:
     """`compose_series` runs on each primitive's ODE; Horner on the full
     outer series is the oracle."""
 
-    @pytest.mark.parametrize("prim", ODE_PRIMITIVES, ids=repr)
+    @pytest.mark.parametrize("prim", ODE_PRIMITIVES, ids=list(ODE_CASES))
     @pytest.mark.parametrize("order", range(13))
     def test_matches_horner(self, prim, order):
         s = np.linspace(0.0, 1.0, 7)
