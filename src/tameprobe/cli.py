@@ -178,6 +178,19 @@ def _finite_number(val, what: str) -> float:
     return val
 
 
+def _known_keys(obj: dict, known, what: str):
+    """Reject a key of ``obj`` outside ``known``: a misspelt key would
+    otherwise run with its default."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"unknown {what} key {key!r} (known: "
+                              f"{', '.join(known)})")
+
+
+CONFIG_KEYS = tuple(CONFIG_SCALARS) + ("m_list", "rho1", "rho2")
+PNORM_KEYS = ("truncation", "transform", "weights")
+
+
 def _config_from_args(args) -> ScenarioConfig:
     cfg = ScenarioConfig()
     if args.config:
@@ -188,6 +201,7 @@ def _config_from_args(args) -> ScenarioConfig:
             raise ConfigError(f"cannot read config file: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
+        _known_keys(data, CONFIG_KEYS, "config")
         for key, typ in CONFIG_SCALARS.items():
             if key in data:
                 setattr(cfg, key, _typed(data[key], key, typ))
@@ -200,6 +214,8 @@ def _config_from_args(args) -> ScenarioConfig:
         for key in ("rho1", "rho2"):
             if key in data:
                 spec = data[key]
+                if isinstance(spec, dict):
+                    _known_keys(spec, PNORM_KEYS, key)
                 # from_dict would truncate 2.7 to 2, read true as 1 and
                 # coerce "1" to 1.0
                 if isinstance(spec, dict) and "truncation" in spec:
@@ -302,6 +318,9 @@ def _explicit_probe(entry: dict, domain: str):
             and {"amplitude", "frequency"} <= zd.keys() and "constant" in ud):
         raise ConfigError(f"bad probe entry {entry!r}: z needs amplitude "
                           "and frequency, u needs constant")
+    _known_keys(entry, ("z", "u"), "probe entry")
+    _known_keys(zd, ("amplitude", "frequency", "phase"), "probe z")
+    _known_keys(ud, ("constant",), "probe u")
     freq = _finite_number(zd["frequency"], "probe z frequency")
     if not 0.0 < abs(freq) <= MAX_M:
         raise ConfigError(f"probe z frequency must be nonzero with magnitude "
@@ -333,6 +352,7 @@ def _load_probes(path: str, cfg: ScenarioConfig, map_spec, x):
         if "z" in entry and "u" in entry:
             probes.append(_explicit_probe(entry, domain))
         elif "m" in entry and "k" in entry:
+            _known_keys(entry, ("m", "k", "s0"), "probe entry")
             m = _typed(entry["m"], "probe m", int)
             k = _typed(entry["k"], "probe k", int)
             if m > MAX_M:

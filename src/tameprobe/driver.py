@@ -13,13 +13,14 @@ search for a certified m. What differs between the maps (the leading
 derivative, the top order, phi's argument, the search ranges, the fallback
 anchor and the certifying inequality) comes from the `MapSpec` hooks.
 
-A sweep evaluates v once per m at two points, s0 and the grid point
-nearest it, and makes one grid pass over v (`residual_tz`). The first
-point gives the witness v^(top)(s0); the second bounds v's seminorms from
-below, so that the grid pass, which gives sup|T_z| and rho2(v), evaluates
-v only up to the rung below the first one that bound proves saturated
-under rho2's bounded transform. The residual bound is read off a coarse
-sweep.
+A sweep checks x's membership in the map's domain once, and x + z's once
+per m; building df(x + z, u) checks only the domain tag. It evaluates v
+once per m at two points, s0 and the grid point nearest it, and makes one
+grid pass over v (`residual_tz`). The first point gives the witness
+v^(top)(s0); the second bounds v's seminorms from below, so that the grid
+pass, which gives sup|T_z| and rho2(v), evaluates v only up to the rung
+below the first one that bound proves saturated under rho2's bounded
+transform. The residual bound is read off a coarse sweep.
 """
 
 from __future__ import annotations
@@ -238,7 +239,8 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
     """One GrowthRecord per m, plus the fitted log-log slope.
 
     Raises DomainViolation when x, or x + z at some m, leaves the map's
-    domain; x is checked once, before the anchor search.
+    domain; x is checked once, before the anchor search, and x + z once
+    per m, before df(x + z, u) is built.
     """
     m_list = list(m_list)
     if not m_list:
@@ -246,9 +248,7 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be strictly ascending")
     _check_k_l(k, l)
-    margin, ok = map_spec.in_domain(x)
-    if not ok:
-        raise DomainViolation(margin)
+    map_spec.require_domain(x)
     t0, s0, deriv_mag, degenerate = _locate_anchor(map_spec, x)
     records = []
     for m in m_list:
@@ -258,12 +258,11 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
             # u is the same for every m, and so is df(x, u)
             rho1_u = pnorm_eval(rho1, u, grid)
             base = map_spec.gateaux(x, u)
-        try:
-            v = map_spec.gateaux(x + z, u) - base
-        except DomainViolation as exc:
+        margin, ok = map_spec.in_domain(x + z)
+        if not ok:
             raise DomainViolation(
-                exc.margin, f"x + z at m = {m} leaves the map's domain"
-            ) from None
+                margin, f"x + z at m = {m} leaves the map's domain")
+        v = map_spec.gateaux(x + z, u) - base
         top_deriv, tz_sup, v_profile = residual_tz(map_spec, x, params, z, v,
                                                    rho2, grid)
         record = GrowthRecord(

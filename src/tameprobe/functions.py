@@ -445,8 +445,8 @@ def _closed_form_amplitudes(f: SmoothFunction, max_order: int):
 def seminorm_profile(f: SmoothFunction, max_order: int,
                      grid: GridSpec | None = None) -> np.ndarray:
     """All graded seminorms p_0 .. p_max_order of f in one pass."""
-    if max_order > MAX_ORDER:
-        raise ValueError(f"order {max_order} exceeds cap {MAX_ORDER}")
+    if not 0 <= max_order <= MAX_ORDER:
+        raise ValueError(f"order {max_order} outside 0..{MAX_ORDER}")
     closed = _closed_form_amplitudes(f, max_order)
     if closed is not None:
         return np.maximum.accumulate(closed)
@@ -460,16 +460,20 @@ def seminorm_profile(f: SmoothFunction, max_order: int,
     return np.maximum.accumulate(sup)
 
 
+def _check_probe(m: int, k: int):
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    if k % 2 != 1 or k < 1:
+        raise ValueError("k must be odd and positive")
+
+
 def probe_deriv_closed_form(m: int, k: int, s0: float, i: int, s):
     """Exact i-th derivative of the oscillatory probe.
 
     The probe is s -> (2*pi*m)^(-k+1/2) * sin(2*pi*m*(s - s0)); its i-th
     derivative is (2*pi*m)^(i-k+1/2) times the shifted trig cycle.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if k % 2 != 1 or k < 1:
-        raise ValueError("k must be odd and positive")
+    _check_probe(m, k)
     if not 0 <= i <= MAX_ORDER:
         raise ValueError(f"derivative order {i} out of range")
     w = TWO_PI * m
@@ -480,6 +484,7 @@ def probe_deriv_closed_form(m: int, k: int, s0: float, i: int, s):
 
 def probe(m: int, k: int, s0: float, domain: str = PERIODIC) -> SmoothFunction:
     """The oscillatory probe as an expression tree."""
+    _check_probe(m, k)
     amp = (TWO_PI * m)**(-k + 0.5)
     return SmoothFunction(SinusoidProbe(amp, float(m), s0), domain)
 

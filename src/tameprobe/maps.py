@@ -9,7 +9,9 @@ functions with a fixed diffeomorphism: x -> phi(x).
 Directional derivatives are hard-coded analytic trees (the drivers
 differentiate them several more times, which a numeric limit could not
 support); `gateaux_fd` is the central-difference oracle used to validate
-them.
+them. `apply` and `gateaux` only build trees: they check the domain tag,
+but not membership, which costs a grid pass. The loop that owns a point
+checks it once, with `in_domain` or `require_domain`.
 
 Everything the driver needs to know about one map lives on its class: which
 derivative of phi carries the sqrt(m) blow-up (`lead_order`: phi' for the
@@ -114,22 +116,29 @@ class MapSpec:
         """Whether frequency m certifies the blow-up inequalities."""
         raise NotImplementedError
 
+    def _check_tag(self, x: SmoothFunction):
+        if x.domain != self.domain_tag:
+            raise ValueError(
+                f"expected {self.domain_tag} function, got {x.domain}")
+
     def in_domain(self, x: SmoothFunction):
-        raise NotImplementedError
+        """(margin, ok): a lower bound on x's distance from the edge of the
+        map's open domain, and whether it clears DOMAIN_MARGIN_TOL. Here
+        the domain is every function of the tag."""
+        self._check_tag(x)
+        return float("inf"), True
+
+    def require_domain(self, x: SmoothFunction):
+        """Raise DomainViolation unless x is in the map's domain."""
+        margin, ok = self.in_domain(x)
+        if not ok:
+            raise DomainViolation(margin)
 
     def apply(self, x: SmoothFunction) -> SmoothFunction:
         raise NotImplementedError
 
     def gateaux(self, x: SmoothFunction, u: SmoothFunction) -> SmoothFunction:
         raise NotImplementedError
-
-    def _require_domain(self, x: SmoothFunction):
-        if x.domain != self.domain_tag:
-            raise ValueError(
-                f"expected {self.domain_tag} function, got {x.domain}")
-        margin, ok = self.in_domain(x)
-        if not ok:
-            raise DomainViolation(margin)
 
 
 class CirclePullback(MapSpec):
@@ -188,8 +197,7 @@ class CirclePullback(MapSpec):
         is exact, and so the bound is proven; for other trees p_2 is a grid
         sup, and the bound holds only up to the grid's resolution.
         """
-        if x.domain != self.domain_tag:
-            raise ValueError("domain tag mismatch")
+        self._check_tag(x)
         s = DEFAULT_GRID.points(x)
         signed = self.n + x.derivative().evaluate(s)
         if np.any(signed == 0.0) or np.any(signed[:-1] * signed[1:] < 0.0):
@@ -200,14 +208,14 @@ class CirclePullback(MapSpec):
         return margin, margin > DOMAIN_MARGIN_TOL
 
     def apply(self, x: SmoothFunction) -> SmoothFunction:
-        self._require_domain(x)
+        self._check_tag(x)
         inner = self._inner(x)
         node = mul(PrimitiveCompose(self.phi, inner),
                    add(Constant(float(self.n)), x.node.diff()))
         return SmoothFunction(node, PERIODIC)
 
     def gateaux(self, x: SmoothFunction, u: SmoothFunction) -> SmoothFunction:
-        self._require_domain(x)
+        self._check_tag(x)
         inner = self._inner(x)
         term1 = mul(PrimitiveCompose(self.phi.derivative(), inner),
                     u.node,
@@ -256,17 +264,12 @@ class PostComposition(MapSpec):
         bound = max(k**2, ((l + m_estimate) / deriv_mag)**2) / TWO_PI
         return m > bound
 
-    def in_domain(self, x: SmoothFunction):
-        if x.domain != self.domain_tag:
-            raise ValueError("domain tag mismatch")
-        return float("inf"), True
-
     def apply(self, x: SmoothFunction) -> SmoothFunction:
-        self._require_domain(x)
+        self._check_tag(x)
         return SmoothFunction(PrimitiveCompose(self.phi, x.node), UNIT_INTERVAL)
 
     def gateaux(self, x: SmoothFunction, u: SmoothFunction) -> SmoothFunction:
-        self._require_domain(x)
+        self._check_tag(x)
         node = mul(PrimitiveCompose(self.phi.derivative(), x.node), u.node)
         return SmoothFunction(node, UNIT_INTERVAL)
 
@@ -277,10 +280,13 @@ def gateaux_fd(map_spec: MapSpec, x: SmoothFunction, u: SmoothFunction,
 
     Both perturbed base points must stay inside the map's domain.
     """
-    if t <= 0.0:
-        raise ValueError("step t must be positive")
-    fp = map_spec.apply(x + t * u)
-    fm = map_spec.apply(x + (-t) * u)
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError("step t must be positive and finite")
+    xp, xm = x + t * u, x + (-t) * u
+    map_spec.require_domain(xp)
+    map_spec.require_domain(xm)
+    fp = map_spec.apply(xp)
+    fm = map_spec.apply(xm)
     if x.domain == PERIODIC:
         s = np.arange(FD_POINTS) / FD_POINTS
     else:

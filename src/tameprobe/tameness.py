@@ -10,23 +10,24 @@ are ignored.
 `check_tame_estimate` tests the uniform estimate
 rho2(df(x+z, u) - df(x, u)) <= rho1(u) over a supplied probe family,
 restricted to perturbations with rho1(z) <= 1. A perturbed base point that
-leaves the map's domain counts as a violation of the membership clause;
-building df(x+z, u) checks the domain, so each probe checks it once. The
-base half df(x, u) and rho1(u) depend on u only, so they are built once
-per distinct u of the family, after the perturbed half. The base half's
-node is wrapped in a `Memo`, so consecutive probes with one u on one grid
-reuse its coefficients and evaluate only df(x+z, u). One such Memo is
-kept at a time, so its coefficients never take more than one chunk of the
-grid pass. A second Memo, made once per call, wraps x's node, and every
-perturbed point x + z is built from it: x is the same on every probe, so
-the perturbed halves of consecutive probes on one grid evaluate it once.
-A constant x is left unwrapped, so that `add` still folds a zero x out of
-x + z.
+leaves the map's domain counts as a violation of the membership clause:
+each probe checks x + z once, with `in_domain`, and records an exit
+without building anything. The base half df(x, u) and rho1(u) depend on u
+only, so they are rebuilt only when u changes from one probe to the next,
+after the perturbed half. The base half's node is wrapped in a `Memo`, so
+consecutive probes with one u on one grid reuse its coefficients and
+evaluate only df(x+z, u). A second Memo, made once per call, wraps x's
+node, and every perturbed half is built on it: x is the same on every
+probe, so the perturbed halves of consecutive probes on one grid evaluate
+it once. The membership check runs on the unwrapped x + z, so that its
+low-order pass does not replace the Memo's kept coefficients. A constant x
+is left unwrapped, so that `add` still folds a zero x out of x + z.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .functions import (
@@ -38,7 +39,7 @@ from .functions import (
     seminorm_profile,
 )
 from .jets import MAX_ORDER
-from .maps import DomainViolation, MapSpec
+from .maps import MapSpec
 
 TRANSFORMS = ("bounded", "linear")
 # A bounded term w * (p / (1 + p)) is exactly w once 1 + p rounds to p,
@@ -55,8 +56,11 @@ class PNormSpec:
     weights: tuple | None = None
 
     def __post_init__(self):
-        if not 0 <= self.truncation <= MAX_ORDER:
-            raise ValueError(f"truncation must be in 0..{MAX_ORDER}")
+        t = self.truncation
+        if not (isinstance(t, numbers.Integral) and not isinstance(t, bool)
+                and 0 <= t <= MAX_ORDER):
+            raise ValueError(
+                f"truncation must be an integer in 0..{MAX_ORDER}")
         if self.transform not in TRANSFORMS:
             raise ValueError(f"transform must be one of {TRANSFORMS}")
         if self.weights is not None:
@@ -129,33 +133,27 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
     probes = list(probes)
     if not probes:
         raise ValueError("probe list must be nonempty")
-    margin, ok = map_spec.in_domain(x)
-    if not ok:
-        raise DomainViolation(margin)
+    map_spec.require_domain(x)
     # x + z is built on every probe, so x's coefficients are kept too
     x_memo = x if isinstance(x.node, Constant) else \
         SmoothFunction(Memo(x.node), x.domain)
     report = TameCheckReport(satisfied=True)
-    halves = {}   # u -> (df(x, u), rho1(u))
-    memo_of = memo = None   # memo wraps the df(x, u) memo_of
+    last_u = base = rhs = None   # base wraps df(x, last_u) in a Memo
     for z, u in probes:
         if pnorm_eval(rho1, z, grid) > 1.0:
             report.skipped_large_z += 1
             continue
-        try:
-            # gateaux checks x + z's domain, once per probe
-            perturbed_half = map_spec.gateaux(x_memo + z, u)
-        except DomainViolation as exc:
-            report.domain_exits.append((z, exc.margin))
+        margin, ok = map_spec.in_domain(x + z)
+        if not ok:
+            report.domain_exits.append((z, margin))
             report.satisfied = False
             continue
-        if u not in halves:
-            halves[u] = map_spec.gateaux(x, u), pnorm_eval(rho1, u, grid)
-        base, rhs = halves[u]
-        if base is not memo_of:
-            # a Memo keeps a chunk of coefficients, so only the last u's lives
-            memo_of, memo = base, SmoothFunction(Memo(base.node), base.domain)
-        v = perturbed_half - memo
+        perturbed_half = map_spec.gateaux(x_memo + z, u)
+        if u != last_u:
+            half = map_spec.gateaux(x, u)
+            last_u, rhs = u, pnorm_eval(rho1, u, grid)
+            base = SmoothFunction(Memo(half.node), half.domain)
+        v = perturbed_half - base
         lhs = pnorm_eval(rho2, v, grid)
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise PrecisionBudgetError(

@@ -351,9 +351,20 @@ class TestCheckTame:
          "with a finite period, got 1e-320"),
         ({"z": {"amplitude": 1e-4, "frequency": 2},
           "u": {"constant": float("inf")}}, "probe u constant must be finite"),
+        # unknown keys were ignored: s_0 ran with the anchor's s0
+        ({"m": 16, "k": 3, "s_0": 0.3}, "unknown probe entry key 's_0'"),
+        ({"z": {"amplitude": 1e-4, "frequency": 2}, "u": {"constant": 0.125},
+          "m": 16}, "unknown probe entry key 'm'"),
+        ({"z": {"amplitude": 1e-4, "frequency": 2, "phse": 0.5},
+          "u": {"constant": 0.125}}, "unknown probe z key 'phse'"),
+        ({"z": {"amplitude": 1e-4, "frequency": 2},
+          "u": {"constant": 0.125, "slope": 1}},
+         "unknown probe u key 'slope'"),
     ], ids=["m-float", "m-bool", "k-float", "m-above-cap", "k-huge",
             "zero-frequency", "nan-amplitude", "huge-frequency",
-            "frequency-above-cap", "subnormal-frequency", "inf-constant"])
+            "frequency-above-cap", "subnormal-frequency", "inf-constant",
+            "unknown-key-mk", "unknown-key-zu", "unknown-key-z",
+            "unknown-key-u"])
     def test_bad_probe_value_rejected(self, tmp_path, capsys, variant, phi,
                                       entry, message):
         path = self.probe_file(tmp_path, [entry])
@@ -401,8 +412,12 @@ class TestConfigFile:
         ({"grid_factor": "64"}, "grid_factor must be an integer, got '64'"),
         ({"output": 5}, "output must be a string, got 5"),
         ("k3", "config file must hold a JSON object"),
+        # unknown keys were ignored: m-list ran the default sweep, and
+        # truncaton the default truncation 12
+        ({"m-list": [16, 32]}, "unknown config key 'm-list'"),
+        ({"rho2": {"truncaton": 2}}, "unknown rho2 key 'truncaton'"),
     ], ids=["k-string", "m-list-int", "grid-factor-string", "output-int",
-            "not-an-object"])
+            "not-an-object", "unknown-key", "unknown-rho-key"])
     def test_wrong_type_rejected(self, tmp_path, capsys, cfg, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -535,8 +550,9 @@ def probe_entry(draw):
 # a small grammar for --config files: each key absent, valid, or of a
 # wrong JSON type or value; rho1 and rho2 are P-norm objects (or not
 # objects) whose weights lists may hold strings, booleans, NaN and
-# nonpositive numbers, be empty, have the wrong length or not be lists.
-# Valid m lists stay at most 32 so that every grid is small.
+# nonpositive numbers, be empty, have the wrong length or not be lists;
+# one unknown key, "m-list", may appear. Valid m lists stay at most 32 so
+# that every grid is small.
 CONFIG_VALUES = {
     "variant": (("ex2", "ex4"), ("ex9", 2, None)),
     "phi": (("sin", "t_plus_exp", "affine:2,1"), (1, None, ["sin"])),
@@ -595,6 +611,8 @@ def config_file(draw):
     for key in ("rho1", "rho2"):
         if draw(st.booleans()):
             cfg[key] = draw(pnorm_value())
+    if not draw(st.integers(0, 7)):
+        cfg["m-list"] = [16, 32]
     return cfg
 
 

@@ -418,6 +418,28 @@ class TestGrowthSweep:
         assert res.s0 == 0.5
         assert res.t0 == x.evaluate(0.5)
 
+    def test_one_domain_check_per_point(self, monkeypatch):
+        # x once, before the anchor search, then x + z once per m; building
+        # df(x, u) and df(x + z, u) checks nothing
+        checked = []
+        in_domain = CirclePullback.in_domain
+
+        def counted(spec, f):
+            checked.append(f)
+            return in_domain(spec, f)
+
+        monkeypatch.setattr(CirclePullback, "in_domain", counted)
+        x = SmoothFunction(SinusoidProbe(0.05, 2.0), PERIODIC)
+        m_list = [16, 32, 64]
+        res = growth_sweep(pullback_sin(), x, PNormSpec(), PNormSpec(), 3, 8,
+                           m_list)
+        assert len(checked) == len(m_list) + 1
+        assert checked[0] == x
+        for f, m in zip(checked[1:], m_list):
+            z, _ = build_probe(ProbeParams(k=3, l=8, m=m, s0=res.s0),
+                               pullback_sin())
+            assert f == x + z
+
     def test_rejects_bad_input(self):
         # descending m, even k, l = 0 and an empty m_list
         for k, l, m_list in [(3, 8, [32, 16]), (2, 8, [16, 32]),

@@ -27,6 +27,7 @@ from tameprobe.functions import (
     scale,
     seminorm_profile,
 )
+from tameprobe.jets import MAX_ORDER
 from tameprobe.primitives import Sin
 
 TWO_PI = 2.0 * math.pi
@@ -171,6 +172,13 @@ class TestSeminorms:
                                       2.0 * seminorm_profile(z, 3))
 
 
+    @pytest.mark.parametrize("order", [-1, MAX_ORDER + 1])
+    def test_order_out_of_range(self, order):
+        # -1 returned an empty profile, which callers then indexed
+        with pytest.raises(ValueError, match=f"order {order} outside"):
+            seminorm_profile(sin_2pi(), order)
+
+
 class TestProbeClosedForm:
     def test_zero_at_anchor(self):
         assert probe_deriv_closed_form(4, 3, 0.3, 0, 0.3) == 0.0
@@ -201,6 +209,12 @@ class TestProbeClosedForm:
             probe_deriv_closed_form(4, 2, 0.0, 1, 0.0)
         with pytest.raises(ValueError):
             probe_deriv_closed_form(4, 3, 0.0, 17, 0.0)
+
+    @pytest.mark.parametrize("m, k", [(0, 3), (-2, 3), (4, 2), (4, -1)])
+    def test_probe_validation(self, m, k):
+        # m = 0 ended in a ZeroDivisionError
+        with pytest.raises(ValueError, match="must be"):
+            probe(m, k, 0.0)
 
 
 class TestGridSpec:

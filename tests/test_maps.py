@@ -26,6 +26,7 @@ from tameprobe.functions import (
 from tameprobe.maps import (
     CirclePullback,
     DomainViolation,
+    MapSpec,
     PostComposition,
     gateaux_fd,
 )
@@ -119,12 +120,6 @@ class TestApply:
         f = PostComposition(Exp((0.0, 1.0))).apply(zero(UNIT_INTERVAL))
         assert f.evaluate(0.3) == pytest.approx(1.0, rel=1e-15)
 
-    def test_domain_violation_raised(self):
-        x = SmoothFunction(SinusoidProbe(2.0 / TWO_PI, 1.0, 0.0), PERIODIC)
-        with pytest.raises(DomainViolation) as exc:
-            pullback_sin().apply(x)
-        assert exc.value.margin < 1e-9
-
     def test_output_is_periodic(self):
         rng = np.random.default_rng(31)
         x = random_small_function(rng)
@@ -133,6 +128,46 @@ class TestApply:
         for s in rng.uniform(-2, 2, 8):
             assert f.evaluate(s + 1.0) == pytest.approx(f.evaluate(s),
                                                         abs=1e-12)
+
+
+MAPS = [(pullback_sin(), PERIODIC),
+        (PostComposition(Exp((0.0, 1.0))), UNIT_INTERVAL)]
+
+
+class TestTreeBuilders:
+    """apply and gateaux build trees and check only the domain tag; the
+    loop that owns a point checks its membership."""
+
+    @pytest.mark.parametrize("map_spec, domain", MAPS, ids=["ex2", "ex4"])
+    def test_no_membership_check(self, monkeypatch, map_spec, domain):
+        def refuse(spec, f):
+            raise AssertionError("in_domain called by a tree builder")
+
+        for cls in (MapSpec, type(map_spec)):
+            monkeypatch.setattr(cls, "in_domain", refuse)
+        # for ex2 n + x' crosses zero here, and the trees are built anyway
+        x = SmoothFunction(SinusoidProbe(2.0 / TWO_PI, 1.0, 0.0), domain)
+        u = constant(0.125, domain)
+        assert map_spec.apply(x).domain == domain
+        assert map_spec.gateaux(x, u).domain == domain
+
+    @pytest.mark.parametrize("map_spec, domain", MAPS, ids=["ex2", "ex4"])
+    def test_wrong_tag_rejected(self, map_spec, domain):
+        other = UNIT_INTERVAL if domain == PERIODIC else PERIODIC
+        x = zero(other)
+        for build in (map_spec.apply, map_spec.in_domain,
+                      map_spec.require_domain,
+                      lambda f: map_spec.gateaux(f, f)):
+            with pytest.raises(ValueError, match=f"expected {domain}"):
+                build(x)
+
+    def test_require_domain(self):
+        steep = SmoothFunction(SinusoidProbe(2.0 / TWO_PI, 1.0, 0.0),
+                               PERIODIC)
+        pullback_sin().require_domain(zero())
+        with pytest.raises(DomainViolation) as exc:
+            pullback_sin().require_domain(steep)
+        assert exc.value.margin < 1e-9
 
 
 class TestGateaux:
@@ -225,6 +260,19 @@ class TestGateauxFd:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             gateaux_fd(pullback_sin(), zero(), zero(), 0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_nonfinite_step(self, t):
+        # nan ended in DomainViolation (margin nan)
+        with pytest.raises(ValueError, match="step t must be positive"):
+            gateaux_fd(pullback_sin(), zero(), zero(), t)
+
+    def test_domain_violation_raised(self):
+        # both points x +- t u are checked before apply builds anything
+        x = SmoothFunction(SinusoidProbe(2.0 / TWO_PI, 1.0, 0.0), PERIODIC)
+        with pytest.raises(DomainViolation) as exc:
+            gateaux_fd(pullback_sin(), x, zero(), 1e-3)
+        assert exc.value.margin < 1e-9
 
 
 class TestDegenerateStability:

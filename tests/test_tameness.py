@@ -55,6 +55,12 @@ class TestPNormSpec:
             with pytest.raises(ValueError, match="positive and finite"):
                 PNormSpec(truncation=2, weights=(1.0, bad, 0.5))
 
+    @pytest.mark.parametrize("truncation", [1.5, 2.0, True, "2"])
+    def test_truncation_must_be_an_integer(self, truncation):
+        # 1.5 was accepted, and of_profile then failed with a TypeError
+        with pytest.raises(ValueError, match="truncation must be an integer"):
+            PNormSpec(truncation=truncation)
+
     def test_first_saturated(self):
         below = SATURATION * (1.0 - 2.0**-53)
         lower = [1.0, 1e6, below, SATURATION, 1e30]
@@ -201,8 +207,8 @@ class TestCheckTameEstimate:
         assert len(report.domain_exits) == 1
 
     def test_one_domain_check_per_probe(self, monkeypatch):
-        # x once up front and once more in df(x, u) for the one u, then
-        # x + z once per probe, inside df(x + z, u)
+        # x once up front, then x + z once per probe; building df(x, u)
+        # and df(x + z, u) checks nothing
         checked = []
         in_domain = CirclePullback.in_domain
 
@@ -215,7 +221,7 @@ class TestCheckTameEstimate:
         report = check_tame_estimate(self.pullback(), zero(), PNormSpec(),
                                      PNormSpec(), probes)
         assert report.samples_checked == 3
-        assert len(checked) == 2 + 3
+        assert len(checked) == 1 + 3
 
     def test_probe_monotonicity(self):
         m = self.pullback()
@@ -317,8 +323,8 @@ def alternating_family():
 
 
 class TestSharedBaseHalf:
-    """check_tame_estimate builds df(x, u) and rho1(u) once per distinct u
-    and reuses the last u's base-half coefficients on a repeated grid."""
+    """check_tame_estimate builds df(x, u) and rho1(u) again only when u
+    changes, and reuses the base half's coefficients on a repeated grid."""
 
     # (checked, skipped, witnesses) are those of the benchmark's output
     @pytest.mark.parametrize("family, counts", [
@@ -371,9 +377,9 @@ class TestSharedBaseHalf:
         assert len(all_calls) == 6 + 2
 
     def test_one_memo_at_a_time(self, monkeypatch):
-        # df(x, u) is built once per distinct u, but only the last u's
-        # coefficients are kept, so u1, u2, u1 on one grid evaluate the
-        # base half three times
+        # df(x, u) is rebuilt whenever u changes, and only the last u's
+        # coefficients are kept, so u1, u2, u1 on one grid build and
+        # evaluate the base half three times
         map_spec, x = ex4_map()
         z = probe(2, 3, 0.5, UNIT_INTERVAL)
         u1, u2 = constant(0.125, UNIT_INTERVAL), constant(0.3, UNIT_INTERVAL)
@@ -396,7 +402,7 @@ class TestSharedBaseHalf:
         report = check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(),
                                      probes)
         assert report.samples_checked == 4
-        assert built == [u1, u2]
+        assert built == [u1, u2, u1]
         assert evaluated == [4098] * 3
 
     def test_x_evaluated_once_per_grid(self, monkeypatch):
@@ -418,6 +424,25 @@ class TestSharedBaseHalf:
         assert report.samples_checked == 144
         assert len(set(calls)) == 1
         assert len(calls) == 2
+
+    def test_membership_check_keeps_x_memo(self, monkeypatch):
+        # each probe checks x + z on the unwrapped x, so the order-2 pass
+        # of in_domain does not replace the order-12 coefficients the Memo
+        # over x keeps: x is evaluated to order 12 once per grid and once
+        # more for each base half (v's grid has 4097 points for m <= 16
+        # and 8321 for m = 64)
+        map_spec, x, probes = ex2_family()
+        calls = []
+        sinusoid_coeffs = SinusoidProbe.coeffs
+
+        def counted(node, s, order):
+            if node == x.node and order == 12:
+                calls.append(s.size)
+            return sinusoid_coeffs(node, s, order)
+
+        monkeypatch.setattr(SinusoidProbe, "coeffs", counted)
+        check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(), probes)
+        assert calls == [4097, 4097, 8321, 8321]
 
     @pytest.mark.parametrize("c", [0.0, 0.3])
     def test_constant_x_not_wrapped(self, monkeypatch, c):
