@@ -23,7 +23,6 @@ from .functions import (
     SmoothFunction,
     constant,
     probe,
-    probe_deriv_closed_form,
     seminorm_profile,
     zero,
 )

@@ -20,7 +20,10 @@ grid pass over v (`residual_tz`). The first point gives the witness
 v^(top)(s0); the second bounds v's seminorms from below, so that the grid
 pass, which gives sup|T_z| and rho2(v), evaluates v only up to the rung
 below the first one that bound proves saturated under rho2's bounded
-transform. The residual bound is read off a coarse sweep.
+transform. The pass evaluates T_z's leading term (`MapSpec.leading_term`)
+in v's own evaluation context, chunk by chunk, so that what the term
+shares with v, phi_lead's composition for ex2 and z's sin and cos, is
+evaluated once. The residual bound is read off a coarse sweep.
 """
 
 from __future__ import annotations
@@ -34,12 +37,13 @@ import numpy as np
 from .functions import (
     _CHUNK,
     DEFAULT_GRID,
+    Evaluation,
     GridSpec,
     PrecisionBudgetError,
     SmoothFunction,
     constant,
+    find_shared,
     probe,
-    probe_deriv_closed_form,
     seminorm_profile,
 )
 from .maps import DomainViolation, MapSpec
@@ -171,9 +175,11 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
 
     Returns ``(top_deriv, tz_sup, profile)``: |v^(top)(s0)|, the witness
     whose sqrt(m) growth the sweep fits; the sup over the grid of |T_z|,
-    where T_z = v^(top)/eps0 - phi_lead(phi's argument + z) * z^(k) is what
-    is left of the top derivative once the leading term is taken out; and
-    the seminorms p_0 .. p_truncation of v that ``rho2.of_profile`` reads.
+    where T_z = v^(top)/eps0 - phi_lead(phi's argument at x + z) * z^(k)
+    is what is left of the top derivative once the leading term is taken
+    out; and the seminorms p_0 .. p_truncation of v that
+    ``rho2.of_profile`` reads. Each chunk evaluates v and the leading term
+    in one `Evaluation`, so the leading term reuses what v computed.
 
     The anchor evaluation takes v to order max(truncation, top) at s0 and
     at the grid point nearest s0. The coefficients at the grid point,
@@ -189,14 +195,16 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
     whole profile is the grid's.
     """
     top = map_spec.top_order(params.k)
-    lead = map_spec.leading_primitive()
+    lead = map_spec.leading_term(x, z, params.k)
+    sharing = find_shared(v.node, lead)
     s = (grid or DEFAULT_GRID).points(v)
     order = max(rho2.truncation, top)
     fact = np.array([math.factorial(i) for i in range(order + 1)])
     j = int(np.searchsorted(s, params.s0).clip(1, s.size - 1))
     if params.s0 - s[j - 1] <= s[j] - params.s0:
         j -= 1
-    anchor = v.node.coeffs(np.array([params.s0, s[j]]), order)
+    anchor = Evaluation(np.array([params.s0, s[j]]), sharing).coeffs(
+        v.node, order)
     top_deriv = abs(float(fact[top] * anchor[top, 0]))
     lower = np.maximum.accumulate(np.abs(anchor[:rho2.truncation + 1, 1])
                                   * fact[:rho2.truncation + 1])
@@ -206,12 +214,10 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
     sup = np.zeros(n + 1)
     tz_sup = 0.0
     for lo in range(0, s.size, _CHUNK):
-        sc = s[lo:lo + _CHUNK]
-        coeffs = v.node.coeffs(sc, n)
+        ev = Evaluation(s[lo:lo + _CHUNK], sharing)
+        coeffs = ev.coeffs(v.node, n)
         np.maximum(sup, np.abs(coeffs).max(axis=1) * fact[:n + 1], out=sup)
-        c = map_spec.phi_argument(x, sc) + z.evaluate(sc)
-        zk = probe_deriv_closed_form(params.m, params.k, params.s0, params.k, sc)
-        tz = fact[top] * coeffs[top] / params.eps0 - lead(c) * zk
+        tz = fact[top] * coeffs[top] / params.eps0 - ev.coeffs(lead, 0)[0]
         tz_sup = np.maximum(tz_sup, np.abs(tz).max())
     profile = np.concatenate([sup[:n_profile], lower[n_profile:]])
     return top_deriv, float(tz_sup), np.maximum.accumulate(profile)

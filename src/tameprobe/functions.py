@@ -7,23 +7,37 @@ endpoints are those of the global formula, i.e. of the smooth extension).
 The seminorm of grade i is the sup over the domain and over all derivative
 orders l <= i of |f^(l)(s)|. Sups are taken on a structurally sized grid;
 trees consisting of a single sinusoid node get an exact closed form.
+
+A grid pass evaluates its trees one chunk of points at a time, each chunk
+in one `Evaluation`. Before the chunk loop, `find_shared` compares the
+pass's trees by value and names what repeats in them: operator nodes that
+occur more than once, and the (frequency, phase) of sinusoids that two
+nodes share (a sinusoid's derivatives keep its phase and step its
+``shift``, so z, z' and z^(k) read one sin and one cos). A node evaluates
+its operands through the context, which evaluates each repeated node once
+per chunk, to the highest order asked, and serves lower orders as row
+slices. Kept arrays are read-only; no code writes into coefficients it did
+not allocate.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .jets import MAX_ORDER, compose_series, convolve_trunc
-from .primitives import TWO_PI, ScalarPrimitive, trig_cycle, trig_taylor
+from .primitives import TWO_PI, ScalarPrimitive, trig_pair, trig_rows
 
 PERIODIC = "periodic"
 UNIT_INTERVAL = "unit_interval"
 
-_CHUNK = 1 << 16
+# the arrays a chunk keeps for its repeated nodes are (order + 1) * _CHUNK
+# floats each
+_CHUNK = 1 << 14
 MIN_GRID_POINTS = 4096
 # 2^24 points is 128 MiB per row of float64; the ex2 sweep at the CLI's cap
 # m = 16384 over x = zero evaluates v on 2^21 + 65 points
@@ -42,9 +56,18 @@ class PrecisionBudgetError(RuntimeError):
 class Node:
     """Base class for expression-tree nodes."""
 
-    def coeffs(self, s: np.ndarray, order: int) -> np.ndarray:
-        """Taylor coefficients, shape (order+1, len(s))."""
+    def coeffs(self, s, order: int) -> np.ndarray:
+        """Taylor coefficients, shape (order+1, number of points).
+
+        ``s`` is the `Evaluation` of a chunk, through which the node
+        evaluates its operands, or an array of points, which stands for an
+        evaluation that keeps nothing. The result may be read-only.
+        """
         raise NotImplementedError
+
+    def operands(self) -> tuple:
+        """The nodes whose coefficients ``coeffs`` combines."""
+        return ()
 
     def diff(self) -> "Node":
         raise NotImplementedError
@@ -63,7 +86,7 @@ class Constant(Node):
     c: float
 
     def coeffs(self, s, order):
-        out = np.zeros((order + 1, s.size))
+        out = np.zeros((order + 1, _context(s).points.size))
         out[0] = self.c
         return out
 
@@ -83,6 +106,7 @@ class Affine(Node):
     b: float
 
     def coeffs(self, s, order):
+        s = _context(s).points
         out = np.zeros((order + 1, s.size))
         out[0] = self.a * s + self.b
         if order >= 1:
@@ -101,29 +125,34 @@ class Affine(Node):
 
 @dataclass(frozen=True)
 class SinusoidProbe(Node):
-    """s -> amplitude * sin(2*pi*frequency*(s - phase))."""
+    """s -> amplitude * trig_cycle(2*pi*frequency*(s - phase), shift): sin
+    for shift 0, cos for 1, -sin for 2, ...; ``diff`` keeps the phase and
+    steps the shift."""
 
     amplitude: float
     frequency: float
     phase: float = 0.0
+    shift: int = 0
 
     def __post_init__(self):
-        # diff shifts the phase by a quarter period, 0.25 / frequency
+        # a quarter period, 0.25 / frequency, must be a finite double
         if not (math.isfinite(self.frequency) and self.frequency != 0.0
                 and math.isfinite(0.25 / self.frequency)):
             raise ValueError("sinusoid frequency must be nonzero with a "
                              f"finite period, got {self.frequency!r}")
+        if not (type(self.shift) is int and self.shift >= 0):
+            raise ValueError("sinusoid shift must be a nonnegative int, "
+                             f"got {self.shift!r}")
 
     def coeffs(self, s, order):
-        theta = TWO_PI * self.frequency * (s - self.phase)
-        return trig_taylor(theta, self.amplitude, TWO_PI * self.frequency,
-                           order, 0)
+        return trig_rows(_context(s).sin_cos(self, order), self.amplitude,
+                         TWO_PI * self.frequency, order, self.shift)
 
     def diff(self):
-        # d/ds sin(th) = 2*pi*f*cos(th); cos is sin shifted a quarter period
+        # d/ds sin(th) = 2*pi*f*cos(th), one step along the trig cycle
         w = TWO_PI * self.frequency
-        return SinusoidProbe(self.amplitude * w, self.frequency,
-                             self.phase - 0.25 / self.frequency)
+        return SinusoidProbe(self.amplitude * w, self.frequency, self.phase,
+                             self.shift + 1)
 
     def max_frequency(self):
         return abs(self.frequency)
@@ -143,10 +172,14 @@ class Sum(Node):
         object.__setattr__(self, "children", tuple(children))
 
     def coeffs(self, s, order):
-        out = self.children[0].coeffs(s, order)
+        ev = _context(s)
+        out = ev.coeffs(self.children[0], order)
         for ch in self.children[1:]:
-            out = out + ch.coeffs(s, order)
+            out = out + ev.coeffs(ch, order)
         return out
+
+    def operands(self):
+        return self.children
 
     def diff(self):
         return add(*[ch.diff() for ch in self.children])
@@ -172,10 +205,14 @@ class Product(Node):
         object.__setattr__(self, "children", tuple(children))
 
     def coeffs(self, s, order):
-        out = self.children[0].coeffs(s, order)
+        ev = _context(s)
+        out = ev.coeffs(self.children[0], order)
         for ch in self.children[1:]:
-            out = convolve_trunc(out, ch.coeffs(s, order))
+            out = convolve_trunc(out, ev.coeffs(ch, order))
         return out
+
+    def operands(self):
+        return self.children
 
     def diff(self):
         terms = []
@@ -201,7 +238,10 @@ class Scale(Node):
     child: Node
 
     def coeffs(self, s, order):
-        return self.c * self.child.coeffs(s, order)
+        return self.c * _context(s).coeffs(self.child, order)
+
+    def operands(self):
+        return (self.child,)
 
     def diff(self):
         return scale(self.c, self.child.diff())
@@ -220,12 +260,15 @@ class PrimitiveCompose(Node):
     child: Node
 
     def coeffs(self, s, order):
-        inner = self.child.coeffs(s, order)
+        inner = _context(s).coeffs(self.child, order)
         ode = self.primitive.ode
         # the ODE supplies every row of g past the first len(ode)
         outer = self.primitive.taylor_coeffs(inner[0],
                                              min(len(ode) - 1, order))
         return compose_series(outer, inner, ode)
+
+    def operands(self):
+        return (self.child,)
 
     def diff(self):
         return mul(PrimitiveCompose(self.primitive.derivative(), self.child),
@@ -249,14 +292,14 @@ class PrimitiveCompose(Node):
 
 
 class Memo(Node):
-    """``child`` with its last evaluation kept.
+    """``child`` with its last evaluation kept, across grid passes.
 
     A call with points equal to the last call's (``np.array_equal``) and
-    the same order returns the kept coefficients without evaluating the
-    child again. The result is always a copy, since callers may overwrite
-    what they get (``compose_series`` overwrites its ``inner``). The kept
-    evaluation is one chunk of coefficients at most, as ``seminorm_profile``
-    evaluates a chunk at a time.
+    the same order returns the kept coefficients, read-only and not
+    copied, without evaluating the child again. The kept evaluation is one
+    chunk of coefficients at most, as a grid pass evaluates a chunk at a
+    time. A Memo has no operands: `find_shared` does not look inside it,
+    since its own cache already spares its child's repeats.
     """
 
     def __init__(self, child: Node):
@@ -264,11 +307,14 @@ class Memo(Node):
         self._last = None   # (points, order, coefficients)
 
     def coeffs(self, s, order):
+        ev = _context(s)
         last = self._last
-        if last is None or last[1] != order or not np.array_equal(last[0], s):
+        if last is None or last[1] != order \
+                or not np.array_equal(last[0], ev.points):
             # a grid chunk is a view, which would keep the whole grid alive
-            last = self._last = (s.copy(), order, self.child.coeffs(s, order))
-        return last[2].copy()
+            last = self._last = (ev.points.copy(), order,
+                                 _read_only(ev.coeffs(self.child, order)))
+        return last[2]
 
     def diff(self):
         return self.child.diff()
@@ -278,6 +324,110 @@ class Memo(Node):
 
     def affine_slope(self):
         return self.child.affine_slope()
+
+
+# ---------------------------------------------------------------------------
+# evaluation contexts
+
+@dataclass(frozen=True)
+class Sharing:
+    """What each chunk of one grid pass keeps, from `find_shared`.
+
+    ``slots`` maps the id of each node object whose value repeats to the
+    slot of that value; ``objects`` holds those objects, so that no other
+    object can take their ids while the pass runs. ``phases`` holds the
+    (frequency, phase) of every sin/cos pair to keep.
+    """
+
+    slots: dict
+    phases: frozenset
+    objects: tuple
+
+
+NOTHING_SHARED = Sharing({}, frozenset(), ())
+
+
+def find_shared(*roots: Node) -> Sharing:
+    """The repeats in the trees ``roots``, compared by value.
+
+    An operator node (one with operands) is kept when its value occurs
+    twice. The operands of a second occurrence are not visited, since the
+    kept value stands for them. A sin/cos pair is kept when two sinusoid
+    nodes have its frequency and phase. Constant and affine leaves are
+    never kept: rebuilding them costs less than keeping them.
+    """
+    seen, repeated, visited = set(), set(), []
+    phases = Counter()
+    todo = list(roots)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, SinusoidProbe):
+            phases[node.frequency, node.phase] += 1
+        elif node.operands():
+            visited.append(node)
+            # one hash of the subtree per node: set.add tells by the size
+            size = len(seen)
+            seen.add(node)
+            if len(seen) > size:
+                todo.extend(node.operands())
+            else:
+                repeated.add(node)
+    objects = tuple(nd for nd in visited if nd in repeated) if repeated \
+        else ()
+    slot_of = {}
+    slots = {id(nd): slot_of.setdefault(nd, len(slot_of)) for nd in objects}
+    return Sharing(slots, frozenset(k for k, c in phases.items() if c > 1),
+                   objects)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class Evaluation:
+    """One chunk of a grid pass: its points, and the coefficients and
+    sin/cos pairs that the pass's `Sharing` keeps while the chunk is
+    evaluated.
+
+    A node asks ``coeffs`` for its operands. A node the sharing names is
+    evaluated once, to the highest order asked so far; a lower order is a
+    row slice of the kept, read-only array.
+    """
+
+    def __init__(self, points: np.ndarray,
+                 sharing: Sharing = NOTHING_SHARED):
+        self.points = points
+        self._sharing = sharing
+        self._kept = {}   # slot -> coefficients
+        self._trig = {}   # (frequency, phase) -> (sin, cos)
+
+    def coeffs(self, node: Node, order: int) -> np.ndarray:
+        slot = self._sharing.slots.get(id(node))
+        if slot is None:
+            return node.coeffs(self, order)
+        kept = self._kept.get(slot)
+        if kept is None or kept.shape[0] <= order:
+            kept = self._kept[slot] = _read_only(node.coeffs(self, order))
+        return kept[:order + 1]
+
+    def sin_cos(self, node: "SinusoidProbe", order: int):
+        """(sin, cos) at ``node``'s phase; for a pair that is not kept,
+        an entry that rows 0..order of ``node`` do not read is None."""
+        key = (node.frequency, node.phase)
+        pair = self._trig.get(key)
+        if pair is None:
+            theta = TWO_PI * node.frequency * (self.points - node.phase)
+            if key not in self._sharing.phases:
+                return trig_pair(theta, order, node.shift)
+            pair = self._trig[key] = trig_pair(theta)
+        return pair
+
+
+def _context(s) -> Evaluation:
+    """``s`` if it is an `Evaluation`, else one that keeps nothing for
+    the points ``s``."""
+    return s if isinstance(s, Evaluation) else Evaluation(s)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +535,7 @@ class SmoothFunction:
     def evaluate(self, s):
         arr = np.atleast_1d(np.asarray(s, dtype=float))
         self._check_arg(arr)
-        vals = self.node.coeffs(arr, 0)[0]
+        vals = Evaluation(arr).coeffs(self.node, 0)[0]
         return float(vals[0]) if np.isscalar(s) or np.ndim(s) == 0 else vals
 
 
@@ -452,39 +602,22 @@ def seminorm_profile(f: SmoothFunction, max_order: int,
         return np.maximum.accumulate(closed)
     grid = grid or DEFAULT_GRID
     s = grid.points(f)
+    sharing = find_shared(f.node)
     fact = np.array([math.factorial(l) for l in range(max_order + 1)])
     sup = np.zeros(max_order + 1)
     for lo in range(0, s.size, _CHUNK):
-        c = f.node.coeffs(s[lo:lo + _CHUNK], max_order)
+        c = Evaluation(s[lo:lo + _CHUNK], sharing).coeffs(f.node, max_order)
         np.maximum(sup, np.abs(c).max(axis=1) * fact, out=sup)
     return np.maximum.accumulate(sup)
 
 
-def _check_probe(m: int, k: int):
+def probe(m: int, k: int, s0: float, domain: str = PERIODIC) -> SmoothFunction:
+    """The oscillatory probe s -> (2*pi*m)^(-k+1/2) * sin(2*pi*m*(s - s0))
+    as an expression tree."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     if k % 2 != 1 or k < 1:
         raise ValueError("k must be odd and positive")
-
-
-def probe_deriv_closed_form(m: int, k: int, s0: float, i: int, s):
-    """Exact i-th derivative of the oscillatory probe.
-
-    The probe is s -> (2*pi*m)^(-k+1/2) * sin(2*pi*m*(s - s0)); its i-th
-    derivative is (2*pi*m)^(i-k+1/2) times the shifted trig cycle.
-    """
-    _check_probe(m, k)
-    if not 0 <= i <= MAX_ORDER:
-        raise ValueError(f"derivative order {i} out of range")
-    w = TWO_PI * m
-    theta = w * (np.asarray(s, dtype=float) - s0)
-    out = w**(i - k + 0.5) * trig_cycle(theta, i)
-    return float(out) if np.ndim(s) == 0 else out
-
-
-def probe(m: int, k: int, s0: float, domain: str = PERIODIC) -> SmoothFunction:
-    """The oscillatory probe as an expression tree."""
-    _check_probe(m, k)
     amp = (TWO_PI * m)**(-k + 0.5)
     return SmoothFunction(SinusoidProbe(amp, float(m), s0), domain)
 

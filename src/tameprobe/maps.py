@@ -17,8 +17,9 @@ Everything the driver needs to know about one map lives on its class: which
 derivative of phi carries the sqrt(m) blow-up (`lead_order`: phi' for the
 pullback, phi'' for the composition; `leading_primitive` builds it with
 phi's closed-form `derivative()`), the argument phi is evaluated at,
-where the anchor (t0, s0) may be searched for or must be placed, and the
-inequality that certifies a frequency m.
+the leading term of the top derivative of v (`leading_term`), where the
+anchor (t0, s0) may be searched for or must be placed, and the inequality
+that certifies a frequency m.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .functions import (
     UNIT_INTERVAL,
     Affine,
     Constant,
+    Node,
     PrimitiveCompose,
     SmoothFunction,
     add,
@@ -90,6 +92,25 @@ class MapSpec:
     def top_order(self, k: int) -> int:
         """Derivative order of v at which a k-probe shows sqrt(m) growth."""
         return k + self.lead_order - 2
+
+    def argument(self, x: SmoothFunction) -> Node:
+        """The tree of the point phi is evaluated at, for base point x."""
+        raise NotImplementedError
+
+    def leading_term(self, x: SmoothFunction, z: SmoothFunction,
+                     k: int) -> Node:
+        """phi_lead(phi's argument at x + z) * z^(k), the part of
+        v^(top) / eps0 that grows like sqrt(m) for a k-probe z.
+
+        Its `PrimitiveCompose` is built as `gateaux(x + z, u)` builds its
+        own where phi_lead is phi' (the pullback), so that a grid pass over
+        both evaluates it once.
+        """
+        zk = z.node
+        for _ in range(k):
+            zk = zk.diff()
+        return mul(PrimitiveCompose(self.leading_primitive(),
+                                    self.argument(x + z)), zk)
 
     def phi_argument(self, x: SmoothFunction, s):
         """The point phi is evaluated at, at parameter s, for base point x."""
@@ -162,7 +183,7 @@ class CirclePullback(MapSpec):
         self.phi = phi
         self.n = int(n)
 
-    def _inner(self, x: SmoothFunction):
+    def argument(self, x):
         return add(Affine(float(self.n), 0.0), x.node)
 
     def phi_argument(self, x, s):
@@ -189,34 +210,37 @@ class CirclePullback(MapSpec):
         the positivity tolerance.
 
         Off the grid, |n + x'| is at most (h/2) sup|x''| below its nearest
-        grid value, h being the grid step, and p_2(x) >= sup|x''|. The
-        bound takes a full h * p_2(x) off the grid minimum: the second half
-        covers the grid's error in p_2, which for a trigonometric
-        polynomial sampled at 64 points per frequency unit is below 6%
-        (Bernstein's inequality). For a constant or a single sinusoid p_2
-        is exact, and so the bound is proven; for other trees p_2 is a grid
-        sup, and the bound holds only up to the grid's resolution.
+        grid value, h being the grid step. The bound takes a full
+        h * p_0(x'') off the grid minimum, p_0(x'') being the sup of |x''|
+        alone (not p_2(x), which counts sup|x| too): the second half covers
+        the grid's error in p_0(x''), which for a trigonometric polynomial
+        sampled at 64 points per frequency unit is below 6% (Bernstein's
+        inequality). For a constant or a single sinusoid p_0(x'') is exact,
+        and so the bound is proven; for other trees it is a grid sup, and
+        the bound holds only up to the grid's resolution.
         """
         self._check_tag(x)
         s = DEFAULT_GRID.points(x)
-        signed = self.n + x.derivative().evaluate(s)
+        dx = x.derivative()
+        signed = self.n + dx.evaluate(s)
         if np.any(signed == 0.0) or np.any(signed[:-1] * signed[1:] < 0.0):
             return 0.0, False  # n + x' crosses zero, so the infimum is zero
         h = s[1] - s[0]
         margin = max(float(np.abs(signed).min())
-                     - h * float(seminorm_profile(x, 2)[2]), 0.0)
+                     - h * float(seminorm_profile(dx.derivative(), 0)[0]),
+                     0.0)
         return margin, margin > DOMAIN_MARGIN_TOL
 
     def apply(self, x: SmoothFunction) -> SmoothFunction:
         self._check_tag(x)
-        inner = self._inner(x)
+        inner = self.argument(x)
         node = mul(PrimitiveCompose(self.phi, inner),
                    add(Constant(float(self.n)), x.node.diff()))
         return SmoothFunction(node, PERIODIC)
 
     def gateaux(self, x: SmoothFunction, u: SmoothFunction) -> SmoothFunction:
         self._check_tag(x)
-        inner = self._inner(x)
+        inner = self.argument(x)
         term1 = mul(PrimitiveCompose(self.phi.derivative(), inner),
                     u.node,
                     add(Constant(float(self.n)), x.node.diff()))
@@ -236,6 +260,9 @@ class PostComposition(MapSpec):
         if not np.all(phi.derivative()(t) > 0.0):
             raise ValueError("phi must have positive derivative (sampled on [-10, 10])")
         self.phi = phi
+
+    def argument(self, x):
+        return x.node
 
     def phi_argument(self, x, s):
         return x.evaluate(s)

@@ -36,19 +36,27 @@ def trig_cycle(theta, i):
     return _TRIG_CYCLE[i % 4](theta)
 
 
-def trig_taylor(theta, amplitude, w, order, shift):
-    """Taylor coefficients in s of amplitude * trig_cycle(theta, shift),
-    for a phase theta that grows at rate w; shift 0 is sin, 1 is cos.
+def trig_pair(theta, order=1, shift=0):
+    """(sin(theta), cos(theta)), each evaluated once, and left None when
+    rows 0..order of `trig_rows` at this ``shift`` do not read it."""
+    need = {(shift + i) % 2 for i in range(min(order, 1) + 1)}
+    return tuple(trig_cycle(theta, j) if j in need else None for j in (0, 1))
 
-    Row i needs trig_cycle(theta, i + shift); the cycle is evaluated for
-    the first two rows only, and rows i >= 2 take the sign flip of row
-    i - 2 on the scalar factor, which rounds the same as on the array.
+
+def trig_rows(pair, amplitude, w, order, shift):
+    """Taylor coefficients in s of amplitude * trig_cycle(theta, shift),
+    for a phase theta that grows at rate w, from ``pair`` = (sin(theta),
+    cos(theta)); shift 0 is sin, 1 is cos.
+
+    Row i is trig_cycle(theta, i + shift) scaled by amplitude * w^i / i!;
+    its sign flip goes on the scalar factor, which rounds the same as on
+    the array.
     """
-    base = [trig_cycle(theta, shift + i) for i in range(min(order, 1) + 1)]
-    out = np.empty((order + 1,) + theta.shape)
+    out = np.empty((order + 1,) + pair[shift % 2].shape)
     for i in range(order + 1):
-        sign = -1.0 if i % 4 >= 2 else 1.0
-        out[i] = sign * amplitude * w**i * base[i % 2] / math.factorial(i)
+        j = shift + i
+        sign = -1.0 if j % 4 >= 2 else 1.0
+        out[i] = sign * amplitude * w**i * pair[j % 2] / math.factorial(i)
     return out
 
 
@@ -91,8 +99,8 @@ class Sin(ScalarPrimitive):
 
     def taylor_coeffs(self, t, order):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return trig_taylor(self.omega * t, self.amplitude, self.omega, order,
-                           self.shift)
+        return trig_rows(trig_pair(self.omega * t, order, self.shift),
+                         self.amplitude, self.omega, order, self.shift)
 
     def derivative(self):
         # sin' = cos and cos' = -sin, each times omega

@@ -9,6 +9,8 @@ from tameprobe.functions import (
     SmoothFunction,
     Sum,
 )
+from tameprobe.jets import MAX_ORDER
+from tameprobe.primitives import trig_cycle
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,6 +30,25 @@ def random_small_function(rng, domain=PERIODIC, n_terms=2, scale=0.3,
     if with_const:
         nodes.append(Constant(float(rng.uniform(-scale, scale))))
     return SmoothFunction(Sum(*nodes), domain)
+
+
+def probe_deriv_closed_form(m, k, s0, i, s):
+    """Exact i-th derivative of the oscillatory probe, an oracle that
+    shares no code with its tree.
+
+    The probe is s -> (2*pi*m)^(-k+1/2) * sin(2*pi*m*(s - s0)); its i-th
+    derivative is (2*pi*m)^(i-k+1/2) times the shifted trig cycle.
+    """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    if k % 2 != 1 or k < 1:
+        raise ValueError("k must be odd and positive")
+    if not 0 <= i <= MAX_ORDER:
+        raise ValueError(f"derivative order {i} out of range")
+    w = TWO_PI * m
+    theta = w * (np.asarray(s, dtype=float) - s0)
+    out = w**(i - k + 0.5) * trig_cycle(theta, i)
+    return float(out) if np.ndim(s) == 0 else out
 
 
 _STENCILS = {

@@ -53,6 +53,12 @@ class TestParsers:
 
 
 class TestDemo:
+    def test_large_constant_base_point(self, capsys):
+        # n + x' = 1 everywhere; x's own size once counted against the
+        # domain margin, and this run exited 64
+        code = main(["demo", "ex2", "--x", "const:5000", "--m-list", "16,32"])
+        assert code == EXIT_OK, capsys.readouterr().err
+
     def test_oscillatory_violation(self, capsys):
         code = main(["demo", "ex2", "--phi", "sin", "--n", "1", "--k", "3",
                      "--l", "8", "--m-list", SMALL])

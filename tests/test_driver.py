@@ -1,12 +1,13 @@
 import functools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import random_small_function
-from tameprobe import driver
+from conftest import probe_deriv_closed_form, random_small_function
+from tameprobe import driver, primitives
 from tameprobe.driver import (
     DegenerateMapError,
     PrecisionBudgetError,
@@ -23,12 +24,14 @@ from tameprobe.functions import (
     _CHUNK,
     PERIODIC,
     UNIT_INTERVAL,
+    Constant,
     GridSpec,
+    PrimitiveCompose,
     SinusoidProbe,
     SmoothFunction,
     Sum,
     constant,
-    probe_deriv_closed_form,
+    find_shared,
     seminorm_profile,
     zero,
 )
@@ -139,20 +142,24 @@ class TestBuildProbe:
 
 def two_pass_residual(mp, x, params, z, v, order):
     """The residual and the seminorms of v from two separate grid passes:
-    v at order top for T_z, then `seminorm_profile` for the seminorms."""
+    v at order top for T_z, then `seminorm_profile` for the seminorms.
+    Returns (sup|T_z|, sup|v^(top)/eps0|, profile); T_z's leading term is
+    computed from phi's argument and the probe's closed form."""
     top = mp.top_order(params.k)
     lead = mp.leading_primitive()
     s = GridSpec().points(v)
     fact = math.factorial(top)
-    tz = np.empty_like(s)
+    tz, scaled_top = np.empty_like(s), np.empty_like(s)
     for lo in range(0, s.size, _CHUNK):
         sc = s[lo:lo + _CHUNK]
-        v_top = fact * v.node.coeffs(sc, top)[top]
+        scaled_top[lo:lo + _CHUNK] = \
+            fact * v.node.coeffs(sc, top)[top] / params.eps0
         c = mp.phi_argument(x, sc) + z.evaluate(sc)
         zk = probe_deriv_closed_form(params.m, params.k, params.s0, params.k,
                                      sc)
-        tz[lo:lo + _CHUNK] = v_top / params.eps0 - lead(c) * zk
-    return float(np.max(np.abs(tz))), seminorm_profile(v, order)
+        tz[lo:lo + _CHUNK] = scaled_top[lo:lo + _CHUNK] - lead(c) * zk
+    return (float(np.max(np.abs(tz))), float(np.max(np.abs(scaled_top))),
+            seminorm_profile(v, order))
 
 
 def difference(mp, x, z, u):
@@ -179,7 +186,7 @@ def record_coeff_orders(mpatch, node):
 
     def coeffs(self, s, order):
         if self is node:
-            calls.append((s.size, order))
+            calls.append((s.points.size, order))
         return original(self, s, order)
 
     mpatch.setattr(cls, "coeffs", coeffs)
@@ -215,8 +222,10 @@ class TestResidual:
             order = mp.top_order(params.k)
         _, tz_sup, profile = residual_tz(mp, x, params, z, v,
                                          PNormSpec(order, "linear"))
-        want_tz, want_profile = two_pass_residual(mp, x, params, z, v, order)
-        assert tz_sup == want_tz
+        want_tz, top_sup, want_profile = two_pass_residual(mp, x, params, z,
+                                                           v, order)
+        # a cancellation residual of terms the size of v^(top) / eps0
+        assert abs(tz_sup - want_tz) <= 1e-12 * top_sup
         assert np.array_equal(profile, want_profile)
         assert math.isfinite(tz_sup)
         assert np.isfinite(profile).all()
@@ -309,6 +318,53 @@ class TestSaturationCut:
         assert {order for points, order in calls if points > 2} == {12}
 
 
+class TestSharedEvaluation:
+    """v and T_z's leading term are evaluated in one context per chunk."""
+
+    def test_trig_per_chunk(self, monkeypatch):
+        # ex2 at x = 0: z and z' read one sin/cos pair, and phi' at s + z
+        # and at s one each; the leading term phi'(s + z) z^(3) reads phi'
+        # at s + z and z's pair from the chunk's context
+        mp = pullback_sin()
+        params, z, v = anchored_difference(mp, zero(), 1024)
+        sizes = []
+        real = primitives.trig_cycle
+
+        def counted(theta, i):
+            sizes.append(np.size(theta))
+            return real(theta, i)
+
+        monkeypatch.setattr(primitives, "trig_cycle", counted)
+        residual_tz(mp, zero(), params, z, v, PNormSpec(2))
+        n = GridSpec().points(v).size
+        chunks = Counter(min(_CHUNK, n - lo) for lo in range(0, n, _CHUNK))
+        assert 2 not in chunks
+        # the two-point anchor evaluates v alone
+        assert Counter(sizes) == {2: 6, **{size: 6 * count
+                                           for size, count in chunks.items()}}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("x_node", [Constant(0.0),
+                                        SinusoidProbe(0.02, 1.0, 0.2)],
+                             ids=["zero", "sinusoid"])
+    def test_leading_term_shares_the_composition(self, n, x_node):
+        # phi'(n s + x + z) in T_z's leading term is, by value, the one in
+        # df(x + z, u), so a pass over both evaluates it once
+        mp, x = pullback_sin(n), SmoothFunction(x_node, PERIODIC)
+        params, z, v = anchored_difference(mp, x, 64)
+        lead = mp.leading_term(x, z, params.k)
+        composition, zk = lead.children
+        assert isinstance(composition, PrimitiveCompose)
+        assert composition == mp.gateaux(
+            x + z, constant(params.eps0)).node.children[0]
+        sharing = find_shared(v.node, lead)
+        assert id(composition) in sharing.slots
+        # z^(k) keeps z's phase, so it reads z's sin and cos
+        assert (zk.frequency, zk.phase, zk.shift) == (
+            z.node.frequency, z.node.phase, params.k)
+        assert (zk.frequency, zk.phase) in sharing.phases
+
+
 ANCHOR_CASES = {
     "ex2-zero": (pullback_sin, zero),
     "ex2-sinusoid": (pullback_sin,
@@ -347,7 +403,7 @@ class TestAnchorEvaluation:
             return real_residual(map_spec, x, params, z, v, *args)
 
         def coeffs(self, s, order):
-            if s.size <= 2:
+            if s.points.size <= 2:
                 small.append(self)
             return real_coeffs(self, s, order)
 

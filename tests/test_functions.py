@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_derivative, random_small_function
+from conftest import (
+    fd_derivative,
+    probe_deriv_closed_form,
+    random_small_function,
+)
 from tameprobe import functions
 from tameprobe.functions import (
     MAX_GRID_POINTS,
     PERIODIC,
     UNIT_INTERVAL,
+    _CHUNK,
     Affine,
     Constant,
+    Evaluation,
     GridSpec,
     Memo,
     PrecisionBudgetError,
@@ -21,14 +27,16 @@ from tameprobe.functions import (
     SmoothFunction,
     Sum,
     add,
+    constant,
+    find_shared,
     mul,
     probe,
-    probe_deriv_closed_form,
     scale,
     seminorm_profile,
 )
 from tameprobe.jets import MAX_ORDER
-from tameprobe.primitives import Sin
+from tameprobe.maps import PostComposition
+from tameprobe.primitives import Exp, Sin
 
 TWO_PI = 2.0 * math.pi
 IDENTITY = Affine(1.0, 0.0)
@@ -256,7 +264,7 @@ class TestMemo:
     CHILD = SinusoidProbe(0.3, 2.0, 0.1)
 
     def test_primitive_compose_repeats(self):
-        # compose_series overwrites its inner series, here the memo's output
+        # compose_series reads its inner series, here the memo's output
         node = PrimitiveCompose(Sin(omega=TWO_PI), Memo(self.CHILD))
         s = np.arange(257) / 257
         first, second = node.coeffs(s, 8), node.coeffs(s, 8)
@@ -283,13 +291,106 @@ class TestMemo:
             got = memo.coeffs(pts, order)
             assert len(calls) == evaluated
             assert np.array_equal(got, child_coeffs(self.CHILD, pts, order))
-            got[...] = np.nan   # the caller owns what it gets
+            # what the memo keeps is returned as is, and cannot be written
+            assert got is memo.coeffs(pts, order)
+            with pytest.raises(ValueError, match="read-only"):
+                got[...] = np.nan
 
     def test_delegates_structure(self):
         memo = Memo(self.CHILD)
         assert memo.diff() == self.CHILD.diff()
         assert memo.max_frequency() == self.CHILD.max_frequency()
         assert memo.affine_slope() == self.CHILD.affine_slope()
+
+
+# a composition that occurs twice in one tree, next to a sinusoid of its own
+# phase; its grid spans three chunks
+REPEATED = PrimitiveCompose(Sin(omega=TWO_PI),
+                            Sum(IDENTITY, SinusoidProbe(1e-4, 300.0, 0.3)))
+WITH_REPEAT = Sum(Product(REPEATED, SinusoidProbe(0.2, 300.0, 0.3, 2)),
+                  Scale(-3.0, REPEATED))
+
+
+class TestEvaluation:
+    def test_shared_node_evaluated_once_per_chunk(self, monkeypatch):
+        calls = []
+        compose_coeffs = PrimitiveCompose.coeffs
+
+        def counted(node, s, order):
+            calls.append(order)
+            return compose_coeffs(node, s, order)
+
+        f = SmoothFunction(WITH_REPEAT, PERIODIC)
+        s = GridSpec().points(f)
+        assert 2 * _CHUNK < s.size <= 3 * _CHUNK
+        want = np.maximum.accumulate(
+            np.abs(WITH_REPEAT.coeffs(s, 6)).max(axis=1)
+            * [math.factorial(i) for i in range(7)])
+        monkeypatch.setattr(PrimitiveCompose, "coeffs", counted)
+        got = seminorm_profile(f, 6)
+        assert calls == [6] * 3
+        assert np.array_equal(got, want)
+
+    def test_lower_order_is_a_read_only_slice(self):
+        s = np.linspace(0.0, 1.0, 101)
+        ev = Evaluation(s, find_shared(WITH_REPEAT))
+        high = ev.coeffs(REPEATED, 6)
+        for order in range(7):
+            low = ev.coeffs(REPEATED, order)
+            assert np.shares_memory(low, high)
+            assert np.array_equal(low, REPEATED.coeffs(s, order))
+        with pytest.raises(ValueError, match="read-only"):
+            high[0, 0] = 1.0
+        # a higher order than kept is evaluated again, and kept instead
+        ev = Evaluation(s, find_shared(WITH_REPEAT))
+        ev.coeffs(REPEATED, 1)
+        assert np.array_equal(ev.coeffs(REPEATED, 6), high)
+        assert ev.coeffs(REPEATED, 3).base is ev.coeffs(REPEATED, 6).base
+
+    def test_repeats_found_by_value(self):
+        # equal, not identical: the second occurrence is built anew
+        twin = PrimitiveCompose(Sin(omega=TWO_PI),
+                                Sum(IDENTITY, SinusoidProbe(1e-4, 300.0, 0.3)))
+        assert twin == REPEATED and twin is not REPEATED
+        sharing = find_shared(Sum(REPEATED, Scale(2.0, twin)))
+        assert sharing.slots == {id(REPEATED): 0, id(twin): 0}
+        # the operands of a second occurrence are not visited, so the
+        # sinusoid's phase is seen once; constants and affine leaves are
+        # never kept
+        assert sharing.phases == frozenset()
+        assert find_shared(Sum(Constant(2.0), Constant(2.0), IDENTITY,
+                               IDENTITY)).slots == {}
+
+    def test_nothing_kept_without_repeats(self):
+        # v as check_tame_estimate builds it for ex4: a Memo is not looked
+        # into, so x inside both halves is no repeat
+        map_spec = PostComposition(Exp((0.0, 1.0)))
+        x = SmoothFunction(SinusoidProbe(0.3, 1.5), UNIT_INTERVAL)
+        z = probe(3, 3, 0.5, UNIT_INTERVAL)
+        u = constant(0.125, UNIT_INTERVAL)
+        x_memo = SmoothFunction(Memo(x.node), UNIT_INTERVAL)
+        base = SmoothFunction(Memo(map_spec.gateaux(x, u).node),
+                              UNIT_INTERVAL)
+        v = map_spec.gateaux(x_memo + z, u) - base
+        sharing = find_shared(v.node)
+        assert sharing.slots == {} and sharing.phases == frozenset()
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    def test_sinusoid_diff_steps_the_shift(self, k):
+        m, s0 = 16, 0.1
+        node = probe(m, k, s0).node
+        s = np.linspace(0.0, 1.0, 33)
+        for i in range(k + 1):
+            assert (node.frequency, node.phase, node.shift) == (m, s0, i)
+            np.testing.assert_allclose(
+                node.coeffs(s, 0)[0], probe_deriv_closed_form(m, k, s0, i, s),
+                rtol=1e-12, atol=1e-12 * (TWO_PI * m)**(i - k + 0.5))
+            node = node.diff()
+
+    @pytest.mark.parametrize("shift", [-1, 1.0, True, np.int64(2)])
+    def test_shift_is_a_nonnegative_int(self, shift):
+        with pytest.raises(ValueError, match="shift must be a nonnegative"):
+            SinusoidProbe(1.0, 2.0, 0.0, shift)
 
 
 class TestFolding:

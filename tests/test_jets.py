@@ -142,6 +142,16 @@ class TestCompose:
                              np.zeros((4, 1)), Exp().ode)
         np.testing.assert_allclose(out[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
+    def test_inner_is_only_read(self):
+        inner = Sum(Affine(2.0, 0.1), SinusoidProbe(0.3, 2.0, 0.1)).coeffs(
+            np.linspace(0.0, 1.0, 17), 6)
+        want = inner.copy()
+        inner.flags.writeable = False
+        out = compose_series(Sin().taylor_coeffs(inner[0], 1), inner,
+                             Sin().ode)
+        assert np.array_equal(inner, want)
+        assert out.shape == inner.shape
+
     def test_sin_of_square_matches_symbolic(self):
         import sympy
 
@@ -309,8 +319,14 @@ class TestTrigOnce:
         SinusoidProbe(1.0, 3.0).coeffs(np.linspace(0.0, 1.0, 9), 12)
         assert calls == [0, 1]
         calls.clear()
+        # rows of cos take the sign of -sin and -cos on their scalar factor
         Cos(TWO_PI).taylor_coeffs(np.zeros(3), 12)
-        assert calls == [1, 2]
+        assert calls == [0, 1]
+        calls.clear()
+        # order 0 reads one of the two
+        Cos(TWO_PI).taylor_coeffs(np.zeros(3), 0)
+        SinusoidProbe(1.0, 3.0, 0.2, 3).coeffs(np.zeros(3), 0)
+        assert calls == [1, 1]
 
 
 def full_convolve(a, b):

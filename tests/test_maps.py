@@ -102,6 +102,13 @@ class TestInDomain:
         margin, ok = pullback_sin().in_domain(x)
         assert not ok and margin < 1e-9
 
+    @pytest.mark.parametrize("c", [5000.0, -3.0, 0.25])
+    def test_constant_base_point(self, c):
+        # n + x' = 1 everywhere and x'' = 0: the bound takes sup|x''|, not
+        # p_2(x), which counts sup|x| too, off the grid minimum
+        margin, ok = pullback_sin().in_domain(constant(c))
+        assert ok and margin == 1.0
+
     def test_composition_always_true(self):
         _, ok = PostComposition(Exp((0.0, 1.0))).in_domain(
             zero(UNIT_INTERVAL))

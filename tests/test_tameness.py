@@ -357,15 +357,15 @@ class TestSharedBaseHalf:
         def counted(node, s, order):
             all_calls.append(order)
             if node.children[0].child == x.node:
-                base_calls.append((s.size, order))
+                base_calls.append((s.points.size, order))
             return product_coeffs(node, s, order)
 
         def overwriting(node, s, order):
-            # a caller may overwrite what it gets, as compose_series does
+            # what the memo keeps cannot be overwritten by a caller
             out = memo_coeffs(node, s, order)
-            kept = out.copy()
-            out[...] = np.nan
-            return kept
+            with pytest.raises(ValueError, match="read-only"):
+                out[...] = np.nan
+            return out
 
         monkeypatch.setattr(Product, "coeffs", counted)
         monkeypatch.setattr(Memo, "coeffs", overwriting)
@@ -394,7 +394,7 @@ class TestSharedBaseHalf:
 
         def counted_coeffs(node, s, order):
             if node.children[0].child == x.node:
-                evaluated.append(s.size)
+                evaluated.append(s.points.size)
             return product_coeffs(node, s, order)
 
         monkeypatch.setattr(PostComposition, "gateaux", counted_gateaux)
@@ -415,7 +415,7 @@ class TestSharedBaseHalf:
 
         def counted(node, s, order):
             if node == x.node:
-                calls.append((s.tobytes(), order))
+                calls.append((s.points.tobytes(), order))
             return sinusoid_coeffs(node, s, order)
 
         monkeypatch.setattr(SinusoidProbe, "coeffs", counted)
@@ -437,7 +437,7 @@ class TestSharedBaseHalf:
 
         def counted(node, s, order):
             if node == x.node and order == 12:
-                calls.append(s.size)
+                calls.append(s.points.size)
             return sinusoid_coeffs(node, s, order)
 
         monkeypatch.setattr(SinusoidProbe, "coeffs", counted)
