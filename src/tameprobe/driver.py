@@ -41,6 +41,7 @@ from .functions import (
     GridSpec,
     PrecisionBudgetError,
     SmoothFunction,
+    Sum,
     constant,
     find_shared,
     probe,
@@ -196,7 +197,8 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
     """
     top = map_spec.top_order(params.k)
     lead = map_spec.leading_term(x, z, params.k)
-    sharing = find_shared(v.node, lead)
+    # one tree for find_shared: a chunk keeps its pairs from v to lead
+    sharing = find_shared(Sum(v.node, lead))
     s = (grid or DEFAULT_GRID).points(v)
     order = max(rho2.truncation, top)
     fact = np.array([math.factorial(i) for i in range(order + 1)])

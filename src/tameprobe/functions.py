@@ -10,14 +10,15 @@ trees consisting of a single sinusoid node get an exact closed form.
 
 A grid pass evaluates its trees one chunk of points at a time, each chunk
 in one `Evaluation`. Before the chunk loop, `find_shared` compares the
-pass's trees by value and names what repeats in them: operator nodes that
-occur more than once, and the (frequency, phase) of sinusoids that two
-nodes share (a sinusoid's derivatives keep its phase and step its
-``shift``, so z, z' and z^(k) read one sin and one cos). A node evaluates
-its operands through the context, which evaluates each repeated node once
-per chunk, to the highest order asked, and serves lower orders as row
-slices. Kept arrays are read-only; no code writes into coefficients it did
-not allocate.
+pass's trees by value and names what repeats in them: operator nodes and
+sinusoids that occur more than once, and the (frequency, phase) of
+sinusoids that two nodes of one tree share (a sinusoid's derivatives keep
+its phase and step its ``shift``, so z, z' and z^(k) read one sin and one
+cos). A node evaluates its operands through the context, which evaluates
+each repeated node once per chunk, to the highest order asked, and serves
+lower orders as row slices. Kept arrays are read-only; no code writes into
+coefficients it did not allocate. Nothing outlives a pass; the functions
+that `seminorm_profiles` is given share one pass per grid.
 """
 
 from __future__ import annotations
@@ -291,41 +292,6 @@ class PrimitiveCompose(Node):
         return None
 
 
-class Memo(Node):
-    """``child`` with its last evaluation kept, across grid passes.
-
-    A call with points equal to the last call's (``np.array_equal``) and
-    the same order returns the kept coefficients, read-only and not
-    copied, without evaluating the child again. The kept evaluation is one
-    chunk of coefficients at most, as a grid pass evaluates a chunk at a
-    time. A Memo has no operands: `find_shared` does not look inside it,
-    since its own cache already spares its child's repeats.
-    """
-
-    def __init__(self, child: Node):
-        self.child = child
-        self._last = None   # (points, order, coefficients)
-
-    def coeffs(self, s, order):
-        ev = _context(s)
-        last = self._last
-        if last is None or last[1] != order \
-                or not np.array_equal(last[0], ev.points):
-            # a grid chunk is a view, which would keep the whole grid alive
-            last = self._last = (ev.points.copy(), order,
-                                 _read_only(ev.coeffs(self.child, order)))
-        return last[2]
-
-    def diff(self):
-        return self.child.diff()
-
-    def max_frequency(self):
-        return self.child.max_frequency()
-
-    def affine_slope(self):
-        return self.child.affine_slope()
-
-
 # ---------------------------------------------------------------------------
 # evaluation contexts
 
@@ -350,39 +316,38 @@ NOTHING_SHARED = Sharing({}, frozenset(), ())
 def find_shared(*roots: Node) -> Sharing:
     """The repeats in the trees ``roots``, compared by value.
 
-    An operator node (one with operands) is kept when its value occurs
-    twice. The operands of a second occurrence are not visited, since the
-    kept value stands for them. A sin/cos pair is kept when two sinusoid
-    nodes have its frequency and phase. Constant and affine leaves are
-    never kept: rebuilding them costs less than keeping them.
+    An operator node (one with operands) or a sinusoid is kept when its
+    value occurs twice, in any of the trees. The operands of a second
+    occurrence are not visited, since the kept value stands for them. A
+    sin/cos pair is kept when two sinusoid nodes of one tree have its
+    frequency and phase. Constant and affine leaves are never kept:
+    rebuilding them costs less than keeping them.
     """
-    seen, repeated, visited = set(), set(), []
-    phases = Counter()
-    todo = list(roots)
-    while todo:
-        node = todo.pop()
-        if isinstance(node, SinusoidProbe):
-            phases[node.frequency, node.phase] += 1
-        elif node.operands():
+    seen, repeated, visited, phases = set(), set(), [], set()
+    for root in roots:
+        in_tree = Counter()
+        todo = [root]
+        while todo:
+            node = todo.pop()
+            leaf = isinstance(node, SinusoidProbe)
+            if not (leaf or node.operands()):
+                continue
             visited.append(node)
             # one hash of the subtree per node: set.add tells by the size
             size = len(seen)
             seen.add(node)
-            if len(seen) > size:
-                todo.extend(node.operands())
-            else:
+            if len(seen) == size:
                 repeated.add(node)
+            elif leaf:
+                in_tree[node.frequency, node.phase] += 1
+            else:
+                todo.extend(node.operands())
+        phases.update(key for key, c in in_tree.items() if c > 1)
     objects = tuple(nd for nd in visited if nd in repeated) if repeated \
         else ()
     slot_of = {}
     slots = {id(nd): slot_of.setdefault(nd, len(slot_of)) for nd in objects}
-    return Sharing(slots, frozenset(k for k, c in phases.items() if c > 1),
-                   objects)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+    return Sharing(slots, frozenset(phases), objects)
 
 
 class Evaluation:
@@ -408,7 +373,8 @@ class Evaluation:
             return node.coeffs(self, order)
         kept = self._kept.get(slot)
         if kept is None or kept.shape[0] <= order:
-            kept = self._kept[slot] = _read_only(node.coeffs(self, order))
+            kept = self._kept[slot] = node.coeffs(self, order)
+            kept.flags.writeable = False
         return kept[:order + 1]
 
     def sin_cos(self, node: "SinusoidProbe", order: int):
@@ -422,6 +388,10 @@ class Evaluation:
                 return trig_pair(theta, order, node.shift)
             pair = self._trig[key] = trig_pair(theta)
         return pair
+
+    def drop_pairs(self):
+        """Release the kept sin/cos pairs; kept coefficients stay."""
+        self._trig.clear()
 
 
 def _context(s) -> Evaluation:
@@ -555,7 +525,7 @@ class GridSpec:
 
     factor: int = 64
 
-    def points(self, f: SmoothFunction) -> np.ndarray:
+    def size(self, f: SmoothFunction) -> int:
         f_max = f.node.max_frequency()
         n = max(MIN_GRID_POINTS, self.factor * math.ceil(f_max)) \
             if math.isfinite(f_max) else math.inf
@@ -566,8 +536,15 @@ class GridSpec:
             raise PrecisionBudgetError(
                 f"a grid of {shown:.4g} points exceeds the cap of "
                 f"{MAX_GRID_POINTS}")
+        return size
+
+    def points(self, f: SmoothFunction) -> np.ndarray:
+        size = self.size(f)
         if f.domain == PERIODIC:
-            return np.arange(size) / size
+            # dividing in place holds one float copy, not an int one too
+            s = np.arange(size, dtype=float)
+            s /= size
+            return s
         return np.linspace(0.0, 1.0, size)
 
 
@@ -595,20 +572,39 @@ def _closed_form_amplitudes(f: SmoothFunction, max_order: int):
 def seminorm_profile(f: SmoothFunction, max_order: int,
                      grid: GridSpec | None = None) -> np.ndarray:
     """All graded seminorms p_0 .. p_max_order of f in one pass."""
+    return seminorm_profiles([f], max_order, grid)[0]
+
+
+def seminorm_profiles(fs, max_order: int, grid: GridSpec | None) -> list:
+    """`seminorm_profile` of each function of ``fs``, in their order.
+
+    The functions without a closed form are grouped by grid, and each
+    group is one pass: each chunk evaluates the group's trees one after
+    another in one `Evaluation`, so a node that repeats across them is
+    evaluated once per chunk. A tree's coefficients and sin/cos pairs are
+    released before the next tree is evaluated.
+    """
     if not 0 <= max_order <= MAX_ORDER:
         raise ValueError(f"order {max_order} outside 0..{MAX_ORDER}")
-    closed = _closed_form_amplitudes(f, max_order)
-    if closed is not None:
-        return np.maximum.accumulate(closed)
     grid = grid or DEFAULT_GRID
-    s = grid.points(f)
-    sharing = find_shared(f.node)
+    profiles = [_closed_form_amplitudes(f, max_order) for f in fs]
+    groups = {}   # (domain, grid size) -> indices into fs
+    for i, f in enumerate(fs):
+        if profiles[i] is None:
+            groups.setdefault((f.domain, grid.size(f)), []).append(i)
+            profiles[i] = np.zeros(max_order + 1)
     fact = np.array([math.factorial(l) for l in range(max_order + 1)])
-    sup = np.zeros(max_order + 1)
-    for lo in range(0, s.size, _CHUNK):
-        c = Evaluation(s[lo:lo + _CHUNK], sharing).coeffs(f.node, max_order)
-        np.maximum(sup, np.abs(c).max(axis=1) * fact, out=sup)
-    return np.maximum.accumulate(sup)
+    for members in groups.values():
+        s = grid.points(fs[members[0]])   # one grid alive at a time
+        sharing = find_shared(*(fs[i].node for i in members))
+        for lo in range(0, s.size, _CHUNK):
+            ev = Evaluation(s[lo:lo + _CHUNK], sharing)
+            for i in members:
+                # no coefficients stay bound while the next tree runs
+                sup = np.abs(ev.coeffs(fs[i].node, max_order)).max(axis=1)
+                np.maximum(profiles[i], sup * fact, out=profiles[i])
+                ev.drop_pairs()
+    return [np.maximum.accumulate(p) for p in profiles]
 
 
 def probe(m: int, k: int, s0: float, domain: str = PERIODIC) -> SmoothFunction:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import (
+    _CHUNK,
     DEFAULT_GRID,
     PERIODIC,
     UNIT_INTERVAL,
@@ -222,11 +223,15 @@ class CirclePullback(MapSpec):
         self._check_tag(x)
         s = DEFAULT_GRID.points(x)
         dx = x.derivative()
-        signed = self.n + dx.evaluate(s)
-        if np.any(signed == 0.0) or np.any(signed[:-1] * signed[1:] < 0.0):
-            return 0.0, False  # n + x' crosses zero, so the infimum is zero
+        lo, hi = np.inf, -np.inf   # running min and max of n + x'
+        for start in range(0, s.size, _CHUNK):
+            signed = self.n + dx.evaluate(s[start:start + _CHUNK])
+            lo, hi = np.minimum(lo, signed.min()), np.maximum(hi, signed.max())
+        nearest = np.maximum(lo, -hi)   # min|n + x'| if n + x' keeps a sign
+        if nearest <= 0.0:
+            return 0.0, False  # n + x' meets zero, so the infimum is zero
         h = s[1] - s[0]
-        margin = max(float(np.abs(signed).min())
+        margin = max(float(nearest)
                      - h * float(seminorm_profile(dx.derivative(), 0)[0]),
                      0.0)
         return margin, margin > DOMAIN_MARGIN_TOL

@@ -12,31 +12,24 @@ rho2(df(x+z, u) - df(x, u)) <= rho1(u) over a supplied probe family,
 restricted to perturbations with rho1(z) <= 1. A perturbed base point that
 leaves the map's domain counts as a violation of the membership clause:
 each probe checks x + z once, with `in_domain`, and records an exit
-without building anything. The base half df(x, u) and rho1(u) depend on u
-only, so they are rebuilt only when u changes from one probe to the next,
-after the perturbed half. The base half's node is wrapped in a `Memo`, so
-consecutive probes with one u on one grid reuse its coefficients and
-evaluate only df(x+z, u). A second Memo, made once per call, wraps x's
-node, and every perturbed half is built on it: x is the same on every
-probe, so the perturbed halves of consecutive probes on one grid evaluate
-it once. The membership check runs on the unwrapped x + z, so that its
-low-order pass does not replace the Memo's kept coefficients. A constant x
-is left unwrapped, so that `add` still folds a zero x out of x + z.
+without building anything. The probes left are then checked one u at a
+time: df(x, u) and rho1(u) are built once per distinct u, and one
+`seminorm_profiles` call evaluates -df(x, u) and x once per grid chunk for
+all of that u's v's. Witnesses, and a side beyond double range, are
+reported in probe order.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 from .functions import (
-    Constant,
     GridSpec,
-    Memo,
     PrecisionBudgetError,
     SmoothFunction,
     seminorm_profile,
+    seminorm_profiles,
 )
 from .jets import MAX_ORDER
 from .maps import MapSpec
@@ -57,8 +50,9 @@ class PNormSpec:
 
     def __post_init__(self):
         t = self.truncation
-        if not (isinstance(t, numbers.Integral) and not isinstance(t, bool)
-                and 0 <= t <= MAX_ORDER):
+        # an integer, not a bool: floats and strings have no __index__
+        if type(t) is bool or not hasattr(t, "__index__") \
+                or not 0 <= t <= MAX_ORDER:
             raise ValueError(
                 f"truncation must be an integer in 0..{MAX_ORDER}")
         if self.transform not in TRANSFORMS:
@@ -134,12 +128,9 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
     if not probes:
         raise ValueError("probe list must be nonempty")
     map_spec.require_domain(x)
-    # x + z is built on every probe, so x's coefficients are kept too
-    x_memo = x if isinstance(x.node, Constant) else \
-        SmoothFunction(Memo(x.node), x.domain)
     report = TameCheckReport(satisfied=True)
-    last_u = base = rhs = None   # base wraps df(x, last_u) in a Memo
-    for z, u in probes:
+    by_u = {}   # u -> indices of the probes to check
+    for i, (z, u) in enumerate(probes):
         if pnorm_eval(rho1, z, grid) > 1.0:
             report.skipped_large_z += 1
             continue
@@ -148,19 +139,23 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
             report.domain_exits.append((z, margin))
             report.satisfied = False
             continue
-        perturbed_half = map_spec.gateaux(x_memo + z, u)
-        if u != last_u:
-            half = map_spec.gateaux(x, u)
-            last_u, rhs = u, pnorm_eval(rho1, u, grid)
-            base = SmoothFunction(Memo(half.node), half.domain)
-        v = perturbed_half - base
-        lhs = pnorm_eval(rho2, v, grid)
+        by_u.setdefault(u, []).append(i)
+    sides = {}   # probe index -> (rho2(v), rho1(u))
+    for u, checked in by_u.items():
+        base = map_spec.gateaux(x, u)
+        rhs = pnorm_eval(rho1, u, grid)
+        vs = [map_spec.gateaux(x + probes[i][0], u) - base for i in checked]
+        for i, p in zip(checked, seminorm_profiles(vs, rho2.truncation, grid)):
+            sides[i] = rho2.of_profile(p), rhs
+    for i in sorted(sides):
+        lhs, rhs = sides[i]
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise PrecisionBudgetError(
                 f"rho2(v) = {lhs:.12g}, rho1(u) = {rhs:.12g}: a value is "
                 "beyond double range")
         report.samples_checked += 1
         if lhs > rhs:
+            z, u = probes[i]
             report.witnesses.append((z, u, lhs, rhs))
             report.satisfied = False
     return report

@@ -1,16 +1,21 @@
 import math
+import random
 
 import numpy as np
 
+from tameprobe.driver import ProbeParams, build_probe, find_s0, find_t0
 from tameprobe.functions import (
     PERIODIC,
+    UNIT_INTERVAL,
     Constant,
     SinusoidProbe,
     SmoothFunction,
     Sum,
+    constant,
 )
 from tameprobe.jets import MAX_ORDER
-from tameprobe.primitives import trig_cycle
+from tameprobe.maps import PostComposition
+from tameprobe.primitives import Exp, trig_cycle
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,3 +81,37 @@ def fd_derivative(fn, s, order, h):
         return (4.0 * estimate(step / 2.0) - estimate(step)) / 3.0
 
     return (16.0 * refine(h / 2.0) - refine(h)) / 15.0
+
+
+def anchored_probes(map_spec, x, pairs, l=8):
+    """The (z, u) probes of (m, k) pairs, anchored as the CLI anchors them."""
+    s0 = find_s0(map_spec, x, find_t0(map_spec, x))
+    return [build_probe(ProbeParams(k=k, l=l, m=m, s0=s0), map_spec)
+            for m, k in pairs]
+
+
+def ex4_map():
+    """ex4 with phi(t) = t + e^t, and the base point x = sinusoid:0.3,1.5."""
+    return (PostComposition(Exp((0.0, 1.0))),
+            SmoothFunction(SinusoidProbe(0.3, 1.5), UNIT_INTERVAL))
+
+
+def ex4_seed0_family():
+    """ex4 probed by the benchmark's seed-0 family: (m, k) for m = 1..64,
+    k in {1, 3, 5}, and 16 drawn sinusoids z with u = 1/8, all in an order
+    shuffled by the seed."""
+    map_spec, x = ex4_map()
+    rng = random.Random(0)
+    entries = [(m, k) for m in range(1, 65) for k in (1, 3, 5)]
+    for _ in range(16):
+        entries.append((rng.uniform(0.001, 0.05),
+                        rng.choice((0.5, 1.5, 2.0, 3.0, 7.0)), rng.random()))
+    rng.shuffle(entries)
+    probes = []
+    for e in entries:
+        if len(e) == 2:
+            probes += anchored_probes(map_spec, x, [e])
+        else:
+            probes.append((SmoothFunction(SinusoidProbe(*e), UNIT_INTERVAL),
+                           constant(0.125, UNIT_INTERVAL)))
+    return map_spec, x, probes

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ex4_seed0_family,
     fd_derivative,
     probe_deriv_closed_form,
     random_small_function,
@@ -18,7 +19,6 @@ from tameprobe.functions import (
     Constant,
     Evaluation,
     GridSpec,
-    Memo,
     PrecisionBudgetError,
     PrimitiveCompose,
     Product,
@@ -33,10 +33,12 @@ from tameprobe.functions import (
     probe,
     scale,
     seminorm_profile,
+    seminorm_profiles,
 )
 from tameprobe.jets import MAX_ORDER
 from tameprobe.maps import PostComposition
 from tameprobe.primitives import Exp, Sin
+from tameprobe.tameness import PNormSpec, pnorm_eval
 
 TWO_PI = 2.0 * math.pi
 IDENTITY = Affine(1.0, 0.0)
@@ -260,49 +262,6 @@ class TestGridSpec:
             GridSpec().points(f)
 
 
-class TestMemo:
-    CHILD = SinusoidProbe(0.3, 2.0, 0.1)
-
-    def test_primitive_compose_repeats(self):
-        # compose_series reads its inner series, here the memo's output
-        node = PrimitiveCompose(Sin(omega=TWO_PI), Memo(self.CHILD))
-        s = np.arange(257) / 257
-        first, second = node.coeffs(s, 8), node.coeffs(s, 8)
-        assert np.array_equal(first, second)
-        assert np.array_equal(
-            first, PrimitiveCompose(Sin(omega=TWO_PI), self.CHILD).coeffs(s, 8))
-
-    def test_reuse_needs_equal_points_and_order(self, monkeypatch):
-        calls = []
-        child_coeffs = SinusoidProbe.coeffs
-
-        def counted(node, s, order):
-            calls.append(order)
-            return child_coeffs(node, s, order)
-
-        monkeypatch.setattr(SinusoidProbe, "coeffs", counted)
-        memo = Memo(self.CHILD)
-        s = np.arange(257) / 257
-        t = s + 0.5 / 257   # the same size, other points
-        # (points, order, child evaluations so far); only the last is kept
-        for pts, order, evaluated in [(s, 6, 1), (s.copy(), 6, 1),
-                                      (t, 6, 2), (t, 4, 3), (t, 4, 3),
-                                      (s, 6, 4)]:
-            got = memo.coeffs(pts, order)
-            assert len(calls) == evaluated
-            assert np.array_equal(got, child_coeffs(self.CHILD, pts, order))
-            # what the memo keeps is returned as is, and cannot be written
-            assert got is memo.coeffs(pts, order)
-            with pytest.raises(ValueError, match="read-only"):
-                got[...] = np.nan
-
-    def test_delegates_structure(self):
-        memo = Memo(self.CHILD)
-        assert memo.diff() == self.CHILD.diff()
-        assert memo.max_frequency() == self.CHILD.max_frequency()
-        assert memo.affine_slope() == self.CHILD.affine_slope()
-
-
 # a composition that occurs twice in one tree, next to a sinusoid of its own
 # phase; its grid spans three chunks
 REPEATED = PrimitiveCompose(Sin(omega=TWO_PI),
@@ -361,19 +320,93 @@ class TestEvaluation:
         assert find_shared(Sum(Constant(2.0), Constant(2.0), IDENTITY,
                                IDENTITY)).slots == {}
 
-    def test_nothing_kept_without_repeats(self):
-        # v as check_tame_estimate builds it for ex4: a Memo is not looked
-        # into, so x inside both halves is no repeat
-        map_spec = PostComposition(Exp((0.0, 1.0)))
-        x = SmoothFunction(SinusoidProbe(0.3, 1.5), UNIT_INTERVAL)
-        z = probe(3, 3, 0.5, UNIT_INTERVAL)
-        u = constant(0.125, UNIT_INTERVAL)
-        x_memo = SmoothFunction(Memo(x.node), UNIT_INTERVAL)
-        base = SmoothFunction(Memo(map_spec.gateaux(x, u).node),
-                              UNIT_INTERVAL)
-        v = map_spec.gateaux(x_memo + z, u) - base
-        sharing = find_shared(v.node)
-        assert sharing.slots == {} and sharing.phases == frozenset()
+    def test_nothing_kept_without_repeats(self, monkeypatch):
+        # the v's check_tame_estimate checks on ex4's seed-0 family, in one
+        # pass: they share -df(x, u) and x, and nothing else repeats; z
+        # occurs once in each v, so no pass keeps a z pair
+        map_spec, x, probes = ex4_seed0_family()
+        u = probes[0][1]
+        base = map_spec.gateaux(x, u)
+        vs = [map_spec.gateaux(x + z, u) - base for z, _ in probes
+              if pnorm_eval(PNormSpec(), z) <= 1.0]
+        assert len(vs) == 144
+        sharing = find_shared(*(v.node for v in vs))
+        assert set(sharing.objects) == {(-base).node, x.node}
+        assert sharing.phases == frozenset()
+        pairs = []
+        sin_cos = Evaluation.sin_cos
+
+        def recording(ev, node, order):
+            out = sin_cos(ev, node, order)
+            pairs.append(len(ev._trig))
+            return out
+
+        monkeypatch.setattr(Evaluation, "sin_cos", recording)
+        seminorm_profiles(vs, 12, None)
+        assert len(pairs) == 1 + 144 and set(pairs) == {0}
+
+    def test_repeated_sinusoid_is_kept(self, monkeypatch):
+        # a sinusoid leaf whose whole value repeats is kept as a node, as
+        # a repeated operator node is; its pair is not, as no other node
+        # of its phase is left to read it
+        leaf = SinusoidProbe(0.3, 2.0, 0.1)
+        tree = Sum(PrimitiveCompose(Sin(omega=TWO_PI), leaf),
+                   Scale(2.0, SinusoidProbe(0.3, 2.0, 0.1)))
+        sharing = find_shared(tree)
+        assert set(sharing.objects) == {leaf}
+        assert sharing.phases == frozenset()
+        calls = []
+        sinusoid_coeffs = SinusoidProbe.coeffs
+
+        def counted(node, s, order):
+            calls.append(order)
+            return sinusoid_coeffs(node, s, order)
+
+        f = SmoothFunction(tree, PERIODIC)
+        want = seminorm_profile(f, 6)
+        monkeypatch.setattr(SinusoidProbe, "coeffs", counted)
+        assert np.array_equal(seminorm_profile(f, 6), want)
+        assert calls == [6]
+
+    def test_pairs_released_between_trees(self, monkeypatch):
+        # within a tree z, z' and z^(3) read one pair; the next tree of a
+        # many-function pass, which reads z'' and z^(4), builds its own
+        z = probe(16, 3, 0.1).node
+        z2 = z.diff().diff()
+        trees = [Sum(z, Product(z.diff(), SinusoidProbe(1.0, 2.0)),
+                     z2.diff()),
+                 Sum(Scale(2.0, z2), z2.diff().diff())]
+        sharing = find_shared(*trees)
+        assert sharing.phases == frozenset({(16.0, 0.1)})
+        fs = [SmoothFunction(t, PERIODIC) for t in trees]
+        want = [seminorm_profile(f, 4) for f in fs]
+        pairs = []
+        trig_pair = functions.trig_pair
+
+        def counted(theta, order=1, shift=0):
+            pairs.append(theta.size)
+            return trig_pair(theta, order, shift)
+
+        monkeypatch.setattr(functions, "trig_pair", counted)
+        got = functions.seminorm_profiles(fs, 4, None)
+        # one pair for z per tree, and one for the frequency-2 factor
+        assert pairs == [4097] * 3
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_many_function_pass_equals_separate_calls(self):
+        # closed forms, two domains, grids of one and of three chunks,
+        # repeats inside and across trees, and a function given twice
+        fs = [SmoothFunction(WITH_REPEAT, PERIODIC),
+              SmoothFunction(Scale(2.0, REPEATED), PERIODIC),
+              probe(16, 3, 0.1),
+              SmoothFunction(REPEATED, UNIT_INTERVAL),
+              SmoothFunction(Sum(REPEATED, SinusoidProbe(0.1, 3.0)), PERIODIC),
+              probe(3, 1, 0.0),
+              SmoothFunction(WITH_REPEAT, PERIODIC)]
+        got = seminorm_profiles(fs, 6, None)
+        assert len(got) == len(fs)
+        for f, p in zip(fs, got):
+            assert np.array_equal(p, seminorm_profile(f, 6))
 
     @pytest.mark.parametrize("k", [1, 3, 5, 9])
     def test_sinusoid_diff_steps_the_shift(self, k):

@@ -1,16 +1,24 @@
 import math
-import random
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_small_function
-from tameprobe.driver import ProbeParams, build_probe, find_s0, find_t0
+from conftest import (
+    anchored_probes,
+    ex4_map,
+    ex4_seed0_family,
+    random_small_function,
+)
 from tameprobe.functions import (
     PERIODIC,
     UNIT_INTERVAL,
-    Memo,
+    _CHUNK,
+    Constant,
+    Evaluation,
     PrecisionBudgetError,
     Product,
     SinusoidProbe,
@@ -267,40 +275,6 @@ def check_per_probe(map_spec, x, rho1, rho2, probes, grid=None):
     return report
 
 
-def anchored_probes(map_spec, x, pairs, l=8):
-    """The (z, u) probes of (m, k) pairs, anchored as the CLI anchors them."""
-    s0 = find_s0(map_spec, x, find_t0(map_spec, x))
-    return [build_probe(ProbeParams(k=k, l=l, m=m, s0=s0), map_spec)
-            for m, k in pairs]
-
-
-def ex4_map():
-    """ex4 with phi(t) = t + e^t, and the base point x = sinusoid:0.3,1.5."""
-    return (PostComposition(Exp((0.0, 1.0))),
-            SmoothFunction(SinusoidProbe(0.3, 1.5), UNIT_INTERVAL))
-
-
-def ex4_seed0_family():
-    """ex4 probed by the benchmark's seed-0 family: (m, k) for m = 1..64,
-    k in {1, 3, 5}, and 16 drawn sinusoids z with u = 1/8, all in an order
-    shuffled by the seed."""
-    map_spec, x = ex4_map()
-    rng = random.Random(0)
-    entries = [(m, k) for m in range(1, 65) for k in (1, 3, 5)]
-    for _ in range(16):
-        entries.append((rng.uniform(0.001, 0.05),
-                        rng.choice((0.5, 1.5, 2.0, 3.0, 7.0)), rng.random()))
-    rng.shuffle(entries)
-    probes = []
-    for e in entries:
-        if len(e) == 2:
-            probes += anchored_probes(map_spec, x, [e])
-        else:
-            probes.append((SmoothFunction(SinusoidProbe(*e), UNIT_INTERVAL),
-                           constant(0.125, UNIT_INTERVAL)))
-    return map_spec, x, probes
-
-
 def ex2_family():
     """ex2 with phi = sin(2 pi t), n = 2 at x = sinusoid:0.05,2; m = 64
     takes v onto a finer grid than the others."""
@@ -323,8 +297,9 @@ def alternating_family():
 
 
 class TestSharedBaseHalf:
-    """check_tame_estimate builds df(x, u) and rho1(u) again only when u
-    changes, and reuses the base half's coefficients on a repeated grid."""
+    """check_tame_estimate builds df(x, u) and rho1(u) once per distinct u,
+    and one pass per u and grid evaluates -df(x, u) and x once per chunk
+    for all of that u's probes."""
 
     # (checked, skipped, witnesses) are those of the benchmark's output
     @pytest.mark.parametrize("family, counts", [
@@ -351,8 +326,9 @@ class TestSharedBaseHalf:
         probes = anchored_probes(map_spec, x, [(2, 3), (2, 5), (3, 3),
                                                (3, 5), (128, 3), (128, 5)])
         want = check_per_probe(map_spec, x, PNormSpec(), PNormSpec(), probes)
-        base_calls, all_calls = [], []
-        product_coeffs, memo_coeffs = Product.coeffs, Memo.coeffs
+        minus_base = (-map_spec.gateaux(x, probes[0][1])).node
+        base_calls, all_calls, kept = [], [], []
+        product_coeffs, context_coeffs = Product.coeffs, Evaluation.coeffs
 
         def counted(node, s, order):
             all_calls.append(order)
@@ -360,30 +336,36 @@ class TestSharedBaseHalf:
                 base_calls.append((s.points.size, order))
             return product_coeffs(node, s, order)
 
-        def overwriting(node, s, order):
-            # what the memo keeps cannot be overwritten by a caller
-            out = memo_coeffs(node, s, order)
-            with pytest.raises(ValueError, match="read-only"):
-                out[...] = np.nan
+        def overwriting(ev, node, order):
+            # what the context keeps cannot be overwritten by a caller
+            out = context_coeffs(ev, node, order)
+            if node == minus_base:
+                kept.append(out.base)
+                with pytest.raises(ValueError, match="read-only"):
+                    out[...] = np.nan
             return out
 
         monkeypatch.setattr(Product, "coeffs", counted)
-        monkeypatch.setattr(Memo, "coeffs", overwriting)
+        monkeypatch.setattr(Evaluation, "coeffs", overwriting)
         got = check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(),
                                   probes)
         assert got == want
         assert got.samples_checked == 6
         assert base_calls == [(4098, 12), (8194, 12)]
         assert len(all_calls) == 6 + 2
+        # one kept array per grid, read by each of its probes' trees
+        assert len(kept) == 6 and len({id(a) for a in kept}) == 2
 
     def test_one_memo_at_a_time(self, monkeypatch):
-        # df(x, u) is rebuilt whenever u changes, and only the last u's
-        # coefficients are kept, so u1, u2, u1 on one grid build and
-        # evaluate the base half three times
+        # df(x, u) is built once per distinct u, and its coefficients are
+        # kept only in its own u's pass, so u1, u1, u2, u1 on one grid
+        # build and evaluate the base half twice (three times when only
+        # the last u's coefficients were kept)
         map_spec, x = ex4_map()
         z = probe(2, 3, 0.5, UNIT_INTERVAL)
         u1, u2 = constant(0.125, UNIT_INTERVAL), constant(0.3, UNIT_INTERVAL)
         probes = [(z, u1), (z, u1), (z, u2), (z, u1)]
+        want = check_per_probe(map_spec, x, PNormSpec(), PNormSpec(), probes)
         built, evaluated = [], []
         gateaux, product_coeffs = PostComposition.gateaux, Product.coeffs
 
@@ -401,36 +383,66 @@ class TestSharedBaseHalf:
         monkeypatch.setattr(Product, "coeffs", counted_coeffs)
         report = check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(),
                                      probes)
+        assert report == want
         assert report.samples_checked == 4
-        assert built == [u1, u2, u1]
-        assert evaluated == [4098] * 3
+        assert built == [u1, u2]
+        assert evaluated == [4098] * 2
+
+    def test_one_base_half_alive_at_a_time(self, monkeypatch):
+        # three u's, interleaved, on a grid of three chunks: no context
+        # outlives its chunk, and no u's pass outlives the call, so at
+        # most one -df(x, u) is held at any time
+        map_spec, x = ex4_map()
+        zs = [probe(600, k, 0.5, UNIT_INTERVAL) for k in (3, 5)]
+        us = [constant(c, UNIT_INTERVAL) for c in (0.125, 0.3, 0.0)]
+        probes = [(z, u) for u in us for z in zs]
+        probes = probes[::2] + probes[1::2]
+        # u = 0 folds df(x, u) to zero, so two u's keep a base half
+        minus_bases = {(-map_spec.gateaux(x, u)).node for u in us[:2]}
+        alive, peak, chunks = [], [], []
+        context_coeffs = Evaluation.coeffs
+
+        def tracking(ev, node, order):
+            out = context_coeffs(ev, node, order)
+            if node in minus_bases:
+                alive.append(weakref.ref(out.base))
+                chunks.append(ev.points.size)
+            peak.append(len({id(ref()) for ref in alive} - {id(None)}))
+            return out
+
+        monkeypatch.setattr(Evaluation, "coeffs", tracking)
+        report = check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(),
+                                     probes)
+        assert report.samples_checked == 6
+        # each u's two trees read their base half in each of three chunks
+        assert chunks == [n for n in (_CHUNK, _CHUNK, 38402 - 2 * _CHUNK)
+                          for _ in range(2)] * 2
+        assert max(peak) == 1
 
     def test_x_evaluated_once_per_grid(self, monkeypatch):
         # the seed-0 family has one u and puts every v on one 4098-point
-        # grid; x + z is built from one memoized x, so the 144 perturbed
-        # halves evaluate x once, and the base half evaluates it once more
+        # grid, so its one pass evaluates x once (twice when the base
+        # half and the perturbed halves kept x apart)
         map_spec, x, probes = ex4_seed0_family()
         calls = []
         sinusoid_coeffs = SinusoidProbe.coeffs
 
         def counted(node, s, order):
             if node == x.node:
-                calls.append((s.points.tobytes(), order))
+                calls.append((s.points.size, order))
             return sinusoid_coeffs(node, s, order)
 
         monkeypatch.setattr(SinusoidProbe, "coeffs", counted)
         report = check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(),
                                      probes)
         assert report.samples_checked == 144
-        assert len(set(calls)) == 1
-        assert len(calls) == 2
+        assert calls == [(4098, 12)]
 
     def test_membership_check_keeps_x_memo(self, monkeypatch):
-        # each probe checks x + z on the unwrapped x, so the order-2 pass
-        # of in_domain does not replace the order-12 coefficients the Memo
-        # over x keeps: x is evaluated to order 12 once per grid and once
-        # more for each base half (v's grid has 4097 points for m <= 16
-        # and 8321 for m = 64)
+        # the membership checks come first and read x + z's derivatives,
+        # not x; then x is evaluated to order 12 once per grid of v (4097
+        # points for m <= 16 and 8321 for m = 64), not once more for each
+        # base half
         map_spec, x, probes = ex2_family()
         calls = []
         sinusoid_coeffs = SinusoidProbe.coeffs
@@ -442,11 +454,11 @@ class TestSharedBaseHalf:
 
         monkeypatch.setattr(SinusoidProbe, "coeffs", counted)
         check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(), probes)
-        assert calls == [4097, 4097, 8321, 8321]
+        assert calls == [4097, 8321]
 
     @pytest.mark.parametrize("c", [0.0, 0.3])
     def test_constant_x_not_wrapped(self, monkeypatch, c):
-        # a zero x still folds out of x + z, and no Memo wraps a constant
+        # a zero x still folds out of x + z
         map_spec = PostComposition(Exp((0.0, 1.0)))
         x = constant(c, UNIT_INTERVAL)
         z, u = probe(2, 3, 0.5, UNIT_INTERVAL), constant(0.125, UNIT_INTERVAL)
@@ -459,6 +471,66 @@ class TestSharedBaseHalf:
 
         monkeypatch.setattr(PostComposition, "gateaux", recording)
         check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(), [(z, u)])
-        # the perturbed half is built first, as it checks x + z's domain
-        assert seen == [x + z, x]
-        assert (seen[0] == z) == (c == 0.0)
+        # the base half is built once for u, before the perturbed halves
+        assert seen == [x, x + z]
+        assert (seen[1] == z) == (c == 0.0)
+
+
+MAPS = {
+    "ex2": lambda: CirclePullback(Sin(omega=TWO_PI), 2),
+    "ex4": lambda: PostComposition(Exp((0.0, 1.0))),
+}
+BASE_POINTS = {
+    "ex2": (SinusoidProbe(0.05, 2.0), Constant(0.0)),
+    "ex4": (SinusoidProbe(0.3, 1.5), Constant(0.0), Constant(0.3)),
+}
+
+
+@st.composite
+def probe_families(draw):
+    """(variant, x, probes): a few distinct probes, drawn again and again.
+    A probe's z is an (m, k) probe, with m on either side of the frequency
+    256 at which v's grid passes one 16,384-point chunk, or an explicit
+    sinusoid; its u is one of a few constants, zero among them. Probes
+    that share m draw k on their own, so some z's differ only in k."""
+    variant = draw(st.sampled_from(sorted(MAPS)))
+    domain = PERIODIC if variant == "ex2" else UNIT_INTERVAL
+    x = SmoothFunction(draw(st.sampled_from(BASE_POINTS[variant])), domain)
+    s0 = draw(st.sampled_from((0.0, 0.3) if variant == "ex2" else (0.5,)))
+    ms = draw(st.lists(st.sampled_from((1, 3, 16, 250, 300)), min_size=1,
+                       max_size=2))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            z = probe(draw(st.sampled_from(ms)),
+                      draw(st.sampled_from((1, 3, 5))), s0, domain)
+        else:
+            z = SmoothFunction(SinusoidProbe(
+                draw(st.sampled_from((1e-4, 0.01))),
+                draw(st.sampled_from((1.5, 2.0, 7.0, 300.0)[
+                    variant == "ex2":])),
+                draw(st.sampled_from((0.0, 0.25)))), domain)
+        u = constant(draw(st.sampled_from((0.125, 0.3, 0.0))), domain)
+        pool.append((z, u))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=6))
+    return MAPS[variant](), x, [pool[i] for i in picks]
+
+
+def ex4_k_family():
+    """z's that differ only in k on a grid of two chunks, repeated, with
+    u = 1/8 and u = 0."""
+    map_spec, x = ex4_map()
+    z3, z5 = (probe(300, k, 0.5, UNIT_INTERVAL) for k in (3, 5))
+    u, u0 = constant(0.125, UNIT_INTERVAL), constant(0.0, UNIT_INTERVAL)
+    return map_spec, x, [(z3, u), (z5, u0), (z5, u), (z3, u), (z3, u0)]
+
+
+@given(probe_families())
+@example(ex4_k_family())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_check_equals_per_probe_oracle(family):
+    map_spec, x, probes = family
+    assert check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(),
+                               probes) == \
+        check_per_probe(map_spec, x, PNormSpec(), PNormSpec(), probes)
