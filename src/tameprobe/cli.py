@@ -22,7 +22,7 @@ from .driver import (
     estimate_residual_bound,
     fix_m,
     growth_sweep,
-    _locate_anchor,
+    locate_anchor,
 )
 from .functions import Constant, GridSpec, SinusoidProbe, SmoothFunction, zero
 from .jets import MAX_ORDER
@@ -214,21 +214,21 @@ def _config_from_args(args) -> ScenarioConfig:
         for key in ("rho1", "rho2"):
             if key in data:
                 spec = data[key]
-                if isinstance(spec, dict):
-                    _known_keys(spec, PNORM_KEYS, key)
-                # from_dict would truncate 2.7 to 2, read true as 1 and
-                # coerce "1" to 1.0
-                if isinstance(spec, dict) and "truncation" in spec:
+                if not isinstance(spec, dict):
+                    raise ConfigError(f"{key} must be a JSON object, got "
+                                      f"{spec!r}")
+                _known_keys(spec, PNORM_KEYS, key)
+                if "truncation" in spec:
                     _typed(spec["truncation"], f"{key} truncation", int)
-                if isinstance(spec, dict) and spec.get("weights") is not None:
+                if spec.get("weights") is not None:
                     if not isinstance(spec["weights"], list):
                         raise ConfigError(f"{key} weights must be a list of "
                                           f"numbers, got {spec['weights']!r}")
                     for w in spec["weights"]:
                         _finite_number(w, f"{key} weight")
                 try:
-                    setattr(cfg, key, PNormSpec.from_dict(spec))
-                except (AttributeError, TypeError, ValueError) as exc:
+                    setattr(cfg, key, PNormSpec(**spec))
+                except ValueError as exc:
                     raise ConfigError(f"bad {key} in config: {exc}") from None
     if getattr(args, "variant", None):
         cfg.variant = args.variant
@@ -253,36 +253,34 @@ def _record_row(r) -> str:
     return ",".join([str(r.m)] + [format(v, ".17g") for v in vals])
 
 
-def _print_table(result, out):
-    print(CSV_HEADER.replace(",", "\t"), file=out)
+def _print_table(result):
+    print(CSV_HEADER.replace(",", "\t"))
     for r in result.records:
-        print(_record_row(r).replace(",", "\t"), file=out)
+        print(_record_row(r).replace(",", "\t"))
 
 
-def cmd_demo(cfg: ScenarioConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_demo(cfg: ScenarioConfig) -> int:
     map_spec = cfg.build_map()
     x = parse_x(cfg.x, map_spec.domain_tag)
     grid = cfg.grid()
     result = growth_sweep(map_spec, x, cfg.rho1, cfg.rho2, cfg.k, cfg.l,
                           cfg.m_list, grid)
-    _print_table(result, out)
+    _print_table(result)
     print(f"t0 = {result.t0:.12g}  s0 = {result.s0:.12g}  "
-          f"|phi_deriv(t0)| = {result.deriv_mag:.12g}", file=out)
+          f"|phi_deriv(t0)| = {result.deriv_mag:.12g}")
     slope = "n/a" if result.slope is None else format(result.slope, ".6g")
-    print(f"fitted slope = {slope}", file=out)
-    print(f"estimate violated = {result.violation}", file=out)
+    print(f"fitted slope = {slope}")
+    print(f"estimate violated = {result.violation}")
     if result.degenerate:
         # only phi's leading derivative was checked, not v itself
         lead = "phi" + "'" * map_spec.lead_order
         print(f"degenerate anchor: {lead} vanishes on the anchor candidates, "
-              "so no sqrt(m) growth is predicted", file=out)
+              "so no sqrt(m) growth is predicted")
         expected = not result.violation
     else:
         m_est = estimate_residual_bound(map_spec, x, cfg.k, cfg.l, grid=grid)
         m_star = fix_m(map_spec, cfg.k, cfg.l, m_est, result.deriv_mag)
-        print(f"residual bound M = {m_est:.12g}; certified m = {m_star}",
-              file=out)
+        print(f"residual bound M = {m_est:.12g}; certified m = {m_star}")
         expected = result.violation
     return EXIT_OK if expected else EXIT_UNEXPECTED
 
@@ -344,7 +342,7 @@ def _load_probes(path: str, cfg: ScenarioConfig, map_spec, x):
     if not isinstance(entries, list) or not entries:
         raise ConfigError("probe file must be a nonempty JSON list")
     domain = map_spec.domain_tag
-    _, s0, _, _ = _locate_anchor(map_spec, x)
+    _, s0, _, _ = locate_anchor(map_spec, x)
     probes = []
     for entry in entries:
         if not isinstance(entry, dict):
@@ -373,22 +371,20 @@ def _load_probes(path: str, cfg: ScenarioConfig, map_spec, x):
     return probes
 
 
-def cmd_check_tame(cfg: ScenarioConfig, probe_path: str, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_check_tame(cfg: ScenarioConfig, probe_path: str) -> int:
     map_spec = cfg.build_map()
     x = parse_x(cfg.x, map_spec.domain_tag)
     probes = _load_probes(probe_path, cfg, map_spec, x)
     report = check_tame_estimate(map_spec, x, cfg.rho1, cfg.rho2, probes,
                                  cfg.grid())
-    print(f"satisfied = {report.satisfied}", file=out)
+    print(f"satisfied = {report.satisfied}")
     print(f"probes checked = {report.samples_checked}, "
           f"skipped (rho1(z) > 1) = {report.skipped_large_z}, "
-          f"domain exits = {len(report.domain_exits)}", file=out)
+          f"domain exits = {len(report.domain_exits)}")
     for z, u, lhs, rhs in report.witnesses:
         node = z.node
         print(f"witness: z = sinusoid(amp={node.amplitude:.6g}, "
-              f"freq={node.frequency:.6g}), lhs = {lhs:.12g} > rhs = {rhs:.12g}",
-              file=out)
+              f"freq={node.frequency:.6g}), lhs = {lhs:.12g} > rhs = {rhs:.12g}")
     return EXIT_OK
 
 
@@ -443,10 +439,7 @@ def main(argv=None) -> int:
             if args.command == "sweep":
                 return cmd_sweep(cfg)
             return cmd_check_tame(cfg, args.probes)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DomainViolation as exc:
+    except (ConfigError, DomainViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PrecisionBudgetError as exc:

@@ -20,10 +20,11 @@ grid pass over v (`residual_tz`). The first point gives the witness
 v^(top)(s0); the second bounds v's seminorms from below, so that the grid
 pass, which gives sup|T_z| and rho2(v), evaluates v only up to the rung
 below the first one that bound proves saturated under rho2's bounded
-transform. The pass evaluates T_z's leading term (`MapSpec.leading_term`)
-in v's own evaluation context, chunk by chunk, so that what the term
-shares with v, phi_lead's composition for ex2 and z's sin and cos, is
-evaluated once. The residual bound is read off a coarse sweep.
+transform. The pass walks `functions.chunks` over v and T_z's leading
+term (`MapSpec.leading_term`) and evaluates the term in v's own context,
+so that what the term shares with v, phi_lead's composition for ex2 and
+z's sin and cos, is evaluated once per chunk. The residual bound is read
+off a coarse sweep.
 """
 
 from __future__ import annotations
@@ -35,15 +36,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .functions import (
-    _CHUNK,
     DEFAULT_GRID,
     Evaluation,
     GridSpec,
     PrecisionBudgetError,
     SmoothFunction,
-    Sum,
+    chunks,
     constant,
-    find_shared,
     probe,
     seminorm_profile,
 )
@@ -179,8 +178,9 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
     where T_z = v^(top)/eps0 - phi_lead(phi's argument at x + z) * z^(k)
     is what is left of the top derivative once the leading term is taken
     out; and the seminorms p_0 .. p_truncation of v that
-    ``rho2.of_profile`` reads. Each chunk evaluates v and the leading term
-    in one `Evaluation`, so the leading term reuses what v computed.
+    ``rho2.of_profile`` reads. Each chunk of `chunks` evaluates v and the
+    leading term in one `Evaluation`, so the leading term reuses what v
+    computed.
 
     The anchor evaluation takes v to order max(truncation, top) at s0 and
     at the grid point nearest s0. The coefficients at the grid point,
@@ -197,16 +197,13 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
     """
     top = map_spec.top_order(params.k)
     lead = map_spec.leading_term(x, z, params.k)
-    # one tree for find_shared: a chunk keeps its pairs from v to lead
-    sharing = find_shared(Sum(v.node, lead))
     s = (grid or DEFAULT_GRID).points(v)
     order = max(rho2.truncation, top)
     fact = np.array([math.factorial(i) for i in range(order + 1)])
     j = int(np.searchsorted(s, params.s0).clip(1, s.size - 1))
     if params.s0 - s[j - 1] <= s[j] - params.s0:
         j -= 1
-    anchor = Evaluation(np.array([params.s0, s[j]]), sharing).coeffs(
-        v.node, order)
+    anchor = Evaluation(np.array([params.s0, s[j]])).coeffs(v.node, order)
     top_deriv = abs(float(fact[top] * anchor[top, 0]))
     lower = np.maximum.accumulate(np.abs(anchor[:rho2.truncation + 1, 1])
                                   * fact[:rho2.truncation + 1])
@@ -215,8 +212,7 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
     n = max(n_profile - 1, top)
     sup = np.zeros(n + 1)
     tz_sup = 0.0
-    for lo in range(0, s.size, _CHUNK):
-        ev = Evaluation(s[lo:lo + _CHUNK], sharing)
+    for ev in chunks(s, v.node, lead):
         coeffs = ev.coeffs(v.node, n)
         np.maximum(sup, np.abs(coeffs).max(axis=1) * fact[:n + 1], out=sup)
         tz = fact[top] * coeffs[top] / params.eps0 - ev.coeffs(lead, 0)[0]
@@ -225,8 +221,10 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
     return top_deriv, float(tz_sup), np.maximum.accumulate(profile)
 
 
-def _locate_anchor(map_spec: MapSpec, x: SmoothFunction):
-    """(t0, s0, deriv_mag, degenerate) for a sweep."""
+def locate_anchor(map_spec: MapSpec, x: SmoothFunction):
+    """(t0, s0, deriv_mag, degenerate) for a sweep or a probe family: t0
+    and s0 from the map's search, its fixed interior s0 or its fallback
+    anchor."""
     try:
         t0 = find_t0(map_spec, x)
         s0 = map_spec.interior_s0(x)
@@ -257,7 +255,7 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
         raise ValueError("m_list must be strictly ascending")
     _check_k_l(k, l)
     map_spec.require_domain(x)
-    t0, s0, deriv_mag, degenerate = _locate_anchor(map_spec, x)
+    t0, s0, deriv_mag, degenerate = locate_anchor(map_spec, x)
     records = []
     for m in m_list:
         params = ProbeParams(k=k, l=l, m=m, s0=s0)

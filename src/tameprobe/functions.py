@@ -8,36 +8,37 @@ The seminorm of grade i is the sup over the domain and over all derivative
 orders l <= i of |f^(l)(s)|. Sups are taken on a structurally sized grid;
 trees consisting of a single sinusoid node get an exact closed form.
 
-A grid pass evaluates its trees one chunk of points at a time, each chunk
-in one `Evaluation`. Before the chunk loop, `find_shared` compares the
-pass's trees by value and names what repeats in them: operator nodes and
-sinusoids that occur more than once, and the (frequency, phase) of
-sinusoids that two nodes of one tree share (a sinusoid's derivatives keep
-its phase and step its ``shift``, so z, z' and z^(k) read one sin and one
-cos). A node evaluates its operands through the context, which evaluates
-each repeated node once per chunk, to the highest order asked, and serves
-lower orders as row slices. Kept arrays are read-only; no code writes into
-coefficients it did not allocate. Nothing outlives a pass; the functions
-that `seminorm_profiles` is given share one pass per grid.
+A grid pass evaluates its trees one chunk of points at a time, and
+`chunks` is the only loop over the chunks of a grid: it gives each chunk
+one `Evaluation`. Before the loop, `find_shared` compares the pass's
+trees by value and names the operator nodes and sinusoids that occur more
+than once. A node evaluates its operands through the context, which
+evaluates each repeated node once per chunk, to the highest order asked,
+and serves lower orders as row slices. The context also keeps each sin
+and cos it computes until `Evaluation.drop_pairs`: a sinusoid's
+derivatives keep its phase and step its ``shift``, so z, z' and z^(k) of
+one tree read one sin and one cos. Kept arrays are read-only; no code
+writes into coefficients it did not allocate. Nothing outlives a pass; the
+functions that `seminorm_profiles` is given share one pass per grid.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import primitives
 from .jets import MAX_ORDER, compose_series, convolve_trunc
-from .primitives import TWO_PI, ScalarPrimitive, trig_pair, trig_rows
+from .primitives import TWO_PI, ScalarPrimitive, trig_halves, trig_rows
 
 PERIODIC = "periodic"
 UNIT_INTERVAL = "unit_interval"
 
 # the arrays a chunk keeps for its repeated nodes are (order + 1) * _CHUNK
-# floats each
+# floats each, and its sines and cosines _CHUNK floats each
 _CHUNK = 1 << 14
 MIN_GRID_POINTS = 4096
 # 2^24 points is 128 MiB per row of float64; the ex2 sweep at the CLI's cap
@@ -65,6 +66,12 @@ class Node:
         evaluation that keeps nothing. The result may be read-only.
         """
         raise NotImplementedError
+
+    def values(self, s):
+        """The node's values at the points ``s``; a float for a scalar."""
+        arr = np.atleast_1d(np.asarray(s, dtype=float))
+        vals = Evaluation(arr).coeffs(self, 0)[0]
+        return float(vals[0]) if np.ndim(s) == 0 else vals
 
     def operands(self) -> tuple:
         """The nodes whose coefficients ``coeffs`` combines."""
@@ -297,63 +304,56 @@ class PrimitiveCompose(Node):
 
 @dataclass(frozen=True)
 class Sharing:
-    """What each chunk of one grid pass keeps, from `find_shared`.
+    """The nodes whose coefficients each chunk of one grid pass keeps, from
+    `find_shared`.
 
     ``slots`` maps the id of each node object whose value repeats to the
     slot of that value; ``objects`` holds those objects, so that no other
-    object can take their ids while the pass runs. ``phases`` holds the
-    (frequency, phase) of every sin/cos pair to keep.
+    object can take their ids while the pass runs.
     """
 
     slots: dict
-    phases: frozenset
     objects: tuple
 
 
-NOTHING_SHARED = Sharing({}, frozenset(), ())
+NOTHING_SHARED = Sharing({}, ())
 
 
 def find_shared(*roots: Node) -> Sharing:
-    """The repeats in the trees ``roots``, compared by value.
+    """The nodes that repeat in the trees ``roots``, compared by value.
 
     An operator node (one with operands) or a sinusoid is kept when its
     value occurs twice, in any of the trees. The operands of a second
-    occurrence are not visited, since the kept value stands for them. A
-    sin/cos pair is kept when two sinusoid nodes of one tree have its
-    frequency and phase. Constant and affine leaves are never kept:
-    rebuilding them costs less than keeping them.
+    occurrence are not visited, since the kept value stands for them.
+    Constant and affine leaves are never kept: rebuilding them costs less
+    than keeping them.
     """
-    seen, repeated, visited, phases = set(), set(), [], set()
-    for root in roots:
-        in_tree = Counter()
-        todo = [root]
-        while todo:
-            node = todo.pop()
-            leaf = isinstance(node, SinusoidProbe)
-            if not (leaf or node.operands()):
-                continue
-            visited.append(node)
-            # one hash of the subtree per node: set.add tells by the size
-            size = len(seen)
-            seen.add(node)
-            if len(seen) == size:
-                repeated.add(node)
-            elif leaf:
-                in_tree[node.frequency, node.phase] += 1
-            else:
-                todo.extend(node.operands())
-        phases.update(key for key, c in in_tree.items() if c > 1)
+    seen, repeated, visited = set(), set(), []
+    todo = list(roots)
+    while todo:
+        node = todo.pop()
+        leaf = isinstance(node, SinusoidProbe)
+        if not (leaf or node.operands()):
+            continue
+        visited.append(node)
+        # one hash of the subtree per node: set.add tells by the size
+        size = len(seen)
+        seen.add(node)
+        if len(seen) == size:
+            repeated.add(node)
+        elif not leaf:
+            todo.extend(node.operands())
     objects = tuple(nd for nd in visited if nd in repeated) if repeated \
         else ()
     slot_of = {}
     slots = {id(nd): slot_of.setdefault(nd, len(slot_of)) for nd in objects}
-    return Sharing(slots, frozenset(phases), objects)
+    return Sharing(slots, objects)
 
 
 class Evaluation:
-    """One chunk of a grid pass: its points, and the coefficients and
-    sin/cos pairs that the pass's `Sharing` keeps while the chunk is
-    evaluated.
+    """One chunk of a grid pass: its points, the coefficients of the nodes
+    that the pass's `Sharing` names, and the sines and cosines its
+    sinusoids have read.
 
     A node asks ``coeffs`` for its operands. A node the sharing names is
     evaluated once, to the highest order asked so far; a lower order is a
@@ -365,7 +365,7 @@ class Evaluation:
         self.points = points
         self._sharing = sharing
         self._kept = {}   # slot -> coefficients
-        self._trig = {}   # (frequency, phase) -> (sin, cos)
+        self._trig = {}   # (frequency, phase) -> [sin, cos]
 
     def coeffs(self, node: Node, order: int) -> np.ndarray:
         slot = self._sharing.slots.get(id(node))
@@ -378,20 +378,31 @@ class Evaluation:
         return kept[:order + 1]
 
     def sin_cos(self, node: "SinusoidProbe", order: int):
-        """(sin, cos) at ``node``'s phase; for a pair that is not kept,
-        an entry that rows 0..order of ``node`` do not read is None."""
-        key = (node.frequency, node.phase)
-        pair = self._trig.get(key)
-        if pair is None:
+        """[sin, cos] at ``node``'s frequency and phase. Each half is
+        computed when a node first reads it (`trig_halves` tells which
+        halves rows 0..order read) and kept until `drop_pairs`; a half
+        that no node has read yet is None."""
+        pair = self._trig.setdefault((node.frequency, node.phase),
+                                     [None, None])
+        missing = [j for j in trig_halves(order, node.shift)
+                   if pair[j] is None]
+        if missing:
             theta = TWO_PI * node.frequency * (self.points - node.phase)
-            if key not in self._sharing.phases:
-                return trig_pair(theta, order, node.shift)
-            pair = self._trig[key] = trig_pair(theta)
+            for j in missing:
+                pair[j] = primitives.trig_cycle(theta, j)
         return pair
 
     def drop_pairs(self):
-        """Release the kept sin/cos pairs; kept coefficients stay."""
+        """Release the kept sines and cosines; kept coefficients stay."""
         self._trig.clear()
+
+
+def chunks(points: np.ndarray, *roots: Node):
+    """The `Evaluation` of each slice of at most _CHUNK of ``points``, in
+    order, keeping what repeats in the trees ``roots``."""
+    sharing = find_shared(*roots)
+    for lo in range(0, points.size, _CHUNK):
+        yield Evaluation(points[lo:lo + _CHUNK], sharing)
 
 
 def _context(s) -> Evaluation:
@@ -503,10 +514,8 @@ class SmoothFunction:
                 raise ValueError("argument outside [0, 1] for unit-interval function")
 
     def evaluate(self, s):
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
-        self._check_arg(arr)
-        vals = Evaluation(arr).coeffs(self.node, 0)[0]
-        return float(vals[0]) if np.isscalar(s) or np.ndim(s) == 0 else vals
+        self._check_arg(np.asarray(s, dtype=float))
+        return self.node.values(s)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +527,8 @@ class GridSpec:
 
     The grid has ``max(MIN_GRID_POINTS, factor * ceil(f_max))`` base points plus
     one or two extra; the odd total breaks phase locking against integer
-    frequencies, so the sampled phases of a frequency-m sinusoid fill its
-    period densely rather than aliasing to ``factor`` distinct values.
+    frequencies, so a frequency-m sinusoid is sampled at phase angles that
+    fill its period densely, not aliased to ``factor`` distinct values.
     A grid above MAX_GRID_POINTS points raises PrecisionBudgetError.
     """
 
@@ -579,10 +588,10 @@ def seminorm_profiles(fs, max_order: int, grid: GridSpec | None) -> list:
     """`seminorm_profile` of each function of ``fs``, in their order.
 
     The functions without a closed form are grouped by grid, and each
-    group is one pass: each chunk evaluates the group's trees one after
-    another in one `Evaluation`, so a node that repeats across them is
-    evaluated once per chunk. A tree's coefficients and sin/cos pairs are
-    released before the next tree is evaluated.
+    group is one pass over `chunks`: each chunk evaluates the group's trees
+    one after another in one `Evaluation`, so a node that repeats across
+    them is evaluated once per chunk. A tree's coefficients, sines and
+    cosines are released before the next tree is evaluated.
     """
     if not 0 <= max_order <= MAX_ORDER:
         raise ValueError(f"order {max_order} outside 0..{MAX_ORDER}")
@@ -596,9 +605,7 @@ def seminorm_profiles(fs, max_order: int, grid: GridSpec | None) -> list:
     fact = np.array([math.factorial(l) for l in range(max_order + 1)])
     for members in groups.values():
         s = grid.points(fs[members[0]])   # one grid alive at a time
-        sharing = find_shared(*(fs[i].node for i in members))
-        for lo in range(0, s.size, _CHUNK):
-            ev = Evaluation(s[lo:lo + _CHUNK], sharing)
+        for ev in chunks(s, *(fs[i].node for i in members)):
             for i in members:
                 # no coefficients stay bound while the next tree runs
                 sup = np.abs(ev.coeffs(fs[i].node, max_order)).max(axis=1)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import (
-    _CHUNK,
     DEFAULT_GRID,
     PERIODIC,
     UNIT_INTERVAL,
@@ -41,6 +40,7 @@ from .functions import (
     PrimitiveCompose,
     SmoothFunction,
     add,
+    chunks,
     mul,
     seminorm_profile,
 )
@@ -114,8 +114,10 @@ class MapSpec:
                                     self.argument(x + z)), zk)
 
     def phi_argument(self, x: SmoothFunction, s):
-        """The point phi is evaluated at, at parameter s, for base point x."""
-        raise NotImplementedError
+        """The point phi is evaluated at, at parameter s, for base point x:
+        the value of the tree `argument` builds, so that the anchor is
+        solved on the tree a grid pass evaluates."""
+        return self.argument(x).values(s)
 
     def t0_candidates(self, x: SmoothFunction | None, points: int):
         """Points t among which t0 maximizes |phi_lead(t)|."""
@@ -187,9 +189,6 @@ class CirclePullback(MapSpec):
     def argument(self, x):
         return add(Affine(float(self.n), 0.0), x.node)
 
-    def phi_argument(self, x, s):
-        return self.n * s + x.evaluate(s)
-
     def t0_candidates(self, x, points):
         # phi is 1-periodic, so one period of t covers its whole range
         return np.arange(points) / points
@@ -224,8 +223,8 @@ class CirclePullback(MapSpec):
         s = DEFAULT_GRID.points(x)
         dx = x.derivative()
         lo, hi = np.inf, -np.inf   # running min and max of n + x'
-        for start in range(0, s.size, _CHUNK):
-            signed = self.n + dx.evaluate(s[start:start + _CHUNK])
+        for ev in chunks(s, dx.node):
+            signed = self.n + ev.coeffs(dx.node, 0)[0]
             lo, hi = np.minimum(lo, signed.min()), np.maximum(hi, signed.max())
         nearest = np.maximum(lo, -hi)   # min|n + x'| if n + x' keeps a sign
         if nearest <= 0.0:
@@ -268,9 +267,6 @@ class PostComposition(MapSpec):
 
     def argument(self, x):
         return x.node
-
-    def phi_argument(self, x, s):
-        return x.evaluate(s)
 
     def t0_candidates(self, x, points):
         # t0 must be attained by x, so the candidates are x on a grid

@@ -36,10 +36,16 @@ def trig_cycle(theta, i):
     return _TRIG_CYCLE[i % 4](theta)
 
 
-def trig_pair(theta, order=1, shift=0):
+def trig_halves(order, shift):
+    """The halves of (sin(theta), cos(theta)), 0 for sin and 1 for cos,
+    that rows 0..order of `trig_rows` at this ``shift`` read."""
+    return {(shift + i) % 2 for i in range(min(order, 1) + 1)}
+
+
+def trig_pair(theta, order, shift):
     """(sin(theta), cos(theta)), each evaluated once, and left None when
-    rows 0..order of `trig_rows` at this ``shift`` do not read it."""
-    need = {(shift + i) % 2 for i in range(min(order, 1) + 1)}
+    `trig_halves` does not name it."""
+    need = trig_halves(order, shift)
     return tuple(trig_cycle(theta, j) if j in need else None for j in (0, 1))
 
 

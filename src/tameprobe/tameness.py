@@ -22,6 +22,7 @@ reported in probe order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .functions import (
@@ -58,6 +59,10 @@ class PNormSpec:
         if self.transform not in TRANSFORMS:
             raise ValueError(f"transform must be one of {TRANSFORMS}")
         if self.weights is not None:
+            if not all(isinstance(v, numbers.Real) and type(v) is not bool
+                       for v in self.weights):
+                raise ValueError("weights must be real numbers, got "
+                                 f"{self.weights!r}")
             w = tuple(float(v) for v in self.weights)
             if len(w) != self.truncation + 1:
                 raise ValueError("need truncation+1 weights")
@@ -91,13 +96,6 @@ class PNormSpec:
             if lower[i] >= SATURATION:
                 return i
         return None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PNormSpec":
-        w = d.get("weights")
-        return cls(truncation=int(d.get("truncation", 12)),
-                   transform=d.get("transform", "bounded"),
-                   weights=None if w is None else tuple(w))
 
 
 def pnorm_eval(spec: PNormSpec, x: SmoothFunction,

@@ -3,7 +3,8 @@ import random
 
 import numpy as np
 
-from tameprobe.driver import ProbeParams, build_probe, find_s0, find_t0
+from tameprobe import primitives
+from tameprobe.driver import ProbeParams, build_probe, locate_anchor
 from tameprobe.functions import (
     PERIODIC,
     UNIT_INTERVAL,
@@ -56,6 +57,19 @@ def probe_deriv_closed_form(m, k, s0, i, s):
     return float(out) if np.ndim(s) == 0 else out
 
 
+def count_trig(monkeypatch):
+    """The (points, half) of every `trig_cycle` call from now on."""
+    calls = []
+    real = primitives.trig_cycle
+
+    def counted(theta, i):
+        calls.append((np.size(theta), i))
+        return real(theta, i)
+
+    monkeypatch.setattr(primitives, "trig_cycle", counted)
+    return calls
+
+
 _STENCILS = {
     1: ([1, -1], [1, -1], 2.0),
     2: ([1, 0, -1], [1, -2, 1], 1.0),
@@ -85,7 +99,7 @@ def fd_derivative(fn, s, order, h):
 
 def anchored_probes(map_spec, x, pairs, l=8):
     """The (z, u) probes of (m, k) pairs, anchored as the CLI anchors them."""
-    s0 = find_s0(map_spec, x, find_t0(map_spec, x))
+    _, s0, _, _ = locate_anchor(map_spec, x)
     return [build_probe(ProbeParams(k=k, l=l, m=m, s0=s0), map_spec)
             for m, k in pairs]
 

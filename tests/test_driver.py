@@ -6,7 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import probe_deriv_closed_form, random_small_function
+from conftest import (
+    count_trig,
+    probe_deriv_closed_form,
+    random_small_function,
+)
 from tameprobe import driver, primitives
 from tameprobe.driver import (
     DegenerateMapError,
@@ -25,6 +29,7 @@ from tameprobe.functions import (
     PERIODIC,
     UNIT_INTERVAL,
     Constant,
+    Evaluation,
     GridSpec,
     PrimitiveCompose,
     SinusoidProbe,
@@ -347,7 +352,8 @@ class TestSharedEvaluation:
     @pytest.mark.parametrize("x_node", [Constant(0.0),
                                         SinusoidProbe(0.02, 1.0, 0.2)],
                              ids=["zero", "sinusoid"])
-    def test_leading_term_shares_the_composition(self, n, x_node):
+    def test_leading_term_shares_the_composition(self, n, x_node,
+                                                 monkeypatch):
         # phi'(n s + x + z) in T_z's leading term is, by value, the one in
         # df(x + z, u), so a pass over both evaluates it once
         mp, x = pullback_sin(n), SmoothFunction(x_node, PERIODIC)
@@ -359,10 +365,15 @@ class TestSharedEvaluation:
             x + z, constant(params.eps0)).node.children[0]
         sharing = find_shared(v.node, lead)
         assert id(composition) in sharing.slots
-        # z^(k) keeps z's phase, so it reads z's sin and cos
+        # z^(k) keeps z's phase, so it reads z's sin and cos: after v, the
+        # leading term computes no sine or cosine of its own
         assert (zk.frequency, zk.phase, zk.shift) == (
             z.node.frequency, z.node.phase, params.k)
-        assert (zk.frequency, zk.phase) in sharing.phases
+        ev = Evaluation(np.linspace(0.0, 1.0, 33), sharing)
+        ev.coeffs(v.node, mp.top_order(params.k))
+        calls = count_trig(monkeypatch)
+        ev.coeffs(lead, 0)
+        assert calls == []
 
 
 ANCHOR_CASES = {

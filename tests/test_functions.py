@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    count_trig,
     ex4_seed0_family,
     fd_derivative,
     probe_deriv_closed_form,
@@ -314,16 +315,17 @@ class TestEvaluation:
         sharing = find_shared(Sum(REPEATED, Scale(2.0, twin)))
         assert sharing.slots == {id(REPEATED): 0, id(twin): 0}
         # the operands of a second occurrence are not visited, so the
-        # sinusoid's phase is seen once; constants and affine leaves are
-        # never kept
-        assert sharing.phases == frozenset()
+        # sinusoid under it is seen once and not kept; constants and affine
+        # leaves are never kept
+        assert [type(nd) for nd in sharing.objects] == [PrimitiveCompose] * 2
         assert find_shared(Sum(Constant(2.0), Constant(2.0), IDENTITY,
                                IDENTITY)).slots == {}
 
     def test_nothing_kept_without_repeats(self, monkeypatch):
         # the v's check_tame_estimate checks on ex4's seed-0 family, in one
         # pass: they share -df(x, u) and x, and nothing else repeats; z
-        # occurs once in each v, so no pass keeps a z pair
+        # occurs once in each v, and each v's pairs are released before the
+        # next v runs
         map_spec, x, probes = ex4_seed0_family()
         u = probes[0][1]
         base = map_spec.gateaux(x, u)
@@ -332,7 +334,6 @@ class TestEvaluation:
         assert len(vs) == 144
         sharing = find_shared(*(v.node for v in vs))
         assert set(sharing.objects) == {(-base).node, x.node}
-        assert sharing.phases == frozenset()
         pairs = []
         sin_cos = Evaluation.sin_cos
 
@@ -343,18 +344,18 @@ class TestEvaluation:
 
         monkeypatch.setattr(Evaluation, "sin_cos", recording)
         seminorm_profiles(vs, 12, None)
-        assert len(pairs) == 1 + 144 and set(pairs) == {0}
+        # the first v reads x's pair, then its z's; x is kept as a node from
+        # then on, so every later v holds its own z's pair alone
+        assert pairs == [1, 2] + [1] * 143
 
     def test_repeated_sinusoid_is_kept(self, monkeypatch):
         # a sinusoid leaf whose whole value repeats is kept as a node, as
-        # a repeated operator node is; its pair is not, as no other node
-        # of its phase is left to read it
+        # a repeated operator node is
         leaf = SinusoidProbe(0.3, 2.0, 0.1)
         tree = Sum(PrimitiveCompose(Sin(omega=TWO_PI), leaf),
                    Scale(2.0, SinusoidProbe(0.3, 2.0, 0.1)))
         sharing = find_shared(tree)
         assert set(sharing.objects) == {leaf}
-        assert sharing.phases == frozenset()
         calls = []
         sinusoid_coeffs = SinusoidProbe.coeffs
 
@@ -376,22 +377,26 @@ class TestEvaluation:
         trees = [Sum(z, Product(z.diff(), SinusoidProbe(1.0, 2.0)),
                      z2.diff()),
                  Sum(Scale(2.0, z2), z2.diff().diff())]
-        sharing = find_shared(*trees)
-        assert sharing.phases == frozenset({(16.0, 0.1)})
         fs = [SmoothFunction(t, PERIODIC) for t in trees]
         want = [seminorm_profile(f, 4) for f in fs]
-        pairs = []
-        trig_pair = functions.trig_pair
-
-        def counted(theta, order=1, shift=0):
-            pairs.append(theta.size)
-            return trig_pair(theta, order, shift)
-
-        monkeypatch.setattr(functions, "trig_pair", counted)
+        calls = count_trig(monkeypatch)
         got = functions.seminorm_profiles(fs, 4, None)
         # one pair for z per tree, and one for the frequency-2 factor
-        assert pairs == [4097] * 3
+        assert calls == [(4097, 0), (4097, 1)] * 3
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_order_zero_reads_one_half(self, shift, monkeypatch):
+        # an order-0 pass reads sin (shift 0) or cos (shift 1) alone, once
+        # per chunk of a grid that spans two
+        node = SinusoidProbe(0.1, 300.0, 0.2, shift)
+        f = SmoothFunction(Sum(node, Constant(1.0)), PERIODIC)
+        s = GridSpec().points(f)
+        assert _CHUNK < s.size <= 2 * _CHUNK
+        calls = count_trig(monkeypatch)
+        got = seminorm_profile(f, 0)
+        assert calls == [(_CHUNK, shift), (s.size - _CHUNK, shift)]
+        assert got[0] == np.abs(1.0 + node.coeffs(s, 0)[0]).max()
 
     def test_many_function_pass_equals_separate_calls(self):
         # closed forms, two domains, grids of one and of three chunks,

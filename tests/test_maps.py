@@ -177,6 +177,40 @@ class TestTreeBuilders:
         assert exc.value.margin < 1e-9
 
 
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestPhiArgument:
+    """phi's argument is the value of the tree `argument` builds; it equals
+    the closed formulas n*s + x(s) for ex2 and x(s) for ex4 bit for bit."""
+
+    SCALARS = (0.0, 0.3, 1.0 / 3.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("n", [1, -2])
+    @pytest.mark.parametrize("x", ["zero", "const:0.1", "sinusoid:0.02,1,0.3"])
+    def test_pullback(self, n, x):
+        mp, xf = pullback_sin(n), parse_x(x, PERIODIC)
+        # s0's bracket may leave [0, 1]
+        s = np.linspace(-1.5, 2.5, 4001)
+        assert np.array_equal(bits(mp.phi_argument(xf, s)),
+                              bits(n * s + xf.evaluate(s)))
+        for t in self.SCALARS + (-0.7, 2.25):
+            got = mp.phi_argument(xf, t)
+            assert type(got) is float
+            assert bits(got) == bits(n * t + xf.evaluate(t))
+
+    def test_composition(self):
+        mp = PostComposition(Exp((0.0, 1.0)))
+        xf = parse_x("sinusoid:0.3,1.5", UNIT_INTERVAL)
+        s = np.linspace(0.0, 1.0, 4001)
+        assert np.array_equal(bits(mp.phi_argument(xf, s)),
+                              bits(xf.evaluate(s)))
+        for t in self.SCALARS:
+            got = mp.phi_argument(xf, t)
+            assert type(got) is float and bits(got) == bits(xf.evaluate(t))
+
+
 class TestGateaux:
     def test_constant_direction_at_zero(self):
         g = pullback_sin().gateaux(zero(), constant(0.125))

@@ -62,6 +62,13 @@ class TestPNormSpec:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 PNormSpec(truncation=2, weights=(1.0, bad, 0.5))
+        # a library caller's weights get the checks the CLI makes: "1" and
+        # True were read as 1.0
+        for bad in ("1", True, None, 1j):
+            with pytest.raises(ValueError, match="real numbers"):
+                PNormSpec(truncation=2, weights=(1.0, bad, 0.5))
+        spec = PNormSpec(truncation=2, weights=np.array([1, 0.5, 0.25]))
+        assert spec.weights == (1.0, 0.5, 0.25)
 
     @pytest.mark.parametrize("truncation", [1.5, 2.0, True, "2"])
     def test_truncation_must_be_an_integer(self, truncation):
@@ -84,14 +91,6 @@ class TestPNormSpec:
         for p in (2.0**53, 3.0 * 2.0**53, SATURATION, 1e30):
             assert spec.of_profile([0.0, 0.0, p]) == weights[2]
             assert spec.of_profile([0.0, p, p]) == weights[1] + weights[2]
-
-    def test_dict_round_trip(self):
-        weights = [1.0, 0.5, 0.25, 0.125, 0.0625]
-        spec = PNormSpec(truncation=4, transform="linear",
-                         weights=tuple(weights))
-        assert PNormSpec.from_dict({"truncation": 4, "transform": "linear",
-                                    "weights": weights}) == spec
-        assert PNormSpec.from_dict({}) == PNormSpec()
 
 
 class TestPNormEval:
