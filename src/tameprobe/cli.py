@@ -277,6 +277,13 @@ def cmd_demo(cfg: ScenarioConfig) -> int:
         print(f"degenerate anchor: {lead} vanishes on the anchor candidates, "
               "so no sqrt(m) growth is predicted")
         expected = not result.violation
+    elif result.slope is None:
+        # a certificate stands on the sqrt(m) growth the fit measures
+        flat = [r.m for r in result.records if r.top_deriv_s0 == 0.0]
+        why = (f"top_deriv_s0 = 0 at m = {', '.join(map(str, flat))}"
+               if flat else "one m fits no slope")
+        print(f"no certificate: {why}, so no sqrt(m) growth was seen")
+        expected = False
     else:
         m_est = estimate_residual_bound(map_spec, x, cfg.k, cfg.l, grid=grid)
         m_star = fix_m(map_spec, cfg.k, cfg.l, m_est, result.deriv_mag)

@@ -11,7 +11,10 @@ when it is a constant.
 `compose_series` substitutes a series into a primitive g through the
 linear ODE of order r that g satisfies (see `primitives`):
 the coefficients of g^(i)(w(s)), i < r, follow from each other by the
-chain rule, which costs O(r n^2) per point.
+chain rule, which costs O(r n^2) per point. When g^(r) = g^(r-1), as for
+every `Exp`, g^(r-1)(w(s)) follows a recurrence of its own whose rows past
+the first are those of g^(r-2)(w(s)), which cuts the cost to
+O((r-1) n^2).
 
 Both kernels only read their arguments and return new arrays: a grid
 pass hands the same read-only coefficients of a repeated subexpression to
@@ -67,26 +70,47 @@ def compose_series(outer: np.ndarray, inner: np.ndarray, ode) -> np.ndarray:
     so the n coefficients of G_0 cost O(r n^2) per point, and O(r n) for a
     linear w. G_i is only needed to order n-1-i, and G_r is contracted
     term by term, skipping zero a_i, rather than stored.
+
+    When g^(r) = g^(r-1), as for every `Exp`, and 2 <= r <= n, G_{r-1}
+    obeys the recurrence on its own, k E_k = sum_j j w_j E_{k-j}, and its
+    rows k >= 1 are those of G_{r-2}: the same sums over the same rows. So
+    G_{r-2} is run on that recurrence from row 0 of G_{r-1}, and only its
+    row 0 is replaced, at O((r-1) n^2) per point.
     """
     n, r = inner.shape[0], len(ode)
     # rows of w past its degree d only add zeros to a contraction
     d = _degree(inner)
+    # g^(r) = g^(r-1): G_{r-1} runs on its own recurrence (see above)
+    own = 2 <= r <= n and ode[-1] == 1.0 and not any(ode[:-1])
+    levels = r - 1 if own else min(r, n)
     # G_0, the result, is allocated before the scratch (G_i for i > 0 and
     # dw), so that the scratch, freed on return, is what the next call
     # allocates again; scratch allocated first measured 25 times the page
     # faults on the ex4 check-tame claim
     g = [np.empty(inner.shape)] + [np.empty((n - i,) + inner.shape[1:])
-                                   for i in range(1, min(r, n))]
+                                   for i in range(1, levels)]
     # row j - 1 of dw is j * w_j, the coefficient of w' at order j - 1;
     # float factors, since an int array makes numpy cast on every multiply
     dw = inner[1:d + 1] * np.arange(1.0, d + 1).reshape(
         (d,) + (1,) * (inner.ndim - 1))
+    if own:
+        # G_{r-2} runs G_{r-1}'s recurrence from G_{r-1}'s row 0; the row 0
+        # set below replaces that one
+        e = g[-1]
+        e[0] = outer[r - 1] * math.factorial(r - 1)
+        for k in range(1, len(e)):
+            top = min(k, d)
+            np.einsum("j...,j...->...", dw[:top], e[k - top:k][::-1],
+                      out=e[k])
+            e[k] /= k
+    # the levels the loop below fills, each from the one above
+    chained = levels - 1 if own else levels
     for i, row in enumerate(g):
         row[0] = outer[i] * math.factorial(i)
     for k in range(1, n):
         top = min(k, d)
         dwk = dw[:top]
-        for i in range(min(r, n - k)):
+        for i in range(min(chained, n - k)):
             out = g[i][k]
             if i + 1 < r:
                 np.einsum("j...,j...->...", dwk, g[i + 1][k - top:k][::-1],

@@ -68,6 +68,21 @@ class TestDemo:
         assert "fitted slope = " in out
         assert "certified m = " in out
 
+    @pytest.mark.parametrize("argv, why", [
+        # s0 = -1e300, where n s + x(s) has lost s: v's top derivative is 0
+        (["--phi", "cos", "--x", "const:1e300", "--m-list", "16,32"],
+         "top_deriv_s0 = 0 at m = 16, 32"),
+        (["--m-list", "16"], "one m fits no slope"),
+    ], ids=["flat", "one-m"])
+    def test_no_certificate_without_growth(self, capsys, argv, why):
+        code = main(["demo", "ex2"] + argv)
+        out = capsys.readouterr().out
+        assert code == EXIT_UNEXPECTED
+        assert "fitted slope = n/a" in out
+        assert "certified m" not in out
+        assert out.endswith(f"no certificate: {why}, so no sqrt(m) growth "
+                            "was seen\n")
+
     def test_degenerate_affine(self, capsys):
         code = main(["demo", "ex4", "--phi", "affine:2,1",
                      "--m-list", "16,32"])

@@ -236,6 +236,91 @@ class TestOdeRecurrence:
                                    expected / scale, rtol=0, atol=1e-12)
 
 
+def chain_compose(outer, inner, ode):
+    """Oracle: `compose_series` with every level G_i, i < r, run from the
+    one above and G_r contracted from the ODE, whatever the ODE."""
+    n, r = inner.shape[0], len(ode)
+    d = next((j for j in range(n - 1, 0, -1) if inner[j].any()), 0)
+    g = [np.empty(inner.shape)] + [np.empty((n - i,) + inner.shape[1:])
+                                   for i in range(1, min(r, n))]
+    dw = inner[1:d + 1] * np.arange(1.0, d + 1).reshape(
+        (d,) + (1,) * (inner.ndim - 1))
+    for i, row in enumerate(g):
+        row[0] = outer[i] * math.factorial(i)
+    for k in range(1, n):
+        top = min(k, d)
+        dwk = dw[:top]
+        for i in range(min(r, n - k)):
+            out = g[i][k]
+            if i + 1 < r:
+                np.einsum("j...,j...->...", dwk, g[i + 1][k - top:k][::-1],
+                          out=out)
+            else:
+                out[...] = 0.0
+                for q, a in enumerate(ode):
+                    if a:
+                        out += a * np.einsum("j...,j...->...", dwk,
+                                             g[q][k - top:k][::-1])
+            out /= k
+    return g[0]
+
+
+def ode_inner(order, linear):
+    """Coefficients of a linear or a nonlinear inner function on 5 points."""
+    s = np.linspace(-0.4, 0.6, 5)
+    if linear:
+        return Affine(1.5, 0.2).coeffs(s, order)
+    return Sum(Affine(0.7, 0.1), SinusoidProbe(0.3, 1.5, 0.2)).coeffs(s, order)
+
+
+class TestExpOwnRecurrence:
+    """For g^(r) = g^(r-1), `compose_series` runs G_{r-1} on its own
+    recurrence and reads G_{r-2} off it: bit for bit the general chain
+    loop, with fewer contractions."""
+
+    @pytest.mark.parametrize("linear", [True, False],
+                             ids=["linear", "nonlinear"])
+    @pytest.mark.parametrize("poly", [(), (1.0,), (0.5, -1.0),
+                                      (0.25, 1.0, -0.5)],
+                             ids=lambda p: f"len{len(p)}")
+    def test_bit_identical_to_chain_loop(self, poly, linear):
+        prim = Exp(poly)
+        r = len(prim.ode)
+        for order in range(13):
+            inner = ode_inner(order, linear)
+            outer = prim.taylor_coeffs(inner[0], min(r - 1, order))
+            got = compose_series(outer, inner, prim.ode)
+            want = chain_compose(outer, inner, prim.ode)
+            assert np.array_equal(got, want), order
+
+    @pytest.mark.parametrize("prim, counts", [
+        (Exp((1.0,)), (23, 12)),
+        (Exp((0.0, 1.0)), (33, 23)),
+        (Exp(), None),
+        (Sin(omega=TWO_PI, amplitude=0.7), None),
+        (Cos(omega=3.0), None),
+        (CUBIC, None),
+    ], ids=["ode(0,1)", "ode(0,0,1)", "Exp()", "Sin", "Cos", "Polynomial"])
+    def test_einsum_calls(self, monkeypatch, prim, counts):
+        # at n = 13 the chain loop makes 23 contractions for ODE (0, 1) and
+        # 33 for (0, 0, 1); other ODEs keep the chain loop's count
+        calls = []
+        real = np.einsum
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return real(*args, **kw)
+
+        inner = ode_inner(12, linear=False)
+        outer = prim.taylor_coeffs(inner[0], len(prim.ode) - 1)
+        monkeypatch.setattr(np, "einsum", counting)
+        chain_compose(outer, inner, prim.ode)
+        chained = len(calls)
+        calls.clear()
+        compose_series(outer, inner, prim.ode)
+        assert (chained, len(calls)) == (counts or (chained, chained))
+
+
 class TestFamilies:
     """The four primitive families are frozen dataclasses, closed under a
     closed-form derivative(), and compare by value."""

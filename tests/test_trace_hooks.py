@@ -1,12 +1,17 @@
 """The benchmark's per-layer spans (`bench/spans.py`) wrap tameprobe's
 functions and methods by name, and skip a method that no class defines. So
 every name they list must still be bound where they look for it: moving a
-method between classes would otherwise zero its span in silence. `bench/`
-is only read."""
+method between classes would otherwise zero its span in silence, and a
+layer that reads zero on a workload fails the benchmark's traced run.
+`bench/` is only read."""
 
 import importlib.util
+import json
 import math
+import sys
 from pathlib import Path
+
+import pytest
 
 from tameprobe import driver, maps
 from tameprobe.functions import UNIT_INTERVAL, zero
@@ -14,10 +19,23 @@ from tameprobe.primitives import Exp, Sin
 from tameprobe.tameness import PNormSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-_spec = importlib.util.spec_from_file_location("bench_spans",
-                                               BENCH / "spans.py")
-spans = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(spans)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load("spans")
+# run.py puts bench/ on sys.path to import its workloads
+_path = list(sys.path)
+run = _load("run")
+sys.path[:] = _path
+PER_LAYER = [m["name"] for m in json.loads(
+    (BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]]
 
 
 def _module(name):
@@ -68,3 +86,21 @@ def test_residual_pass_is_traced():
     assert {"driver.residual_tz", "primitives.trig_cycle",
             "primitives.taylor_coeffs", "jets.compose_series",
             "functions.Node.coeffs"} <= names
+
+
+@pytest.mark.parametrize("name", sorted(run.workloads.WORKLOADS))
+def test_every_required_layer_is_nonzero(name, tmp_path):
+    # one seed-0 claim under the benchmark's tracer; `--trace 1` marks the
+    # run incorrect when a layer it requires reads zero
+    argv, output = run.workloads.build_inputs(name, 0, tmp_path)
+    tracer = spans.Tracer()
+    claim = run.run_claim(run.import_tameprobe(), name, 0, argv, output,
+                          tracer)
+    assert claim["ok"]
+    (totals,) = tracer.per_claim().values()
+    # the import time is measured in fresh interpreters, not by spans
+    metrics = {k: totals.get(k, 0.0) for k in PER_LAYER
+               if k != "tameprobe.import.s"}
+    required = run.layers_to_cover(name, metrics)
+    assert required
+    assert [k for k in required if metrics[k] == 0] == []
