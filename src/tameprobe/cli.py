@@ -19,13 +19,14 @@ from .driver import (
     PrecisionBudgetError,
     ProbeParams,
     build_probe,
+    check_sweep,
     estimate_residual_bound,
     fix_m,
     growth_sweep,
     locate_anchor,
 )
-from .functions import Constant, GridSpec, SinusoidProbe, SmoothFunction, zero
-from .jets import MAX_ORDER
+from .functions import (Constant, GridSpec, SinusoidProbe, SmoothFunction,
+                        check_probe, zero)
 from .maps import CirclePullback, DomainViolation, PostComposition
 from .primitives import TWO_PI, Cos, Exp, Polynomial, Sin
 from .tameness import PNormSpec, check_tame_estimate
@@ -122,32 +123,23 @@ class ScenarioConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {', '.join(VARIANTS)}, "
                               f"got {self.variant!r}")
-        if self.k % 2 != 1 or self.k < 1:
-            raise ConfigError("k must be odd")
-        if self.l < 1:
-            raise ConfigError("l must be a positive integer")
-        if not self.m_list:
-            raise ConfigError("m list must not be empty")
-        if any(m < 1 for m in self.m_list) or \
-                any(b <= a for a, b in zip(self.m_list, self.m_list[1:])):
-            raise ConfigError("m values must be positive and ascending")
+        try:
+            check_sweep(self.k, self.l, self.m_list)
+            self.grid()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.m_list[-1] > MAX_M:
             raise ConfigError(f"m = {self.m_list[-1]} exceeds {MAX_M}")
-        if self.grid_factor < 1:
-            raise ConfigError("grid factor must be positive")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
 
     def build_map(self):
         phi = parse_phi(self.phi)
         try:
-            map_spec = VARIANTS[self.variant](phi, self.n)
+            check_probe(self.k)
+            return VARIANTS[self.variant](phi, self.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        # the probe needs derivative k of z, the sweep derivative top of v
-        if max(self.k, map_spec.top_order(self.k)) > MAX_ORDER:
-            raise ConfigError(f"k = {self.k} exceeds the order cap {MAX_ORDER}")
-        return map_spec
 
     def grid(self) -> GridSpec:
         return GridSpec(factor=self.grid_factor)
@@ -362,11 +354,6 @@ def _load_probes(path: str, cfg: ScenarioConfig, map_spec, x):
             k = _typed(entry["k"], "probe k", int)
             if m > MAX_M:
                 raise ConfigError(f"probe m = {m} exceeds {MAX_M}")
-            # as for the config's k; a huge k would also overflow the
-            # exponent of the probe's amplitude (2 pi m)^(1/2 - k)
-            if k > MAX_ORDER:
-                raise ConfigError(f"probe k = {k} exceeds the order cap "
-                                  f"{MAX_ORDER}")
             s0_entry = _finite_number(entry.get("s0", s0), "probe s0")
             try:
                 params = ProbeParams(k=k, l=cfg.l, m=m, s0=s0_entry)

@@ -41,8 +41,10 @@ from .functions import (
     GridSpec,
     PrecisionBudgetError,
     SmoothFunction,
+    check_probe,
     chunks,
     constant,
+    is_integer,
     probe,
     seminorm_profile,
 )
@@ -59,11 +61,17 @@ class DegenerateMapError(ValueError):
     """The outer function has no usable point of nonzero derivative."""
 
 
-def _check_k_l(k: int, l: int):
-    if k < 1 or k % 2 != 1:
-        raise ValueError("k must be odd and positive")
-    if l < 1:
-        raise ValueError("l must be a positive integer")
+def check_sweep(k: int, l: int, m_list: Sequence[int] = (1,)):
+    """The rules on the level l of u = 1/l and on a sweep's m list, which
+    is nonempty and strictly ascending; k and each m obey `check_probe`."""
+    if not is_integer(l) or l < 1:
+        raise ValueError(f"l must be a positive integer, got {l!r}")
+    if not m_list:
+        raise ValueError("m list must not be empty")
+    for m in m_list:
+        check_probe(k, m)
+    if any(b <= a for a, b in zip(m_list, m_list[1:])):
+        raise ValueError("m values must be strictly ascending")
 
 
 @dataclass(frozen=True)
@@ -76,9 +84,9 @@ class ProbeParams:
     s0: float
 
     def __post_init__(self):
-        _check_k_l(self.k, self.l)
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
+        check_sweep(self.k, self.l, (self.m,))
+        if not math.isfinite(self.s0):
+            raise ValueError(f"s0 must be finite, got {self.s0!r}")
 
     @property
     def eps0(self) -> float:
@@ -249,11 +257,7 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
     per m, before df(x + z, u) is built.
     """
     m_list = list(m_list)
-    if not m_list:
-        raise ValueError("m_list must be nonempty")
-    if any(b <= a for a, b in zip(m_list, m_list[1:])):
-        raise ValueError("m_list must be strictly ascending")
-    _check_k_l(k, l)
+    check_sweep(k, l, m_list)
     map_spec.require_domain(x)
     t0, s0, deriv_mag, degenerate = locate_anchor(map_spec, x)
     records = []
@@ -316,7 +320,7 @@ def estimate_residual_bound(map_spec: MapSpec, x: SmoothFunction,
 def fix_m(map_spec: MapSpec, k: int, l: int, m_estimate: float,
           deriv_mag: float) -> int:
     """Smallest power-of-two m certifying the blow-up inequalities."""
-    _check_k_l(k, l)
+    check_sweep(k, l)
     if not (math.isfinite(m_estimate) and m_estimate >= 0.0):
         raise ValueError(
             f"M estimate must be nonnegative and finite, got {m_estimate}")

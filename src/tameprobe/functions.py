@@ -521,6 +521,11 @@ class SmoothFunction:
 # ---------------------------------------------------------------------------
 # grids and seminorms
 
+def is_integer(val) -> bool:
+    """An int or a numpy integer, not a bool (a float has no __index__)."""
+    return type(val) is not bool and hasattr(val, "__index__")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform sampling recipe for sup computations.
@@ -533,6 +538,10 @@ class GridSpec:
     """
 
     factor: int = 64
+
+    def __post_init__(self):
+        if not is_integer(self.factor) or self.factor < 1:
+            raise ValueError("grid factor must be a positive integer")
 
     def size(self, f: SmoothFunction) -> int:
         f_max = f.node.max_frequency()
@@ -614,13 +623,22 @@ def seminorm_profiles(fs, max_order: int, grid: GridSpec | None) -> list:
     return [np.maximum.accumulate(p) for p in profiles]
 
 
+def check_probe(k: int, m: int = 1):
+    """A probe's m >= 1 and odd k <= MAX_ORDER, the order z is evaluated to."""
+    if not is_integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1 or k % 2 != 1:
+        raise ValueError(f"k must be odd and positive, got {k}")
+    if k > MAX_ORDER:
+        raise ValueError(f"k = {k} exceeds the order cap {MAX_ORDER}")
+    if not is_integer(m) or m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+
+
 def probe(m: int, k: int, s0: float, domain: str = PERIODIC) -> SmoothFunction:
     """The oscillatory probe s -> (2*pi*m)^(-k+1/2) * sin(2*pi*m*(s - s0))
     as an expression tree."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if k % 2 != 1 or k < 1:
-        raise ValueError("k must be odd and positive")
+    check_probe(k, m)
     amp = (TWO_PI * m)**(-k + 0.5)
     return SmoothFunction(SinusoidProbe(amp, float(m), s0), domain)
 

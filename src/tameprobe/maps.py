@@ -181,6 +181,8 @@ class CirclePullback(MapSpec):
         if not finite:
             raise ValueError("winding number n must be finite in double "
                              "precision")
+        if n != int(n):
+            raise ValueError(f"winding number n must be an integer, got {n!r}")
         if not phi.is_one_periodic:
             raise ValueError("phi must be 1-periodic for the pullback map")
         self.phi = phi

@@ -29,6 +29,7 @@ from .functions import (
     GridSpec,
     PrecisionBudgetError,
     SmoothFunction,
+    is_integer,
     seminorm_profile,
     seminorm_profiles,
 )
@@ -51,9 +52,7 @@ class PNormSpec:
 
     def __post_init__(self):
         t = self.truncation
-        # an integer, not a bool: floats and strings have no __index__
-        if type(t) is bool or not hasattr(t, "__index__") \
-                or not 0 <= t <= MAX_ORDER:
+        if not is_integer(t) or not 0 <= t <= MAX_ORDER:
             raise ValueError(
                 f"truncation must be an integer in 0..{MAX_ORDER}")
         if self.transform not in TRANSFORMS:

@@ -212,3 +212,27 @@ def test_criterion_9_fix_m_certificates(capsys):
                   f"(2 pi m)^(-1/2) <= 1/k and l + M < (2 pi m)^(1/2)|phi'|; "
                   f"composition: m = {m4} with M = {m_est4:.2f} exceeds "
                   f"(2 pi)^(-1) max(k^2, (l+M)^2/|phi''|^2)")
+
+
+def test_criterion_10_violation_attributed_to_top_rung(capsys):
+    # rho1 = p_0/(1 + p_0) only, so rho1(u) = (1/8)/(1 + 1/8) = 1/9; the
+    # violation must need rho2's rung top_order (k - 1 for ex2, k for ex4)
+    rho1 = PNormSpec(0)
+    m_list = (1024, 4096)
+    ok, parts = True, []
+    for name, map_spec, x in (
+        ("ex2", CirclePullback(Sin(omega=TWO_PI), 1), zero()),
+        ("ex4", PostComposition(Exp((0.0, 1.0))), zero(UNIT_INTERVAL)),
+    ):
+        top = map_spec.top_order(3)
+        for truncation, expected in ((top - 1, False), (top, True)):
+            result = growth_sweep(map_spec, x, rho1, PNormSpec(truncation),
+                                  3, 8, m_list)
+            violated = [r.rho1_z <= 1.0 and r.rho2_v > r.rho1_u
+                        for r in result.records]
+            ok = ok and violated == [expected] * len(m_list)
+            rho2 = ", ".join(f"{r.rho2_v:.4f}" for r in result.records)
+            parts.append(f"{name} truncation {truncation}: rho2(v) = {rho2}")
+    report(capsys, 10, ok, f"rho1(u) = {1 / 9:.4f}; violated at m = 1024, "
+                  f"4096 from rung top_order on, not below: "
+                  + "; ".join(parts))

@@ -67,6 +67,12 @@ class TestProbeParams:
         assert ProbeParams(k=3, l=8, m=16, s0=0.0).eps0 == 0.125
         assert ProbeParams(k=3, l=3, m=16, s0=0.0).eps0 == 1.0 / 3.0
 
+    @pytest.mark.parametrize("s0", [math.nan, math.inf])
+    def test_non_finite_s0_rejected(self, s0):
+        # a NaN s0 became the probe's phase
+        with pytest.raises(ValueError, match="s0 must be finite"):
+            ProbeParams(k=3, l=8, m=16, s0=s0)
+
 
 class TestFindT0:
     def test_sin_pullback(self):
@@ -515,6 +521,37 @@ class TestGrowthSweep:
                 growth_sweep(pullback_sin(), zero(), PNormSpec(),
                              PNormSpec(), k, l, m_list)
 
+    @pytest.mark.parametrize("k", [17, 19])
+    def test_k_above_order_cap_rejected_at_entry(self, k):
+        # k = 19 died in seminorm_profiles ("order 18 outside 0..16"), and
+        # k = 17 ran to a slope of None
+        with pytest.raises(ValueError, match="k = .* exceeds the order cap 16"):
+            growth_sweep(pullback_sin(), zero(), PNormSpec(), PNormSpec(),
+                         k, 8, [16, 32])
+
+    @pytest.mark.parametrize("k, l, m_list, match", [
+        (3.0, 8, [16], "k must be an integer, got 3.0"),
+        (True, 8, [16], "k must be an integer, got True"),
+        (3, 8.0, [16], "l must be a positive integer, got 8.0"),
+        (3, True, [16], "l must be a positive integer, got True"),
+        (3, 8, [16.5], "m must be a positive integer, got 16.5"),
+        (3, 8, [True, 16], "m must be a positive integer, got True"),
+    ], ids=["k-float", "k-bool", "l-float", "l-bool", "m-float", "m-bool"])
+    def test_non_integer_rejected_at_entry(self, k, l, m_list, match):
+        # k = 3.0 raised a TypeError deep in the sweep, m = 16.5 "tree is
+        # not structurally 1-periodic", and the rest ran
+        with pytest.raises(ValueError, match=match):
+            growth_sweep(pullback_sin(), zero(), PNormSpec(), PNormSpec(),
+                         k, l, m_list)
+
+    def test_m_list_rules_use_one_wording(self):
+        with pytest.raises(ValueError, match="^m list must not be empty$"):
+            growth_sweep(pullback_sin(), zero(), PNormSpec(), PNormSpec(),
+                         3, 8, [])
+        with pytest.raises(ValueError, match="m values must be strictly"):
+            growth_sweep(pullback_sin(), zero(), PNormSpec(), PNormSpec(),
+                         3, 8, [16, 16])
+
 
 class TestDoubleRange:
     @pytest.mark.parametrize("phi, c, fields", [
@@ -556,6 +593,7 @@ class TestFixM:
         (2, 8, 1.0, "odd and positive"),
         (0, 8, 1.0, "odd and positive"),
         (-1, 8, 1.0, "odd and positive"),
+        (17, 8, 1.0, "k = 17 exceeds the order cap 16"),
         (3, 0, 0.0, "l must be a positive"),
         (3, -5, 0.0, "l must be a positive"),
     ])

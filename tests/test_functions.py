@@ -227,8 +227,28 @@ class TestProbeClosedForm:
         with pytest.raises(ValueError, match="must be"):
             probe(m, k, 0.0)
 
+    @pytest.mark.parametrize("m, k, match", [
+        (16, 17, "k = 17 exceeds the order cap 16"),
+        (16, 3.0, "k must be an integer, got 3.0"),
+        (16.5, 3, "m must be a positive integer, got 16.5"),
+    ], ids=["k-above-cap", "k-float", "m-float"])
+    def test_probe_rules(self, m, k, match):
+        with pytest.raises(ValueError, match=match):
+            probe(m, k, 0.0)
+
 
 class TestGridSpec:
+    @pytest.mark.parametrize("factor", [0, -1, 2.5, True, "64"])
+    def test_factor_must_be_a_positive_integer(self, factor):
+        # factor 0 sampled a frequency-1000 probe on 4097 points
+        with pytest.raises(ValueError,
+                           match="grid factor must be a positive integer"):
+            GridSpec(factor=factor)
+
+    def test_numpy_integer_factor_accepted(self):
+        assert GridSpec(factor=np.int64(16)).size(probe(1000, 3, 0.0)) \
+            == 16001
+
     def test_scales_with_frequency(self):
         g = GridSpec()
         z = probe(256, 3, 0.0)

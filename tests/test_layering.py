@@ -1,9 +1,13 @@
-"""The chunk walk of a grid pass stays in one module.
+"""Knowledge that one module owns stays in that module.
 
 `functions.chunks` is the only loop over a grid's chunks, and the only
 caller of `find_shared`; every other module of the package iterates
 `chunks`. This walks the package's sources and fails if another module
 names ``_CHUNK`` or ``find_shared``.
+
+The rules on k, l, m and the grid factor are the library's
+(`functions.check_probe`, `driver.check_sweep`, `GridSpec`); the CLI calls
+them and restates none, so it never names the order cap ``MAX_ORDER``.
 """
 
 import ast
@@ -36,3 +40,8 @@ def test_only_functions_walks_chunks():
         if used:
             found[path.name] = sorted(used)
     assert found == {}
+
+
+def test_cli_leaves_the_order_cap_to_the_library():
+    path = Path(tameprobe.__file__).parent / "cli.py"
+    assert "MAX_ORDER" not in set(names(ast.parse(path.read_text())))

@@ -50,6 +50,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="must be finite"):
             CirclePullback(Sin(omega=TWO_PI), n)
 
+    @pytest.mark.parametrize("n", [0.5, -2.25])
+    def test_fractional_winding_rejected(self, n):
+        # int(0.5) == 0 was stored, and a sweep ended in "base point
+        # outside map domain"
+        with pytest.raises(ValueError,
+                           match=f"winding number n must be an integer, "
+                                 f"got {n}"):
+            CirclePullback(Sin(omega=TWO_PI), n)
+
+    def test_integral_float_winding_accepted(self):
+        assert CirclePullback(Sin(omega=TWO_PI), 2.0).n == 2
+
     def test_nonperiodic_phi_rejected(self):
         with pytest.raises(ValueError):
             CirclePullback(Sin(omega=1.0), 1)
