@@ -277,7 +277,8 @@ def cmd_demo(cfg: ScenarioConfig) -> int:
         print(f"no certificate: {why}, so no sqrt(m) growth was seen")
         expected = False
     else:
-        m_est = estimate_residual_bound(map_spec, x, cfg.k, cfg.l, grid=grid)
+        m_est = estimate_residual_bound(map_spec, x, cfg.k, cfg.l, grid=grid,
+                                        sweep=result)
         m_star = fix_m(map_spec, cfg.k, cfg.l, m_est, result.deriv_mag)
         print(f"residual bound M = {m_est:.12g}; certified m = {m_star}")
         expected = result.violation

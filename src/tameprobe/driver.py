@@ -24,7 +24,8 @@ transform. The pass walks `functions.chunks` over v and T_z's leading
 term (`MapSpec.leading_term`) and evaluates the term in v's own context,
 so that what the term shares with v, phi_lead's composition for ex2 and
 z's sin and cos, is evaluated once per chunk. The residual bound is read
-off a coarse sweep.
+off the main sweep's rows at the m of RESIDUAL_M_COARSE, and a coarse
+sweep runs only the m the main sweep lacks.
 """
 
 from __future__ import annotations
@@ -306,15 +307,23 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
 
 def estimate_residual_bound(map_spec: MapSpec, x: SmoothFunction,
                             k: int, l: int,
-                            grid: GridSpec | None = None) -> float:
+                            grid: GridSpec | None = None,
+                            sweep: SweepResult | None = None) -> float:
     """Empirical upper bound for the residual: twice the maximum of
     sup|T_z| over a coarse sweep (m in RESIDUAL_M_COARSE), plus one; 1.0
-    when the anchor is degenerate."""
-    sweep = growth_sweep(map_spec, x, PNormSpec(0), PNormSpec(0), k, l,
-                         RESIDUAL_M_COARSE, grid)
+    when the anchor is degenerate. A ``sweep`` of the same map, x, k, l
+    and grid, for any rho1, rho2 and m list, has the coarse sweep's anchor
+    and rows of v up to ``top``, hence its sup|T_z| bit for bit, so only
+    the m of RESIDUAL_M_COARSE that it lacks are swept."""
+    tz_sup = {r.m: r.tz_sup for r in sweep.records} if sweep else {}
+    missing = [m for m in RESIDUAL_M_COARSE if m not in tz_sup]
+    if missing and not (sweep and sweep.degenerate):
+        sweep = growth_sweep(map_spec, x, PNormSpec(0), PNormSpec(0), k, l,
+                             missing, grid)
+        tz_sup.update((r.m, r.tz_sup) for r in sweep.records)
     if sweep.degenerate:
         return 1.0
-    return 2.0 * max(r.tz_sup for r in sweep.records) + 1.0
+    return 2.0 * max(tz_sup[m] for m in RESIDUAL_M_COARSE) + 1.0
 
 
 def fix_m(map_spec: MapSpec, k: int, l: int, m_estimate: float,

@@ -17,7 +17,8 @@ evaluates each repeated node once per chunk, to the highest order asked,
 and serves lower orders as row slices. The context also keeps each sin
 and cos it computes until `Evaluation.drop_pairs`: a sinusoid's
 derivatives keep its phase and step its ``shift``, so z, z' and z^(k) of
-one tree read one sin and one cos. Kept arrays are read-only; no code
+one tree read one sin and one cos. Kept arrays are read-only, and so are
+a `Constant`'s coefficients, a broadcast view of one column; no code
 writes into coefficients it did not allocate. Nothing outlives a pass; the
 functions that `seminorm_profiles` is given share one pass per grid.
 """
@@ -68,9 +69,12 @@ class Node:
         raise NotImplementedError
 
     def values(self, s):
-        """The node's values at the points ``s``; a float for a scalar."""
+        """The node's values at the points ``s``, as an array the caller
+        owns; a float for a scalar."""
         arr = np.atleast_1d(np.asarray(s, dtype=float))
         vals = Evaluation(arr).coeffs(self, 0)[0]
+        # copies only a read-only row, such as a constant's
+        vals = np.require(vals, requirements="W")
         return float(vals[0]) if np.ndim(s) == 0 else vals
 
     def operands(self) -> tuple:
@@ -94,9 +98,10 @@ class Constant(Node):
     c: float
 
     def coeffs(self, s, order):
-        out = np.zeros((order + 1, _context(s).points.size))
-        out[0] = self.c
-        return out
+        # rows past the first are zero: a read-only view of one column
+        col = np.zeros((order + 1, 1))
+        col[0] = self.c
+        return np.broadcast_to(col, (order + 1, _context(s).points.size))
 
     def diff(self):
         return Constant(0.0)

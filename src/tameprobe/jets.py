@@ -18,7 +18,9 @@ O((r-1) n^2).
 
 Both kernels only read their arguments and return new arrays: a grid
 pass hands the same read-only coefficients of a repeated subexpression to
-every node that uses it (see `functions.Evaluation`).
+every node that uses it (see `functions.Evaluation`). Within the new
+array each row is written in place; the ODE's level contracts its first
+term straight into its row and scales it there.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ def compose_series(outer: np.ndarray, inner: np.ndarray, ode) -> np.ndarray:
             e[k] /= k
     # the levels the loop below fills, each from the one above
     chained = levels - 1 if own else levels
+    terms = [(q, a) for q, a in enumerate(ode) if a]
     for i, row in enumerate(g):
         row[0] = outer[i] * math.factorial(i)
     for k in range(1, n):
@@ -115,11 +118,17 @@ def compose_series(outer: np.ndarray, inner: np.ndarray, ode) -> np.ndarray:
             if i + 1 < r:
                 np.einsum("j...,j...->...", dwk, g[i + 1][k - top:k][::-1],
                           out=out)
-            else:
+            elif not terms:
                 out[...] = 0.0
-                for q, a in enumerate(ode):
-                    if a:
-                        out += a * np.einsum("j...,j...->...", dwk,
-                                             g[q][k - top:k][::-1])
+            else:
+                # the first term is contracted into the row and scaled
+                # there: a zeroed row plus it differs only in a zero's sign
+                q, a = terms[0]
+                np.einsum("j...,j...->...", dwk, g[q][k - top:k][::-1],
+                          out=out)
+                out *= a
+                for q, a in terms[1:]:
+                    out += a * np.einsum("j...,j...->...", dwk,
+                                         g[q][k - top:k][::-1])
             out /= k
     return g[0]

@@ -10,8 +10,9 @@ Directional derivatives are hard-coded analytic trees (the drivers
 differentiate them several more times, which a numeric limit could not
 support); `gateaux_fd` is the central-difference oracle used to validate
 them. `apply` and `gateaux` only build trees: they check the domain tag,
-but not membership, which costs a grid pass. The loop that owns a point
-checks it once, with `in_domain` or `require_domain`.
+but not membership, which can cost a grid pass. The loop that owns a
+point checks it once, with `in_domain` or `require_domain`; the pullback
+proves membership in closed form, with no grid, when x' is one sinusoid.
 
 Everything the driver needs to know about one map lives on its class: which
 derivative of phi carries the sqrt(m) blow-up (`lead_order`: phi' for the
@@ -39,6 +40,7 @@ from .functions import (
     Node,
     PrimitiveCompose,
     SmoothFunction,
+    _closed_form_amplitudes,
     add,
     chunks,
     mul,
@@ -211,6 +213,10 @@ class CirclePullback(MapSpec):
         """A lower bound on the infimum of |n + x'|, and whether it clears
         the positivity tolerance.
 
+        When x' is one sinusoid (`_closed_form_amplitudes`), the infimum
+        is |n| - sup|x'| exactly, and a margin that clears the tolerance
+        needs no grid; otherwise the grid bound below decides.
+
         Off the grid, |n + x'| is at most (h/2) sup|x''| below its nearest
         grid value, h being the grid step. The bound takes a full
         h * p_0(x'') off the grid minimum, p_0(x'') being the sup of |x''|
@@ -222,8 +228,12 @@ class CirclePullback(MapSpec):
         the bound holds only up to the grid's resolution.
         """
         self._check_tag(x)
-        s = DEFAULT_GRID.points(x)
         dx = x.derivative()
+        sup = _closed_form_amplitudes(dx, 0)
+        margin = -math.inf if sup is None else abs(self.n) - float(sup[0])
+        if margin > DOMAIN_MARGIN_TOL:
+            return margin, True
+        s = DEFAULT_GRID.points(x)
         lo, hi = np.inf, -np.inf   # running min and max of n + x'
         for ev in chunks(s, dx.node):
             signed = self.n + ev.coeffs(dx.node, 0)[0]

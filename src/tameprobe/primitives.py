@@ -6,6 +6,9 @@ Taylor form (i-th derivative divided by i!), which keeps downstream series
 products and compositions numerically tame even when large frequency
 factors appear in the raw derivatives.
 
+Sines and cosines are evaluated once for all orders, and `trig_rows`,
+which builds every sinusoid's rows, writes each row in place.
+
 Each primitive g also declares the linear ODE with constant coefficients
 that it satisfies, ``g^(r) = sum_{i<r} ode[i] * g^(i)``. Composition
 (`jets.compose_series`) runs on this recurrence, so it needs only the
@@ -56,13 +59,16 @@ def trig_rows(pair, amplitude, w, order, shift):
 
     Row i is trig_cycle(theta, i + shift) scaled by amplitude * w^i / i!;
     its sign flip goes on the scalar factor, which rounds the same as on
-    the array.
+    the array. Each row is written in place and divided there; 0! and 1!
+    divide exactly, so rows 0 and 1 skip the division.
     """
     out = np.empty((order + 1,) + pair[shift % 2].shape)
     for i in range(order + 1):
         j = shift + i
         sign = -1.0 if j % 4 >= 2 else 1.0
-        out[i] = sign * amplitude * w**i * pair[j % 2] / math.factorial(i)
+        np.multiply(sign * amplitude * w**i, pair[j % 2], out=out[i])
+        if i > 1:
+            out[i] /= math.factorial(i)
     return out
 
 

@@ -12,7 +12,10 @@ from conftest import (
     random_small_function,
 )
 from tameprobe import driver, primitives
+from tameprobe.cli import DEFAULT_M_LIST, parse_x
+from tameprobe.cli import main as cli_main
 from tameprobe.driver import (
+    RESIDUAL_M_COARSE,
     DegenerateMapError,
     PrecisionBudgetError,
     ProbeParams,
@@ -628,3 +631,50 @@ class TestEstimateResidualBound:
         const = CirclePullback(Polynomial([0.1, 0.0]), 1)
         got = estimate_residual_bound(const, zero(), 3, 8)
         assert got == 1.0
+
+    @staticmethod
+    def count_sweeps(monkeypatch):
+        """The m lists of the sweeps estimate_residual_bound runs."""
+        calls = []
+
+        def counted(*args):
+            calls.append(list(args[6]))
+            return growth_sweep(*args)
+
+        monkeypatch.setattr(driver, "growth_sweep", counted)
+        return calls
+
+    # M of the standalone sweep over RESIDUAL_M_COARSE, bit for bit
+    @pytest.mark.parametrize("make, x, rho2, want", [
+        (pullback_sin, "zero", PNormSpec(), 24.542805543450232),
+        (lambda: pullback_sin(2), "sinusoid:0.02,1,0.3", PNormSpec(),
+         51.224655208310594),
+        (composition_exp, "zero", PNormSpec(), 1.000296840763502),
+        (composition_exp, "zero", PNormSpec(16, "linear"),
+         1.000296840763502),
+    ], ids=["ex2", "ex2-n2-sinusoid", "ex4", "ex4-linear16"])
+    def test_read_off_main_sweep(self, monkeypatch, make, x, rho2, want):
+        mp, grid = make(), GridSpec()
+        x = parse_x(x, mp.domain_tag)
+        main = growth_sweep(mp, x, PNormSpec(), rho2, 3, 8, DEFAULT_M_LIST,
+                            grid)
+        calls = self.count_sweeps(monkeypatch)
+        assert estimate_residual_bound(mp, x, 3, 8, grid, main) == want
+        assert calls == []
+        assert estimate_residual_bound(mp, x, 3, 8, grid) == want
+        assert calls == [list(RESIDUAL_M_COARSE)]
+
+    def test_sweeps_only_missing_m(self, monkeypatch, capsys):
+        calls = self.count_sweeps(monkeypatch)
+        assert cli_main(["demo", "ex2", "--m-list", "32,64,128"]) == 0
+        assert calls == [[16, 256]]
+        assert "residual bound M = 24.5428055435;" in capsys.readouterr().out
+
+    def test_degenerate_main_sweep(self, monkeypatch):
+        const = CirclePullback(Polynomial([0.1, 0.0]), 1)
+        main = growth_sweep(const, zero(), PNormSpec(), PNormSpec(), 3, 8,
+                            [32])
+        calls = self.count_sweeps(monkeypatch)
+        assert estimate_residual_bound(const, zero(), 3, 8,
+                                       sweep=main) == 1.0
+        assert calls == []

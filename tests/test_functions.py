@@ -55,6 +55,14 @@ class TestEvaluate:
         assert f.evaluate(0.0) == 3.0
         assert f.evaluate(17.25) == 3.0
 
+    def test_constant_values_are_writable(self):
+        # a constant's coefficients are a read-only view; its values are not
+        vals = constant(2.0).evaluate(np.linspace(0.0, 1.0, 5))
+        assert vals.flags.writeable and np.all(vals == 2.0)
+        vals[0] = -1.0
+        assert np.all(constant(2.0).evaluate(np.zeros(2)) == 2.0)
+        assert type(constant(2.0).evaluate(0.5)) is float
+
     def test_sin(self):
         assert sin_2pi().evaluate(0.25) == pytest.approx(1.0, rel=1e-15)
 
@@ -78,6 +86,19 @@ class TestEvaluate:
         for s in rng.uniform(-5, 5, 10):
             assert f.evaluate(s + 1.0) == pytest.approx(f.evaluate(s),
                                                         abs=1e-12)
+
+
+class TestConstantCoeffs:
+    def test_read_only_view_of_one_column(self):
+        s = np.linspace(0.0, 1.0, 9)
+        for order in range(MAX_ORDER + 1):
+            got = Constant(2.5).coeffs(s, order)
+            want = np.zeros((order + 1, s.size))
+            want[0] = 2.5
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+            # no (order + 1) x N array is filled
+            assert got.base.size == order + 1
 
 
 class TestPeriodicStructure:

@@ -15,7 +15,7 @@ from tameprobe.functions import (
     SinusoidProbe,
     Sum,
 )
-from tameprobe.jets import compose_series, convolve_trunc
+from tameprobe.jets import MAX_ORDER, compose_series, convolve_trunc
 from tameprobe.primitives import (
     Cos,
     Exp,
@@ -226,6 +226,21 @@ class TestOdeRecurrence:
                           for j, a in enumerate(prim.ode))
                 np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("linear", [True, False],
+                             ids=["linear", "nonlinear"])
+    @pytest.mark.parametrize("prim", ODE_PRIMITIVES, ids=list(ODE_CASES))
+    def test_bit_identical_to_chain_loop(self, prim, linear):
+        # the ODE level contracts its first term into the row and scales
+        # it there; the oracle adds it to a zeroed row, which can differ
+        # only in the sign of a zero, and array_equal takes -0.0 == 0.0
+        r = len(prim.ode)
+        for order in range(MAX_ORDER + 1):
+            inner = ode_inner(order, linear)
+            outer = prim.taylor_coeffs(inner[0], min(r - 1, order))
+            assert np.array_equal(compose_series(outer, inner, prim.ode),
+                                  chain_compose(outer, inner, prim.ode)), \
+                order
+
     def test_linear_inner(self):
         # sin(2 pi (3 s + b)) = sin(6 pi (s + b/3)); rows scale like (6 pi)^i / i!
         s = np.linspace(0.05, 0.95, 5)
@@ -391,6 +406,27 @@ class TestTrigOnce:
         assert np.array_equal(
             node.coeffs(t, order),
             self.per_order(w * (t - node.phase), node.amplitude, w, order, 0))
+
+    @staticmethod
+    def one_line(pair, amplitude, w, order, shift):
+        # each row as one expression, with a temporary per product
+        out = np.empty((order + 1,) + pair[shift % 2].shape)
+        for i in range(order + 1):
+            j = shift + i
+            sign = -1.0 if j % 4 >= 2 else 1.0
+            out[i] = sign * amplitude * w**i * pair[j % 2] / math.factorial(i)
+        return out
+
+    @pytest.mark.parametrize("shift", range(4))
+    def test_rows_written_in_place(self, shift):
+        theta = np.linspace(-3.0, 40.0, 257)
+        pair = (np.sin(theta), np.cos(theta))
+        for order in range(MAX_ORDER + 1):
+            for amp, w in ((1.0, TWO_PI), (-0.37, TWO_PI * 4096),
+                           ((TWO_PI * 64)**-2.5, TWO_PI * 64)):
+                got = primitives.trig_rows(pair, amp, w, order, shift)
+                want = self.one_line(pair, amp, w, order, shift)
+                assert got.tobytes() == want.tobytes(), (order, amp)
 
     def test_trig_cycle_called_twice(self, monkeypatch):
         calls = []

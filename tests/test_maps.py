@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_small_function
-from tameprobe.cli import parse_x
+from tameprobe.cli import EXIT_CONFIG, main, parse_x
 from tameprobe.functions import (
     _CHUNK,
     DEFAULT_GRID,
@@ -12,6 +12,7 @@ from tameprobe.functions import (
     UNIT_INTERVAL,
     Affine,
     Constant,
+    GridSpec,
     PrimitiveCompose,
     Product,
     Scale,
@@ -98,6 +99,40 @@ class TestInDomain:
         p2 = seminorm_profile(x, 2)[2]
         assert ok
         assert infimum - 2.0 * h * p2 <= margin <= infimum
+
+    @pytest.mark.parametrize("n, node, c, amp, freq", [
+        (1, SinusoidProbe(0.01, 1.0, 0.1), 1.0, 0.01, 1.0),
+        (-2, Scale(-3.0, SinusoidProbe(0.015, 3.0, 0.7)), 3.0, 0.015, 3.0),
+        # x + z at the base point const:5000
+        (1, Sum(Constant(5000.0), SinusoidProbe(1e-3, 16.0, 0.2)), 1.0,
+         1e-3, 16.0),
+    ], ids=["sinusoid", "scaled", "const+sinusoid"])
+    def test_sinusoid_margin_needs_no_grid(self, monkeypatch, n, node, c,
+                                           amp, freq):
+        # |n| - sup|x'| is the infimum of |n + x'| when x' is one sinusoid
+        def no_grid(grid, f):
+            raise AssertionError("grid built for a closed-form margin")
+
+        monkeypatch.setattr(GridSpec, "points", no_grid)
+        margin, ok = pullback_sin(n).in_domain(SmoothFunction(node, PERIODIC))
+        assert ok and margin == abs(n) - c * (amp * (TWO_PI * freq))
+
+    def test_margin_inside_grid_deduction_accepted(self, capsys):
+        # at n = 21, k = 1, m = 64 the infimum of |21 + z'| is
+        # 21 - sqrt(2 pi 64) = 0.947, less than the grid bound's
+        # h * sup|z''| = 1.97 deduction, which refused it
+        z = probe(64, 1, 0.0)
+        margin, ok = pullback_sin(21).in_domain(z)
+        assert ok and margin == pytest.approx(21.0 - math.sqrt(TWO_PI * 64),
+                                              rel=1e-13)
+        # at m = 128, sqrt(2 pi 128) = 28.4 > 21 and the grid pass decides
+        assert pullback_sin(21).in_domain(probe(128, 1, 0.0)) == (0.0, False)
+        code = main(["demo", "ex2", "--n", "21", "--k", "1",
+                     "--m-list", "64,128"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == ("error: x + z at m = 128 leaves "
+                                           "the map's domain (margin "
+                                           "0.000e+00)\n")
 
     def test_margin_below_dense_minimum(self):
         x = SmoothFunction(SinusoidProbe(0.1, 1.0, 0.1), PERIODIC) + \
