@@ -8,10 +8,11 @@ residual (everything except the extracted leading term) stays bounded,
 which is what defeats any fixed uniform estimate.
 
 The algorithms here are generic: argmax over candidates for t0, root
-bracketing plus bisection for s0, the residual pass, and the power-of-two
-search for a certified m. What differs between the maps (the leading
-derivative, the top order, phi's argument, the search ranges, the fallback
-anchor and the certifying inequality) comes from the `MapSpec` hooks.
+bracketing plus bisection for s0 on the tree of phi's argument, built
+once, the residual pass, and the power-of-two search for a certified m.
+What differs between the maps (the leading derivative, the top order,
+phi's argument, the search ranges, the fallback anchor and the certifying
+inequality) comes from the `MapSpec` hooks.
 
 A sweep checks x's membership in the map's domain once, and x + z's once
 per m; building df(x + z, u) checks only the domain tag. It evaluates v
@@ -141,7 +142,8 @@ def find_s0(map_spec: MapSpec, x: SmoothFunction, t0: float) -> float:
     """Anchor point where phi's argument equals t0: n*s0 + x(s0) = t0 for
     the pullback, x(s0) = t0 for the composition."""
     lo, hi = map_spec.s0_bracket(x, t0)
-    g = lambda s: map_spec.phi_argument(x, s) - t0
+    arg = map_spec.argument(x)   # the tree a grid pass evaluates
+    g = lambda s: arg.values(s) - t0
     s = np.linspace(lo, hi, ANCHOR_POINTS + 1)
     vals = g(s)
     exact = np.nonzero(np.abs(vals) < 1e-12)[0]

@@ -7,6 +7,8 @@ endpoints are those of the global formula, i.e. of the smooth extension).
 The seminorm of grade i is the sup over the domain and over all derivative
 orders l <= i of |f^(l)(s)|. Sups are taken on a structurally sized grid;
 trees consisting of a single sinusoid node get an exact closed form.
+`value_range` encloses a function's values: exactly for a constant or one
+sinusoid, and otherwise from one grid pass to order 1.
 
 A grid pass evaluates its trees one chunk of points at a time, and
 `chunks` is the only loop over the chunks of a grid: it gives each chunk
@@ -307,31 +309,19 @@ class PrimitiveCompose(Node):
 # ---------------------------------------------------------------------------
 # evaluation contexts
 
-@dataclass(frozen=True)
-class Sharing:
-    """The nodes whose coefficients each chunk of one grid pass keeps, from
-    `find_shared`.
-
-    ``slots`` maps the id of each node object whose value repeats to the
-    slot of that value; ``objects`` holds those objects, so that no other
-    object can take their ids while the pass runs.
-    """
-
-    slots: dict
-    objects: tuple
-
-
-NOTHING_SHARED = Sharing({}, ())
-
-
-def find_shared(*roots: Node) -> Sharing:
-    """The nodes that repeat in the trees ``roots``, compared by value.
+def find_shared(*roots: Node) -> dict:
+    """The nodes that repeat in the trees ``roots``, compared by value, as
+    a dict from the id of each node object whose value repeats to the slot
+    of that value.
 
     An operator node (one with operands) or a sinusoid is kept when its
     value occurs twice, in any of the trees. The operands of a second
     occurrence are not visited, since the kept value stands for them.
     Constant and affine leaves are never kept: rebuilding them costs less
     than keeping them.
+
+    The ids stay valid while ``roots`` live: `chunks` holds the roots that
+    own the nodes, and no `Evaluation` outlives its pass.
     """
     seen, repeated, visited = set(), set(), []
     todo = list(roots)
@@ -348,32 +338,29 @@ def find_shared(*roots: Node) -> Sharing:
             repeated.add(node)
         elif not leaf:
             todo.extend(node.operands())
-    objects = tuple(nd for nd in visited if nd in repeated) if repeated \
-        else ()
-    slot_of = {}
-    slots = {id(nd): slot_of.setdefault(nd, len(slot_of)) for nd in objects}
-    return Sharing(slots, objects)
+    slot_of = {}   # with no repeats, no subtree is hashed again
+    return {id(nd): slot_of.setdefault(nd, len(slot_of))
+            for nd in visited if repeated and nd in repeated}
 
 
 class Evaluation:
     """One chunk of a grid pass: its points, the coefficients of the nodes
-    that the pass's `Sharing` names, and the sines and cosines its
-    sinusoids have read.
+    whose ids ``slots`` (from `find_shared`) maps, and the sines and cosines
+    its sinusoids have read.
 
-    A node asks ``coeffs`` for its operands. A node the sharing names is
+    A node asks ``coeffs`` for its operands. A node ``slots`` names is
     evaluated once, to the highest order asked so far; a lower order is a
     row slice of the kept, read-only array.
     """
 
-    def __init__(self, points: np.ndarray,
-                 sharing: Sharing = NOTHING_SHARED):
+    def __init__(self, points: np.ndarray, slots: dict | None = None):
         self.points = points
-        self._sharing = sharing
+        self._slots = {} if slots is None else slots
         self._kept = {}   # slot -> coefficients
         self._trig = {}   # (frequency, phase) -> [sin, cos]
 
     def coeffs(self, node: Node, order: int) -> np.ndarray:
-        slot = self._sharing.slots.get(id(node))
+        slot = self._slots.get(id(node))
         if slot is None:
             return node.coeffs(self, order)
         kept = self._kept.get(slot)
@@ -405,9 +392,9 @@ class Evaluation:
 def chunks(points: np.ndarray, *roots: Node):
     """The `Evaluation` of each slice of at most _CHUNK of ``points``, in
     order, keeping what repeats in the trees ``roots``."""
-    sharing = find_shared(*roots)
+    slots = find_shared(*roots)
     for lo in range(0, points.size, _CHUNK):
-        yield Evaluation(points[lo:lo + _CHUNK], sharing)
+        yield Evaluation(points[lo:lo + _CHUNK], slots)
 
 
 def _context(s) -> Evaluation:
@@ -590,6 +577,30 @@ def _closed_form_amplitudes(f: SmoothFunction, max_order: int):
     w = TWO_PI * freq
     amp = scale * abs(node.amplitude)
     return np.array([amp * w**l for l in range(max_order + 1)])
+
+
+def value_range(f: SmoothFunction):
+    """(lo, hi), an enclosure of the values of f: exact for a constant and
+    for one sinusoid (`_closed_form_amplitudes`). Otherwise one pass over
+    f's default grid takes f to order 1 and widens the grid's min and max
+    by h * sup|f'|, h being the grid step. Off the grid, f is at most
+    (h/2) sup|f'| beyond its nearest grid value; the other half covers the
+    grid's error in sup|f'|, below 6% for a trigonometric polynomial
+    sampled at 64 points per frequency unit (Bernstein's inequality), so
+    the enclosure holds up to the grid's resolution."""
+    if isinstance(f.node, Constant):
+        return f.node.c, f.node.c
+    amp = _closed_form_amplitudes(f, 0)
+    if amp is not None:
+        return -float(amp[0]), float(amp[0])
+    s = DEFAULT_GRID.points(f)
+    lo, hi, slope = np.inf, -np.inf, 0.0   # running min, max and sup|f'|
+    for ev in chunks(s, f.node):
+        c = ev.coeffs(f.node, 1)
+        lo, hi = np.minimum(lo, c[0].min()), np.maximum(hi, c[0].max())
+        slope = np.maximum(slope, np.abs(c[1]).max())
+    pad = (s[1] - s[0]) * slope
+    return float(lo - pad), float(hi + pad)
 
 
 def seminorm_profile(f: SmoothFunction, max_order: int,

@@ -11,8 +11,9 @@ differentiate them several more times, which a numeric limit could not
 support); `gateaux_fd` is the central-difference oracle used to validate
 them. `apply` and `gateaux` only build trees: they check the domain tag,
 but not membership, which can cost a grid pass. The loop that owns a
-point checks it once, with `in_domain` or `require_domain`; the pullback
-proves membership in closed form, with no grid, when x' is one sinusoid.
+point checks it once, with `in_domain` or `require_domain`. This module
+does no grid work: the pullback's membership and s0 bracket, and the
+composition map's test that x is constant, read `functions.value_range`.
 
 Everything the driver needs to know about one map lives on its class: which
 derivative of phi carries the sqrt(m) blow-up (`lead_order`: phi' for the
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import (
-    DEFAULT_GRID,
     PERIODIC,
     UNIT_INTERVAL,
     Affine,
@@ -40,11 +40,9 @@ from .functions import (
     Node,
     PrimitiveCompose,
     SmoothFunction,
-    _closed_form_amplitudes,
     add,
-    chunks,
     mul,
-    seminorm_profile,
+    value_range,
 )
 from .primitives import TWO_PI, ScalarPrimitive
 
@@ -115,18 +113,12 @@ class MapSpec:
         return mul(PrimitiveCompose(self.leading_primitive(),
                                     self.argument(x + z)), zk)
 
-    def phi_argument(self, x: SmoothFunction, s):
-        """The point phi is evaluated at, at parameter s, for base point x:
-        the value of the tree `argument` builds, so that the anchor is
-        solved on the tree a grid pass evaluates."""
-        return self.argument(x).values(s)
-
     def t0_candidates(self, x: SmoothFunction | None, points: int):
         """Points t among which t0 maximizes |phi_lead(t)|."""
         raise NotImplementedError
 
     def s0_bracket(self, x: SmoothFunction, t0: float):
-        """Interval holding a root of phi_argument(x, s) = t0."""
+        """Interval holding a root of argument(x)(s) = t0."""
         raise NotImplementedError
 
     def interior_s0(self, x: SmoothFunction):
@@ -199,7 +191,8 @@ class CirclePullback(MapSpec):
 
     def s0_bracket(self, x, t0):
         # n*s + x(s) is onto since x is bounded; bracket around t0/n
-        half = (seminorm_profile(x, 0)[0] + 1.0) / abs(self.n)
+        lo, hi = value_range(x)
+        half = (max(-lo, hi) + 1.0) / abs(self.n)
         return t0 / self.n - half, t0 / self.n + half
 
     def fallback_anchor(self, x):
@@ -210,41 +203,13 @@ class CirclePullback(MapSpec):
         return (1.0 / root <= 1.0 / k) and (l + m_estimate < root * deriv_mag)
 
     def in_domain(self, x: SmoothFunction):
-        """A lower bound on the infimum of |n + x'|, and whether it clears
-        the positivity tolerance.
-
-        When x' is one sinusoid (`_closed_form_amplitudes`), the infimum
-        is |n| - sup|x'| exactly, and a margin that clears the tolerance
-        needs no grid; otherwise the grid bound below decides.
-
-        Off the grid, |n + x'| is at most (h/2) sup|x''| below its nearest
-        grid value, h being the grid step. The bound takes a full
-        h * p_0(x'') off the grid minimum, p_0(x'') being the sup of |x''|
-        alone (not p_2(x), which counts sup|x| too): the second half covers
-        the grid's error in p_0(x''), which for a trigonometric polynomial
-        sampled at 64 points per frequency unit is below 6% (Bernstein's
-        inequality). For a constant or a single sinusoid p_0(x'') is exact,
-        and so the bound is proven; for other trees it is a grid sup, and
-        the bound holds only up to the grid's resolution.
-        """
+        """A lower bound on the infimum of |n + x'|, from the enclosure
+        (lo, hi) of x' that `value_range` gives, and whether it clears the
+        positivity tolerance. The bound is proven when x' is a constant or
+        one sinusoid, and otherwise holds up to the grid's resolution."""
         self._check_tag(x)
-        dx = x.derivative()
-        sup = _closed_form_amplitudes(dx, 0)
-        margin = -math.inf if sup is None else abs(self.n) - float(sup[0])
-        if margin > DOMAIN_MARGIN_TOL:
-            return margin, True
-        s = DEFAULT_GRID.points(x)
-        lo, hi = np.inf, -np.inf   # running min and max of n + x'
-        for ev in chunks(s, dx.node):
-            signed = self.n + ev.coeffs(dx.node, 0)[0]
-            lo, hi = np.minimum(lo, signed.min()), np.maximum(hi, signed.max())
-        nearest = np.maximum(lo, -hi)   # min|n + x'| if n + x' keeps a sign
-        if nearest <= 0.0:
-            return 0.0, False  # n + x' meets zero, so the infimum is zero
-        h = s[1] - s[0]
-        margin = max(float(nearest)
-                     - h * float(seminorm_profile(dx.derivative(), 0)[0]),
-                     0.0)
+        lo, hi = value_range(x.derivative())
+        margin = max(self.n + lo, -(self.n + hi), 0.0)
         return margin, margin > DOMAIN_MARGIN_TOL
 
     def apply(self, x: SmoothFunction) -> SmoothFunction:
@@ -292,8 +257,8 @@ class PostComposition(MapSpec):
     def interior_s0(self, x):
         # a constant x attains t0 everywhere; an interior anchor keeps z's
         # full oscillation inside I
-        vals = x.evaluate(np.linspace(0.0, 1.0, 17))
-        return INTERIOR_S0 if np.max(vals) - np.min(vals) < 1e-14 else None
+        lo, hi = value_range(x)
+        return INTERIOR_S0 if lo == hi else None
 
     def fallback_anchor(self, x):
         return x.evaluate(INTERIOR_S0), INTERIOR_S0

@@ -9,6 +9,8 @@ from tameprobe.functions import (
     PERIODIC,
     UNIT_INTERVAL,
     Constant,
+    Product,
+    Scale,
     SinusoidProbe,
     SmoothFunction,
     Sum,
@@ -19,6 +21,24 @@ from tameprobe.maps import PostComposition
 from tameprobe.primitives import Exp, trig_cycle
 
 TWO_PI = 2.0 * math.pi
+
+# trees with no closed form for their values or their derivative's: sums
+# of sinusoids and products; as x, the pullback's domain holds each for
+# some winding numbers and not for others
+GRID_PATH_TREES = {
+    "sum": Sum(SinusoidProbe(0.1, 1.0, 0.1), SinusoidProbe(0.004, 9.0, 0.37)),
+    "sum-base-plus-probe": Sum(SinusoidProbe(0.04, 3.0, 0.2),
+                               SinusoidProbe(1e-3, 16.0, 0.2)),
+    "sum-near-edge": Sum(SinusoidProbe(0.15, 1.0), SinusoidProbe(0.01, 2.0,
+                                                                 0.5)),
+    "sum-offset": Sum(Constant(-2.5), SinusoidProbe(0.7, 3.0, 0.2),
+                      Scale(-2.0, SinusoidProbe(0.05, 16.0, 0.6))),
+    "sum-steep": Sum(SinusoidProbe(3.0, 1.0), SinusoidProbe(0.01, 5.0, 0.1)),
+    "product": Product(SinusoidProbe(0.3, 1.0, 0.1),
+                       Sum(Constant(1.5), SinusoidProbe(0.2, 2.0, 0.3))),
+    "product-small": Product(SinusoidProbe(0.05, 1.0, 0.1),
+                             SinusoidProbe(0.1, 2.0, 0.3)),
+}
 
 
 def random_small_function(rng, domain=PERIODIC, n_terms=2, scale=0.3,

@@ -124,7 +124,7 @@ class TestFindS0:
     def test_root_bracketed_to_old_tolerance(self, map_spec, x, t0):
         # the root must lie within 1e-13 of s0, the xtol brentq was run at
         s0 = find_s0(map_spec, x, t0)
-        g = lambda s: map_spec.phi_argument(x, s) - t0
+        g = lambda s: map_spec.argument(x).values(s) - t0
         assert isinstance(s0, float)
         assert g(s0 - 1e-13) * g(s0 + 1e-13) <= 0.0
 
@@ -168,7 +168,7 @@ def two_pass_residual(mp, x, params, z, v, order):
         sc = s[lo:lo + _CHUNK]
         scaled_top[lo:lo + _CHUNK] = \
             fact * v.node.coeffs(sc, top)[top] / params.eps0
-        c = mp.phi_argument(x, sc) + z.evaluate(sc)
+        c = mp.argument(x).values(sc) + z.evaluate(sc)
         zk = probe_deriv_closed_form(params.m, params.k, params.s0, params.k,
                                      sc)
         tz[lo:lo + _CHUNK] = scaled_top[lo:lo + _CHUNK] - lead(c) * zk
@@ -372,13 +372,13 @@ class TestSharedEvaluation:
         assert isinstance(composition, PrimitiveCompose)
         assert composition == mp.gateaux(
             x + z, constant(params.eps0)).node.children[0]
-        sharing = find_shared(v.node, lead)
-        assert id(composition) in sharing.slots
+        slots = find_shared(v.node, lead)
+        assert id(composition) in slots
         # z^(k) keeps z's phase, so it reads z's sin and cos: after v, the
         # leading term computes no sine or cosine of its own
         assert (zk.frequency, zk.phase, zk.shift) == (
             z.node.frequency, z.node.phase, params.k)
-        ev = Evaluation(np.linspace(0.0, 1.0, 33), sharing)
+        ev = Evaluation(np.linspace(0.0, 1.0, 33), slots)
         ev.coeffs(v.node, mp.top_order(params.k))
         calls = count_trig(monkeypatch)
         ev.coeffs(lead, 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    GRID_PATH_TREES,
     count_trig,
     ex4_seed0_family,
     fd_derivative,
@@ -35,6 +36,7 @@ from tameprobe.functions import (
     scale,
     seminorm_profile,
     seminorm_profiles,
+    value_range,
 )
 from tameprobe.jets import MAX_ORDER
 from tameprobe.maps import PostComposition
@@ -211,6 +213,48 @@ class TestSeminorms:
             seminorm_profile(sin_2pi(), order)
 
 
+class TestValueRange:
+    @pytest.mark.parametrize("c", [0.0, -3.5, 5000.0])
+    def test_constant_exact(self, c):
+        assert value_range(constant(c)) == (c, c)
+
+    @pytest.mark.parametrize("domain", [PERIODIC, UNIT_INTERVAL])
+    def test_sinusoid_exact(self, domain):
+        f = SmoothFunction(SinusoidProbe(-0.3, 2.0, 0.1), domain)
+        assert value_range(f) == (-0.3, 0.3)
+        f = SmoothFunction(Scale(-2.0, SinusoidProbe(0.3, 2.0, 0.1)), domain)
+        assert value_range(f) == (-0.6, 0.6)
+
+    @pytest.mark.parametrize("name", sorted(GRID_PATH_TREES))
+    def test_encloses_a_dense_sample(self, name):
+        f = SmoothFunction(GRID_PATH_TREES[name], PERIODIC)
+        lo, hi = value_range(f)
+        vals = f.evaluate(np.arange(2**20) / 2**20)
+        assert lo <= vals.min() and vals.max() <= hi
+        # each end is padded by h * sup|f'|, and by no more
+        h = GridSpec().points(f)[1]
+        assert hi - lo <= vals.max() - vals.min() \
+            + 2.0 * h * seminorm_profile(f, 1)[1] * 1.01
+
+    def test_one_grid_pass(self, monkeypatch):
+        built = []
+        points = GridSpec.points
+
+        def counted(grid, f):
+            built.append(f)
+            return points(grid, f)
+
+        def refuse(*args):
+            raise AssertionError("value_range took a seminorm")
+
+        monkeypatch.setattr(GridSpec, "points", counted)
+        monkeypatch.setattr(functions, "seminorm_profile", refuse)
+        monkeypatch.setattr(functions, "seminorm_profiles", refuse)
+        f = SmoothFunction(GRID_PATH_TREES["product"], PERIODIC)
+        value_range(f)
+        assert built == [f]
+
+
 class TestProbeClosedForm:
     def test_zero_at_anchor(self):
         assert probe_deriv_closed_form(4, 3, 0.3, 0, 0.3) == 0.0
@@ -312,6 +356,18 @@ WITH_REPEAT = Sum(Product(REPEATED, SinusoidProbe(0.2, 300.0, 0.3, 2)),
                   Scale(-3.0, REPEATED))
 
 
+def kept_nodes(slots, *roots):
+    """The node objects of the trees ``roots`` whose ids ``slots`` (from
+    `find_shared`) maps, each once."""
+    found, todo = {}, list(roots)
+    while todo:
+        node = todo.pop()
+        if id(node) in slots:
+            found[id(node)] = node
+        todo.extend(node.operands())
+    return list(found.values())
+
+
 class TestEvaluation:
     def test_shared_node_evaluated_once_per_chunk(self, monkeypatch):
         calls = []
@@ -353,14 +409,16 @@ class TestEvaluation:
         twin = PrimitiveCompose(Sin(omega=TWO_PI),
                                 Sum(IDENTITY, SinusoidProbe(1e-4, 300.0, 0.3)))
         assert twin == REPEATED and twin is not REPEATED
-        sharing = find_shared(Sum(REPEATED, Scale(2.0, twin)))
-        assert sharing.slots == {id(REPEATED): 0, id(twin): 0}
+        tree = Sum(REPEATED, Scale(2.0, twin))
+        slots = find_shared(tree)
+        assert slots == {id(REPEATED): 0, id(twin): 0}
         # the operands of a second occurrence are not visited, so the
         # sinusoid under it is seen once and not kept; constants and affine
         # leaves are never kept
-        assert [type(nd) for nd in sharing.objects] == [PrimitiveCompose] * 2
+        assert [type(nd) for nd in kept_nodes(slots, tree)] == \
+            [PrimitiveCompose] * 2
         assert find_shared(Sum(Constant(2.0), Constant(2.0), IDENTITY,
-                               IDENTITY)).slots == {}
+                               IDENTITY)) == {}
 
     def test_nothing_kept_without_repeats(self, monkeypatch):
         # the v's check_tame_estimate checks on ex4's seed-0 family, in one
@@ -373,8 +431,9 @@ class TestEvaluation:
         vs = [map_spec.gateaux(x + z, u) - base for z, _ in probes
               if pnorm_eval(PNormSpec(), z) <= 1.0]
         assert len(vs) == 144
-        sharing = find_shared(*(v.node for v in vs))
-        assert set(sharing.objects) == {(-base).node, x.node}
+        roots = [v.node for v in vs]
+        assert set(kept_nodes(find_shared(*roots), *roots)) == \
+            {(-base).node, x.node}
         pairs = []
         sin_cos = Evaluation.sin_cos
 
@@ -395,8 +454,7 @@ class TestEvaluation:
         leaf = SinusoidProbe(0.3, 2.0, 0.1)
         tree = Sum(PrimitiveCompose(Sin(omega=TWO_PI), leaf),
                    Scale(2.0, SinusoidProbe(0.3, 2.0, 0.1)))
-        sharing = find_shared(tree)
-        assert set(sharing.objects) == {leaf}
+        assert set(kept_nodes(find_shared(tree), tree)) == {leaf}
         calls = []
         sinusoid_coeffs = SinusoidProbe.coeffs
 

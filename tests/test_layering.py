@@ -5,6 +5,10 @@ caller of `find_shared`; every other module of the package iterates
 `chunks`. This walks the package's sources and fails if another module
 names ``_CHUNK`` or ``find_shared``.
 
+`maps` does no grid work: every bound it reads on a function's values
+comes from `functions.value_range`, so it names no grid, chunk walk,
+seminorm pass or closed form.
+
 The rules on k, l, m and the grid factor are the library's
 (`functions.check_probe`, `driver.check_sweep`, `GridSpec`); the CLI calls
 them and restates none, so it never names the order cap ``MAX_ORDER``.
@@ -16,6 +20,8 @@ from pathlib import Path
 import tameprobe
 
 PRIVATE_TO_FUNCTIONS = {"_CHUNK", "find_shared"}
+GRID_WORK = {"chunks", "DEFAULT_GRID", "GridSpec", "seminorm_profile",
+             "seminorm_profiles", "_closed_form_amplitudes"}
 
 
 def names(tree):
@@ -40,6 +46,11 @@ def test_only_functions_walks_chunks():
         if used:
             found[path.name] = sorted(used)
     assert found == {}
+
+
+def test_maps_does_no_grid_work():
+    path = Path(tameprobe.__file__).parent / "maps.py"
+    assert GRID_WORK & set(names(ast.parse(path.read_text()))) == set()
 
 
 def test_cli_leaves_the_order_cap_to_the_library():

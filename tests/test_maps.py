@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import random_small_function
+from conftest import GRID_PATH_TREES, random_small_function
 from tameprobe.cli import EXIT_CONFIG, main, parse_x
 from tameprobe.functions import (
     _CHUNK,
@@ -25,6 +26,8 @@ from tameprobe.functions import (
     zero,
 )
 from tameprobe.maps import (
+    DOMAIN_MARGIN_TOL,
+    INTERIOR_S0,
     CirclePullback,
     DomainViolation,
     MapSpec,
@@ -161,6 +164,63 @@ class TestInDomain:
             zero(UNIT_INTERVAL))
         assert ok
 
+    @pytest.mark.parametrize("n", [1, -2])
+    @pytest.mark.parametrize("x", ["zero", "const:5000"])
+    def test_constant_derivative_needs_no_grid(self, monkeypatch, n, x):
+        # x' = 0, so the infimum of |n + x'| is |n|, with no grid
+        def no_grid(grid, f):
+            raise AssertionError("grid built for a constant x'")
+
+        monkeypatch.setattr(GridSpec, "points", no_grid)
+        margin, ok = pullback_sin(n).in_domain(parse_x(x, PERIODIC))
+        assert ok and margin == abs(n)
+
+    @pytest.mark.parametrize("n", [1, 2, -1, 21])
+    @pytest.mark.parametrize("name", sorted(GRID_PATH_TREES))
+    def test_grid_margin_as_before(self, n, name):
+        # the grid path's margin is the grid minimum of |n + x'| less
+        # h * sup|x''|, as `in_domain` computed it before `value_range`
+        x = SmoothFunction(GRID_PATH_TREES[name], PERIODIC)
+        dx = x.derivative()
+        s = DEFAULT_GRID.points(x)
+        signed = n + dx.evaluate(s)
+        nearest = max(signed.min(), -signed.max())
+        want = 0.0 if nearest <= 0.0 else max(
+            nearest - (s[1] - s[0]) * seminorm_profile(dx.derivative(), 0)[0],
+            0.0)
+        margin, ok = pullback_sin(n).in_domain(x)
+        assert abs(margin - want) <= 4.0 * math.ulp(want)
+        assert ok == (want > DOMAIN_MARGIN_TOL)
+
+
+class TestInteriorS0:
+    """ex4 anchors at the fixed interior s0 only when x is constant, since
+    then x attains t0 everywhere."""
+
+    @pytest.mark.parametrize("x", ["zero", "const:0.4", "sinusoid:0,3",
+                                   "sinusoid:0,0.5"])
+    def test_constant_x(self, x):
+        mp = PostComposition(Exp((0.0, 1.0)))
+        assert mp.interior_s0(parse_x(x, UNIT_INTERVAL)) == INTERIOR_S0
+
+    @pytest.mark.parametrize("freq", [8, 16, 32])
+    def test_aliased_sinusoid_is_not_constant(self, freq):
+        # x vanishes at every j/16, where a sampled test called it constant
+        x = parse_x(f"sinusoid:0.3,{freq}", UNIT_INTERVAL)
+        assert np.all(np.abs(x.evaluate(np.linspace(0, 1, 17))) < 1e-14)
+        assert PostComposition(Exp((0.0, 1.0))).interior_s0(x) is None
+
+    @pytest.mark.parametrize("freq", [8, 16])
+    def test_demo_anchor_attains_t0(self, capsys, freq):
+        desc = f"sinusoid:0.3,{freq}"
+        assert main(["demo", "ex4", "--phi", "t_plus_exp", "--x", desc,
+                     "--m-list", "256,1024,4096"]) == 0
+        anchor = re.search(r"t0 = (\S+)  s0 = (\S+)",
+                           capsys.readouterr().out)
+        t0, s0 = float(anchor[1]), float(anchor[2])
+        x = parse_x(desc, UNIT_INTERVAL)
+        assert abs(x.evaluate(s0) - t0) < 1e-12
+
 
 class TestApply:
     def test_pullback_at_zero(self):
@@ -240,10 +300,10 @@ class TestPhiArgument:
         mp, xf = pullback_sin(n), parse_x(x, PERIODIC)
         # s0's bracket may leave [0, 1]
         s = np.linspace(-1.5, 2.5, 4001)
-        assert np.array_equal(bits(mp.phi_argument(xf, s)),
+        assert np.array_equal(bits(mp.argument(xf).values(s)),
                               bits(n * s + xf.evaluate(s)))
         for t in self.SCALARS + (-0.7, 2.25):
-            got = mp.phi_argument(xf, t)
+            got = mp.argument(xf).values(t)
             assert type(got) is float
             assert bits(got) == bits(n * t + xf.evaluate(t))
 
@@ -251,10 +311,10 @@ class TestPhiArgument:
         mp = PostComposition(Exp((0.0, 1.0)))
         xf = parse_x("sinusoid:0.3,1.5", UNIT_INTERVAL)
         s = np.linspace(0.0, 1.0, 4001)
-        assert np.array_equal(bits(mp.phi_argument(xf, s)),
+        assert np.array_equal(bits(mp.argument(xf).values(s)),
                               bits(xf.evaluate(s)))
         for t in self.SCALARS:
-            got = mp.phi_argument(xf, t)
+            got = mp.argument(xf).values(t)
             assert type(got) is float and bits(got) == bits(xf.evaluate(t))
 
 
