@@ -1,7 +1,8 @@
 """Command-line front end: demos, sweeps, and estimate checks.
 
 Exit codes: 0 expected outcome, 2 unexpected sweep outcome, 64 config or
-usage error, 65 precision budget exceeded, 66 unwritable output path.
+usage error, 65 precision budget exceeded, 66 unwritable output: an output
+path that cannot be written, or a standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import astuple, dataclass, field
 
@@ -25,8 +27,8 @@ from .driver import (
     growth_sweep,
     locate_anchor,
 )
-from .functions import (Constant, GridSpec, SinusoidProbe, SmoothFunction,
-                        check_probe, zero)
+from .functions import (Constant, SinusoidProbe, SmoothFunction, check_probe,
+                        zero)
 from .maps import CirclePullback, DomainViolation, PostComposition
 from .primitives import TWO_PI, Cos, Exp, Polynomial, Sin
 from .tameness import PNormSpec, check_tame_estimate
@@ -113,7 +115,6 @@ class ScenarioConfig:
     k: int = 3
     l: int = 8
     m_list: tuple = DEFAULT_M_LIST
-    grid_factor: int = 64
     rho1: PNormSpec = field(default_factory=PNormSpec)
     rho2: PNormSpec = field(default_factory=PNormSpec)
     format: str = "csv"
@@ -125,7 +126,6 @@ class ScenarioConfig:
                               f"got {self.variant!r}")
         try:
             check_sweep(self.k, self.l, self.m_list)
-            self.grid()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.m_list[-1] > MAX_M:
@@ -141,13 +141,10 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def grid(self) -> GridSpec:
-        return GridSpec(factor=self.grid_factor)
-
 
 # JSON type of each scalar config key that maps onto a ScenarioConfig field
 CONFIG_SCALARS = {"variant": str, "phi": str, "x": str, "n": int, "k": int,
-                  "l": int, "grid_factor": int, "format": str, "output": str}
+                  "l": int, "format": str, "output": str}
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
@@ -224,7 +221,7 @@ def _config_from_args(args) -> ScenarioConfig:
                     raise ConfigError(f"bad {key} in config: {exc}") from None
     if getattr(args, "variant", None):
         cfg.variant = args.variant
-    for key in ("phi", "n", "x", "k", "l", "grid_factor", "format", "output"):
+    for key in ("phi", "n", "x", "k", "l", "format", "output"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
@@ -254,9 +251,8 @@ def _print_table(result):
 def cmd_demo(cfg: ScenarioConfig) -> int:
     map_spec = cfg.build_map()
     x = parse_x(cfg.x, map_spec.domain_tag)
-    grid = cfg.grid()
     result = growth_sweep(map_spec, x, cfg.rho1, cfg.rho2, cfg.k, cfg.l,
-                          cfg.m_list, grid)
+                          cfg.m_list)
     _print_table(result)
     print(f"t0 = {result.t0:.12g}  s0 = {result.s0:.12g}  "
           f"|phi_deriv(t0)| = {result.deriv_mag:.12g}")
@@ -277,7 +273,7 @@ def cmd_demo(cfg: ScenarioConfig) -> int:
         print(f"no certificate: {why}, so no sqrt(m) growth was seen")
         expected = False
     else:
-        m_est = estimate_residual_bound(map_spec, x, cfg.k, cfg.l, grid=grid,
+        m_est = estimate_residual_bound(map_spec, x, cfg.k, cfg.l,
                                         sweep=result)
         m_star = fix_m(map_spec, cfg.k, cfg.l, m_est, result.deriv_mag)
         print(f"residual bound M = {m_est:.12g}; certified m = {m_star}")
@@ -291,7 +287,7 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
     map_spec = cfg.build_map()
     x = parse_x(cfg.x, map_spec.domain_tag)
     result = growth_sweep(map_spec, x, cfg.rho1, cfg.rho2, cfg.k, cfg.l,
-                          cfg.m_list, cfg.grid())
+                          cfg.m_list)
     if cfg.format == "csv":
         body = "\n".join([CSV_HEADER] + [_record_row(r) for r in result.records])
         body += "\n"
@@ -370,8 +366,7 @@ def cmd_check_tame(cfg: ScenarioConfig, probe_path: str) -> int:
     map_spec = cfg.build_map()
     x = parse_x(cfg.x, map_spec.domain_tag)
     probes = _load_probes(probe_path, cfg, map_spec, x)
-    report = check_tame_estimate(map_spec, x, cfg.rho1, cfg.rho2, probes,
-                                 cfg.grid())
+    report = check_tame_estimate(map_spec, x, cfg.rho1, cfg.rho2, probes)
     print(f"satisfied = {report.satisfied}")
     print(f"probes checked = {report.samples_checked}, "
           f"skipped (rho1(z) > 1) = {report.skipped_large_z}, "
@@ -400,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, help="odd derivative order")
         p.add_argument("--l", type=int, help="seminorm level for u (eps0 = 1/l)")
         p.add_argument("--m-list", help="comma-separated ascending m values")
-        p.add_argument("--grid-factor", type=int, dest="grid_factor",
-                       help="grid points per frequency unit")
 
     p = sub.add_parser("demo", help="run a sweep and report the outcome")
     add_common(p)
@@ -443,7 +436,16 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; the interpreter's exit flush would
+        # raise again, so stdout goes to devnull (Python's signal docs,
+        # "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OUTPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

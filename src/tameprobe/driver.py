@@ -38,9 +38,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .functions import (
-    DEFAULT_GRID,
+    GRID,
     Evaluation,
-    GridSpec,
     PrecisionBudgetError,
     SmoothFunction,
     check_probe,
@@ -179,8 +178,7 @@ def build_probe(params: ProbeParams, map_spec: MapSpec):
 
 
 def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
-                z: SmoothFunction, v: SmoothFunction, rho2: PNormSpec,
-                grid: GridSpec | None = None):
+                z: SmoothFunction, v: SmoothFunction, rho2: PNormSpec):
     """One evaluation of v = df(x+z, u) - df(x, u) at the anchor, then one
     chunked grid pass over v.
 
@@ -208,7 +206,7 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
     """
     top = map_spec.top_order(params.k)
     lead = map_spec.leading_term(x, z, params.k)
-    s = (grid or DEFAULT_GRID).points(v)
+    s = GRID.points(v)
     order = max(rho2.truncation, top)
     fact = np.array([math.factorial(i) for i in range(order + 1)])
     j = int(np.searchsorted(s, params.s0).clip(1, s.size - 1))
@@ -251,8 +249,7 @@ def locate_anchor(map_spec: MapSpec, x: SmoothFunction):
 
 def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
                  rho1: PNormSpec, rho2: PNormSpec,
-                 k: int, l: int, m_list: Sequence[int],
-                 grid: GridSpec | None = None) -> SweepResult:
+                 k: int, l: int, m_list: Sequence[int]) -> SweepResult:
     """One GrowthRecord per m, plus the fitted log-log slope.
 
     Raises DomainViolation when x, or x + z at some m, leaves the map's
@@ -269,7 +266,7 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
         z, u = build_probe(params, map_spec)
         if not records:
             # u is the same for every m, and so is df(x, u)
-            rho1_u = pnorm_eval(rho1, u, grid)
+            rho1_u = pnorm_eval(rho1, u)
             base = map_spec.gateaux(x, u)
         margin, ok = map_spec.in_domain(x + z)
         if not ok:
@@ -277,11 +274,11 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
                 margin, f"x + z at m = {m} leaves the map's domain")
         v = map_spec.gateaux(x + z, u) - base
         top_deriv, tz_sup, v_profile = residual_tz(map_spec, x, params, z, v,
-                                                   rho2, grid)
+                                                   rho2)
         record = GrowthRecord(
             m=m,
-            p_km1_z=float(seminorm_profile(z, k - 1, grid)[k - 1]),
-            rho1_z=pnorm_eval(rho1, z, grid),
+            p_km1_z=float(seminorm_profile(z, k - 1)[k - 1]),
+            rho1_z=pnorm_eval(rho1, z),
             rho1_u=rho1_u,
             top_deriv_s0=top_deriv,
             predicted=params.eps0 * math.sqrt(TWO_PI * m) * deriv_mag,
@@ -309,19 +306,18 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
 
 def estimate_residual_bound(map_spec: MapSpec, x: SmoothFunction,
                             k: int, l: int,
-                            grid: GridSpec | None = None,
                             sweep: SweepResult | None = None) -> float:
     """Empirical upper bound for the residual: twice the maximum of
     sup|T_z| over a coarse sweep (m in RESIDUAL_M_COARSE), plus one; 1.0
-    when the anchor is degenerate. A ``sweep`` of the same map, x, k, l
-    and grid, for any rho1, rho2 and m list, has the coarse sweep's anchor
-    and rows of v up to ``top``, hence its sup|T_z| bit for bit, so only
-    the m of RESIDUAL_M_COARSE that it lacks are swept."""
+    when the anchor is degenerate. A ``sweep`` of the same map, x, k and
+    l, for any rho1, rho2 and m list, has the coarse sweep's anchor and
+    rows of v up to ``top``, hence its sup|T_z| bit for bit, so only the m
+    of RESIDUAL_M_COARSE that it lacks are swept."""
     tz_sup = {r.m: r.tz_sup for r in sweep.records} if sweep else {}
     missing = [m for m in RESIDUAL_M_COARSE if m not in tz_sup]
     if missing and not (sweep and sweep.degenerate):
         sweep = growth_sweep(map_spec, x, PNormSpec(0), PNormSpec(0), k, l,
-                             missing, grid)
+                             missing)
         tz_sup.update((r.m, r.tz_sup) for r in sweep.records)
     if sweep.degenerate:
         return 1.0

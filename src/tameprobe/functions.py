@@ -5,8 +5,9 @@ line, and smooth functions on the unit interval (derivatives at the
 endpoints are those of the global formula, i.e. of the smooth extension).
 
 The seminorm of grade i is the sup over the domain and over all derivative
-orders l <= i of |f^(l)(s)|. Sups are taken on a structurally sized grid;
-trees consisting of a single sinusoid node get an exact closed form.
+orders l <= i of |f^(l)(s)|. Sups are taken on one grid, `GRID`, of
+GRID_FACTOR points per unit of a function's highest frequency; trees
+consisting of a single sinusoid node get an exact closed form.
 `value_range` encloses a function's values: exactly for a constant or one
 sinusoid, and otherwise from one grid pass to order 1.
 
@@ -44,6 +45,8 @@ UNIT_INTERVAL = "unit_interval"
 # floats each, and its sines and cosines _CHUNK floats each
 _CHUNK = 1 << 14
 MIN_GRID_POINTS = 4096
+# grid points per frequency unit of a function's highest frequency
+GRID_FACTOR = 64
 # 2^24 points is 128 MiB per row of float64; the ex2 sweep at the CLI's cap
 # m = 16384 over x = zero evaluates v on 2^21 + 65 points
 MAX_GRID_POINTS = 2**24
@@ -518,26 +521,19 @@ def is_integer(val) -> bool:
     return type(val) is not bool and hasattr(val, "__index__")
 
 
-@dataclass(frozen=True)
 class GridSpec:
     """Uniform sampling recipe for sup computations.
 
-    The grid has ``max(MIN_GRID_POINTS, factor * ceil(f_max))`` base points plus
-    one or two extra; the odd total breaks phase locking against integer
-    frequencies, so a frequency-m sinusoid is sampled at phase angles that
-    fill its period densely, not aliased to ``factor`` distinct values.
+    The grid has ``max(MIN_GRID_POINTS, GRID_FACTOR * ceil(f_max))`` base
+    points plus one or two extra; the odd total breaks phase locking against
+    integer frequencies, so a frequency-m sinusoid is sampled at phase angles
+    that fill its period densely, not aliased to GRID_FACTOR distinct values.
     A grid above MAX_GRID_POINTS points raises PrecisionBudgetError.
     """
 
-    factor: int = 64
-
-    def __post_init__(self):
-        if not is_integer(self.factor) or self.factor < 1:
-            raise ValueError("grid factor must be a positive integer")
-
     def size(self, f: SmoothFunction) -> int:
         f_max = f.node.max_frequency()
-        n = max(MIN_GRID_POINTS, self.factor * math.ceil(f_max)) \
+        n = max(MIN_GRID_POINTS, GRID_FACTOR * math.ceil(f_max)) \
             if math.isfinite(f_max) else math.inf
         size = n + 1 if f.domain == PERIODIC else n + 2
         if size > MAX_GRID_POINTS:
@@ -558,7 +554,7 @@ class GridSpec:
         return np.linspace(0.0, 1.0, size)
 
 
-DEFAULT_GRID = GridSpec()
+GRID = GridSpec()
 
 
 def _closed_form_amplitudes(f: SmoothFunction, max_order: int):
@@ -582,18 +578,18 @@ def _closed_form_amplitudes(f: SmoothFunction, max_order: int):
 def value_range(f: SmoothFunction):
     """(lo, hi), an enclosure of the values of f: exact for a constant and
     for one sinusoid (`_closed_form_amplitudes`). Otherwise one pass over
-    f's default grid takes f to order 1 and widens the grid's min and max
-    by h * sup|f'|, h being the grid step. Off the grid, f is at most
-    (h/2) sup|f'| beyond its nearest grid value; the other half covers the
-    grid's error in sup|f'|, below 6% for a trigonometric polynomial
-    sampled at 64 points per frequency unit (Bernstein's inequality), so
+    f's grid takes f to order 1 and widens the grid's min and max by
+    h * sup|f'|, h being the grid step. Off the grid, f is at most (h/2)
+    sup|f'| beyond its nearest grid value; the other half covers the grid's
+    error in sup|f'|, below 6% for a trigonometric polynomial sampled at
+    GRID_FACTOR = 64 points per frequency unit (Bernstein's inequality), so
     the enclosure holds up to the grid's resolution."""
     if isinstance(f.node, Constant):
         return f.node.c, f.node.c
     amp = _closed_form_amplitudes(f, 0)
     if amp is not None:
         return -float(amp[0]), float(amp[0])
-    s = DEFAULT_GRID.points(f)
+    s = GRID.points(f)
     lo, hi, slope = np.inf, -np.inf, 0.0   # running min, max and sup|f'|
     for ev in chunks(s, f.node):
         c = ev.coeffs(f.node, 1)
@@ -603,13 +599,12 @@ def value_range(f: SmoothFunction):
     return float(lo - pad), float(hi + pad)
 
 
-def seminorm_profile(f: SmoothFunction, max_order: int,
-                     grid: GridSpec | None = None) -> np.ndarray:
+def seminorm_profile(f: SmoothFunction, max_order: int) -> np.ndarray:
     """All graded seminorms p_0 .. p_max_order of f in one pass."""
-    return seminorm_profiles([f], max_order, grid)[0]
+    return seminorm_profiles([f], max_order)[0]
 
 
-def seminorm_profiles(fs, max_order: int, grid: GridSpec | None) -> list:
+def seminorm_profiles(fs, max_order: int) -> list:
     """`seminorm_profile` of each function of ``fs``, in their order.
 
     The functions without a closed form are grouped by grid, and each
@@ -620,16 +615,15 @@ def seminorm_profiles(fs, max_order: int, grid: GridSpec | None) -> list:
     """
     if not 0 <= max_order <= MAX_ORDER:
         raise ValueError(f"order {max_order} outside 0..{MAX_ORDER}")
-    grid = grid or DEFAULT_GRID
     profiles = [_closed_form_amplitudes(f, max_order) for f in fs]
     groups = {}   # (domain, grid size) -> indices into fs
     for i, f in enumerate(fs):
         if profiles[i] is None:
-            groups.setdefault((f.domain, grid.size(f)), []).append(i)
+            groups.setdefault((f.domain, GRID.size(f)), []).append(i)
             profiles[i] = np.zeros(max_order + 1)
     fact = np.array([math.factorial(l) for l in range(max_order + 1)])
     for members in groups.values():
-        s = grid.points(fs[members[0]])   # one grid alive at a time
+        s = GRID.points(fs[members[0]])   # one grid alive at a time
         for ev in chunks(s, *(fs[i].node for i in members)):
             for i in members:
                 # no coefficients stay bound while the next tree runs

@@ -26,7 +26,6 @@ import numbers
 from dataclasses import dataclass, field
 
 from .functions import (
-    GridSpec,
     PrecisionBudgetError,
     SmoothFunction,
     is_integer,
@@ -97,9 +96,8 @@ class PNormSpec:
         return None
 
 
-def pnorm_eval(spec: PNormSpec, x: SmoothFunction,
-               grid: GridSpec | None = None) -> float:
-    return spec.of_profile(seminorm_profile(x, spec.truncation, grid))
+def pnorm_eval(spec: PNormSpec, x: SmoothFunction) -> float:
+    return spec.of_profile(seminorm_profile(x, spec.truncation))
 
 
 @dataclass
@@ -113,7 +111,7 @@ class TameCheckReport:
 
 def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
                         rho1: PNormSpec, rho2: PNormSpec,
-                        probes, grid: GridSpec | None = None) -> TameCheckReport:
+                        probes) -> TameCheckReport:
     """Evaluate the uniform estimate over a probe family.
 
     ``probes`` is a nonempty sequence of (z, u) pairs. Pairs with
@@ -128,7 +126,7 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
     report = TameCheckReport(satisfied=True)
     by_u = {}   # u -> indices of the probes to check
     for i, (z, u) in enumerate(probes):
-        if pnorm_eval(rho1, z, grid) > 1.0:
+        if pnorm_eval(rho1, z) > 1.0:
             report.skipped_large_z += 1
             continue
         margin, ok = map_spec.in_domain(x + z)
@@ -140,9 +138,9 @@ def check_tame_estimate(map_spec: MapSpec, x: SmoothFunction,
     sides = {}   # probe index -> (rho2(v), rho1(u))
     for u, checked in by_u.items():
         base = map_spec.gateaux(x, u)
-        rhs = pnorm_eval(rho1, u, grid)
+        rhs = pnorm_eval(rho1, u)
         vs = [map_spec.gateaux(x + probes[i][0], u) - base for i in checked]
-        for i, p in zip(checked, seminorm_profiles(vs, rho2.truncation, grid)):
+        for i, p in zip(checked, seminorm_profiles(vs, rho2.truncation)):
             sides[i] = rho2.of_profile(p), rhs
     for i in sorted(sides):
         lhs, rhs = sides[i]

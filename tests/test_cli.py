@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tameprobe
 from tameprobe.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -213,10 +216,9 @@ class TestDemo:
 
     @pytest.mark.parametrize("argv, size", [
         (["--n", "1000000000000"], "6.4e+13"),
-        (["--grid-factor", "100000000", "--m-list", "16"], "3.3e+09"),
         (["--x", "sinusoid:1e-12,100000000"], "6.4e+09"),
-        (["--grid-factor", "1" + "0" * 400, "--m-list", "16"], "inf"),
-    ], ids=["winding", "grid-factor", "x-frequency", "grid-factor-huge"])
+        (["--x", "sinusoid:1e-301,1e300"], "inf"),
+    ], ids=["winding", "x-frequency", "x-frequency-huge"])
     def test_grid_above_cap_rejected(self, capsys, argv, size):
         assert main(["demo", "ex2"] + argv) == EXIT_BUDGET
         assert (f"a grid of {size} points exceeds the cap of 16777216"
@@ -430,14 +432,13 @@ class TestConfigFile:
     @pytest.mark.parametrize("cfg, message", [
         ({"k": "3"}, "k must be an integer, got '3'"),
         ({"m_list": 5}, "m_list must be a list of integers, got 5"),
-        ({"grid_factor": "64"}, "grid_factor must be an integer, got '64'"),
         ({"output": 5}, "output must be a string, got 5"),
         ("k3", "config file must hold a JSON object"),
         # unknown keys were ignored: m-list ran the default sweep, and
         # truncaton the default truncation 12
         ({"m-list": [16, 32]}, "unknown config key 'm-list'"),
         ({"rho2": {"truncaton": 2}}, "unknown rho2 key 'truncaton'"),
-    ], ids=["k-string", "m-list-int", "grid-factor-string", "output-int",
+    ], ids=["k-string", "m-list-int", "output-int",
             "not-an-object", "unknown-key", "unknown-rho-key"])
     def test_wrong_type_rejected(self, tmp_path, capsys, cfg, message):
         path = tmp_path / "cfg.json"
@@ -496,6 +497,36 @@ class TestConfigFile:
 
     def test_missing_config(self):
         assert main(["demo", "--config", "/nope.json"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("source, message", [
+        ("flag", "unrecognized arguments: --grid-factor 16"),
+        ("config", "unknown config key 'grid_factor'"),
+    ])
+    def test_grid_factor_retired(self, tmp_path, capsys, source, message):
+        # the grid density is functions.GRID_FACTOR, which no input sets
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid_factor": 16}))
+        argv = ["--grid-factor", "16"] if source == "flag" else \
+            ["--config", str(path)]
+        assert main(["demo", "ex2", *argv, "--m-list", "16,32"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+
+class TestEntry:
+    def test_closed_stdout_exits_66(self):
+        # the reader is gone before the first write: print's flush raised
+        # BrokenPipeError, a traceback and exit 1, and the interpreter's
+        # exit flush raised again ("Exception ignored")
+        src = os.path.dirname(os.path.dirname(tameprobe.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tameprobe.cli", "demo", "ex2",
+             "--m-list", "16,32"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_OUTPUT
+        assert err == b""
 
 
 # a small argv grammar for `demo`: well-formed descriptors, and malformed
@@ -581,7 +612,6 @@ CONFIG_VALUES = {
     "n": ((1, 2, -1), (0, 1.5, "1", True)),
     "k": ((1, 3, 5), (2, 3.0, "3", True, 10**400 + 1)),
     "l": ((1, 8), (0, 2.5, None)),
-    "grid_factor": ((16, 64), (0, -1, "64", 1.5)),
     "format": (("csv", "json"), ("xml", 1)),
     "output": (("out.csv",), (5, [])),
     "m_list": (([16], [16, 32]),
@@ -659,7 +689,6 @@ class TestFuzz:
               "--m-list", "16"])
     @example(["demo", "ex2", "--n", "1000000000000", "--m-list", "16"])
     @example(["demo", "ex2", "--n", "1" + "0" * 400, "--m-list", "16"])
-    @example(["demo", "ex2", "--grid-factor", "100000000", "--m-list", "16"])
     @example(["demo", "ex2", "--x", "sinusoid:1e-12,100000000",
               "--m-list", "16"])
     @settings(max_examples=100, deadline=None, derandomize=True)

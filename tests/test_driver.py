@@ -11,7 +11,7 @@ from conftest import (
     probe_deriv_closed_form,
     random_small_function,
 )
-from tameprobe import driver, primitives
+from tameprobe import driver, functions, primitives
 from tameprobe.cli import DEFAULT_M_LIST, parse_x
 from tameprobe.cli import main as cli_main
 from tameprobe.driver import (
@@ -455,11 +455,12 @@ class TestGrowthSweep:
         for r in res.records:
             assert r.top_deriv_s0 / r.predicted == pytest.approx(1.0, abs=0.01)
 
-    def test_slope_stable_under_grid_refinement(self):
+    def test_slope_stable_under_grid_refinement(self, monkeypatch):
         args = (pullback_sin(), zero(), PNormSpec(), PNormSpec(), 3, 8,
                 [16, 32, 64])
         coarse = growth_sweep(*args)
-        fine = growth_sweep(*args, grid=GridSpec(factor=128))
+        monkeypatch.setattr(functions, "GRID_FACTOR", 128)
+        fine = growth_sweep(*args)
         assert abs(coarse.slope - fine.slope) <= 0.02
 
     def test_degenerate_composition(self):
@@ -654,14 +655,13 @@ class TestEstimateResidualBound:
          1.000296840763502),
     ], ids=["ex2", "ex2-n2-sinusoid", "ex4", "ex4-linear16"])
     def test_read_off_main_sweep(self, monkeypatch, make, x, rho2, want):
-        mp, grid = make(), GridSpec()
+        mp = make()
         x = parse_x(x, mp.domain_tag)
-        main = growth_sweep(mp, x, PNormSpec(), rho2, 3, 8, DEFAULT_M_LIST,
-                            grid)
+        main = growth_sweep(mp, x, PNormSpec(), rho2, 3, 8, DEFAULT_M_LIST)
         calls = self.count_sweeps(monkeypatch)
-        assert estimate_residual_bound(mp, x, 3, 8, grid, main) == want
+        assert estimate_residual_bound(mp, x, 3, 8, main) == want
         assert calls == []
-        assert estimate_residual_bound(mp, x, 3, 8, grid) == want
+        assert estimate_residual_bound(mp, x, 3, 8) == want
         assert calls == [list(RESIDUAL_M_COARSE)]
 
     def test_sweeps_only_missing_m(self, monkeypatch, capsys):

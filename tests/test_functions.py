@@ -303,17 +303,6 @@ class TestProbeClosedForm:
 
 
 class TestGridSpec:
-    @pytest.mark.parametrize("factor", [0, -1, 2.5, True, "64"])
-    def test_factor_must_be_a_positive_integer(self, factor):
-        # factor 0 sampled a frequency-1000 probe on 4097 points
-        with pytest.raises(ValueError,
-                           match="grid factor must be a positive integer"):
-            GridSpec(factor=factor)
-
-    def test_numpy_integer_factor_accepted(self):
-        assert GridSpec(factor=np.int64(16)).size(probe(1000, 3, 0.0)) \
-            == 16001
-
     def test_scales_with_frequency(self):
         g = GridSpec()
         z = probe(256, 3, 0.0)
@@ -443,7 +432,7 @@ class TestEvaluation:
             return out
 
         monkeypatch.setattr(Evaluation, "sin_cos", recording)
-        seminorm_profiles(vs, 12, None)
+        seminorm_profiles(vs, 12)
         # the first v reads x's pair, then its z's; x is kept as a node from
         # then on, so every later v holds its own z's pair alone
         assert pairs == [1, 2] + [1] * 143
@@ -479,7 +468,7 @@ class TestEvaluation:
         fs = [SmoothFunction(t, PERIODIC) for t in trees]
         want = [seminorm_profile(f, 4) for f in fs]
         calls = count_trig(monkeypatch)
-        got = functions.seminorm_profiles(fs, 4, None)
+        got = functions.seminorm_profiles(fs, 4)
         # one pair for z per tree, and one for the frequency-2 factor
         assert calls == [(4097, 0), (4097, 1)] * 3
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -507,7 +496,7 @@ class TestEvaluation:
               SmoothFunction(Sum(REPEATED, SinusoidProbe(0.1, 3.0)), PERIODIC),
               probe(3, 1, 0.0),
               SmoothFunction(WITH_REPEAT, PERIODIC)]
-        got = seminorm_profiles(fs, 6, None)
+        got = seminorm_profiles(fs, 6)
         assert len(got) == len(fs)
         for f, p in zip(fs, got):
             assert np.array_equal(p, seminorm_profile(f, 6))

@@ -8,7 +8,7 @@ from conftest import GRID_PATH_TREES, random_small_function
 from tameprobe.cli import EXIT_CONFIG, main, parse_x
 from tameprobe.functions import (
     _CHUNK,
-    DEFAULT_GRID,
+    GRID,
     PERIODIC,
     UNIT_INTERVAL,
     Affine,
@@ -98,7 +98,7 @@ class TestInDomain:
         x = SmoothFunction(SinusoidProbe(amp, freq, 0.1), PERIODIC)
         margin, ok = pullback_sin(n).in_domain(x)
         infimum = abs(n) - TWO_PI * abs(amp * freq)
-        h = DEFAULT_GRID.points(x)[1]
+        h = GRID.points(x)[1]
         p2 = seminorm_profile(x, 2)[2]
         assert ok
         assert infimum - 2.0 * h * p2 <= margin <= infimum
@@ -148,7 +148,7 @@ class TestInDomain:
     def test_tangent_between_grid_points_excluded(self):
         # 1 + x' = 1 + cos(2 pi s) touches zero at s = 1/2, off the grid
         x = SmoothFunction(SinusoidProbe(1.0 / TWO_PI, 1.0, 0.0), PERIODIC)
-        assert 0.5 not in DEFAULT_GRID.points(x)
+        assert 0.5 not in GRID.points(x)
         margin, ok = pullback_sin().in_domain(x)
         assert not ok and margin < 1e-9
 
@@ -182,7 +182,7 @@ class TestInDomain:
         # h * sup|x''|, as `in_domain` computed it before `value_range`
         x = SmoothFunction(GRID_PATH_TREES[name], PERIODIC)
         dx = x.derivative()
-        s = DEFAULT_GRID.points(x)
+        s = GRID.points(x)
         signed = n + dx.evaluate(s)
         nearest = max(signed.min(), -signed.max())
         want = 0.0 if nearest <= 0.0 else max(
@@ -489,8 +489,8 @@ class TestFoldedTrees:
         raw = Sum(unfolded_gateaux(map_spec, Sum(x.node, z.node), u.node),
                   Scale(-1.0, unfolded_gateaux(map_spec, x.node, u.node)))
         assert v.node.max_frequency() == raw.max_frequency()
-        s = DEFAULT_GRID.points(v)
-        assert s.size == DEFAULT_GRID.points(SmoothFunction(raw, domain)).size
+        s = GRID.points(v)
+        assert s.size == GRID.points(SmoothFunction(raw, domain)).size
         # every 16th point of the first chunk: the arithmetic is per point
         s = s[:_CHUNK:16]
         for order in range(13):
