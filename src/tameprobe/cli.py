@@ -27,8 +27,7 @@ from .driver import (
     growth_sweep,
     locate_anchor,
 )
-from .functions import (Constant, SinusoidProbe, SmoothFunction, check_probe,
-                        zero)
+from .functions import Constant, SinusoidProbe, SmoothFunction, zero
 from .maps import CirclePullback, DomainViolation, PostComposition
 from .primitives import TWO_PI, Cos, Exp, Polynomial, Sin
 from .tameness import PNormSpec, check_tame_estimate
@@ -136,7 +135,6 @@ class ScenarioConfig:
     def build_map(self):
         phi = parse_phi(self.phi)
         try:
-            check_probe(self.k)
             return VARIANTS[self.variant](phi, self.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

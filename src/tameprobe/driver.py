@@ -7,12 +7,14 @@ difference v of directional derivatives grows like sqrt(m) while the
 residual (everything except the extracted leading term) stays bounded,
 which is what defeats any fixed uniform estimate.
 
-The algorithms here are generic: argmax over candidates for t0, root
-bracketing plus bisection for s0 on the tree of phi's argument, built
-once, the residual pass, and the power-of-two search for a certified m.
-What differs between the maps (the leading derivative, the top order,
-phi's argument, the search ranges, the fallback anchor and the certifying
-inequality) comes from the `MapSpec` hooks.
+The algorithms here are generic: the anchor search, the residual pass,
+and the power-of-two search for a certified m. The anchor search
+evaluates phi's argument once on a grid of the map's domain; s0 is the
+grid point where |phi_lead| there is largest, and t0 is the argument at
+s0, so no equation is solved and s0 lies in x's period. What differs
+between the maps (the leading derivative, the top order, phi's argument,
+a fixed interior or fallback s0, and the certifying inequality) comes
+from the `MapSpec` hooks.
 
 A sweep checks x's membership in the map's domain once, and x + z's once
 per m; building df(x + z, u) checks only the domain tag. It evaluates v
@@ -39,6 +41,7 @@ import numpy as np
 
 from .functions import (
     GRID,
+    PERIODIC,
     Evaluation,
     PrecisionBudgetError,
     SmoothFunction,
@@ -55,6 +58,9 @@ from .tameness import PNormSpec, pnorm_eval
 
 MAX_M = 2**14
 ANCHOR_POINTS = 8192
+# the widest gap between doubles at which a 1-periodic phi still reads its
+# argument mod 1
+ANCHOR_SPACING_MAX = 2.0**-20
 RESIDUAL_M_COARSE = (16, 64, 256)
 
 
@@ -121,52 +127,40 @@ class SweepResult:
     deriv_mag: float
 
 
-def find_t0(map_spec: MapSpec, x: SmoothFunction | None = None) -> float:
-    """Point where the leading derivative of phi is (maximally) nonzero.
+def find_s0(map_spec: MapSpec, x: SmoothFunction) -> float:
+    """The first of ANCHOR_POINTS points of the map's domain, [0, 1) or
+    [0, 1], where |phi_lead| at phi's argument is largest, unless the map
+    fixes an `interior_s0`.
 
-    Ties break toward the smallest candidate; a maximum below tolerance
-    signals the degenerate (estimate-satisfying) case.
+    A maximum below tolerance signals the degenerate (estimate-satisfying)
+    case. A 1-periodic phi reads its argument mod 1, so an argument where
+    doubles are more than ANCHOR_SPACING_MAX apart exceeds the precision
+    budget.
     """
-    t = map_spec.t0_candidates(x, ANCHOR_POINTS)
+    s = np.linspace(0.0, 1.0, ANCHOR_POINTS + 1)
+    if map_spec.domain_tag == PERIODIC:
+        s = s[:-1]   # 1 is 0 again
+    t = map_spec.argument(x).values(s)
     vals = np.abs(map_spec.leading_primitive()(t))
     j = int(np.argmax(vals))
     if vals[j] < 1e-9:
         raise DegenerateMapError(
-            f"no usable t0: phi derivative {map_spec.lead_order} vanishes "
-            "on the candidates")
-    return float(t[j])
+            f"no usable anchor: phi derivative {map_spec.lead_order} "
+            "vanishes on the anchor grid")
+    reach = float(np.abs(t).max())
+    gap = float(np.spacing(reach))
+    if map_spec.phi.is_one_periodic and gap > ANCHOR_SPACING_MAX:
+        raise PrecisionBudgetError(
+            f"phi's argument reaches {reach:.4g}, where doubles are {gap:.4g} "
+            "apart: a 1-periodic phi there exceeds the precision budget")
+    interior = map_spec.interior_s0(x)
+    return float(s[j]) if interior is None else interior
 
 
-def find_s0(map_spec: MapSpec, x: SmoothFunction, t0: float) -> float:
-    """Anchor point where phi's argument equals t0: n*s0 + x(s0) = t0 for
-    the pullback, x(s0) = t0 for the composition."""
-    lo, hi = map_spec.s0_bracket(x, t0)
-    arg = map_spec.argument(x)   # the tree a grid pass evaluates
-    g = lambda s: arg.values(s) - t0
-    s = np.linspace(lo, hi, ANCHOR_POINTS + 1)
-    vals = g(s)
-    exact = np.nonzero(np.abs(vals) < 1e-12)[0]
-    if exact.size:
-        return float(s[exact[0]])
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if not flips.size:
-        raise ValueError("no root bracket found: t0 not attained on the grid")
-    # bisect the first bracket until its midpoint is one of its ends
-    j = flips[0]
-    a, b = float(s[j]), float(s[j + 1])
-    lo_negative = vals[j] < 0.0
-    mid = 0.5 * (a + b)
-    while a < mid < b:
-        gm = g(mid)
-        if gm == 0.0:
-            break
-        if (gm < 0.0) == lo_negative:
-            a = mid
-        else:
-            b = mid
-        mid = 0.5 * (a + b)
-    return mid
+def find_t0(map_spec: MapSpec, x: SmoothFunction, s0: float) -> float:
+    """Phi's argument at the anchor point s0: n*s0 + x(s0) for the
+    pullback, x(s0) for the composition."""
+    return map_spec.argument(x).values(s0)
 
 
 def build_probe(params: ProbeParams, map_spec: MapSpec):
@@ -231,18 +225,16 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
 
 
 def locate_anchor(map_spec: MapSpec, x: SmoothFunction):
-    """(t0, s0, deriv_mag, degenerate) for a sweep or a probe family: t0
-    and s0 from the map's search, its fixed interior s0 or its fallback
-    anchor."""
+    """(t0, s0, deriv_mag, degenerate) for a sweep or a probe family: s0
+    from `find_s0`, or the map's `fallback_s0` when phi_lead vanishes on
+    the anchor grid, and t0 phi's argument there."""
     try:
-        t0 = find_t0(map_spec, x)
-        s0 = map_spec.interior_s0(x)
+        s0 = find_s0(map_spec, x)
         degenerate = False
     except DegenerateMapError:
-        t0, s0 = map_spec.fallback_anchor(x)
+        s0 = map_spec.fallback_s0
         degenerate = True
-    if s0 is None:
-        s0 = find_s0(map_spec, x, t0)
+    t0 = find_t0(map_spec, x, s0)
     deriv_mag = abs(float(map_spec.leading_primitive()(t0)))
     return t0, s0, deriv_mag, degenerate
 
@@ -305,22 +297,21 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
 
 
 def estimate_residual_bound(map_spec: MapSpec, x: SmoothFunction,
-                            k: int, l: int,
-                            sweep: SweepResult | None = None) -> float:
+                            k: int, l: int, sweep: SweepResult) -> float:
     """Empirical upper bound for the residual: twice the maximum of
     sup|T_z| over a coarse sweep (m in RESIDUAL_M_COARSE), plus one; 1.0
-    when the anchor is degenerate. A ``sweep`` of the same map, x, k and
-    l, for any rho1, rho2 and m list, has the coarse sweep's anchor and
-    rows of v up to ``top``, hence its sup|T_z| bit for bit, so only the m
-    of RESIDUAL_M_COARSE that it lacks are swept."""
-    tz_sup = {r.m: r.tz_sup for r in sweep.records} if sweep else {}
-    missing = [m for m in RESIDUAL_M_COARSE if m not in tz_sup]
-    if missing and not (sweep and sweep.degenerate):
-        sweep = growth_sweep(map_spec, x, PNormSpec(0), PNormSpec(0), k, l,
-                             missing)
-        tz_sup.update((r.m, r.tz_sup) for r in sweep.records)
+    when the anchor is degenerate. ``sweep`` is a sweep of the same map,
+    x, k and l, for any rho1, rho2 and m list. It has the coarse sweep's
+    anchor and rows of v up to ``top``, hence its sup|T_z| bit for bit,
+    so only the m of RESIDUAL_M_COARSE that it lacks are swept."""
     if sweep.degenerate:
         return 1.0
+    tz_sup = {r.m: r.tz_sup for r in sweep.records}
+    missing = [m for m in RESIDUAL_M_COARSE if m not in tz_sup]
+    if missing:
+        coarse = growth_sweep(map_spec, x, PNormSpec(0), PNormSpec(0), k, l,
+                              missing)
+        tz_sup.update((r.m, r.tz_sup) for r in coarse.records)
     return 2.0 * max(tz_sup[m] for m in RESIDUAL_M_COARSE) + 1.0
 
 

@@ -12,16 +12,17 @@ support); `gateaux_fd` is the central-difference oracle used to validate
 them. `apply` and `gateaux` only build trees: they check the domain tag,
 but not membership, which can cost a grid pass. The loop that owns a
 point checks it once, with `in_domain` or `require_domain`. This module
-does no grid work: the pullback's membership and s0 bracket, and the
-composition map's test that x is constant, read `functions.value_range`.
+does no grid work: the pullback's membership and the composition map's
+test that x is constant read `functions.value_range`.
 
 Everything the driver needs to know about one map lives on its class: which
 derivative of phi carries the sqrt(m) blow-up (`lead_order`: phi' for the
 pullback, phi'' for the composition; `leading_primitive` builds it with
 phi's closed-form `derivative()`), the argument phi is evaluated at,
 the leading term of the top derivative of v (`leading_term`), where the
-anchor (t0, s0) may be searched for or must be placed, and the inequality
-that certifies a frequency m.
+anchor point s0 must be placed when the driver's grid search does not
+pick it (`interior_s0`, `fallback_s0`), and the inequality that certifies
+a frequency m.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ FD_POINTS = 2049
 # where PostComposition samples phi' to check that phi is increasing
 PHI_CHECK_RANGE = (-10.0, 10.0)
 PHI_CHECK_POINTS = 2001
-# s at which the composition map places its probe when no root search applies
+# s at which the composition map places its probe when the anchor grid does
+# not pick it
 INTERIOR_S0 = 0.5
 
 
@@ -78,10 +80,12 @@ class MapSpec:
 
     ``lead_order`` is the derivative of phi whose value at t0 scales the
     sqrt(m) growth of the top derivative of v = df(x+z, u) - df(x, u).
+    ``fallback_s0`` is the anchor point when phi_lead vanishes.
     """
 
     domain_tag: str
     lead_order: int
+    fallback_s0: float
     phi: ScalarPrimitive
 
     def leading_primitive(self) -> ScalarPrimitive:
@@ -113,21 +117,10 @@ class MapSpec:
         return mul(PrimitiveCompose(self.leading_primitive(),
                                     self.argument(x + z)), zk)
 
-    def t0_candidates(self, x: SmoothFunction | None, points: int):
-        """Points t among which t0 maximizes |phi_lead(t)|."""
-        raise NotImplementedError
-
-    def s0_bracket(self, x: SmoothFunction, t0: float):
-        """Interval holding a root of argument(x)(s) = t0."""
-        raise NotImplementedError
-
     def interior_s0(self, x: SmoothFunction):
-        """A fixed s0 for a usable t0, or None to solve for s0."""
+        """A fixed s0 for a usable anchor, or None to take the anchor
+        grid's."""
         return None
-
-    def fallback_anchor(self, x: SmoothFunction):
-        """(t0, s0) when phi_lead vanishes; s0 None means solve for it."""
-        raise NotImplementedError
 
     def certifies(self, m: int, k: int, l: int, m_estimate: float,
                   deriv_mag: float) -> bool:
@@ -164,6 +157,7 @@ class CirclePullback(MapSpec):
 
     domain_tag = PERIODIC
     lead_order = 1
+    fallback_s0 = 0.0
 
     def __init__(self, phi: ScalarPrimitive, n: int):
         if n == 0:
@@ -184,19 +178,6 @@ class CirclePullback(MapSpec):
 
     def argument(self, x):
         return add(Affine(float(self.n), 0.0), x.node)
-
-    def t0_candidates(self, x, points):
-        # phi is 1-periodic, so one period of t covers its whole range
-        return np.arange(points) / points
-
-    def s0_bracket(self, x, t0):
-        # n*s + x(s) is onto since x is bounded; bracket around t0/n
-        lo, hi = value_range(x)
-        half = (max(-lo, hi) + 1.0) / abs(self.n)
-        return t0 / self.n - half, t0 / self.n + half
-
-    def fallback_anchor(self, x):
-        return 0.0, None
 
     def certifies(self, m, k, l, m_estimate, deriv_mag):
         root = math.sqrt(TWO_PI * m)
@@ -235,6 +216,7 @@ class PostComposition(MapSpec):
 
     domain_tag = UNIT_INTERVAL
     lead_order = 2
+    fallback_s0 = INTERIOR_S0
 
     def __init__(self, phi: ScalarPrimitive):
         t = np.linspace(*PHI_CHECK_RANGE, PHI_CHECK_POINTS)
@@ -245,23 +227,11 @@ class PostComposition(MapSpec):
     def argument(self, x):
         return x.node
 
-    def t0_candidates(self, x, points):
-        # t0 must be attained by x, so the candidates are x on a grid
-        if x is None:
-            raise ValueError("the composition map needs the base point x to find t0")
-        return x.evaluate(np.linspace(0.0, 1.0, points + 1))
-
-    def s0_bracket(self, x, t0):
-        return 0.0, 1.0
-
     def interior_s0(self, x):
-        # a constant x attains t0 everywhere; an interior anchor keeps z's
-        # full oscillation inside I
+        # every grid point ties for a constant x; an interior anchor keeps
+        # z's full oscillation inside I
         lo, hi = value_range(x)
         return INTERIOR_S0 if lo == hi else None
-
-    def fallback_anchor(self, x):
-        return x.evaluate(INTERIOR_S0), INTERIOR_S0
 
     def certifies(self, m, k, l, m_estimate, deriv_mag):
         # square the ratio, not its parts: (l + M)^2 alone overflows once

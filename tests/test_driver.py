@@ -15,6 +15,7 @@ from tameprobe import driver, functions, primitives
 from tameprobe.cli import DEFAULT_M_LIST, parse_x
 from tameprobe.cli import main as cli_main
 from tameprobe.driver import (
+    ANCHOR_POINTS,
     RESIDUAL_M_COARSE,
     DegenerateMapError,
     PrecisionBudgetError,
@@ -25,6 +26,7 @@ from tameprobe.driver import (
     find_t0,
     fix_m,
     growth_sweep,
+    locate_anchor,
     residual_tz,
 )
 from tameprobe.functions import (
@@ -43,8 +45,8 @@ from tameprobe.functions import (
     seminorm_profile,
     zero,
 )
-from tameprobe.maps import CirclePullback, PostComposition
-from tameprobe.primitives import Exp, Polynomial, Sin
+from tameprobe.maps import INTERIOR_S0, CirclePullback, PostComposition
+from tameprobe.primitives import Cos, Exp, Polynomial, Sin
 from tameprobe.tameness import SATURATION, PNormSpec
 
 TWO_PI = 2.0 * math.pi
@@ -79,61 +81,90 @@ class TestProbeParams:
 
 class TestFindT0:
     def test_sin_pullback(self):
-        # |phi'| = 2pi at both 0 and 0.5; tie breaks to the smaller
-        assert find_t0(pullback_sin()) == 0.0
+        # |phi'| = 2pi at both 0 and 0.5; the tie breaks to the first
+        mp = pullback_sin()
+        assert find_t0(mp, zero(), find_s0(mp, zero())) == 0.0
 
     def test_constant_phi_degenerate(self):
         with pytest.raises(DegenerateMapError):
-            find_t0(CirclePullback(Polynomial([0.3, 0.0]), 1))
+            find_s0(CirclePullback(Polynomial([0.3, 0.0]), 1), zero())
 
     def test_composition_at_zero_base(self):
-        assert find_t0(composition_exp(), zero(UNIT_INTERVAL)) == 0.0
+        mp, x = composition_exp(), zero(UNIT_INTERVAL)
+        assert find_t0(mp, x, find_s0(mp, x)) == 0.0
 
     def test_affine_composition_degenerate(self):
         with pytest.raises(DegenerateMapError):
-            find_t0(PostComposition(Polynomial([1.0, 2.0])),
+            find_s0(PostComposition(Polynomial([1.0, 2.0])),
                     zero(UNIT_INTERVAL))
 
 
 class TestFindS0:
     def test_zero_base_point(self):
-        assert find_s0(pullback_sin(), zero(), 0.0) == pytest.approx(0.0,
-                                                                     abs=1e-12)
+        assert find_s0(pullback_sin(), zero()) == 0.0
 
     def test_winding_two(self):
-        assert find_s0(pullback_sin(n=2), zero(), 1.0) == pytest.approx(
-            0.5, abs=1e-12)
+        # |phi'| = 2pi |sin(2pi t)| at t = -2s peaks first at s = 1/8
+        assert find_s0(CirclePullback(Cos(omega=TWO_PI), -2), zero()) == 0.125
 
     def test_perturbed_base_point(self):
         rng = np.random.default_rng(73)
         x = random_small_function(rng)
         m = pullback_sin()
-        t0 = 0.3
-        s0 = find_s0(m, x, t0)
-        assert s0 + x.evaluate(s0) == pytest.approx(t0, abs=1e-10)
-
-    @pytest.mark.parametrize("map_spec, x", [
-        (pullback_sin(1), SmoothFunction(SinusoidProbe(0.05, 1.0, 0.2),
-                                         PERIODIC)),
-        (pullback_sin(2), SmoothFunction(SinusoidProbe(0.05, 3.0, 0.1),
-                                         PERIODIC)),
-        (composition_exp(), SmoothFunction(SinusoidProbe(0.3, 1.5),
-                                           UNIT_INTERVAL)),
-    ], ids=["ex2-n1", "ex2-n2", "ex4"])
-    @pytest.mark.parametrize("t0", [0.1, 0.2371, -0.05])
-    def test_root_bracketed_to_old_tolerance(self, map_spec, x, t0):
-        # the root must lie within 1e-13 of s0, the xtol brentq was run at
-        s0 = find_s0(map_spec, x, t0)
-        g = lambda s: map_spec.argument(x).values(s) - t0
-        assert isinstance(s0, float)
-        assert g(s0 - 1e-13) * g(s0 + 1e-13) <= 0.0
+        s0 = find_s0(m, x)
+        assert 0.0 <= s0 < 1.0
+        assert s0 + x.evaluate(s0) == find_t0(m, x, s0)
 
     def test_composition_constant_base(self):
-        assert find_s0(composition_exp(), zero(UNIT_INTERVAL), 0.0) == 0.0
+        assert find_s0(composition_exp(), zero(UNIT_INTERVAL)) == INTERIOR_S0
 
-    def test_composition_unreachable_t0(self):
-        with pytest.raises(ValueError):
-            find_s0(composition_exp(), zero(UNIT_INTERVAL), 5.0)
+
+# the paper's default base points, and ones where phi's argument has no
+# zero on the anchor grid, winds backwards or carries a large constant
+GRID_ANCHOR_CASES = {
+    "ex2-zero": (pullback_sin, "zero"),
+    "ex2-n2-sinusoid": (lambda: pullback_sin(2), "sinusoid:0.02,1,0.3"),
+    "ex2-const-5000": (pullback_sin, "const:5000"),
+    "ex2-const-1e8": (pullback_sin, "const:1e8"),
+    "ex2-cos-n-2": (lambda: CirclePullback(Cos(omega=TWO_PI), -2), "zero"),
+    "ex4-zero": (composition_exp, "zero"),
+    "ex4-sinusoid": (composition_exp, "sinusoid:0.3,1.5"),
+}
+
+
+class TestAnchor:
+    @pytest.mark.parametrize("case", sorted(GRID_ANCHOR_CASES))
+    def test_anchor_is_a_grid_maximum(self, case):
+        make_map, x = GRID_ANCHOR_CASES[case]
+        mp = make_map()
+        x = parse_x(x, mp.domain_tag)
+        t0, s0, deriv_mag, degenerate = locate_anchor(mp, x)
+        if mp.domain_tag == PERIODIC:
+            grid = np.arange(ANCHOR_POINTS) / ANCHOR_POINTS
+        else:
+            grid = np.linspace(0.0, 1.0, ANCHOR_POINTS + 1)
+        assert not degenerate
+        assert s0 in grid
+        assert mp.argument(x).values(s0) == t0
+        lead = np.abs(mp.leading_primitive()(mp.argument(x).values(grid)))
+        assert abs(deriv_mag - lead.max()) <= np.spacing(lead.max())
+
+    @pytest.mark.parametrize("n, x, fires", [
+        (1, "const:1e300", True),
+        (1, "const:1e8", False),
+        (10**12, "zero", True),
+    ], ids=["const-1e300", "const-1e8", "winding-1e12"])
+    def test_precision_guard(self, n, x, fires):
+        # doubles near 1e300 are 1.5e284 apart, near 1e8 1.5e-8 and near
+        # 1e12 1.2e-4, against ANCHOR_SPACING_MAX = 2^-20 = 9.5e-7
+        mp = CirclePullback(Cos(omega=TWO_PI), n)
+        x = parse_x(x, PERIODIC)
+        if fires:
+            with pytest.raises(PrecisionBudgetError,
+                               match="exceeds the precision budget"):
+                find_s0(mp, x)
+        else:
+            assert 0.0 <= find_s0(mp, x) < 1.0
 
 
 class TestBuildProbe:
@@ -182,10 +213,7 @@ def difference(mp, x, z, u):
 
 def anchored_difference(mp, x, m, k=3, l=8):
     """ProbeParams, z and v for a k-probe of frequency m at x's anchor."""
-    t0 = find_t0(mp, x)
-    s0 = mp.interior_s0(x)
-    if s0 is None:
-        s0 = find_s0(mp, x, t0)
+    _, s0, _, _ = locate_anchor(mp, x)
     params = ProbeParams(k=k, l=l, m=m, s0=s0)
     z, u = build_probe(params, mp)
     return params, z, difference(mp, x, z, u)
@@ -478,13 +506,13 @@ class TestGrowthSweep:
         assert res.s0 == 0.5
 
     def test_degenerate_pullback_anchor(self):
-        # phi' vanishes everywhere: t0 falls back to 0, s0 solves s + x(s) = 0
+        # phi' vanishes everywhere: s0 falls back to 0, t0 to x(0)
         x = random_small_function(np.random.default_rng(79))
         mp = CirclePullback(Polynomial([0.3, 0.0]), 1)
         res = growth_sweep(mp, x, PNormSpec(), PNormSpec(), 3, 8, [16, 32])
         assert res.degenerate
-        assert res.t0 == 0.0
-        assert res.s0 == find_s0(mp, x, 0.0)
+        assert res.s0 == 0.0
+        assert res.t0 == x.evaluate(0.0)
 
     def test_degenerate_composition_anchor(self):
         # phi'' vanishes everywhere: s0 falls back to 0.5, t0 to x(0.5)
@@ -615,7 +643,9 @@ class TestFixM:
 
     def test_certificate_holds(self):
         mp = pullback_sin()
-        big_m = estimate_residual_bound(mp, zero(), 3, 8)
+        sweep = growth_sweep(mp, zero(), PNormSpec(), PNormSpec(), 3, 8,
+                             RESIDUAL_M_COARSE)
+        big_m = estimate_residual_bound(mp, zero(), 3, 8, sweep)
         m = fix_m(mp, 3, 8, big_m, TWO_PI)
         root = math.sqrt(TWO_PI * m)
         assert 1.0 / root <= 1.0 / 3.0
@@ -624,14 +654,17 @@ class TestFixM:
 
 class TestEstimateResidualBound:
     def test_positive_and_stable(self):
-        got = estimate_residual_bound(pullback_sin(), zero(), 3, 8)
-        again = estimate_residual_bound(pullback_sin(), zero(), 3, 8)
+        sweep = growth_sweep(pullback_sin(), zero(), PNormSpec(),
+                             PNormSpec(), 3, 8, [32])
+        got = estimate_residual_bound(pullback_sin(), zero(), 3, 8, sweep)
+        again = estimate_residual_bound(pullback_sin(), zero(), 3, 8, sweep)
         assert got == again > 1.0
 
     def test_degenerate_default(self):
         const = CirclePullback(Polynomial([0.1, 0.0]), 1)
-        got = estimate_residual_bound(const, zero(), 3, 8)
-        assert got == 1.0
+        sweep = growth_sweep(const, zero(), PNormSpec(), PNormSpec(), 3, 8,
+                             RESIDUAL_M_COARSE)
+        assert estimate_residual_bound(const, zero(), 3, 8, sweep) == 1.0
 
     @staticmethod
     def count_sweeps(monkeypatch):
@@ -649,7 +682,7 @@ class TestEstimateResidualBound:
     @pytest.mark.parametrize("make, x, rho2, want", [
         (pullback_sin, "zero", PNormSpec(), 24.542805543450232),
         (lambda: pullback_sin(2), "sinusoid:0.02,1,0.3", PNormSpec(),
-         51.224655208310594),
+         50.44150808488339),
         (composition_exp, "zero", PNormSpec(), 1.000296840763502),
         (composition_exp, "zero", PNormSpec(16, "linear"),
          1.000296840763502),
@@ -658,10 +691,12 @@ class TestEstimateResidualBound:
         mp = make()
         x = parse_x(x, mp.domain_tag)
         main = growth_sweep(mp, x, PNormSpec(), rho2, 3, 8, DEFAULT_M_LIST)
+        # a main sweep that lacks every m of RESIDUAL_M_COARSE
+        apart = growth_sweep(mp, x, PNormSpec(), rho2, 3, 8, (32, 128))
         calls = self.count_sweeps(monkeypatch)
         assert estimate_residual_bound(mp, x, 3, 8, main) == want
         assert calls == []
-        assert estimate_residual_bound(mp, x, 3, 8) == want
+        assert estimate_residual_bound(mp, x, 3, 8, apart) == want
         assert calls == [list(RESIDUAL_M_COARSE)]
 
     def test_sweeps_only_missing_m(self, monkeypatch, capsys):

@@ -16,6 +16,11 @@ names the order cap ``MAX_ORDER``.
 The grid density is one constant, `functions.GRID_FACTOR`: no function
 takes a grid, `GridSpec` takes no arguments, and the CLI names neither
 `GridSpec` nor a grid factor.
+
+The driver owns the anchor search: it picks s0 on a grid of the map's
+domain and reads t0 there, so no map class defines where to look for t0
+(``t0_candidates``), a bracket for s0 (``s0_bracket``) or a fallback pair
+(``fallback_anchor``).
 """
 
 import ast
@@ -29,6 +34,7 @@ from tameprobe.functions import GridSpec
 PRIVATE_TO_FUNCTIONS = {"_CHUNK", "find_shared"}
 GRID_WORK = {"chunks", "GRID", "GridSpec", "seminorm_profile",
              "seminorm_profiles", "_closed_form_amplitudes"}
+RETIRED_ANCHOR_HOOKS = {"t0_candidates", "s0_bracket", "fallback_anchor"}
 
 
 def names(tree):
@@ -86,3 +92,27 @@ def test_one_grid_density():
     assert "GridSpec" not in set(names(cli))
     assert not any("grid_factor" in s or "grid-factor" in s
                    for s in set(names(cli)) | strings)
+
+
+def class_members(tree):
+    """(class, name) for each method and attribute a class body defines."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                yield cls.name, node.name
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        yield cls.name, target.id
+            elif isinstance(node, ast.AnnAssign):
+                yield cls.name, node.target.id
+
+
+def test_maps_define_no_anchor_search():
+    path = Path(tameprobe.__file__).parent / "maps.py"
+    members = set(class_members(ast.parse(path.read_text())))
+    assert ("CirclePullback", "fallback_s0") in members
+    assert ("PostComposition", "interior_s0") in members
+    assert {name for _, name in members} & RETIRED_ANCHOR_HOOKS == set()
