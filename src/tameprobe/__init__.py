@@ -3,7 +3,6 @@ oscillatory-probe falsification of uniform directional-derivative
 estimates on smooth-function spaces."""
 
 from .driver import (
-    DegenerateMapError,
     GrowthRecord,
     PrecisionBudgetError,
     ProbeParams,

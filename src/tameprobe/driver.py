@@ -10,11 +10,12 @@ which is what defeats any fixed uniform estimate.
 The algorithms here are generic: the anchor search, the residual pass,
 and the power-of-two search for a certified m. The anchor search
 evaluates phi's argument once on a grid of the map's domain; s0 is the
-grid point where |phi_lead| there is largest, and t0 is the argument at
-s0, so no equation is solved and s0 lies in x's period. What differs
-between the maps (the leading derivative, the top order, phi's argument,
-a fixed interior or fallback s0, and the certifying inequality) comes
-from the `MapSpec` hooks.
+grid point where |phi_lead| there is largest, or ANCHOR_FALLBACK when
+no point is better than another, and t0 is the argument at s0, so no
+equation is solved and s0 lies in x's period. What differs between the
+maps (the leading derivative, the top order, phi's argument and the
+certifying inequality) comes from the `MapSpec` hooks; the driver owns
+the whole anchor.
 
 A sweep checks x's membership in the map's domain once, and x + z's once
 per m; building df(x + z, u) checks only the domain tag. It evaluates v
@@ -58,14 +59,15 @@ from .tameness import PNormSpec, pnorm_eval
 
 MAX_M = 2**14
 ANCHOR_POINTS = 8192
+# |phi_lead| below this on the whole anchor grid makes the anchor degenerate
+ANCHOR_TOL = 1e-9
+# the anchor where no grid point is better than another: inside [0, 1] and
+# on both maps' anchor grids
+ANCHOR_FALLBACK = 0.5
 # the widest gap between doubles at which a 1-periodic phi still reads its
 # argument mod 1
 ANCHOR_SPACING_MAX = 2.0**-20
 RESIDUAL_M_COARSE = (16, 64, 256)
-
-
-class DegenerateMapError(ValueError):
-    """The outer function has no usable point of nonzero derivative."""
 
 
 def check_sweep(k: int, l: int, m_list: Sequence[int] = (1,)):
@@ -129,13 +131,17 @@ class SweepResult:
 
 def find_s0(map_spec: MapSpec, x: SmoothFunction) -> float:
     """The first of ANCHOR_POINTS points of the map's domain, [0, 1) or
-    [0, 1], where |phi_lead| at phi's argument is largest, unless the map
-    fixes an `interior_s0`.
+    [0, 1], where |phi_lead| at phi's argument is largest, or
+    ANCHOR_FALLBACK where no point is better than another: |phi_lead|
+    below ANCHOR_TOL on the whole grid (the degenerate,
+    estimate-satisfying case), or one value at every point, as for ex4's
+    constant x.
 
-    A maximum below tolerance signals the degenerate (estimate-satisfying)
-    case. A 1-periodic phi reads its argument mod 1, so an argument where
+    A 1-periodic phi reads its argument mod 1, so an argument where
     doubles are more than ANCHOR_SPACING_MAX apart exceeds the precision
-    budget.
+    budget. The guard runs between the two tests: a degenerate phi never
+    trips it, and an argument beyond the budget, where every point ties,
+    still does.
     """
     s = np.linspace(0.0, 1.0, ANCHOR_POINTS + 1)
     if map_spec.domain_tag == PERIODIC:
@@ -143,18 +149,15 @@ def find_s0(map_spec: MapSpec, x: SmoothFunction) -> float:
     t = map_spec.argument(x).values(s)
     vals = np.abs(map_spec.leading_primitive()(t))
     j = int(np.argmax(vals))
-    if vals[j] < 1e-9:
-        raise DegenerateMapError(
-            f"no usable anchor: phi derivative {map_spec.lead_order} "
-            "vanishes on the anchor grid")
+    if vals[j] < ANCHOR_TOL:
+        return ANCHOR_FALLBACK
     reach = float(np.abs(t).max())
     gap = float(np.spacing(reach))
     if map_spec.phi.is_one_periodic and gap > ANCHOR_SPACING_MAX:
         raise PrecisionBudgetError(
             f"phi's argument reaches {reach:.4g}, where doubles are {gap:.4g} "
             "apart: a 1-periodic phi there exceeds the precision budget")
-    interior = map_spec.interior_s0(x)
-    return float(s[j]) if interior is None else interior
+    return ANCHOR_FALLBACK if vals.min() == vals[j] else float(s[j])
 
 
 def find_t0(map_spec: MapSpec, x: SmoothFunction, s0: float) -> float:
@@ -226,17 +229,12 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
 
 def locate_anchor(map_spec: MapSpec, x: SmoothFunction):
     """(t0, s0, deriv_mag, degenerate) for a sweep or a probe family: s0
-    from `find_s0`, or the map's `fallback_s0` when phi_lead vanishes on
-    the anchor grid, and t0 phi's argument there."""
-    try:
-        s0 = find_s0(map_spec, x)
-        degenerate = False
-    except DegenerateMapError:
-        s0 = map_spec.fallback_s0
-        degenerate = True
+    from `find_s0`, t0 phi's argument there, and degenerate when
+    |phi_lead(t0)| is below ANCHOR_TOL."""
+    s0 = find_s0(map_spec, x)
     t0 = find_t0(map_spec, x, s0)
     deriv_mag = abs(float(map_spec.leading_primitive()(t0)))
-    return t0, s0, deriv_mag, degenerate
+    return t0, s0, deriv_mag, deriv_mag < ANCHOR_TOL
 
 
 def growth_sweep(map_spec: MapSpec, x: SmoothFunction,

@@ -68,8 +68,7 @@ class Node:
         """Taylor coefficients, shape (order+1, number of points).
 
         ``s`` is the `Evaluation` of a chunk, through which the node
-        evaluates its operands, or an array of points, which stands for an
-        evaluation that keeps nothing. The result may be read-only.
+        evaluates its operands. The result may be read-only.
         """
         raise NotImplementedError
 
@@ -106,7 +105,7 @@ class Constant(Node):
         # rows past the first are zero: a read-only view of one column
         col = np.zeros((order + 1, 1))
         col[0] = self.c
-        return np.broadcast_to(col, (order + 1, _context(s).points.size))
+        return np.broadcast_to(col, (order + 1, s.points.size))
 
     def diff(self):
         return Constant(0.0)
@@ -124,9 +123,9 @@ class Affine(Node):
     b: float
 
     def coeffs(self, s, order):
-        s = _context(s).points
-        out = np.zeros((order + 1, s.size))
-        out[0] = self.a * s + self.b
+        pts = s.points
+        out = np.zeros((order + 1, pts.size))
+        out[0] = self.a * pts + self.b
         if order >= 1:
             out[1] = self.a
         return out
@@ -163,7 +162,7 @@ class SinusoidProbe(Node):
                              f"got {self.shift!r}")
 
     def coeffs(self, s, order):
-        return trig_rows(_context(s).sin_cos(self, order), self.amplitude,
+        return trig_rows(s.sin_cos(self, order), self.amplitude,
                          TWO_PI * self.frequency, order, self.shift)
 
     def diff(self):
@@ -190,10 +189,9 @@ class Sum(Node):
         object.__setattr__(self, "children", tuple(children))
 
     def coeffs(self, s, order):
-        ev = _context(s)
-        out = ev.coeffs(self.children[0], order)
+        out = s.coeffs(self.children[0], order)
         for ch in self.children[1:]:
-            out = out + ev.coeffs(ch, order)
+            out = out + s.coeffs(ch, order)
         return out
 
     def operands(self):
@@ -223,10 +221,9 @@ class Product(Node):
         object.__setattr__(self, "children", tuple(children))
 
     def coeffs(self, s, order):
-        ev = _context(s)
-        out = ev.coeffs(self.children[0], order)
+        out = s.coeffs(self.children[0], order)
         for ch in self.children[1:]:
-            out = convolve_trunc(out, ev.coeffs(ch, order))
+            out = convolve_trunc(out, s.coeffs(ch, order))
         return out
 
     def operands(self):
@@ -256,7 +253,7 @@ class Scale(Node):
     child: Node
 
     def coeffs(self, s, order):
-        return self.c * _context(s).coeffs(self.child, order)
+        return self.c * s.coeffs(self.child, order)
 
     def operands(self):
         return (self.child,)
@@ -278,7 +275,7 @@ class PrimitiveCompose(Node):
     child: Node
 
     def coeffs(self, s, order):
-        inner = _context(s).coeffs(self.child, order)
+        inner = s.coeffs(self.child, order)
         ode = self.primitive.ode
         # the ODE supplies every row of g past the first len(ode)
         outer = self.primitive.taylor_coeffs(inner[0],
@@ -398,12 +395,6 @@ def chunks(points: np.ndarray, *roots: Node):
     slots = find_shared(*roots)
     for lo in range(0, points.size, _CHUNK):
         yield Evaluation(points[lo:lo + _CHUNK], slots)
-
-
-def _context(s) -> Evaluation:
-    """``s`` if it is an `Evaluation`, else one that keeps nothing for
-    the points ``s``."""
-    return s if isinstance(s, Evaluation) else Evaluation(s)
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,16 @@ support); `gateaux_fd` is the central-difference oracle used to validate
 them. `apply` and `gateaux` only build trees: they check the domain tag,
 but not membership, which can cost a grid pass. The loop that owns a
 point checks it once, with `in_domain` or `require_domain`. This module
-does no grid work: the pullback's membership and the composition map's
-test that x is constant read `functions.value_range`.
+does no grid work: the pullback's membership reads
+`functions.value_range`.
 
 Everything the driver needs to know about one map lives on its class: which
 derivative of phi carries the sqrt(m) blow-up (`lead_order`: phi' for the
 pullback, phi'' for the composition; `leading_primitive` builds it with
 phi's closed-form `derivative()`), the argument phi is evaluated at,
-the leading term of the top derivative of v (`leading_term`), where the
-anchor point s0 must be placed when the driver's grid search does not
-pick it (`interior_s0`, `fallback_s0`), and the inequality that certifies
-a frequency m.
+the leading term of the top derivative of v (`leading_term`), and the
+inequality that certifies a frequency m. Where the anchor point s0 lies
+is the driver's business alone.
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ FD_POINTS = 2049
 # where PostComposition samples phi' to check that phi is increasing
 PHI_CHECK_RANGE = (-10.0, 10.0)
 PHI_CHECK_POINTS = 2001
-# s at which the composition map places its probe when the anchor grid does
-# not pick it
-INTERIOR_S0 = 0.5
 
 
 class DomainViolation(Exception):
@@ -80,12 +76,10 @@ class MapSpec:
 
     ``lead_order`` is the derivative of phi whose value at t0 scales the
     sqrt(m) growth of the top derivative of v = df(x+z, u) - df(x, u).
-    ``fallback_s0`` is the anchor point when phi_lead vanishes.
     """
 
     domain_tag: str
     lead_order: int
-    fallback_s0: float
     phi: ScalarPrimitive
 
     def leading_primitive(self) -> ScalarPrimitive:
@@ -116,11 +110,6 @@ class MapSpec:
             zk = zk.diff()
         return mul(PrimitiveCompose(self.leading_primitive(),
                                     self.argument(x + z)), zk)
-
-    def interior_s0(self, x: SmoothFunction):
-        """A fixed s0 for a usable anchor, or None to take the anchor
-        grid's."""
-        return None
 
     def certifies(self, m: int, k: int, l: int, m_estimate: float,
                   deriv_mag: float) -> bool:
@@ -157,7 +146,6 @@ class CirclePullback(MapSpec):
 
     domain_tag = PERIODIC
     lead_order = 1
-    fallback_s0 = 0.0
 
     def __init__(self, phi: ScalarPrimitive, n: int):
         if n == 0:
@@ -216,7 +204,6 @@ class PostComposition(MapSpec):
 
     domain_tag = UNIT_INTERVAL
     lead_order = 2
-    fallback_s0 = INTERIOR_S0
 
     def __init__(self, phi: ScalarPrimitive):
         t = np.linspace(*PHI_CHECK_RANGE, PHI_CHECK_POINTS)
@@ -226,12 +213,6 @@ class PostComposition(MapSpec):
 
     def argument(self, x):
         return x.node
-
-    def interior_s0(self, x):
-        # every grid point ties for a constant x; an interior anchor keeps
-        # z's full oscillation inside I
-        lo, hi = value_range(x)
-        return INTERIOR_S0 if lo == hi else None
 
     def certifies(self, m, k, l, m_estimate, deriv_mag):
         # square the ratio, not its parts: (l + M)^2 alone overflows once

@@ -81,7 +81,8 @@ class TestDemo:
         # there shows no growth: the anchor search stops first
         (["--phi", "cos", "--x", "const:1e300", "--m-list", "16,32"],
          EXIT_BUDGET, None),
-        (["--m-list", "16"], EXIT_UNEXPECTED, "one m fits no slope"),
+        (["--m-list", "16"], EXIT_UNEXPECTED,
+         "a single m, or a top_deriv_s0 of 0, fits no slope"),
     ], ids=["flat", "one-m"])
     def test_no_certificate_without_growth(self, capsys, argv, code, why):
         got = main(["demo", "ex2"] + argv)
@@ -111,7 +112,7 @@ class TestDemo:
                      "--m-list", "16,32"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert ("degenerate anchor: phi'' vanishes on the anchor candidates, "
+        assert ("degenerate anchor: phi'' vanishes on the anchor grid, "
                 "so no sqrt(m) growth is predicted") in out
         assert "vanishes identically" not in out
 

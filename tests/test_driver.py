@@ -15,9 +15,9 @@ from tameprobe import driver, functions, primitives
 from tameprobe.cli import DEFAULT_M_LIST, parse_x
 from tameprobe.cli import main as cli_main
 from tameprobe.driver import (
+    ANCHOR_FALLBACK,
     ANCHOR_POINTS,
     RESIDUAL_M_COARSE,
-    DegenerateMapError,
     PrecisionBudgetError,
     ProbeParams,
     build_probe,
@@ -45,7 +45,7 @@ from tameprobe.functions import (
     seminorm_profile,
     zero,
 )
-from tameprobe.maps import INTERIOR_S0, CirclePullback, PostComposition
+from tameprobe.maps import CirclePullback, PostComposition
 from tameprobe.primitives import Cos, Exp, Polynomial, Sin
 from tameprobe.tameness import SATURATION, PNormSpec
 
@@ -86,17 +86,20 @@ class TestFindT0:
         assert find_t0(mp, zero(), find_s0(mp, zero())) == 0.0
 
     def test_constant_phi_degenerate(self):
-        with pytest.raises(DegenerateMapError):
-            find_s0(CirclePullback(Polynomial([0.3, 0.0]), 1), zero())
+        # phi' vanishes everywhere: the anchor falls back to 0.5
+        mp = CirclePullback(Polynomial([0.3, 0.0]), 1)
+        assert find_s0(mp, zero()) == ANCHOR_FALLBACK
+        assert locate_anchor(mp, zero()) == (0.5, 0.5, 0.0, True)
 
     def test_composition_at_zero_base(self):
         mp, x = composition_exp(), zero(UNIT_INTERVAL)
         assert find_t0(mp, x, find_s0(mp, x)) == 0.0
 
     def test_affine_composition_degenerate(self):
-        with pytest.raises(DegenerateMapError):
-            find_s0(PostComposition(Polynomial([1.0, 2.0])),
-                    zero(UNIT_INTERVAL))
+        # phi'' vanishes everywhere: the anchor falls back to 0.5
+        mp, x = PostComposition(Polynomial([1.0, 2.0])), zero(UNIT_INTERVAL)
+        assert find_s0(mp, x) == ANCHOR_FALLBACK
+        assert locate_anchor(mp, x) == (0.0, 0.5, 0.0, True)
 
 
 class TestFindS0:
@@ -116,7 +119,18 @@ class TestFindS0:
         assert s0 + x.evaluate(s0) == find_t0(m, x, s0)
 
     def test_composition_constant_base(self):
-        assert find_s0(composition_exp(), zero(UNIT_INTERVAL)) == INTERIOR_S0
+        assert find_s0(composition_exp(),
+                       zero(UNIT_INTERVAL)) == ANCHOR_FALLBACK
+
+    def test_tied_nonzero_lead(self):
+        # phi'' = 0.02 at every point, so no grid point is better than
+        # another, though x is not constant
+        mp = PostComposition(Polynomial([0.0, 1.0, 0.01]))
+        x = parse_x("sinusoid:0.3,1.5", UNIT_INTERVAL)
+        t0, s0, deriv_mag, degenerate = locate_anchor(mp, x)
+        assert (s0, t0) == (ANCHOR_FALLBACK, x.evaluate(0.5))
+        assert deriv_mag == pytest.approx(0.02, rel=1e-15)
+        assert not degenerate
 
 
 # the paper's default base points, and ones where phi's argument has no
@@ -198,7 +212,7 @@ def two_pass_residual(mp, x, params, z, v, order):
     for lo in range(0, s.size, _CHUNK):
         sc = s[lo:lo + _CHUNK]
         scaled_top[lo:lo + _CHUNK] = \
-            fact * v.node.coeffs(sc, top)[top] / params.eps0
+            fact * v.node.coeffs(Evaluation(sc), top)[top] / params.eps0
         c = mp.argument(x).values(sc) + z.evaluate(sc)
         zk = probe_deriv_closed_form(params.m, params.k, params.s0, params.k,
                                      sc)
@@ -435,8 +449,8 @@ class TestAnchorEvaluation:
         on_grid = params.s0 in GridSpec().points(v)
         assert on_grid == (case == "ex2-zero")
         top = mp.top_order(params.k)
-        want = math.factorial(top) * v.node.coeffs(np.array([params.s0]),
-                                                   top)[top, 0]
+        want = math.factorial(top) * v.node.coeffs(
+            Evaluation(np.array([params.s0])), top)[top, 0]
         top_deriv, _, _ = residual_tz(mp, x, params, z, v, PNormSpec())
         assert top_deriv == abs(want)
 
@@ -506,13 +520,13 @@ class TestGrowthSweep:
         assert res.s0 == 0.5
 
     def test_degenerate_pullback_anchor(self):
-        # phi' vanishes everywhere: s0 falls back to 0, t0 to x(0)
+        # phi' vanishes everywhere: s0 falls back to 0.5, t0 to 0.5 + x(0.5)
         x = random_small_function(np.random.default_rng(79))
         mp = CirclePullback(Polynomial([0.3, 0.0]), 1)
         res = growth_sweep(mp, x, PNormSpec(), PNormSpec(), 3, 8, [16, 32])
         assert res.degenerate
-        assert res.s0 == 0.0
-        assert res.t0 == x.evaluate(0.0)
+        assert res.s0 == 0.5
+        assert res.t0 == 0.5 + x.evaluate(0.5)
 
     def test_degenerate_composition_anchor(self):
         # phi'' vanishes everywhere: s0 falls back to 0.5, t0 to x(0.5)

@@ -94,7 +94,7 @@ class TestConstantCoeffs:
     def test_read_only_view_of_one_column(self):
         s = np.linspace(0.0, 1.0, 9)
         for order in range(MAX_ORDER + 1):
-            got = Constant(2.5).coeffs(s, order)
+            got = Constant(2.5).coeffs(Evaluation(s), order)
             want = np.zeros((order + 1, s.size))
             want[0] = 2.5
             assert np.array_equal(got, want)
@@ -127,7 +127,7 @@ class TestPeriodicStructure:
 
 def jet_at(f, s, order):
     """Taylor coefficients of f at the single point s."""
-    return f.node.coeffs(np.array([s]), order)[:, 0]
+    return f.node.coeffs(Evaluation(np.array([s])), order)[:, 0]
 
 
 class TestJetAt:
@@ -370,7 +370,7 @@ class TestEvaluation:
         s = GridSpec().points(f)
         assert 2 * _CHUNK < s.size <= 3 * _CHUNK
         want = np.maximum.accumulate(
-            np.abs(WITH_REPEAT.coeffs(s, 6)).max(axis=1)
+            np.abs(WITH_REPEAT.coeffs(Evaluation(s), 6)).max(axis=1)
             * [math.factorial(i) for i in range(7)])
         monkeypatch.setattr(PrimitiveCompose, "coeffs", counted)
         got = seminorm_profile(f, 6)
@@ -384,7 +384,7 @@ class TestEvaluation:
         for order in range(7):
             low = ev.coeffs(REPEATED, order)
             assert np.shares_memory(low, high)
-            assert np.array_equal(low, REPEATED.coeffs(s, order))
+            assert np.array_equal(low, REPEATED.coeffs(Evaluation(s), order))
         with pytest.raises(ValueError, match="read-only"):
             high[0, 0] = 1.0
         # a higher order than kept is evaluated again, and kept instead
@@ -484,7 +484,7 @@ class TestEvaluation:
         calls = count_trig(monkeypatch)
         got = seminorm_profile(f, 0)
         assert calls == [(_CHUNK, shift), (s.size - _CHUNK, shift)]
-        assert got[0] == np.abs(1.0 + node.coeffs(s, 0)[0]).max()
+        assert got[0] == np.abs(1.0 + node.coeffs(Evaluation(s), 0)[0]).max()
 
     def test_many_function_pass_equals_separate_calls(self):
         # closed forms, two domains, grids of one and of three chunks,
@@ -509,7 +509,8 @@ class TestEvaluation:
         for i in range(k + 1):
             assert (node.frequency, node.phase, node.shift) == (m, s0, i)
             np.testing.assert_allclose(
-                node.coeffs(s, 0)[0], probe_deriv_closed_form(m, k, s0, i, s),
+                node.coeffs(Evaluation(s), 0)[0],
+                probe_deriv_closed_form(m, k, s0, i, s),
                 rtol=1e-12, atol=1e-12 * (TWO_PI * m)**(i - k + 0.5))
             node = node.diff()
 

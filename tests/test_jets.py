@@ -11,6 +11,7 @@ from tameprobe.cli import parse_phi
 from tameprobe.functions import (
     Affine,
     Constant,
+    Evaluation,
     PrimitiveCompose,
     SinusoidProbe,
     Sum,
@@ -35,7 +36,7 @@ def prim_jet(prim, t, order):
 
 def tree_jet(node, s, order):
     """Taylor coefficients of an expression-tree node at s."""
-    return node.coeffs(np.array([s]), order)[:, 0]
+    return node.coeffs(Evaluation(np.array([s])), order)[:, 0]
 
 
 def mul(a, b):
@@ -144,7 +145,7 @@ class TestCompose:
 
     def test_inner_is_only_read(self):
         inner = Sum(Affine(2.0, 0.1), SinusoidProbe(0.3, 2.0, 0.1)).coeffs(
-            np.linspace(0.0, 1.0, 17), 6)
+            Evaluation(np.linspace(0.0, 1.0, 17)), 6)
         want = inner.copy()
         inner.flags.writeable = False
         out = compose_series(Sin().taylor_coeffs(inner[0], 1), inner,
@@ -199,7 +200,8 @@ class TestOdeRecurrence:
     def test_matches_horner(self, prim, order):
         s = np.linspace(0.0, 1.0, 7)
         inner = PrimitiveCompose(Sin(omega=TWO_PI, amplitude=0.3),
-                                 Affine(1.0, 0.0)).coeffs(s, order)
+                                 Affine(1.0, 0.0)).coeffs(Evaluation(s),
+                                                          order)
         inner[0] += 0.2
         inner[1:2] += 1.0
         expected = horner_compose(prim.taylor_coeffs(inner[0], order), inner)
@@ -247,7 +249,7 @@ class TestOdeRecurrence:
         node = PrimitiveCompose(Sin(omega=TWO_PI), Affine(3.0, 0.2))
         expected = Sin(omega=TWO_PI * 3.0).taylor_coeffs(s + 0.2 / 3.0, 12)
         scale = np.abs(expected).max(axis=1, keepdims=True)
-        np.testing.assert_allclose(node.coeffs(s, 12) / scale,
+        np.testing.assert_allclose(node.coeffs(Evaluation(s), 12) / scale,
                                    expected / scale, rtol=0, atol=1e-12)
 
 
@@ -282,7 +284,7 @@ def chain_compose(outer, inner, ode):
 
 def ode_inner(order, linear):
     """Coefficients of a linear or a nonlinear inner function on 5 points."""
-    s = np.linspace(-0.4, 0.6, 5)
+    s = Evaluation(np.linspace(-0.4, 0.6, 5))
     if linear:
         return Affine(1.5, 0.2).coeffs(s, order)
     return Sum(Affine(0.7, 0.1), SinusoidProbe(0.3, 1.5, 0.2)).coeffs(s, order)
@@ -404,7 +406,7 @@ class TestTrigOnce:
         node = SinusoidProbe((TWO_PI * 64)**-2.5, 64.0, 0.3)
         w = TWO_PI * node.frequency
         assert np.array_equal(
-            node.coeffs(t, order),
+            node.coeffs(Evaluation(t), order),
             self.per_order(w * (t - node.phase), node.amplitude, w, order, 0))
 
     @staticmethod
@@ -437,7 +439,8 @@ class TestTrigOnce:
             return real(theta, i)
 
         monkeypatch.setattr(primitives, "trig_cycle", counted)
-        SinusoidProbe(1.0, 3.0).coeffs(np.linspace(0.0, 1.0, 9), 12)
+        SinusoidProbe(1.0, 3.0).coeffs(
+            Evaluation(np.linspace(0.0, 1.0, 9)), 12)
         assert calls == [0, 1]
         calls.clear()
         # rows of cos take the sign of -sin and -cos on their scalar factor
@@ -446,7 +449,7 @@ class TestTrigOnce:
         calls.clear()
         # order 0 reads one of the two
         Cos(TWO_PI).taylor_coeffs(np.zeros(3), 0)
-        SinusoidProbe(1.0, 3.0, 0.2, 3).coeffs(np.zeros(3), 0)
+        SinusoidProbe(1.0, 3.0, 0.2, 3).coeffs(Evaluation(np.zeros(3)), 0)
         assert calls == [1, 1]
 
 
@@ -494,6 +497,28 @@ class TestConvolveDegree:
         b[0] = 2.0
         assert np.array_equal(convolve_trunc(a, b), 2.0 * a)
         assert rows == []
+
+    @pytest.mark.parametrize("order", [0, 1, 12])
+    def test_constant_view_equals_full_array(self, order):
+        # a Constant's coefficients are a stride-0 view, whose degree is
+        # read off one column; the product's bytes are the full array's
+        rng = np.random.default_rng(order)
+        s = np.linspace(0.0, 1.0, 4097)
+        a = rng.standard_normal((order + 1, s.size))
+        b = Constant(-0.3).coeffs(Evaluation(s), order)
+        assert b.strides[-1] == 0
+        assert (convolve_trunc(a, b).tobytes()
+                == convolve_trunc(a, np.array(b)).tobytes())
+
+    @pytest.mark.parametrize("degree", range(4))
+    def test_broadcast_column_keeps_its_degree(self, degree):
+        rng = np.random.default_rng(degree)
+        a = rng.standard_normal((4, 9))
+        col = np.zeros((4, 1))
+        col[:degree + 1, 0] = rng.standard_normal(degree + 1)
+        b = np.broadcast_to(col, (4, 9))
+        assert (convolve_trunc(a, b).tobytes()
+                == convolve_trunc(a, np.array(b)).tobytes())
 
 
 class TestDerivFromJet:

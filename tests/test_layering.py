@@ -17,10 +17,11 @@ The grid density is one constant, `functions.GRID_FACTOR`: no function
 takes a grid, `GridSpec` takes no arguments, and the CLI names neither
 `GridSpec` nor a grid factor.
 
-The driver owns the anchor search: it picks s0 on a grid of the map's
-domain and reads t0 there, so no map class defines where to look for t0
-(``t0_candidates``), a bracket for s0 (``s0_bracket``) or a fallback pair
-(``fallback_anchor``).
+The driver owns the whole anchor: it picks s0 on a grid of the map's
+domain, or its one fallback point, and reads t0 there, so no map class
+defines where to look for t0 (``t0_candidates``), a bracket for s0
+(``s0_bracket``), a fixed interior s0 (``interior_s0``) or a fallback
+point or pair (``fallback_s0``, ``fallback_anchor``).
 """
 
 import ast
@@ -34,7 +35,8 @@ from tameprobe.functions import GridSpec
 PRIVATE_TO_FUNCTIONS = {"_CHUNK", "find_shared"}
 GRID_WORK = {"chunks", "GRID", "GridSpec", "seminorm_profile",
              "seminorm_profiles", "_closed_form_amplitudes"}
-RETIRED_ANCHOR_HOOKS = {"t0_candidates", "s0_bracket", "fallback_anchor"}
+RETIRED_ANCHOR_HOOKS = {"t0_candidates", "s0_bracket", "fallback_anchor",
+                        "interior_s0", "fallback_s0"}
 
 
 def names(tree):
@@ -112,7 +114,12 @@ def class_members(tree):
 
 def test_maps_define_no_anchor_search():
     path = Path(tameprobe.__file__).parent / "maps.py"
-    members = set(class_members(ast.parse(path.read_text())))
-    assert ("CirclePullback", "fallback_s0") in members
-    assert ("PostComposition", "interior_s0") in members
-    assert {name for _, name in members} & RETIRED_ANCHOR_HOOKS == set()
+    tree = ast.parse(path.read_text())
+    members = {name for _, name in class_members(tree)}
+    assert {"argument", "leading_primitive"} <= members
+    assert members & RETIRED_ANCHOR_HOOKS == set()
+    module_names = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+    anchor = [name for name in members | module_names
+              if "s0" in name.lower() or "anchor" in name.lower()]
+    assert anchor == []

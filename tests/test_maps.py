@@ -6,6 +6,7 @@ import pytest
 
 from conftest import GRID_PATH_TREES, random_small_function
 from tameprobe.cli import EXIT_CONFIG, main, parse_x
+from tameprobe.driver import ANCHOR_FALLBACK, find_s0
 from tameprobe.functions import (
     _CHUNK,
     GRID,
@@ -13,6 +14,7 @@ from tameprobe.functions import (
     UNIT_INTERVAL,
     Affine,
     Constant,
+    Evaluation,
     GridSpec,
     PrimitiveCompose,
     Product,
@@ -27,7 +29,6 @@ from tameprobe.functions import (
 )
 from tameprobe.maps import (
     DOMAIN_MARGIN_TOL,
-    INTERIOR_S0,
     CirclePullback,
     DomainViolation,
     MapSpec,
@@ -194,21 +195,24 @@ class TestInDomain:
 
 
 class TestInteriorS0:
-    """ex4 anchors at the fixed interior s0 only when x is constant, since
-    then x attains t0 everywhere."""
+    """ex4 with phi = t + e^t anchors at the interior ANCHOR_FALLBACK only
+    when x is constant: then every anchor grid point ties, and x attains
+    t0 everywhere."""
 
     @pytest.mark.parametrize("x", ["zero", "const:0.4", "sinusoid:0,3",
                                    "sinusoid:0,0.5"])
     def test_constant_x(self, x):
         mp = PostComposition(Exp((0.0, 1.0)))
-        assert mp.interior_s0(parse_x(x, UNIT_INTERVAL)) == INTERIOR_S0
+        assert find_s0(mp, parse_x(x, UNIT_INTERVAL)) == ANCHOR_FALLBACK
 
     @pytest.mark.parametrize("freq", [8, 16, 32])
     def test_aliased_sinusoid_is_not_constant(self, freq):
-        # x vanishes at every j/16, where a sampled test called it constant
+        # x vanishes at every j/16, where a sampled test called it constant;
+        # the anchor is x's first maximum, at s = 1 / (4 freq)
         x = parse_x(f"sinusoid:0.3,{freq}", UNIT_INTERVAL)
         assert np.all(np.abs(x.evaluate(np.linspace(0, 1, 17))) < 1e-14)
-        assert PostComposition(Exp((0.0, 1.0))).interior_s0(x) is None
+        s0 = find_s0(PostComposition(Exp((0.0, 1.0))), x)
+        assert s0 == 0.25 / freq
 
     @pytest.mark.parametrize("freq", [8, 16])
     def test_demo_anchor_attains_t0(self, capsys, freq):
@@ -494,8 +498,8 @@ class TestFoldedTrees:
         # every 16th point of the first chunk: the arithmetic is per point
         s = s[:_CHUNK:16]
         for order in range(13):
-            assert np.array_equal(v.node.coeffs(s, order),
-                                  raw.coeffs(s, order))
+            assert np.array_equal(v.node.coeffs(Evaluation(s), order),
+                                  raw.coeffs(Evaluation(s), order))
 
     def test_constant_direction_drops_second_term(self):
         # phi'(s + 0) * u * (1 + 0') + phi(s + 0) * u' is phi'(s) * u
