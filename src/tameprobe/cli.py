@@ -175,7 +175,7 @@ def _known_keys(obj: dict, known, what: str):
 
 
 CONFIG_KEYS = tuple(CONFIG_SCALARS) + ("m_list", "rho1", "rho2")
-PNORM_KEYS = ("truncation", "transform", "weights")
+PNORM_KEYS = ("truncation",)
 
 
 def _config_from_args(args) -> ScenarioConfig:
@@ -207,12 +207,6 @@ def _config_from_args(args) -> ScenarioConfig:
                 _known_keys(spec, PNORM_KEYS, key)
                 if "truncation" in spec:
                     _typed(spec["truncation"], f"{key} truncation", int)
-                if spec.get("weights") is not None:
-                    if not isinstance(spec["weights"], list):
-                        raise ConfigError(f"{key} weights must be a list of "
-                                          f"numbers, got {spec['weights']!r}")
-                    for w in spec["weights"]:
-                        _finite_number(w, f"{key} weight")
                 try:
                     setattr(cfg, key, PNormSpec(**spec))
                 except ValueError as exc:

@@ -23,11 +23,11 @@ once per m at two points, s0 and the grid point nearest it, and makes one
 grid pass over v (`residual_tz`). The first point gives the witness
 v^(top)(s0); the second bounds v's seminorms from below, so that the grid
 pass, which gives sup|T_z| and rho2(v), evaluates v only up to the rung
-below the first one that bound proves saturated under rho2's bounded
-transform. The pass walks `functions.chunks` over v and T_z's leading
-term (`MapSpec.leading_term`) and evaluates the term in v's own context,
-so that what the term shares with v, phi_lead's composition for ex2 and
-z's sin and cos, is evaluated once per chunk. The residual bound is read
+below the first one that bound proves saturated in rho2's sum. The pass
+walks `functions.chunks` over v and T_z's leading term
+(`MapSpec.leading_term`) and evaluates the term in v's own context, so
+that what the term shares with v, phi_lead's composition for ex2 and z's
+sin and cos, is evaluated once per chunk. The residual bound is read
 off the main sweep's rows at the m of RESIDUAL_M_COARSE, and a coarse
 sweep runs only the m the main sweep lacks.
 """
@@ -191,15 +191,14 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
     The anchor evaluation takes v to order max(truncation, top) at s0 and
     at the grid point nearest s0. The coefficients at the grid point,
     max-accumulated, are lower bounds on v's seminorms. Let c be the first
-    rung whose bound is at least 2^54 (``rho2.first_saturated``; never
-    under "linear"). The chunked pass's value at that point differs from
-    the anchor value only by rounding, far less than the factor 2, so the
-    grid's seminorms from rung c up are at least 2^53, where the bounded
-    P-norm term is exactly w_i. The pass therefore evaluates v only to
-    order max(c - 1, top), and the profile holds the lower bounds, not the
-    grid seminorms, at rungs c and above; ``rho2.of_profile`` is the same
-    either way. With no cut the pass runs to max(truncation, top) and the
-    whole profile is the grid's.
+    rung whose bound is at least 2^54 (``rho2.first_saturated``). The
+    chunked pass's value at that point differs from the anchor value only
+    by rounding, far less than the factor 2, so the grid's seminorms from
+    rung c up are at least 2^53, where the P-norm term is exactly 2^(-i).
+    The pass therefore evaluates v only to order max(c - 1, top), and the
+    profile holds the lower bounds, not the grid seminorms, at rungs c and
+    above; ``rho2.of_profile`` is the same either way. With no cut the
+    pass runs to max(truncation, top) and the whole profile is the grid's.
     """
     top = map_spec.top_order(params.k)
     lead = map_spec.leading_term(x, z, params.k)

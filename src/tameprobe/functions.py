@@ -17,13 +17,14 @@ one `Evaluation`. Before the loop, `find_shared` compares the pass's
 trees by value and names the operator nodes and sinusoids that occur more
 than once. A node evaluates its operands through the context, which
 evaluates each repeated node once per chunk, to the highest order asked,
-and serves lower orders as row slices. The context also keeps each sin
-and cos it computes until `Evaluation.drop_pairs`: a sinusoid's
-derivatives keep its phase and step its ``shift``, so z, z' and z^(k) of
-one tree read one sin and one cos. Kept arrays are read-only, and so are
-a `Constant`'s coefficients, a broadcast view of one column; no code
-writes into coefficients it did not allocate. Nothing outlives a pass; the
-functions that `seminorm_profiles` is given share one pass per grid.
+and serves lower orders as row slices. The context also keeps the sin
+and cos pair of each frequency and phase it reads until
+`Evaluation.drop_pairs`: a sinusoid's derivatives keep its phase and step
+its ``shift``, so z, z' and z^(k) of one tree read one sin and one cos.
+Kept arrays are read-only, and so are a `Constant`'s coefficients, a
+broadcast view of one column; no code writes into coefficients it did not
+allocate. Nothing outlives a pass; the functions that `seminorm_profiles`
+is given share one pass per grid.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import primitives
 from .jets import MAX_ORDER, compose_series, convolve_trunc
-from .primitives import TWO_PI, ScalarPrimitive, trig_halves, trig_rows
+from .primitives import TWO_PI, ScalarPrimitive, trig_pair, trig_rows
 
 PERIODIC = "periodic"
 UNIT_INTERVAL = "unit_interval"
@@ -162,7 +162,7 @@ class SinusoidProbe(Node):
                              f"got {self.shift!r}")
 
     def coeffs(self, s, order):
-        return trig_rows(s.sin_cos(self, order), self.amplitude,
+        return trig_rows(s.sin_cos(self), self.amplitude,
                          TWO_PI * self.frequency, order, self.shift)
 
     def diff(self):
@@ -357,7 +357,7 @@ class Evaluation:
         self.points = points
         self._slots = {} if slots is None else slots
         self._kept = {}   # slot -> coefficients
-        self._trig = {}   # (frequency, phase) -> [sin, cos]
+        self._trig = {}   # (frequency, phase) -> (sin, cos)
 
     def coeffs(self, node: Node, order: int) -> np.ndarray:
         slot = self._slots.get(id(node))
@@ -369,19 +369,14 @@ class Evaluation:
             kept.flags.writeable = False
         return kept[:order + 1]
 
-    def sin_cos(self, node: "SinusoidProbe", order: int):
-        """[sin, cos] at ``node``'s frequency and phase. Each half is
-        computed when a node first reads it (`trig_halves` tells which
-        halves rows 0..order read) and kept until `drop_pairs`; a half
-        that no node has read yet is None."""
-        pair = self._trig.setdefault((node.frequency, node.phase),
-                                     [None, None])
-        missing = [j for j in trig_halves(order, node.shift)
-                   if pair[j] is None]
-        if missing:
+    def sin_cos(self, node: "SinusoidProbe"):
+        """(sin, cos) at ``node``'s frequency and phase, computed when a
+        node first reads them and kept until `drop_pairs`."""
+        key = (node.frequency, node.phase)
+        pair = self._trig.get(key)
+        if pair is None:
             theta = TWO_PI * node.frequency * (self.points - node.phase)
-            for j in missing:
-                pair[j] = primitives.trig_cycle(theta, j)
+            pair = self._trig[key] = trig_pair(theta)
         return pair
 
     def drop_pairs(self):

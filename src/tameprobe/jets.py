@@ -34,9 +34,10 @@ MAX_ORDER = 16
 
 def _degree(c: np.ndarray) -> int:
     """Index of the last row of ``c`` with a nonzero entry past row 0, or 0."""
-    if c.ndim > 1 and c.strides[-1] == 0:
+    if c.ndim == 2 and c.strides[-1] == 0:
         # a broadcast view, such as a Constant's: one column holds them all
-        c = c[..., :1]
+        rows = np.flatnonzero(c[1:, 0])
+        return int(rows[-1]) + 1 if rows.size else 0
     return next((j for j in range(c.shape[0] - 1, 0, -1) if c[j].any()), 0)
 
 

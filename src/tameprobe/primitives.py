@@ -6,8 +6,9 @@ Taylor form (i-th derivative divided by i!), which keeps downstream series
 products and compositions numerically tame even when large frequency
 factors appear in the raw derivatives.
 
-Sines and cosines are evaluated once for all orders, and `trig_rows`,
-which builds every sinusoid's rows, writes each row in place.
+A sinusoid evaluates its sine and cosine once, as one pair (`trig_pair`),
+for all orders, and `trig_rows`, which builds every sinusoid's rows from
+that pair, writes each row in place.
 
 Each primitive g also declares the linear ODE with constant coefficients
 that it satisfies, ``g^(r) = sum_{i<r} ode[i] * g^(i)``. Composition
@@ -39,17 +40,9 @@ def trig_cycle(theta, i):
     return _TRIG_CYCLE[i % 4](theta)
 
 
-def trig_halves(order, shift):
-    """The halves of (sin(theta), cos(theta)), 0 for sin and 1 for cos,
-    that rows 0..order of `trig_rows` at this ``shift`` read."""
-    return {(shift + i) % 2 for i in range(min(order, 1) + 1)}
-
-
-def trig_pair(theta, order, shift):
-    """(sin(theta), cos(theta)), each evaluated once, and left None when
-    `trig_halves` does not name it."""
-    need = trig_halves(order, shift)
-    return tuple(trig_cycle(theta, j) if j in need else None for j in (0, 1))
+def trig_pair(theta):
+    """(sin(theta), cos(theta)), each evaluated once."""
+    return trig_cycle(theta, 0), trig_cycle(theta, 1)
 
 
 def trig_rows(pair, amplitude, w, order, shift):
@@ -111,8 +104,8 @@ class Sin(ScalarPrimitive):
 
     def taylor_coeffs(self, t, order):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return trig_rows(trig_pair(self.omega * t, order, self.shift),
-                         self.amplitude, self.omega, order, self.shift)
+        return trig_rows(trig_pair(self.omega * t), self.amplitude,
+                         self.omega, order, self.shift)
 
     def derivative(self):
         # sin' = cos and cos' = -sin, each times omega

@@ -1,11 +1,10 @@
 """Metric P-norms built from the graded seminorms, and the estimate checker.
 
-A P-norm here is a truncated weighted sum over the seminorm ladder. The
-default "bounded" transform sums 2^(-i) * p_i / (1 + p_i), which satisfies
-the metric axioms (symmetry, subadditivity, vanishing at zero); the
-"linear" transform sums w_i * p_i. Truncation makes this a pseudo-metric
-surrogate for the full graded metric: seminorms above the truncation level
-are ignored.
+A P-norm here is the metric of a graded Frechet space truncated to its
+first rungs: the sum of 2^(-i) * p_i / (1 + p_i) for i up to the
+truncation, which satisfies the metric axioms (symmetry, subadditivity,
+vanishing at zero). Truncation makes this a pseudo-metric surrogate for
+the full graded metric: seminorms above the truncation level are ignored.
 
 `check_tame_estimate` tests the uniform estimate
 rho2(df(x+z, u) - df(x, u)) <= rho1(u) over a supplied probe family,
@@ -22,7 +21,6 @@ reported in probe order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 from .functions import (
@@ -35,8 +33,7 @@ from .functions import (
 from .jets import MAX_ORDER
 from .maps import MapSpec
 
-TRANSFORMS = ("bounded", "linear")
-# A bounded term w * (p / (1 + p)) is exactly w once 1 + p rounds to p,
+# A term 2^(-i) * (p / (1 + p)) is exactly 2^(-i) once 1 + p rounds to p,
 # i.e. for p >= 2^53. A lower bound must reach twice that before a rung is
 # called saturated, so that the value the rung would have had from a
 # differently rounded evaluation is still at least 2^53.
@@ -46,50 +43,25 @@ SATURATION = 2.0**54
 @dataclass(frozen=True)
 class PNormSpec:
     truncation: int = 12
-    transform: str = "bounded"
-    weights: tuple | None = None
 
     def __post_init__(self):
         t = self.truncation
         if not is_integer(t) or not 0 <= t <= MAX_ORDER:
             raise ValueError(
                 f"truncation must be an integer in 0..{MAX_ORDER}")
-        if self.transform not in TRANSFORMS:
-            raise ValueError(f"transform must be one of {TRANSFORMS}")
-        if self.weights is not None:
-            if not all(isinstance(v, numbers.Real) and type(v) is not bool
-                       for v in self.weights):
-                raise ValueError("weights must be real numbers, got "
-                                 f"{self.weights!r}")
-            w = tuple(float(v) for v in self.weights)
-            if len(w) != self.truncation + 1:
-                raise ValueError("need truncation+1 weights")
-            if not all(math.isfinite(v) and v > 0.0 for v in w):
-                raise ValueError("weights must be positive and finite")
-            object.__setattr__(self, "weights", w)
-
-    def weight(self, i: int) -> float:
-        if self.weights is not None:
-            return self.weights[i]
-        return 2.0**(-i)
 
     def of_profile(self, p) -> float:
         """The P-norm of a function whose seminorms are p_0, p_1, ..."""
         total = 0.0
         for i in range(self.truncation + 1):
-            if self.transform == "bounded":
-                total += self.weight(i) * (p[i] / (1.0 + p[i]))
-            else:
-                total += self.weight(i) * p[i]
+            total += 2.0**-i * (p[i] / (1.0 + p[i]))
         return total
 
     def first_saturated(self, lower) -> int | None:
         """The first rung whose lower bound ``lower[i]`` is at least
-        SATURATION, or None (always None under "linear"). From that rung
-        upward every seminorm at or above the bound adds exactly w_i, so
-        ``of_profile`` needs no more than the bound there."""
-        if self.transform != "bounded":
-            return None
+        SATURATION, or None. From that rung upward every seminorm at or
+        above the bound adds exactly 2^(-i), so ``of_profile`` needs no
+        more than the bound there."""
         for i in range(self.truncation + 1):
             if lower[i] >= SATURATION:
                 return i

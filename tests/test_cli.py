@@ -414,8 +414,7 @@ class TestConfigFile:
     def test_json_config(self, tmp_path, capsys):
         cfg = {"variant": "ex2", "phi": "sin", "n": 1, "k": 3, "l": 8,
                "m_list": [16, 32],
-               "rho1": {"truncation": 12, "transform": "bounded"},
-               "rho2": {"truncation": 12, "transform": "bounded"}}
+               "rho1": {"truncation": 12}, "rho2": {"truncation": 12}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code = main(["demo", "--config", str(path)])
@@ -430,10 +429,8 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert "k must be odd" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rho1", [
-        {"truncation": 20},
-        {"truncation": 2, "weights": [1, 1]},
-    ], ids=["truncation-above-cap", "weight-count"])
+    @pytest.mark.parametrize("rho1", [{"truncation": 20}],
+                             ids=["truncation-above-cap"])
     def test_bad_pnorm_rejected(self, tmp_path, capsys, rho1):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"rho1": rho1}))
@@ -484,22 +481,18 @@ class TestConfigFile:
         assert main(argv) == EXIT_CONFIG
         assert f"m = {MAX_M * 2} exceeds {MAX_M}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("weights, message", [
-        (["1", True, 0.5], "rho1 weight must be a number, got '1'"),
-        ([1, True, 0.5], "rho1 weight must be a number, got True"),
-        ([1, NAN, 0.5], "rho1 weight must be finite, got nan"),
-        ("111", "rho1 weights must be a list of numbers, got '111'"),
-        ([], "need truncation+1 weights"),
-    ], ids=["string", "bool", "nan", "not-a-list", "empty"])
-    def test_bad_weights_rejected(self, tmp_path, capsys, weights, message):
-        # the string and boolean were coerced to 1.0, and [] meant the
-        # default weights
+    @pytest.mark.parametrize("key, value", [
+        ("transform", "linear"),
+        ("weights", [1.0, 0.5, 0.25]),
+    ], ids=["transform", "weights"])
+    def test_pnorm_knobs_retired(self, tmp_path, capsys, key, value):
+        # a P-norm is its truncation: these keys ran a linear sum or
+        # custom weights, and now name no setting
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"rho1": {"truncation": 2,
-                                             "weights": weights}}))
+        path.write_text(json.dumps({"rho1": {"truncation": 2, key: value}}))
         code = main(["demo", "--config", str(path), "--m-list", "16,32"])
         assert code == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        assert f"unknown rho1 key {key!r}" in capsys.readouterr().err
 
     def test_empty_m_list_rejected(self, tmp_path, capsys):
         # an empty sweep used to report "estimate violated = False", exit 2
@@ -614,10 +607,9 @@ def probe_entry(draw):
 
 # a small grammar for --config files: each key absent, valid, or of a
 # wrong JSON type or value; rho1 and rho2 are P-norm objects (or not
-# objects) whose weights lists may hold strings, booleans, NaN and
-# nonpositive numbers, be empty, have the wrong length or not be lists;
-# one unknown key, "m-list", may appear. Valid m lists stay at most 32 so
-# that every grid is small.
+# objects) that may hold the retired keys "transform" and "weights"; one
+# unknown key, "m-list", may appear. Valid m lists stay at most 32 so that
+# every grid is small.
 CONFIG_VALUES = {
     "variant": (("ex2", "ex4"), ("ex9", 2, None)),
     "phi": (("sin", "t_plus_exp", "affine:2,1"), (1, None, ["sin"])),
@@ -630,23 +622,6 @@ CONFIG_VALUES = {
     "m_list": (([16], [16, 32]),
                (16, [], [16.0], [True], [32, 16], [0], ["16"], [MAX_M * 2])),
 }
-ODD_WEIGHTS = ("1", True, NAN, INF, -1.0, 0, None)
-
-
-@st.composite
-def weights_value(draw, truncation):
-    size = truncation + 1 if type(truncation) is int and \
-        0 <= truncation <= MAX_ORDER else 3
-    kind = draw(st.integers(0, 3))
-    if kind == 0:
-        return [draw(st.sampled_from((1, 0.5, 2.0)))] * size
-    if kind == 1:
-        return [1.0] * draw(st.integers(0, MAX_ORDER + 2))
-    if kind == 2:
-        return draw(st.sampled_from(("111", {}, 1)))
-    weights = [1.0] * size
-    weights[draw(st.integers(0, size - 1))] = draw(st.sampled_from(ODD_WEIGHTS))
-    return weights
 
 
 @st.composite
@@ -658,11 +633,13 @@ def pnorm_value(draw):
         spec["truncation"] = _mostly(draw, (0, 2, 12),
                                      (MAX_ORDER + 1, -1, 2.7, True, "2"))
     if draw(st.booleans()):
-        spec["transform"] = _mostly(draw, ("bounded", "linear"),
-                                    ("log", 1, None))
+        spec["transform"] = draw(st.sampled_from(("bounded", "linear")))
     if draw(st.booleans()):
-        spec["weights"] = draw(weights_value(spec.get("truncation", 12)))
+        spec["weights"] = draw(st.sampled_from(([1.0, 0.5, 0.25], [])))
     return spec
+
+
+RETIRED_PNORM_KEYS = {"transform", "weights"}
 
 
 @st.composite
@@ -749,6 +726,8 @@ class TestFuzz:
     @example({"rho1": {"truncation": 2, "weights": ["1", True, 0.5]},
               "m_list": [16]})
     @example({"rho1": {"weights": []}, "m_list": [16]})
+    @example({"rho2": {"truncation": 2, "transform": "linear"},
+              "m_list": [16]})
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_config_ends_in_documented_exit_code(self, cfg):
         out, err = io.StringIO(), io.StringIO()
@@ -762,3 +741,7 @@ class TestFuzz:
         assert code in (EXIT_OK, EXIT_UNEXPECTED, EXIT_CONFIG, EXIT_BUDGET,
                         EXIT_OUTPUT)
         assert "Traceback" not in err.getvalue()
+        if any(isinstance(cfg.get(key), dict)
+               and RETIRED_PNORM_KEYS & cfg[key].keys()
+               for key in ("rho1", "rho2")):
+            assert code == EXIT_CONFIG

@@ -11,7 +11,7 @@ from conftest import (
     probe_deriv_closed_form,
     random_small_function,
 )
-from tameprobe import driver, functions, primitives
+from tameprobe import driver, functions, primitives, tameness
 from tameprobe.cli import DEFAULT_M_LIST, parse_x
 from tameprobe.cli import main as cli_main
 from tameprobe.driver import (
@@ -249,6 +249,14 @@ def record_coeff_orders(mpatch, node):
     return calls
 
 
+def uncut_residual(*args):
+    """residual_tz with no rung ever called saturated, so the pass runs to
+    the whole truncation and every rung of the profile is the grid's."""
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(tameness, "SATURATION", math.inf)
+        return residual_tz(*args)
+
+
 class TestResidual:
     CASES = {
         "ex2-zero": (pullback_sin, zero),
@@ -270,14 +278,13 @@ class TestResidual:
         self.check_against_two_passes("ex2-zero", 1024, "top")
 
     def check_against_two_passes(self, case, m, order):
-        # a linear P-norm never cuts the pass, so every rung is the grid's
         make_map, make_x = self.CASES[case]
         mp, x = make_map(), make_x()
         params, z, v = anchored_difference(mp, x, m)
         if order == "top":
             order = mp.top_order(params.k)
-        _, tz_sup, profile = residual_tz(mp, x, params, z, v,
-                                         PNormSpec(order, "linear"))
+        _, tz_sup, profile = uncut_residual(mp, x, params, z, v,
+                                            PNormSpec(order))
         want_tz, top_sup, want_profile = two_pass_residual(mp, x, params, z,
                                                            v, order)
         # a cancellation residual of terms the size of v^(top) / eps0
@@ -305,8 +312,6 @@ class TestResidual:
         assert r.top_deriv_s0 == pytest.approx(r.predicted, rel=1e-6)
 
 
-CUSTOM_WEIGHTS = tuple(0.3 + 0.1 * i for i in range(13))
-UNCUT = PNormSpec(12, "linear")
 CUT_CASES = {
     "ex2-zero": (pullback_sin, zero),
     "ex4-sinusoid": (composition_exp,
@@ -316,41 +321,39 @@ CUT_CASES = {
 
 
 @functools.lru_cache(maxsize=None)
-def cut_and_uncut(case, m, weights=None):
-    """residual_tz under a bounded order-12 P-norm and under ``UNCUT``,
+def cut_and_uncut(case, m):
+    """residual_tz under the default P-norm (order 12), cut and uncut,
     plus the order of the cut pass's grid evaluation of v."""
     make_map, make_x = CUT_CASES[case]
     mp, x = make_map(), make_x()
     params, z, v = anchored_difference(mp, x, m)
-    rho2 = PNormSpec(12, weights=weights)
+    rho2 = PNormSpec()
     with pytest.MonkeyPatch.context() as mpatch:
         calls = record_coeff_orders(mpatch, v.node)
         cut = residual_tz(mp, x, params, z, v, rho2)
     grid_order, = {order for points, order in calls if points > 2}
-    return rho2, cut, residual_tz(mp, x, params, z, v, UNCUT), grid_order
+    return cut, uncut_residual(mp, x, params, z, v, rho2), grid_order
 
 
 class TestSaturationCut:
     @pytest.mark.parametrize("case", sorted(CUT_CASES))
     @pytest.mark.parametrize("m", [16, 4096])
     def test_tz_sup_unchanged(self, case, m):
-        _, (_, tz_sup, _), (_, want, _), _ = cut_and_uncut(case, m)
+        (_, tz_sup, _), (_, want, _), _ = cut_and_uncut(case, m)
         assert tz_sup == want
 
     @pytest.mark.parametrize("case", sorted(CUT_CASES))
     @pytest.mark.parametrize("m", [16, 4096])
-    @pytest.mark.parametrize("weights", [None, CUSTOM_WEIGHTS],
-                             ids=["default", "custom"])
-    def test_pnorm_unchanged(self, case, m, weights):
-        rho2, (_, _, profile), (_, _, full), grid_order = cut_and_uncut(
-            case, m, weights)
+    @pytest.mark.parametrize("rho2", [PNormSpec()], ids=["default"])
+    def test_pnorm_unchanged(self, case, m, rho2):
+        (_, _, profile), (_, _, full), grid_order = cut_and_uncut(case, m)
         assert grid_order < rho2.truncation   # the pass was cut
         assert rho2.of_profile(profile) == rho2.of_profile(full)
 
     @pytest.mark.parametrize("case", sorted(CUT_CASES))
     @pytest.mark.parametrize("m", [16, 4096])
     def test_cut_is_sound(self, case, m):
-        _, (_, _, profile), (_, _, full), grid_order = cut_and_uncut(case, m)
+        (_, _, profile), (_, _, full), grid_order = cut_and_uncut(case, m)
         cut = grid_order + 1
         assert profile.shape == full.shape == (13,)
         assert np.array_equal(profile[:cut], full[:cut])
@@ -370,7 +373,7 @@ class TestSaturationCut:
         assert calls[0] == (2, 12)
         assert {order for _, order in calls[1:]} == {5}
         calls.clear()
-        residual_tz(mp, zero(), params, z, v, UNCUT)
+        uncut_residual(mp, zero(), params, z, v, PNormSpec(12))
         assert {order for points, order in calls if points > 2} == {12}
 
 
@@ -698,8 +701,7 @@ class TestEstimateResidualBound:
         (lambda: pullback_sin(2), "sinusoid:0.02,1,0.3", PNormSpec(),
          50.44150808488339),
         (composition_exp, "zero", PNormSpec(), 1.000296840763502),
-        (composition_exp, "zero", PNormSpec(16, "linear"),
-         1.000296840763502),
+        (composition_exp, "zero", PNormSpec(16), 1.000296840763502),
     ], ids=["ex2", "ex2-n2-sinusoid", "ex4", "ex4-linear16"])
     def test_read_off_main_sweep(self, monkeypatch, make, x, rho2, want):
         mp = make()

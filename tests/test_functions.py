@@ -426,8 +426,8 @@ class TestEvaluation:
         pairs = []
         sin_cos = Evaluation.sin_cos
 
-        def recording(ev, node, order):
-            out = sin_cos(ev, node, order)
+        def recording(ev, node):
+            out = sin_cos(ev, node)
             pairs.append(len(ev._trig))
             return out
 
@@ -472,19 +472,6 @@ class TestEvaluation:
         # one pair for z per tree, and one for the frequency-2 factor
         assert calls == [(4097, 0), (4097, 1)] * 3
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-    @pytest.mark.parametrize("shift", [0, 1])
-    def test_order_zero_reads_one_half(self, shift, monkeypatch):
-        # an order-0 pass reads sin (shift 0) or cos (shift 1) alone, once
-        # per chunk of a grid that spans two
-        node = SinusoidProbe(0.1, 300.0, 0.2, shift)
-        f = SmoothFunction(Sum(node, Constant(1.0)), PERIODIC)
-        s = GridSpec().points(f)
-        assert _CHUNK < s.size <= 2 * _CHUNK
-        calls = count_trig(monkeypatch)
-        got = seminorm_profile(f, 0)
-        assert calls == [(_CHUNK, shift), (s.size - _CHUNK, shift)]
-        assert got[0] == np.abs(1.0 + node.coeffs(Evaluation(s), 0)[0]).max()
 
     def test_many_function_pass_equals_separate_calls(self):
         # closed forms, two domains, grids of one and of three chunks,
