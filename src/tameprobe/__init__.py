@@ -5,9 +5,7 @@ estimates on smooth-function spaces."""
 from .driver import (
     GrowthRecord,
     PrecisionBudgetError,
-    ProbeParams,
     SweepResult,
-    build_probe,
     estimate_residual_bound,
     find_s0,
     find_t0,

@@ -19,15 +19,20 @@ import numpy as np
 from .driver import (
     MAX_M,
     PrecisionBudgetError,
-    ProbeParams,
-    build_probe,
     check_sweep,
     estimate_residual_bound,
     fix_m,
     growth_sweep,
     locate_anchor,
 )
-from .functions import Constant, SinusoidProbe, SmoothFunction, zero
+from .functions import (
+    Constant,
+    SinusoidProbe,
+    SmoothFunction,
+    constant,
+    probe,
+    zero,
+)
 from .maps import CirclePullback, DomainViolation, PostComposition
 from .primitives import TWO_PI, Cos, Exp, Polynomial, Sin
 from .tameness import PNormSpec, check_tame_estimate
@@ -311,10 +316,9 @@ def _explicit_probe(entry: dict, domain: str):
                           f"at most {MAX_M}, got {freq!r}")
     amp = _finite_number(zd["amplitude"], "probe z amplitude")
     phase = _finite_number(zd.get("phase", 0.0), "probe z phase")
-    u = Constant(_finite_number(ud["constant"], "probe u constant"))
+    u = constant(_finite_number(ud["constant"], "probe u constant"), domain)
     try:
-        z = SmoothFunction(SinusoidProbe(amp, freq, phase), domain)
-        return z, SmoothFunction(u, domain)
+        return SmoothFunction(SinusoidProbe(amp, freq, phase), domain), u
     except ValueError as exc:
         raise ConfigError(f"bad probe entry {entry!r}: {exc}") from None
 
@@ -329,6 +333,7 @@ def _load_probes(path: str, cfg: ScenarioConfig, map_spec, x):
         raise ConfigError("probe file must be a nonempty JSON list")
     domain = map_spec.domain_tag
     _, s0, _, _ = locate_anchor(map_spec, x)
+    u = constant(1.0 / cfg.l, domain)
     probes = []
     for entry in entries:
         if not isinstance(entry, dict):
@@ -343,10 +348,9 @@ def _load_probes(path: str, cfg: ScenarioConfig, map_spec, x):
                 raise ConfigError(f"probe m = {m} exceeds {MAX_M}")
             s0_entry = _finite_number(entry.get("s0", s0), "probe s0")
             try:
-                params = ProbeParams(k=k, l=cfg.l, m=m, s0=s0_entry)
+                probes.append((probe(m, k, s0_entry, domain), u))
             except ValueError as exc:
                 raise ConfigError(f"bad probe entry {entry!r}: {exc}") from None
-            probes.append(build_probe(params, map_spec))
         else:
             raise ConfigError(f"probe entry needs (m, k) or (z, u): {entry!r}")
     return probes

@@ -17,19 +17,21 @@ maps (the leading derivative, the top order, phi's argument and the
 certifying inequality) comes from the `MapSpec` hooks; the driver owns
 the whole anchor.
 
-A sweep checks x's membership in the map's domain once, and x + z's once
-per m; building df(x + z, u) checks only the domain tag. It evaluates v
-once per m at two points, s0 and the grid point nearest it, and makes one
-grid pass over v (`residual_tz`). The first point gives the witness
-v^(top)(s0); the second bounds v's seminorms from below, so that the grid
-pass, which gives sup|T_z| and rho2(v), evaluates v only up to the rung
-below the first one that bound proves saturated in rho2's sum. The pass
-walks `functions.chunks` over v and T_z's leading term
-(`MapSpec.leading_term`) and evaluates the term in v's own context, so
-that what the term shares with v, phi_lead's composition for ex2 and z's
-sin and cos, is evaluated once per chunk. The residual bound is read
-off the main sweep's rows at the m of RESIDUAL_M_COARSE, and a coarse
-sweep runs only the m the main sweep lacks.
+A sweep builds u = 1/l, df(x, u) and rho1(u) once and each probe z with
+`functions.probe`; it checks x's membership in the map's domain once, and
+x + z's once per m (building df(x + z, u) checks only the domain tag). It
+evaluates v once per m at two points, s0 and the grid point nearest it,
+and makes one grid pass over v (`residual_tz`), which takes no map: it is
+given v, T_z's leading term (`MapSpec.leading_term`), the top order, s0
+and eps0. The first point gives the witness v^(top)(s0); the second bounds
+v's seminorms from below, so that the grid pass, which gives sup|T_z| and
+rho2(v), evaluates v only up to the rung below the first one that bound
+proves saturated in rho2's sum. The pass walks `functions.chunks` over v
+and the leading term and evaluates the term in v's own context, so that
+what the term shares with v, phi_lead's composition for ex2 and z's sin
+and cos, is evaluated once per chunk. The residual bound is read off the
+main sweep's rows at the m of RESIDUAL_M_COARSE, and a coarse sweep runs
+only the m the main sweep lacks.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .functions import (
     GRID,
     PERIODIC,
     Evaluation,
+    Node,
     PrecisionBudgetError,
     SmoothFunction,
     check_probe,
@@ -81,26 +84,6 @@ def check_sweep(k: int, l: int, m_list: Sequence[int] = (1,)):
         check_probe(k, m)
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m values must be strictly ascending")
-
-
-@dataclass(frozen=True)
-class ProbeParams:
-    """Quantifier bundle for one counterexample instance."""
-
-    k: int
-    l: int
-    m: int
-    s0: float
-
-    def __post_init__(self):
-        check_sweep(self.k, self.l, (self.m,))
-        if not math.isfinite(self.s0):
-            raise ValueError(f"s0 must be finite, got {self.s0!r}")
-
-    @property
-    def eps0(self) -> float:
-        """The size 1/l of the constant direction u."""
-        return 1.0 / self.l
 
 
 @dataclass(frozen=True)
@@ -166,27 +149,19 @@ def find_t0(map_spec: MapSpec, x: SmoothFunction, s0: float) -> float:
     return map_spec.argument(x).values(s0)
 
 
-def build_probe(params: ProbeParams, map_spec: MapSpec):
-    """The oscillatory perturbation z and the constant direction u."""
-    tag = map_spec.domain_tag
-    z = probe(params.m, params.k, params.s0, tag)
-    u = constant(params.eps0, tag)
-    return z, u
-
-
-def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
-                z: SmoothFunction, v: SmoothFunction, rho2: PNormSpec):
-    """One evaluation of v = df(x+z, u) - df(x, u) at the anchor, then one
-    chunked grid pass over v.
+def residual_tz(v: SmoothFunction, lead: Node, top: int, s0: float,
+                eps0: float, rho2: PNormSpec):
+    """One evaluation of v = df(x+z, u) - df(x, u) at the anchor s0, then
+    one chunked grid pass over v; the pass takes no map. ``lead`` and
+    ``top`` are the map's `leading_term` and `top_order`, ``eps0`` is 1/l.
 
     Returns ``(top_deriv, tz_sup, profile)``: |v^(top)(s0)|, the witness
     whose sqrt(m) growth the sweep fits; the sup over the grid of |T_z|,
-    where T_z = v^(top)/eps0 - phi_lead(phi's argument at x + z) * z^(k)
-    is what is left of the top derivative once the leading term is taken
-    out; and the seminorms p_0 .. p_truncation of v that
-    ``rho2.of_profile`` reads. Each chunk of `chunks` evaluates v and the
-    leading term in one `Evaluation`, so the leading term reuses what v
-    computed.
+    where T_z = v^(top)/eps0 - lead, and lead = phi_lead(phi's argument at
+    x + z) * z^(k), is what is left of the top derivative; and the
+    seminorms p_0 .. p_truncation of v that ``rho2.of_profile`` reads.
+    Each chunk of `chunks` evaluates v and the leading term in one
+    `Evaluation`, so the leading term reuses what v computed.
 
     The anchor evaluation takes v to order max(truncation, top) at s0 and
     at the grid point nearest s0. The coefficients at the grid point,
@@ -200,15 +175,13 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
     above; ``rho2.of_profile`` is the same either way. With no cut the
     pass runs to max(truncation, top) and the whole profile is the grid's.
     """
-    top = map_spec.top_order(params.k)
-    lead = map_spec.leading_term(x, z, params.k)
     s = GRID.points(v)
     order = max(rho2.truncation, top)
     fact = np.array([math.factorial(i) for i in range(order + 1)])
-    j = int(np.searchsorted(s, params.s0).clip(1, s.size - 1))
-    if params.s0 - s[j - 1] <= s[j] - params.s0:
+    j = int(np.searchsorted(s, s0).clip(1, s.size - 1))
+    if s0 - s[j - 1] <= s[j] - s0:
         j -= 1
-    anchor = Evaluation(np.array([params.s0, s[j]])).coeffs(v.node, order)
+    anchor = Evaluation(np.array([s0, s[j]])).coeffs(v.node, order)
     top_deriv = abs(float(fact[top] * anchor[top, 0]))
     lower = np.maximum.accumulate(np.abs(anchor[:rho2.truncation + 1, 1])
                                   * fact[:rho2.truncation + 1])
@@ -220,7 +193,7 @@ def residual_tz(map_spec: MapSpec, x: SmoothFunction, params: ProbeParams,
     for ev in chunks(s, v.node, lead):
         coeffs = ev.coeffs(v.node, n)
         np.maximum(sup, np.abs(coeffs).max(axis=1) * fact[:n + 1], out=sup)
-        tz = fact[top] * coeffs[top] / params.eps0 - ev.coeffs(lead, 0)[0]
+        tz = fact[top] * coeffs[top] / eps0 - ev.coeffs(lead, 0)[0]
         tz_sup = np.maximum(tz_sup, np.abs(tz).max())
     profile = np.concatenate([sup[:n_profile], lower[n_profile:]])
     return top_deriv, float(tz_sup), np.maximum.accumulate(profile)
@@ -249,28 +222,27 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
     check_sweep(k, l, m_list)
     map_spec.require_domain(x)
     t0, s0, deriv_mag, degenerate = locate_anchor(map_spec, x)
+    eps0, tag = 1.0 / l, map_spec.domain_tag
+    u = constant(eps0, tag)
+    rho1_u, base = pnorm_eval(rho1, u), map_spec.gateaux(x, u)
     records = []
     for m in m_list:
-        params = ProbeParams(k=k, l=l, m=m, s0=s0)
-        z, u = build_probe(params, map_spec)
-        if not records:
-            # u is the same for every m, and so is df(x, u)
-            rho1_u = pnorm_eval(rho1, u)
-            base = map_spec.gateaux(x, u)
+        z = probe(m, k, s0, tag)
         margin, ok = map_spec.in_domain(x + z)
         if not ok:
             raise DomainViolation(
                 margin, f"x + z at m = {m} leaves the map's domain")
         v = map_spec.gateaux(x + z, u) - base
-        top_deriv, tz_sup, v_profile = residual_tz(map_spec, x, params, z, v,
-                                                   rho2)
+        top_deriv, tz_sup, v_profile = residual_tz(
+            v, map_spec.leading_term(x, z, k), map_spec.top_order(k), s0,
+            eps0, rho2)
         record = GrowthRecord(
             m=m,
             p_km1_z=float(seminorm_profile(z, k - 1)[k - 1]),
             rho1_z=pnorm_eval(rho1, z),
             rho1_u=rho1_u,
             top_deriv_s0=top_deriv,
-            predicted=params.eps0 * math.sqrt(TWO_PI * m) * deriv_mag,
+            predicted=eps0 * math.sqrt(TWO_PI * m) * deriv_mag,
             tz_sup=tz_sup,
             rho2_v=rho2.of_profile(v_profile),
         )

@@ -157,6 +157,8 @@ class SinusoidProbe(Node):
                 and math.isfinite(0.25 / self.frequency)):
             raise ValueError("sinusoid frequency must be nonzero with a "
                              f"finite period, got {self.frequency!r}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase!r}")
         if not (type(self.shift) is int and self.shift >= 0):
             raise ValueError("sinusoid shift must be a nonnegative int, "
                              f"got {self.shift!r}")

@@ -102,6 +102,10 @@ class Sin(ScalarPrimitive):
     # steps along the trig cycle; `Cos` is one step on
     shift = 0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.omega) and math.isfinite(self.amplitude)):
+            raise ValueError(f"{self!r}: omega and amplitude must be finite")
+
     def taylor_coeffs(self, t, order):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return trig_rows(trig_pair(self.omega * t), self.amplitude,

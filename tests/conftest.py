@@ -4,7 +4,7 @@ import random
 import numpy as np
 
 from tameprobe import primitives
-from tameprobe.driver import ProbeParams, build_probe, locate_anchor
+from tameprobe.driver import locate_anchor
 from tameprobe.functions import (
     PERIODIC,
     UNIT_INTERVAL,
@@ -15,6 +15,7 @@ from tameprobe.functions import (
     SmoothFunction,
     Sum,
     constant,
+    probe,
 )
 from tameprobe.jets import MAX_ORDER
 from tameprobe.maps import PostComposition
@@ -120,8 +121,9 @@ def fd_derivative(fn, s, order, h):
 def anchored_probes(map_spec, x, pairs, l=8):
     """The (z, u) probes of (m, k) pairs, anchored as the CLI anchors them."""
     _, s0, _, _ = locate_anchor(map_spec, x)
-    return [build_probe(ProbeParams(k=k, l=l, m=m, s0=s0), map_spec)
-            for m, k in pairs]
+    tag = map_spec.domain_tag
+    u = constant(1.0 / l, tag)
+    return [(probe(m, k, s0, tag), u) for m, k in pairs]
 
 
 def ex4_map():

@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_small_function
-from tameprobe.driver import (
-    ProbeParams,
-    build_probe,
-    estimate_residual_bound,
-    fix_m,
-    growth_sweep,
-)
+from tameprobe.driver import estimate_residual_bound, fix_m, growth_sweep
 from tameprobe.functions import (
     PERIODIC,
     UNIT_INTERVAL,
@@ -98,9 +92,9 @@ def test_criterion_4_degenerate_consistency(capsys):
     all_satisfied = True
     for map_spec, x, s0 in cases:
         probes = []
+        u = constant(1.0 / 8, map_spec.domain_tag)
         for m in (16, 64, 256):
-            params = ProbeParams(k=3, l=8, m=m, s0=s0)
-            z, u = build_probe(params, map_spec)
+            z = probe(m, 3, s0, map_spec.domain_tag)
             probes.append((z, u))
             v = map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)
             s = np.linspace(0.0, 1.0, 4097)

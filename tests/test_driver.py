@@ -19,8 +19,6 @@ from tameprobe.driver import (
     ANCHOR_POINTS,
     RESIDUAL_M_COARSE,
     PrecisionBudgetError,
-    ProbeParams,
-    build_probe,
     estimate_residual_bound,
     find_s0,
     find_t0,
@@ -42,6 +40,7 @@ from tameprobe.functions import (
     Sum,
     constant,
     find_shared,
+    probe,
     seminorm_profile,
     zero,
 )
@@ -61,22 +60,15 @@ def composition_exp():
 
 
 class TestProbeParams:
-    def test_valid(self):
-        ProbeParams(k=3, l=8, m=16, s0=0.0)
-
     def test_even_k_rejected(self):
         with pytest.raises(ValueError):
-            ProbeParams(k=4, l=8, m=16, s0=0.0)
-
-    def test_eps0_is_one_over_l(self):
-        assert ProbeParams(k=3, l=8, m=16, s0=0.0).eps0 == 0.125
-        assert ProbeParams(k=3, l=3, m=16, s0=0.0).eps0 == 1.0 / 3.0
+            probe(16, 4, 0.0)
 
     @pytest.mark.parametrize("s0", [math.nan, math.inf])
     def test_non_finite_s0_rejected(self, s0):
-        # a NaN s0 became the probe's phase
-        with pytest.raises(ValueError, match="s0 must be finite"):
-            ProbeParams(k=3, l=8, m=16, s0=s0)
+        # s0 is the sinusoid's phase, and probe() built one with a NaN phase
+        with pytest.raises(ValueError, match="phase must be finite"):
+            probe(16, 3, s0)
 
 
 class TestFindT0:
@@ -184,8 +176,7 @@ class TestAnchor:
 class TestBuildProbe:
     def test_seminorm_levels(self):
         k, l, m = 3, 8, 64
-        params = ProbeParams(k=k, l=l, m=m, s0=0.25)
-        z, u = build_probe(params, pullback_sin())
+        z, u = probe(m, k, 0.25), constant(1.0 / l)
         assert seminorm_profile(z, k - 1)[k - 1] == pytest.approx(
             (TWO_PI * m)**-0.5, rel=1e-12)
         assert seminorm_profile(u, l)[l] == pytest.approx(1.0 / l, rel=1e-15)
@@ -194,28 +185,28 @@ class TestBuildProbe:
     def test_small_once_m_large(self):
         # (2 pi m)^(-1/2) <= 1/k already at m = 2 for k = 3
         k, m = 3, 2
-        params = ProbeParams(k=k, l=8, m=m, s0=0.0)
-        z, _ = build_probe(params, pullback_sin())
+        z = probe(m, k, 0.0)
         assert seminorm_profile(z, k - 1)[k - 1] <= 1.0 / k
 
 
-def two_pass_residual(mp, x, params, z, v, order):
-    """The residual and the seminorms of v from two separate grid passes:
-    v at order top for T_z, then `seminorm_profile` for the seminorms.
-    Returns (sup|T_z|, sup|v^(top)/eps0|, profile); T_z's leading term is
-    computed from phi's argument and the probe's closed form."""
-    top = mp.top_order(params.k)
+def two_pass_residual(mp, x, m, s0, v, order, k=3, l=8):
+    """The residual and the seminorms of v, the difference for the k-probe
+    of frequency m at s0 and u = 1/l, from two separate grid passes: v at
+    order top for T_z, then `seminorm_profile` for the seminorms. Returns
+    (sup|T_z|, sup|v^(top)/eps0|, profile); T_z's leading term is computed
+    from phi's argument and the probe's closed form."""
+    top, eps0 = mp.top_order(k), 1.0 / l
     lead = mp.leading_primitive()
     s = GridSpec().points(v)
     fact = math.factorial(top)
+    z = probe(m, k, s0)
     tz, scaled_top = np.empty_like(s), np.empty_like(s)
     for lo in range(0, s.size, _CHUNK):
         sc = s[lo:lo + _CHUNK]
         scaled_top[lo:lo + _CHUNK] = \
-            fact * v.node.coeffs(Evaluation(sc), top)[top] / params.eps0
+            fact * v.node.coeffs(Evaluation(sc), top)[top] / eps0
         c = mp.argument(x).values(sc) + z.evaluate(sc)
-        zk = probe_deriv_closed_form(params.m, params.k, params.s0, params.k,
-                                     sc)
+        zk = probe_deriv_closed_form(m, k, s0, k, sc)
         tz[lo:lo + _CHUNK] = scaled_top[lo:lo + _CHUNK] - lead(c) * zk
     return (float(np.max(np.abs(tz))), float(np.max(np.abs(scaled_top))),
             seminorm_profile(v, order))
@@ -226,11 +217,17 @@ def difference(mp, x, z, u):
 
 
 def anchored_difference(mp, x, m, k=3, l=8):
-    """ProbeParams, z and v for a k-probe of frequency m at x's anchor."""
+    """s0, z and v for a k-probe of frequency m at x's anchor and u = 1/l."""
     _, s0, _, _ = locate_anchor(mp, x)
-    params = ProbeParams(k=k, l=l, m=m, s0=s0)
-    z, u = build_probe(params, mp)
-    return params, z, difference(mp, x, z, u)
+    z = probe(m, k, s0, mp.domain_tag)
+    return s0, z, difference(mp, x, z, constant(1.0 / l, mp.domain_tag))
+
+
+def map_residual(mp, x, s0, z, v, rho2, k=3, l=8):
+    """residual_tz of v for the k-probe z at s0 and u = 1/l, with the
+    leading term and top order that the map gives."""
+    return residual_tz(v, mp.leading_term(x, z, k), mp.top_order(k), s0,
+                       1.0 / l, rho2)
 
 
 def record_coeff_orders(mpatch, node):
@@ -254,7 +251,7 @@ def uncut_residual(*args):
     the whole truncation and every rung of the profile is the grid's."""
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(tameness, "SATURATION", math.inf)
-        return residual_tz(*args)
+        return map_residual(*args)
 
 
 class TestResidual:
@@ -280,13 +277,12 @@ class TestResidual:
     def check_against_two_passes(self, case, m, order):
         make_map, make_x = self.CASES[case]
         mp, x = make_map(), make_x()
-        params, z, v = anchored_difference(mp, x, m)
+        s0, z, v = anchored_difference(mp, x, m)
         if order == "top":
-            order = mp.top_order(params.k)
-        _, tz_sup, profile = uncut_residual(mp, x, params, z, v,
-                                            PNormSpec(order))
-        want_tz, top_sup, want_profile = two_pass_residual(mp, x, params, z,
-                                                           v, order)
+            order = mp.top_order(3)
+        _, tz_sup, profile = uncut_residual(mp, x, s0, z, v, PNormSpec(order))
+        want_tz, top_sup, want_profile = two_pass_residual(mp, x, m, s0, v,
+                                                           order)
         # a cancellation residual of terms the size of v^(top) / eps0
         assert abs(tz_sup - want_tz) <= 1e-12 * top_sup
         assert np.array_equal(profile, want_profile)
@@ -295,11 +291,9 @@ class TestResidual:
 
     def test_constant_phi_residual_vanishes(self):
         mp = CirclePullback(Polynomial([0.3, 0.0]), 1)
-        params = ProbeParams(k=3, l=8, m=16, s0=0.0)
-        z, u = build_probe(params, mp)
-        v = difference(mp, zero(), z, u)
-        _, tz_sup, profile = residual_tz(mp, zero(), params, z, v,
-                                         PNormSpec(0))
+        z = probe(16, 3, 0.0)
+        v = difference(mp, zero(), z, constant(0.125))
+        _, tz_sup, profile = map_residual(mp, zero(), 0.0, z, v, PNormSpec(0))
         assert tz_sup == pytest.approx(0.0, abs=1e-14)
         assert profile.shape == (1,)
 
@@ -326,13 +320,13 @@ def cut_and_uncut(case, m):
     plus the order of the cut pass's grid evaluation of v."""
     make_map, make_x = CUT_CASES[case]
     mp, x = make_map(), make_x()
-    params, z, v = anchored_difference(mp, x, m)
+    s0, z, v = anchored_difference(mp, x, m)
     rho2 = PNormSpec()
     with pytest.MonkeyPatch.context() as mpatch:
         calls = record_coeff_orders(mpatch, v.node)
-        cut = residual_tz(mp, x, params, z, v, rho2)
+        cut = map_residual(mp, x, s0, z, v, rho2)
     grid_order, = {order for points, order in calls if points > 2}
-    return cut, uncut_residual(mp, x, params, z, v, rho2), grid_order
+    return cut, uncut_residual(mp, x, s0, z, v, rho2), grid_order
 
 
 class TestSaturationCut:
@@ -365,16 +359,31 @@ class TestSaturationCut:
 
     def test_pass_shrinks(self, monkeypatch):
         mp = pullback_sin()
-        params, z, v = anchored_difference(mp, zero(), 4096)
+        s0, z, v = anchored_difference(mp, zero(), 4096)
         calls = record_coeff_orders(monkeypatch, v.node)
-        residual_tz(mp, zero(), params, z, v, PNormSpec(12))
+        map_residual(mp, zero(), s0, z, v, PNormSpec(12))
         # s0 and its nearest grid point to order 12, then the chunks to
         # order 5
         assert calls[0] == (2, 12)
         assert {order for _, order in calls[1:]} == {5}
         calls.clear()
-        uncut_residual(mp, zero(), params, z, v, PNormSpec(12))
+        uncut_residual(mp, zero(), s0, z, v, PNormSpec(12))
         assert {order for points, order in calls if points > 2} == {12}
+
+
+class TestResidualTakesNoMap:
+    @pytest.mark.parametrize("case", sorted(CUT_CASES))
+    @pytest.mark.parametrize("m", [16, 4096])
+    def test_zero_lead_leaves_the_scaled_top_derivative(self, case, m):
+        # with no leading term taken out, sup|T_z| is the sup of
+        # top! v^(top) / eps0, whatever map built v
+        make_map, make_x = CUT_CASES[case]
+        mp, x = make_map(), make_x()
+        s0, _, v = anchored_difference(mp, x, m)
+        _, tz_sup, _ = residual_tz(v, Constant(0.0), mp.top_order(3), s0,
+                                   0.125, PNormSpec())
+        _, want, _ = two_pass_residual(mp, x, m, s0, v, 0)
+        assert tz_sup == want
 
 
 class TestSharedEvaluation:
@@ -385,7 +394,7 @@ class TestSharedEvaluation:
         # and at s one each; the leading term phi'(s + z) z^(3) reads phi'
         # at s + z and z's pair from the chunk's context
         mp = pullback_sin()
-        params, z, v = anchored_difference(mp, zero(), 1024)
+        s0, z, v = anchored_difference(mp, zero(), 1024)
         sizes = []
         real = primitives.trig_cycle
 
@@ -394,7 +403,7 @@ class TestSharedEvaluation:
             return real(theta, i)
 
         monkeypatch.setattr(primitives, "trig_cycle", counted)
-        residual_tz(mp, zero(), params, z, v, PNormSpec(2))
+        map_residual(mp, zero(), s0, z, v, PNormSpec(2))
         n = GridSpec().points(v).size
         chunks = Counter(min(_CHUNK, n - lo) for lo in range(0, n, _CHUNK))
         assert 2 not in chunks
@@ -411,20 +420,20 @@ class TestSharedEvaluation:
         # phi'(n s + x + z) in T_z's leading term is, by value, the one in
         # df(x + z, u), so a pass over both evaluates it once
         mp, x = pullback_sin(n), SmoothFunction(x_node, PERIODIC)
-        params, z, v = anchored_difference(mp, x, 64)
-        lead = mp.leading_term(x, z, params.k)
+        _, z, v = anchored_difference(mp, x, 64)
+        lead = mp.leading_term(x, z, 3)
         composition, zk = lead.children
         assert isinstance(composition, PrimitiveCompose)
         assert composition == mp.gateaux(
-            x + z, constant(params.eps0)).node.children[0]
+            x + z, constant(0.125)).node.children[0]
         slots = find_shared(v.node, lead)
         assert id(composition) in slots
         # z^(k) keeps z's phase, so it reads z's sin and cos: after v, the
         # leading term computes no sine or cosine of its own
         assert (zk.frequency, zk.phase, zk.shift) == (
-            z.node.frequency, z.node.phase, params.k)
+            z.node.frequency, z.node.phase, 3)
         ev = Evaluation(np.linspace(0.0, 1.0, 33), slots)
-        ev.coeffs(v.node, mp.top_order(params.k))
+        ev.coeffs(v.node, mp.top_order(3))
         calls = count_trig(monkeypatch)
         ev.coeffs(lead, 0)
         assert calls == []
@@ -448,13 +457,13 @@ class TestAnchorEvaluation:
         # order top, bit for bit
         make_map, make_x = ANCHOR_CASES[case]
         mp, x = make_map(), make_x()
-        params, z, v = anchored_difference(mp, x, m)
-        on_grid = params.s0 in GridSpec().points(v)
+        s0, z, v = anchored_difference(mp, x, m)
+        on_grid = s0 in GridSpec().points(v)
         assert on_grid == (case == "ex2-zero")
-        top = mp.top_order(params.k)
+        top = mp.top_order(3)
         want = math.factorial(top) * v.node.coeffs(
-            Evaluation(np.array([params.s0])), top)[top, 0]
-        top_deriv, _, _ = residual_tz(mp, x, params, z, v, PNormSpec())
+            Evaluation(np.array([s0])), top)[top, 0]
+        top_deriv, _, _ = map_residual(mp, x, s0, z, v, PNormSpec())
         assert top_deriv == abs(want)
 
     @pytest.mark.parametrize("case", sorted(ANCHOR_CASES))
@@ -463,9 +472,9 @@ class TestAnchorEvaluation:
         roots, small = [], []
         real_residual, real_coeffs = driver.residual_tz, Sum.coeffs
 
-        def residual(map_spec, x, params, z, v, *args):
+        def residual(v, *args):
             roots.append(v.node)
-            return real_residual(map_spec, x, params, z, v, *args)
+            return real_residual(v, *args)
 
         def coeffs(self, s, order):
             if s.points.size <= 2:
@@ -558,9 +567,7 @@ class TestGrowthSweep:
         assert len(checked) == len(m_list) + 1
         assert checked[0] == x
         for f, m in zip(checked[1:], m_list):
-            z, _ = build_probe(ProbeParams(k=3, l=8, m=m, s0=res.s0),
-                               pullback_sin())
-            assert f == x + z
+            assert f == x + probe(m, 3, res.s0)
 
     def test_rejects_bad_input(self):
         # descending m, even k, l = 0 and an empty m_list

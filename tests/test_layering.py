@@ -22,6 +22,10 @@ domain, or its one fallback point, and reads t0 there, so no map class
 defines where to look for t0 (``t0_candidates``), a bracket for s0
 (``s0_bracket``), a fixed interior s0 (``interior_s0``) or a fallback
 point or pair (``fallback_s0``, ``fallback_anchor``).
+
+A probe is `functions.probe(m, k, s0)` and its direction
+`functions.constant(1/l)`: no module bundles the four numbers
+(``ProbeParams``) or builds the pair from them (``build_probe``).
 """
 
 import ast
@@ -37,6 +41,7 @@ GRID_WORK = {"chunks", "GRID", "GridSpec", "seminorm_profile",
              "seminorm_profiles", "_closed_form_amplitudes"}
 RETIRED_ANCHOR_HOOKS = {"t0_candidates", "s0_bracket", "fallback_anchor",
                         "interior_s0", "fallback_s0"}
+RETIRED_PROBE_NAMES = {"ProbeParams", "build_probe"}
 
 
 def names(tree):
@@ -123,3 +128,13 @@ def test_maps_define_no_anchor_search():
     anchor = [name for name in members | module_names
               if "s0" in name.lower() or "anchor" in name.lower()]
     assert anchor == []
+
+
+def test_no_probe_bundle():
+    sources = sorted(Path(tameprobe.__file__).parent.glob("*.py"))
+    found = {}
+    for path in sources:
+        used = RETIRED_PROBE_NAMES & set(names(ast.parse(path.read_text())))
+        if used:
+            found[path.name] = sorted(used)
+    assert found == {}

@@ -35,7 +35,7 @@ from tameprobe.maps import (
     PostComposition,
     gateaux_fd,
 )
-from tameprobe.primitives import Exp, Polynomial, Sin
+from tameprobe.primitives import Cos, Exp, Polynomial, Sin
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,6 +70,21 @@ class TestConstruction:
     def test_nonperiodic_phi_rejected(self):
         with pytest.raises(ValueError):
             CirclePullback(Sin(omega=1.0), 1)
+
+    @pytest.mark.parametrize("omega", [math.inf, math.nan],
+                             ids=["inf", "nan"])
+    def test_non_finite_omega_rejected(self, omega):
+        # round() in is_one_periodic raised OverflowError for inf and
+        # "cannot convert float NaN to integer" for nan
+        with pytest.raises(ValueError, match="must be finite"):
+            CirclePullback(Sin(omega=omega), 1)
+        with pytest.raises(ValueError, match="must be finite"):
+            Cos(omega=omega)
+
+    def test_nan_amplitude_rejected(self):
+        # it constructed
+        with pytest.raises(ValueError, match="must be finite"):
+            Sin(TWO_PI, amplitude=math.nan)
 
     def test_nonincreasing_phi_rejected(self):
         with pytest.raises(ValueError):

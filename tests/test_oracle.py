@@ -2,31 +2,44 @@
 
 v = df(x + z, u) - df(x, u) is written in closed form in mpmath, which
 shares no code with numpy, and differentiated there at s0 to the map's top
-order. For x = zero, n = 1 and u = eps0:
-- ex2 (phi = sin 2*pi*t): v = eps0 [2 pi cos(2 pi (s + z)) (1 + z')
-  - 2 pi cos(2 pi s)], top order k - 1;
-- ex4 (phi = t + e^t): v = eps0 [e^z - 1], top order k.
+order. With u = eps0:
+- ex2 (phi = sin 2*pi*t, winding n): v = eps0 [2 pi cos(2 pi (n s + x + z))
+  (n + x' + z') - 2 pi cos(2 pi (n s + x)) (n + x')], top order k - 1;
+- ex4 (phi = t + e^t): v = eps0 [e^(x + z) - e^x], top order k.
 `predicted` is eps0 sqrt(2 pi m) |phi_lead(t0)|.
 
+The cases are x = zero at n = 1, whose anchors lie on v's grid, and two
+off-grid anchors: ex2 at n = 2 with x = sinusoid:0.02,1,0.3 (s0 =
+0.7467041015625) and ex4 with x = sinusoid:0.3,1.5 (s0 = 0.1666259765625).
+
 The error is measured relative to the 50-digit value, in units of
-EPS = 2^-52. Observed at k = 3, l = 8 with numpy 2.4.6: at most 2.34 EPS
-for `top_deriv_s0` (ex2, m = 16) and 0.72 EPS for `predicted`. ULPS
-allows 1.7 times the worst of them.
+EPS = 2^-52. Observed at k = 3, l = 8 with numpy 2.4.6, the worst of
+`top_deriv_s0` and `predicted` over m = 16, 256 and 4096 is 2.34 EPS for
+the x = zero cases (`top_deriv_s0`, ex2, m = 16), 19.33 EPS for ex2 at
+n = 2 (`top_deriv_s0`, m = 16; `predicted` 1.11 EPS) and 0.77 EPS for ex4
+at the sinusoid (`predicted`; `top_deriv_s0` 0.71 EPS). Each case allows
+1.7 times its worst.
 """
 
 import pytest
 from mpmath import mp, mpf
 
-from tameprobe.cli import parse_phi
+from tameprobe.cli import parse_phi, parse_x
 from tameprobe.driver import growth_sweep
-from tameprobe.functions import UNIT_INTERVAL, zero
 from tameprobe.maps import CirclePullback, PostComposition
 from tameprobe.tameness import PNormSpec
 
 K, L = 3, 8
 M_LIST = (16, 256, 4096)
 EPS = 2.0**-52
-ULPS = 4
+
+
+def sinusoid_mp(amp, freq, phase=0.0):
+    """s -> amp sin(2 pi freq (s - phase)) and its derivative, at mpmath's
+    precision; the numbers are the doubles the CLI reads."""
+    amp, w, phase = mpf(amp), 2 * mp.pi * mpf(freq), mpf(phase)
+    return (lambda s: amp * mp.sin(w * (s - phase)),
+            lambda s: amp * w * mp.cos(w * (s - phase)))
 
 
 def probe_mp(m, s0):
@@ -37,32 +50,53 @@ def probe_mp(m, s0):
             lambda s: amp * w * mp.cos(w * (s - s0)))
 
 
-def v_ex2(m, s0, eps0):
-    z, dz = probe_mp(m, s0)
-    tau = 2 * mp.pi
-    return lambda s: eps0 * (tau * mp.cos(tau * (s + z(s))) * (1 + dz(s))
-                             - tau * mp.cos(tau * s))
+def zero_mp():
+    return lambda s: mpf(0), lambda s: mpf(0)
 
 
-def v_ex4(m, s0, eps0):
-    z, _ = probe_mp(m, s0)
-    return lambda s: eps0 * (mp.exp(z(s)) - 1)
+def v_ex2(n, x_mp):
+    def v(m, s0, eps0):
+        (z, dz), (x, dx) = probe_mp(m, s0), x_mp()
+        tau = 2 * mp.pi
+        return lambda s: eps0 * (
+            tau * mp.cos(tau * (n * s + x(s) + z(s))) * (n + dx(s) + dz(s))
+            - tau * mp.cos(tau * (n * s + x(s))) * (n + dx(s)))
+    return v
 
 
+def v_ex4(x_mp):
+    def v(m, s0, eps0):
+        (z, _), (x, _) = probe_mp(m, s0), x_mp()
+        return lambda s: eps0 * (mp.exp(x(s) + z(s)) - mp.exp(x(s)))
+    return v
+
+
+def ex2_lead(t0):
+    return 2 * mp.pi * mp.cos(2 * mp.pi * t0)
+
+
+# (map, x descriptor, v, phi_lead, allowed error in EPS)
 CASES = {
-    "ex2": (lambda: CirclePullback(parse_phi("sin"), 1), zero, v_ex2,
-            lambda t0: 2 * mp.pi * mp.cos(2 * mp.pi * t0)),
-    "ex4": (lambda: PostComposition(parse_phi("t_plus_exp")),
-            lambda: zero(UNIT_INTERVAL), v_ex4, mp.exp),
+    "ex2": (lambda: CirclePullback(parse_phi("sin"), 1), "zero",
+            v_ex2(1, zero_mp), ex2_lead, 4),
+    "ex4": (lambda: PostComposition(parse_phi("t_plus_exp")), "zero",
+            v_ex4(zero_mp), mp.exp, 4),
+    "ex2-n2-sinusoid": (lambda: CirclePullback(parse_phi("sin"), 2),
+                        "sinusoid:0.02,1,0.3",
+                        v_ex2(2, lambda: sinusoid_mp(0.02, 1.0, 0.3)),
+                        ex2_lead, 33),
+    "ex4-sinusoid": (lambda: PostComposition(parse_phi("t_plus_exp")),
+                     "sinusoid:0.3,1.5",
+                     v_ex4(lambda: sinusoid_mp(0.3, 1.5)), mp.exp, 1.32),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_row_matches_50_digit_oracle(case):
-    make_map, make_x, v_mp, phi_lead = CASES[case]
+    make_map, x, v_mp, phi_lead, ulps = CASES[case]
     map_spec = make_map()
-    res = growth_sweep(map_spec, make_x(), PNormSpec(), PNormSpec(), K, L,
-                       M_LIST)
+    res = growth_sweep(map_spec, parse_x(x, map_spec.domain_tag),
+                       PNormSpec(), PNormSpec(), K, L, M_LIST)
     top = map_spec.top_order(K)
     errors = []
     with mp.workdps(50):
@@ -76,4 +110,4 @@ def test_row_matches_50_digit_oracle(case):
                            float(abs(r.predicted - want_pred) / want_pred)))
     assert len(errors) == len(M_LIST)
     # a NaN compares false, so it fails too
-    assert all(e <= ULPS * EPS for _, *pair in errors for e in pair), errors
+    assert all(e <= ulps * EPS for _, *pair in errors for e in pair), errors

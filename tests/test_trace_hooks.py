@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from tameprobe import driver, maps
-from tameprobe.functions import UNIT_INTERVAL, zero
+from tameprobe.functions import UNIT_INTERVAL, constant, probe, zero
 from tameprobe.primitives import Exp, Sin
 from tameprobe.tameness import PNormSpec
 
@@ -73,13 +73,13 @@ def test_residual_pass_is_traced():
     # evaluation through names the spans wrap; a trig call under another
     # name, or a coeffs no longer defined per node class, would drop one
     map_spec = maps.CirclePullback(Sin(omega=2.0 * math.pi), 1)
-    params = driver.ProbeParams(k=3, l=8, m=16, s0=0.0)
-    z, u = driver.build_probe(params, map_spec)
+    z, u = probe(16, 3, 0.0), constant(0.125)
     v = map_spec.gateaux(zero() + z, u) - map_spec.gateaux(zero(), u)
     tracer = spans.Tracer()
     try:
         tracer.install()
-        driver.residual_tz(map_spec, zero(), params, z, v, PNormSpec(2))
+        driver.residual_tz(v, map_spec.leading_term(zero(), z, 3),
+                           map_spec.top_order(3), 0.0, 0.125, PNormSpec(2))
     finally:
         tracer.uninstall()
     names = {s[0] for s in tracer.spans}
