@@ -18,6 +18,7 @@ import numpy as np
 
 from .driver import (
     MAX_M,
+    RESIDUAL_M_COARSE,
     PrecisionBudgetError,
     check_sweep,
     estimate_residual_bound,
@@ -268,9 +269,14 @@ def cmd_demo(cfg: ScenarioConfig) -> int:
               "fits no slope, so no sqrt(m) growth was seen")
         expected = False
     else:
-        m_est = estimate_residual_bound(map_spec, x, cfg.k, cfg.l,
-                                        sweep=result)
-        m_star = fix_m(map_spec, cfg.k, cfg.l, m_est, result.deriv_mag)
+        try:
+            m_est = estimate_residual_bound(map_spec, x, cfg.k, cfg.l, result)
+        except DomainViolation as exc:   # at an m the user's list lacks
+            *coarse, last = RESIDUAL_M_COARSE
+            print("no certificate: the residual bound reads m = "
+                  f"{', '.join(map(str, coarse))} and {last}, and {exc}")
+            return EXIT_UNEXPECTED
+        m_star = fix_m(cfg.k, cfg.l, m_est, result.deriv_mag)
         print(f"residual bound M = {m_est:.12g}; certified m = {m_star}")
         expected = result.violation
     return EXIT_OK if expected else EXIT_UNEXPECTED

@@ -13,9 +13,9 @@ evaluates phi's argument once on a grid of the map's domain; s0 is the
 grid point where |phi_lead| there is largest, or ANCHOR_FALLBACK when
 no point is better than another, and t0 is the argument at s0, so no
 equation is solved and s0 lies in x's period. What differs between the
-maps (the leading derivative, the top order, phi's argument and the
-certifying inequality) comes from the `MapSpec` hooks; the driver owns
-the whole anchor.
+maps (the leading derivative, the top order and phi's argument) comes
+from the `MapSpec` hooks; the driver owns the whole anchor and, in
+`fix_m`, the one inequality that a certified m obeys for both maps.
 
 A sweep builds u = 1/l, df(x, u) and rho1(u) once and each probe z with
 `functions.probe`; it checks x's membership in the map's domain once, and
@@ -284,9 +284,10 @@ def estimate_residual_bound(map_spec: MapSpec, x: SmoothFunction,
     return 2.0 * max(tz_sup[m] for m in RESIDUAL_M_COARSE) + 1.0
 
 
-def fix_m(map_spec: MapSpec, k: int, l: int, m_estimate: float,
-          deriv_mag: float) -> int:
-    """Smallest power-of-two m certifying the blow-up inequalities."""
+def fix_m(k: int, l: int, m_estimate: float, deriv_mag: float) -> int:
+    """Smallest power-of-two m <= MAX_M with 2 pi m >= k^2 and l + M <
+    (2 pi m)^(1/2) |phi_lead(t0)|, where M = ``m_estimate`` and
+    |phi_lead(t0)| = ``deriv_mag``; both maps obey this one inequality."""
     check_sweep(k, l)
     if not (math.isfinite(m_estimate) and m_estimate >= 0.0):
         raise ValueError(
@@ -296,7 +297,8 @@ def fix_m(map_spec: MapSpec, k: int, l: int, m_estimate: float,
             f"|phi derivative at t0| must be positive and finite, got {deriv_mag}")
     m = 1
     while m <= MAX_M:
-        if map_spec.certifies(m, k, l, m_estimate, deriv_mag):
+        root = math.sqrt(TWO_PI * m)
+        if 1.0 / root <= 1.0 / k and l + m_estimate < root * deriv_mag:
             return m
         m *= 2
     raise PrecisionBudgetError(

@@ -18,10 +18,9 @@ does no grid work: the pullback's membership reads
 Everything the driver needs to know about one map lives on its class: which
 derivative of phi carries the sqrt(m) blow-up (`lead_order`: phi' for the
 pullback, phi'' for the composition; `leading_primitive` builds it with
-phi's closed-form `derivative()`), the argument phi is evaluated at,
-the leading term of the top derivative of v (`leading_term`), and the
-inequality that certifies a frequency m. Where the anchor point s0 lies
-is the driver's business alone.
+phi's closed-form `derivative()`), the argument phi is evaluated at, and
+the leading term of the top derivative of v (`leading_term`). The anchor
+point s0 and the certified m are the driver's business alone.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .functions import (
     mul,
     value_range,
 )
-from .primitives import TWO_PI, ScalarPrimitive
+from .primitives import ScalarPrimitive
 
 DOMAIN_MARGIN_TOL = 1e-9
 FD_POINTS = 2049
@@ -111,11 +110,6 @@ class MapSpec:
         return mul(PrimitiveCompose(self.leading_primitive(),
                                     self.argument(x + z)), zk)
 
-    def certifies(self, m: int, k: int, l: int, m_estimate: float,
-                  deriv_mag: float) -> bool:
-        """Whether frequency m certifies the blow-up inequalities."""
-        raise NotImplementedError
-
     def _check_tag(self, x: SmoothFunction):
         if x.domain != self.domain_tag:
             raise ValueError(
@@ -167,10 +161,6 @@ class CirclePullback(MapSpec):
     def argument(self, x):
         return add(Affine(float(self.n), 0.0), x.node)
 
-    def certifies(self, m, k, l, m_estimate, deriv_mag):
-        root = math.sqrt(TWO_PI * m)
-        return (1.0 / root <= 1.0 / k) and (l + m_estimate < root * deriv_mag)
-
     def in_domain(self, x: SmoothFunction):
         """A lower bound on the infimum of |n + x'|, from the enclosure
         (lo, hi) of x' that `value_range` gives, and whether it clears the
@@ -213,12 +203,6 @@ class PostComposition(MapSpec):
 
     def argument(self, x):
         return x.node
-
-    def certifies(self, m, k, l, m_estimate, deriv_mag):
-        # square the ratio, not its parts: (l + M)^2 alone overflows once
-        # l + M passes about 1.3e154
-        bound = max(k**2, ((l + m_estimate) / deriv_mag)**2) / TWO_PI
-        return m > bound
 
     def apply(self, x: SmoothFunction) -> SmoothFunction:
         self._check_tag(x)

@@ -191,7 +191,7 @@ def test_criterion_8_pnorm_metric_axioms(capsys):
 def test_criterion_9_fix_m_certificates(ex2_sweep, ex4_sweep, capsys):
     ex2 = CirclePullback(Sin(omega=TWO_PI), 1)
     m_est2 = estimate_residual_bound(ex2, zero(), 3, 8, ex2_sweep[0])
-    m2 = fix_m(ex2, 3, 8, m_est2, TWO_PI)
+    m2 = fix_m(3, 8, m_est2, TWO_PI)
     root2 = math.sqrt(TWO_PI * m2)
     ok2 = (1.0 / root2 <= 1.0 / 3.0) and (8.0 + m_est2 < root2 * TWO_PI)
 
@@ -199,7 +199,7 @@ def test_criterion_9_fix_m_certificates(ex2_sweep, ex4_sweep, capsys):
     m_est4 = estimate_residual_bound(ex4, zero(UNIT_INTERVAL), 3, 8,
                                      ex4_sweep)
     deriv4 = 1.0  # second derivative of t + e^t at t0 = 0
-    m4 = fix_m(ex4, 3, 8, m_est4, deriv4)
+    m4 = fix_m(3, 8, m_est4, deriv4)
     ok4 = m4 > max(3.0**2, (8.0 + m_est4)**2 / deriv4**2) / TWO_PI
 
     ok = ok2 and ok4

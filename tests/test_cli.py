@@ -152,6 +152,28 @@ class TestDemo:
         assert err == ("error: x + z at m = 16 leaves the map's domain "
                        "(margin 0.000e+00)\n")
 
+    def test_coarse_m_outside_domain_is_no_certificate(self, capsys):
+        # at k = 1, z' has amplitude (2 pi m)^(1/2), 20.05 at m = 64, so
+        # n + z' crosses zero for n = 20 there. The residual bound reads
+        # m = 64 though the user's list lacks it: no certificate, not a
+        # configuration error
+        argv = ["demo", "ex2", "--n", "20", "--k", "1", "--m-list"]
+        code = main(argv + ["16,32"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_UNEXPECTED
+        assert err == ""
+        assert "certified m" not in out
+        assert out.endswith(
+            "\nno certificate: the residual bound reads m = 16, 64 and 256, "
+            "and x + z at m = 64 leaves the map's domain (margin 0.000e+00)\n")
+        # at an m of the sweep's own list it still is one, before any output
+        code = main(argv + ["16,64"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == ("error: x + z at m = 64 leaves the map's domain "
+                       "(margin 0.000e+00)\n")
+
     @pytest.mark.parametrize("flags, message", [
         (["--x", "sinusoid:0.5"], "expected at least 2, got 1"),
         (["--x", "sinusoid:0.01,1,2,3"], "sinusoid takes amp,freq[,phase]"),

@@ -626,22 +626,42 @@ class TestDoubleRange:
                              PNormSpec(), 3, 8, [16, 32])
 
 
+# each map's |phi_lead(t0)| at x = 0: |phi'(0)| = 2 pi for ex2's sin 2 pi t,
+# |phi''(0)| = 1 for ex4's t + e^t
+LEADS = pytest.mark.parametrize("lead", [TWO_PI, 1.0],
+                                ids=["pullback_sin", "composition_exp"])
+
+
+def certified_m_by_ratio(k, l, m_estimate, deriv_mag):
+    """The smallest power of two m <= MAX_M with 2 pi m above k^2 and
+    ((l + M) / |phi_lead|)^2: the certificate in its squared form, the
+    reference that `fix_m`'s root form must agree with."""
+    bound = max(k**2, ((l + m_estimate) / deriv_mag)**2) / TWO_PI
+    m = 1
+    while m <= driver.MAX_M:
+        if m > bound:
+            return m
+        m *= 2
+    raise PrecisionBudgetError("no m up to MAX_M")
+
+
 class TestFixM:
     def test_pullback_inequalities(self):
-        m = fix_m(pullback_sin(), 3, 8, 0.0, TWO_PI)
+        m = fix_m(3, 8, 0.0, TWO_PI)
         assert m == 2
 
     def test_composition_bound(self):
-        m = fix_m(composition_exp(), 3, 8, 0.0, 1.0)
+        m = fix_m(3, 8, 0.0, 1.0)
         assert m == 16
 
-    @pytest.mark.parametrize("make", [pullback_sin, composition_exp])
+    @LEADS
     @pytest.mark.parametrize("deriv_mag", [0.0, math.nan])
-    def test_rejects_bad_deriv_mag(self, make, deriv_mag):
+    def test_rejects_bad_deriv_mag(self, lead, deriv_mag):
+        assert fix_m(3, 8, 1.0, lead) == certified_m_by_ratio(3, 8, 1.0, lead)
         with pytest.raises(ValueError, match="positive and finite"):
-            fix_m(make(), 3, 8, 1.0, deriv_mag)
+            fix_m(3, 8, 1.0, deriv_mag)
 
-    @pytest.mark.parametrize("make", [pullback_sin, composition_exp])
+    @LEADS
     @pytest.mark.parametrize("k, l, m_estimate, match", [
         (3, 8, math.nan, "nonnegative and finite"),
         (3, 8, math.inf, "nonnegative and finite"),
@@ -653,28 +673,52 @@ class TestFixM:
         (3, 0, 0.0, "l must be a positive"),
         (3, -5, 0.0, "l must be a positive"),
     ])
-    def test_rejects_bad_input(self, make, k, l, m_estimate, match):
+    def test_rejects_bad_input(self, lead, k, l, m_estimate, match):
         with pytest.raises(ValueError, match=match):
-            fix_m(make(), k, l, m_estimate, TWO_PI)
+            fix_m(k, l, m_estimate, lead)
 
     def test_composition_huge_estimate(self):
-        # (l + M)^2 alone is beyond double range; the squared ratio is not
-        assert fix_m(composition_exp(), 3, 8, 1e257, math.exp(600.0)) == 2
+        # l + M near 1e257 is far past where (l + M)^2 leaves double
+        # range; the inequality never squares it
+        assert fix_m(3, 8, 1e257, math.exp(600.0)) == 2
 
     def test_budget_guard(self):
         with pytest.raises(PrecisionBudgetError):
-            fix_m(pullback_sin(), 3, 8, 1e9, TWO_PI)
+            fix_m(3, 8, 1e9, TWO_PI)
 
     def test_certificate_holds(self):
         mp = pullback_sin()
         sweep = growth_sweep(mp, zero(), PNormSpec(), PNormSpec(), 3, 8,
                              RESIDUAL_M_COARSE)
         big_m = estimate_residual_bound(mp, zero(), 3, 8, sweep)
-        m = fix_m(mp, 3, 8, big_m, TWO_PI)
+        m = fix_m(3, 8, big_m, TWO_PI)
         root = math.sqrt(TWO_PI * m)
         assert 1.0 / root <= 1.0 / 3.0
         assert 8 + big_m < root * TWO_PI
 
+    def test_one_inequality_in_either_form(self):
+        # the root form fix_m tests and the squared ratio are one
+        # inequality; they could part only where (l + M) / |phi_lead|
+        # lies within an ulp of (2 pi m)^(1/2), which no draw here reaches
+        rng = np.random.default_rng(20070202)
+        n = 10_000
+        ks = rng.choice(np.arange(1, 16, 2), n)
+        ls = rng.choice([1, 2, 3, 8, 64, 10**6], n)
+        estimates = 10.0 ** rng.uniform(-3.0, 4.0, n)
+        mags = 10.0 ** rng.uniform(-6.0, 3.0, n)
+        budget = 0
+        for k, l, m_est, mag in zip(ks.tolist(), ls.tolist(),
+                                    estimates.tolist(), mags.tolist()):
+            try:
+                want = certified_m_by_ratio(k, l, m_est, mag)
+            except PrecisionBudgetError:
+                with pytest.raises(PrecisionBudgetError):
+                    fix_m(k, l, m_est, mag)
+                budget += 1
+                continue
+            assert fix_m(k, l, m_est, mag) == want, (k, l, m_est, mag)
+        # both outcomes are drawn
+        assert 0 < budget < n
 
 class TestEstimateResidualBound:
     def test_positive_and_stable(self):

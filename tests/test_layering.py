@@ -26,9 +26,15 @@ point or pair (``fallback_s0``, ``fallback_anchor``).
 A probe is `functions.probe(m, k, s0)` and its direction
 `functions.constant(1/l)`: no module bundles the four numbers
 (``ProbeParams``) or builds the pair from them (``build_probe``).
+
+The certificate is the driver's: the probe's k-th derivative carries
+(2 pi m)^(1/2) whatever the map, so `driver.fix_m` states the one
+inequality that certifies m for both maps, takes no map, and no map class
+defines it (``certifies``).
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -42,6 +48,7 @@ GRID_WORK = {"chunks", "GRID", "GridSpec", "seminorm_profile",
 RETIRED_ANCHOR_HOOKS = {"t0_candidates", "s0_bracket", "fallback_anchor",
                         "interior_s0", "fallback_s0"}
 RETIRED_PROBE_NAMES = {"ProbeParams", "build_probe"}
+RETIRED_CERTIFICATE_HOOK = "certifies"
 
 
 def names(tree):
@@ -138,3 +145,12 @@ def test_no_probe_bundle():
         if used:
             found[path.name] = sorted(used)
     assert found == {}
+
+
+def test_the_driver_owns_the_certificate():
+    path = Path(tameprobe.__file__).parent / "maps.py"
+    members = {name for _, name in class_members(ast.parse(path.read_text()))}
+    assert "argument" in members
+    assert RETIRED_CERTIFICATE_HOOK not in members
+    params = list(inspect.signature(tameprobe.driver.fix_m).parameters)
+    assert params == ["k", "l", "m_estimate", "deriv_mag"]
