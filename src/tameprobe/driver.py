@@ -175,13 +175,10 @@ def residual_tz(v: SmoothFunction, lead: Node, top: int, s0: float,
     above; ``rho2.of_profile`` is the same either way. With no cut the
     pass runs to max(truncation, top) and the whole profile is the grid's.
     """
-    s = GRID.points(v)
     order = max(rho2.truncation, top)
     fact = np.array([math.factorial(i) for i in range(order + 1)])
-    j = int(np.searchsorted(s, s0).clip(1, s.size - 1))
-    if s0 - s[j - 1] <= s[j] - s0:
-        j -= 1
-    anchor = Evaluation(np.array([s0, s[j]])).coeffs(v.node, order)
+    anchor = Evaluation(np.array([s0, GRID.nearest(v, s0)])).coeffs(v.node,
+                                                                   order)
     top_deriv = abs(float(fact[top] * anchor[top, 0]))
     lower = np.maximum.accumulate(np.abs(anchor[:rho2.truncation + 1, 1])
                                   * fact[:rho2.truncation + 1])
@@ -190,11 +187,16 @@ def residual_tz(v: SmoothFunction, lead: Node, top: int, s0: float,
     n = max(n_profile - 1, top)
     sup = np.zeros(n + 1)
     tz_sup = 0.0
-    for ev in chunks(s, v.node, lead):
+    for ev in chunks(v, v.node, lead):
         coeffs = ev.coeffs(v.node, n)
-        np.maximum(sup, np.abs(coeffs).max(axis=1) * fact[:n + 1], out=sup)
-        tz = fact[top] * coeffs[top] / eps0 - ev.coeffs(lead, 0)[0]
-        tz_sup = np.maximum(tz_sup, np.abs(tz).max())
+        np.maximum(sup, ev.abs_max(coeffs) * fact[:n + 1], out=sup)
+        # fact[top] * v^(top) / eps0 - lead, one operation at a time
+        tz = np.multiply(fact[top], coeffs[top],
+                         out=ev.empty(ev.points.shape))
+        tz /= eps0
+        tz -= ev.coeffs(lead, 0)[0]
+        tz_sup = np.maximum(tz_sup, np.abs(tz, out=tz).max())
+        del coeffs, tz   # the next chunk writes into their buffers
     profile = np.concatenate([sup[:n_profile], lower[n_profile:]])
     return top_deriv, float(tz_sup), np.maximum.accumulate(profile)
 

@@ -11,25 +11,35 @@ consisting of a single sinusoid node get an exact closed form.
 `value_range` encloses a function's values: exactly for a constant or one
 sinusoid, and otherwise from one grid pass to order 1.
 
-A grid pass evaluates its trees one chunk of points at a time, and
-`chunks` is the only loop over the chunks of a grid: it gives each chunk
-one `Evaluation`. Before the loop, `find_shared` compares the pass's
-trees by value and names the operator nodes and sinusoids that occur more
-than once. A node evaluates its operands through the context, which
-evaluates each repeated node once per chunk, to the highest order asked,
-and serves lower orders as row slices. The context also keeps the sin
-and cos pair of each frequency and phase it reads until
-`Evaluation.drop_pairs`: a sinusoid's derivatives keep its phase and step
-its ``shift``, so z, z' and z^(k) of one tree read one sin and one cos.
-Kept arrays are read-only, and so are a `Constant`'s coefficients, a
-broadcast view of one column; no code writes into coefficients it did not
-allocate. Nothing outlives a pass; the functions that `seminorm_profiles`
-is given share one pass per grid.
+A grid is a recipe, not an array: `GridSpec.points` writes any run of a
+grid's points, and no pass holds a grid. A grid pass evaluates its trees
+one chunk of points at a time, and `chunks` is the only loop over the
+chunks of a grid: it builds each chunk's points and gives the chunk one
+`Evaluation`. Before the loop, `find_shared` compares the pass's trees by
+value and names the operator nodes and sinusoids that occur more than
+once. A node evaluates its operands through the context, which evaluates
+each repeated node once per chunk, to the highest order asked, and serves
+lower orders as row slices. The context also keeps the sin and cos pair
+of each frequency and phase it reads until `Evaluation.drop_pairs`: a
+sinusoid's derivatives keep its phase and step its ``shift``, so z, z' and
+z^(k) of one tree read one sin and one cos.
+
+Lifetimes. The pass owns its buffers: every array a node, a kernel or the
+pass itself writes, the chunk's points too, comes from
+`Evaluation.empty`, which hands out a buffer of the pass that no live
+array holds (by its reference count), else allocates one that the pass
+keeps. So the chunks of a pass reuse one set of arrays, and nothing
+written can alias an array still alive. Kept arrays are read-only, and so
+are a `Constant`'s coefficients, a broadcast view of one column; no code
+writes into coefficients it did not ask `empty` for. No `Evaluation`
+outlives its chunk and no buffer its pass; the functions that
+`seminorm_profiles` is given share one pass per grid.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,8 +57,9 @@ _CHUNK = 1 << 14
 MIN_GRID_POINTS = 4096
 # grid points per frequency unit of a function's highest frequency
 GRID_FACTOR = 64
-# 2^24 points is 128 MiB per row of float64; the ex2 sweep at the CLI's cap
-# m = 16384 over x = zero evaluates v on 2^21 + 65 points
+# no pass holds a grid, so the cap bounds one pass's work, 2^24 / _CHUNK =
+# 1024 chunks, not its memory; the ex2 sweep at the CLI's cap m = 16384
+# over x = zero evaluates v on 2^21 + 65 points
 MAX_GRID_POINTS = 2**24
 
 
@@ -68,7 +79,8 @@ class Node:
         """Taylor coefficients, shape (order+1, number of points).
 
         ``s`` is the `Evaluation` of a chunk, through which the node
-        evaluates its operands. The result may be read-only.
+        evaluates its operands and from which it takes the array it
+        writes (`Evaluation.empty`). The result may be read-only.
         """
         raise NotImplementedError
 
@@ -124,8 +136,10 @@ class Affine(Node):
 
     def coeffs(self, s, order):
         pts = s.points
-        out = np.zeros((order + 1, pts.size))
-        out[0] = self.a * pts + self.b
+        out = s.empty((order + 1, pts.size))
+        np.multiply(self.a, pts, out=out[0])
+        out[0] += self.b
+        out[1:] = 0.0
         if order >= 1:
             out[1] = self.a
         return out
@@ -165,7 +179,8 @@ class SinusoidProbe(Node):
 
     def coeffs(self, s, order):
         return trig_rows(s.sin_cos(self), self.amplitude,
-                         TWO_PI * self.frequency, order, self.shift)
+                         TWO_PI * self.frequency, order, self.shift,
+                         out=s.empty((order + 1, s.points.size)))
 
     def diff(self):
         # d/ds sin(th) = 2*pi*f*cos(th), one step along the trig cycle
@@ -193,7 +208,7 @@ class Sum(Node):
     def coeffs(self, s, order):
         out = s.coeffs(self.children[0], order)
         for ch in self.children[1:]:
-            out = out + s.coeffs(ch, order)
+            out = np.add(out, s.coeffs(ch, order), out=s.empty(out.shape))
         return out
 
     def operands(self):
@@ -225,7 +240,8 @@ class Product(Node):
     def coeffs(self, s, order):
         out = s.coeffs(self.children[0], order)
         for ch in self.children[1:]:
-            out = convolve_trunc(out, s.coeffs(ch, order))
+            out = convolve_trunc(out, s.coeffs(ch, order),
+                                 out=s.empty(out.shape))
         return out
 
     def operands(self):
@@ -255,7 +271,8 @@ class Scale(Node):
     child: Node
 
     def coeffs(self, s, order):
-        return self.c * s.coeffs(self.child, order)
+        child = s.coeffs(self.child, order)
+        return np.multiply(self.c, child, out=s.empty(child.shape))
 
     def operands(self):
         return (self.child,)
@@ -282,7 +299,7 @@ class PrimitiveCompose(Node):
         # the ODE supplies every row of g past the first len(ode)
         outer = self.primitive.taylor_coeffs(inner[0],
                                              min(len(ode) - 1, order))
-        return compose_series(outer, inner, ode)
+        return compose_series(outer, inner, ode, s.empty)
 
     def operands(self):
         return (self.child,)
@@ -345,6 +362,33 @@ def find_shared(*roots: Node) -> dict:
             for nd in visited if repeated and nd in repeated}
 
 
+def _references_when_free() -> int:
+    """What `sys.getrefcount` reads in `_buffer`'s loop for an array that
+    only the list holds: 3 on CPython 3.11, for the list, the loop and the
+    call."""
+    for buf in [np.empty(0)]:
+        return sys.getrefcount(buf)
+
+
+_FREE = _references_when_free()
+
+
+def _buffer(buffers: dict, shape: tuple) -> np.ndarray:
+    """An uninitialised float array of ``shape``: the first of ``buffers``,
+    a pass's arrays by shape, that nothing else holds, else a new one that
+    the pass keeps."""
+    same_shape = buffers.get(shape)
+    if same_shape is None:
+        same_shape = buffers[shape] = []
+    for buf in same_shape:
+        # a name or a view of it would add one reference
+        if sys.getrefcount(buf) == _FREE:
+            return buf
+    buf = np.empty(shape)
+    same_shape.append(buf)
+    return buf
+
+
 class Evaluation:
     """One chunk of a grid pass: its points, the coefficients of the nodes
     whose ids ``slots`` (from `find_shared`) maps, and the sines and cosines
@@ -352,14 +396,27 @@ class Evaluation:
 
     A node asks ``coeffs`` for its operands. A node ``slots`` names is
     evaluated once, to the highest order asked so far; a lower order is a
-    row slice of the kept, read-only array.
+    row slice of the kept, read-only array. ``buffers`` are the pass's,
+    shared by its chunks (see `empty`); an evaluation of its own points
+    has buffers of its own.
     """
 
-    def __init__(self, points: np.ndarray, slots: dict | None = None):
+    def __init__(self, points: np.ndarray, slots: dict | None = None,
+                 buffers: dict | None = None):
         self.points = points
         self._slots = {} if slots is None else slots
+        self._buffers = {} if buffers is None else buffers
         self._kept = {}   # slot -> coefficients
         self._trig = {}   # (frequency, phase) -> (sin, cos)
+
+    def empty(self, shape) -> np.ndarray:
+        """An array of ``shape`` to write, from the pass's buffers: no
+        array alive shares its memory."""
+        return _buffer(self._buffers, shape)
+
+    def abs_max(self, c: np.ndarray):
+        """The max of |c| along its last axis; |c| goes to a buffer."""
+        return np.abs(c, out=self.empty(c.shape)).max(axis=-1)
 
     def coeffs(self, node: Node, order: int) -> np.ndarray:
         slot = self._slots.get(id(node))
@@ -367,7 +424,8 @@ class Evaluation:
             return node.coeffs(self, order)
         kept = self._kept.get(slot)
         if kept is None or kept.shape[0] <= order:
-            kept = self._kept[slot] = node.coeffs(self, order)
+            # a read-only view: the buffer stays writable for its next use
+            kept = self._kept[slot] = node.coeffs(self, order).view()
             kept.flags.writeable = False
         return kept[:order + 1]
 
@@ -377,7 +435,9 @@ class Evaluation:
         key = (node.frequency, node.phase)
         pair = self._trig.get(key)
         if pair is None:
-            theta = TWO_PI * node.frequency * (self.points - node.phase)
+            theta = np.subtract(self.points, node.phase,
+                                out=self.empty(self.points.shape))
+            theta *= TWO_PI * node.frequency
             pair = self._trig[key] = trig_pair(theta)
         return pair
 
@@ -386,12 +446,15 @@ class Evaluation:
         self._trig.clear()
 
 
-def chunks(points: np.ndarray, *roots: Node):
-    """The `Evaluation` of each slice of at most _CHUNK of ``points``, in
-    order, keeping what repeats in the trees ``roots``."""
-    slots = find_shared(*roots)
-    for lo in range(0, points.size, _CHUNK):
-        yield Evaluation(points[lo:lo + _CHUNK], slots)
+def chunks(f: "SmoothFunction", *roots: Node):
+    """The `Evaluation` of each run of at most _CHUNK points of f's grid, in
+    order, keeping what repeats in the trees ``roots``. Each chunk's points
+    are built when it starts, into a buffer of the pass."""
+    slots, buffers, size = find_shared(*roots), {}, GRID.size(f)
+    for lo in range(0, size, _CHUNK):
+        hi = min(lo + _CHUNK, size)
+        points = GRID.points(f, lo, hi, out=_buffer(buffers, (hi - lo,)))
+        yield Evaluation(points, slots, buffers)
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +595,31 @@ class GridSpec:
                 f"{MAX_GRID_POINTS}")
         return size
 
-    def points(self, f: SmoothFunction) -> np.ndarray:
+    def points(self, f: SmoothFunction, lo: int, hi: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Points lo .. hi - 1 of f's grid, written to ``out`` if given:
+        bit for bit those of ``arange(size) / size`` (periodic) or
+        ``linspace(0, 1, size)`` (unit interval)."""
         size = self.size(f)
+        s = np.arange(lo, hi, dtype=float)
+        out = s if out is None else out
         if f.domain == PERIODIC:
-            # dividing in place holds one float copy, not an int one too
-            s = np.arange(size, dtype=float)
-            s /= size
-            return s
-        return np.linspace(0.0, 1.0, size)
+            return np.divide(s, size, out=out)
+        # linspace's rule: j times the step 1 / (size - 1), and 1 exactly
+        np.multiply(s, 1.0 / (size - 1), out=out)
+        if hi == size:
+            out[-1] = 1.0
+        return out
+
+    def nearest(self, f: SmoothFunction, s0: float) -> float:
+        """The point of f's grid nearest s0, the lower one at a tie, read
+        off the five points around s0 * size."""
+        size = self.size(f)
+        lo = min(max(math.floor(s0 * size) - 2, 0), size - 5)
+        s = self.points(f, lo, lo + 5)
+        # the first point at or above s0, or the grid's last
+        j = int(np.searchsorted(s, s0).clip(1, 4))
+        return float(s[j - 1] if s0 - s[j - 1] <= s[j] - s0 else s[j])
 
 
 GRID = GridSpec()
@@ -577,12 +657,12 @@ def value_range(f: SmoothFunction):
     amp = _closed_form_amplitudes(f, 0)
     if amp is not None:
         return -float(amp[0]), float(amp[0])
-    s = GRID.points(f)
     lo, hi, slope = np.inf, -np.inf, 0.0   # running min, max and sup|f'|
-    for ev in chunks(s, f.node):
+    for ev in chunks(f, f.node):
         c = ev.coeffs(f.node, 1)
         lo, hi = np.minimum(lo, c[0].min()), np.maximum(hi, c[0].max())
-        slope = np.maximum(slope, np.abs(c[1]).max())
+        slope = np.maximum(slope, ev.abs_max(c[1]))
+    s = GRID.points(f, 0, 2)
     pad = (s[1] - s[0]) * slope
     return float(lo - pad), float(hi + pad)
 
@@ -611,11 +691,10 @@ def seminorm_profiles(fs, max_order: int) -> list:
             profiles[i] = np.zeros(max_order + 1)
     fact = np.array([math.factorial(l) for l in range(max_order + 1)])
     for members in groups.values():
-        s = GRID.points(fs[members[0]])   # one grid alive at a time
-        for ev in chunks(s, *(fs[i].node for i in members)):
+        for ev in chunks(fs[members[0]], *(fs[i].node for i in members)):
             for i in members:
                 # no coefficients stay bound while the next tree runs
-                sup = np.abs(ev.coeffs(fs[i].node, max_order)).max(axis=1)
+                sup = ev.abs_max(ev.coeffs(fs[i].node, max_order))
                 np.maximum(profiles[i], sup * fact, out=profiles[i])
                 ev.drop_pairs()
     return [np.maximum.accumulate(p) for p in profiles]
@@ -642,7 +721,11 @@ def probe(m: int, k: int, s0: float, domain: str = PERIODIC) -> SmoothFunction:
 
 
 def constant(c: float, domain: str = PERIODIC) -> SmoothFunction:
-    return SmoothFunction(Constant(float(c)), domain)
+    """The constant function c, for a finite c."""
+    c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"constant must be finite, got {c!r}")
+    return SmoothFunction(Constant(c), domain)
 
 
 def zero(domain: str = PERIODIC) -> SmoothFunction:

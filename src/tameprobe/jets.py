@@ -16,11 +16,13 @@ every `Exp`, g^(r-1)(w(s)) follows a recurrence of its own whose rows past
 the first are those of g^(r-2)(w(s)), which cuts the cost to
 O((r-1) n^2).
 
-Both kernels only read their arguments and return new arrays: a grid
-pass hands the same read-only coefficients of a repeated subexpression to
-every node that uses it (see `functions.Evaluation`). Within the new
-array each row is written in place; the ODE's level contracts its first
-term straight into its row and scales it there.
+Both kernels only read their arguments and write arrays their caller
+gives them, or new ones: a grid pass hands the same read-only coefficients
+of a repeated subexpression to every node that uses it, and the arrays to
+write from its own buffers (see `functions.Evaluation`), which never share
+memory with an argument. Within the result each row is written in place;
+the ODE's level contracts its first term straight into its row and scales
+it there.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ def _degree(c: np.ndarray) -> int:
     return next((j for j in range(c.shape[0] - 1, 0, -1) if c[j].any()), 0)
 
 
-def convolve_trunc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated Cauchy product along axis 0.
+def convolve_trunc(a: np.ndarray, b: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Truncated Cauchy product along axis 0, written to ``out`` if given.
 
     ``out[i] = sum_j a[j] * b[i - j]``, each row as a single contraction
     in ascending j so results are bit-for-bit reproducible across runs.
@@ -53,16 +56,19 @@ def convolve_trunc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     d = _degree(b)
     if d == 0:
-        return a * b[0]
-    out = np.empty_like(a)
+        return np.multiply(a, b[0], out=out)
+    if out is None:
+        out = np.empty_like(a)
     for i in range(a.shape[0]):
         lo = max(i - d, 0)
         np.einsum("j...,j...->...", a[lo:i + 1], b[i - lo::-1], out=out[i])
     return out
 
 
-def compose_series(outer: np.ndarray, inner: np.ndarray, ode) -> np.ndarray:
-    """Taylor coefficients of g(w(s)) from the ODE that g satisfies.
+def compose_series(outer: np.ndarray, inner: np.ndarray, ode,
+                   empty=np.empty) -> np.ndarray:
+    """Taylor coefficients of g(w(s)) from the ODE that g satisfies; every
+    array it writes, the result first, comes from ``empty(shape)``.
 
     ``ode`` holds ``(a_0, .., a_{r-1})`` with ``g^(r) = sum_i a_i g^(i)``;
     ``outer`` holds the Taylor coefficients g^(i)(w_0) / i! for i < r (rows
@@ -93,12 +99,14 @@ def compose_series(outer: np.ndarray, inner: np.ndarray, ode) -> np.ndarray:
     # dw), so that the scratch, freed on return, is what the next call
     # allocates again; scratch allocated first measured 25 times the page
     # faults on the ex4 check-tame claim
-    g = [np.empty(inner.shape)] + [np.empty((n - i,) + inner.shape[1:])
-                                   for i in range(1, levels)]
+    rest = inner.shape[1:]
+    g = [empty(inner.shape)] + [empty((n - i,) + rest)
+                                for i in range(1, levels)]
     # row j - 1 of dw is j * w_j, the coefficient of w' at order j - 1;
     # float factors, since an int array makes numpy cast on every multiply
-    dw = inner[1:d + 1] * np.arange(1.0, d + 1).reshape(
-        (d,) + (1,) * (inner.ndim - 1))
+    dw = np.multiply(inner[1:d + 1],
+                     np.arange(1.0, d + 1).reshape((d,) + (1,) * len(rest)),
+                     out=empty((d,) + rest))
     if own:
         # G_{r-2} runs G_{r-1}'s recurrence from G_{r-1}'s row 0; the row 0
         # set below replaces that one

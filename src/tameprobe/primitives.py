@@ -8,7 +8,8 @@ factors appear in the raw derivatives.
 
 A sinusoid evaluates its sine and cosine once, as one pair (`trig_pair`),
 for all orders, and `trig_rows`, which builds every sinusoid's rows from
-that pair, writes each row in place.
+that pair, writes each row in place, into an array of its caller's if
+given one.
 
 Each primitive g also declares the linear ODE with constant coefficients
 that it satisfies, ``g^(r) = sum_{i<r} ode[i] * g^(i)``. Composition
@@ -45,17 +46,19 @@ def trig_pair(theta):
     return trig_cycle(theta, 0), trig_cycle(theta, 1)
 
 
-def trig_rows(pair, amplitude, w, order, shift):
+def trig_rows(pair, amplitude, w, order, shift, out=None):
     """Taylor coefficients in s of amplitude * trig_cycle(theta, shift),
     for a phase theta that grows at rate w, from ``pair`` = (sin(theta),
-    cos(theta)); shift 0 is sin, 1 is cos.
+    cos(theta)); shift 0 is sin, 1 is cos. They are written to ``out``, of
+    shape (order + 1,) + theta's, if given.
 
     Row i is trig_cycle(theta, i + shift) scaled by amplitude * w^i / i!;
     its sign flip goes on the scalar factor, which rounds the same as on
     the array. Each row is written in place and divided there; 0! and 1!
     divide exactly, so rows 0 and 1 skip the division.
     """
-    out = np.empty((order + 1,) + pair[shift % 2].shape)
+    if out is None:
+        out = np.empty((order + 1,) + pair[shift % 2].shape)
     for i in range(order + 1):
         j = shift + i
         sign = -1.0 if j % 4 >= 2 else 1.0

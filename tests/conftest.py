@@ -6,6 +6,7 @@ import numpy as np
 from tameprobe import primitives
 from tameprobe.driver import locate_anchor
 from tameprobe.functions import (
+    GRID,
     PERIODIC,
     UNIT_INTERVAL,
     Constant,
@@ -57,6 +58,12 @@ def random_small_function(rng, domain=PERIODIC, n_terms=2, scale=0.3,
     if with_const:
         nodes.append(Constant(float(rng.uniform(-scale, scale))))
     return SmoothFunction(Sum(*nodes), domain)
+
+
+def whole_grid(f):
+    """Every point of f's grid in one array, as an oracle builds it; no
+    pass of the package holds one."""
+    return GRID.points(f, 0, GRID.size(f))
 
 
 def probe_deriv_closed_form(m, k, s0, i, s):

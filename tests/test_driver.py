@@ -5,11 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     count_trig,
     probe_deriv_closed_form,
     random_small_function,
+    whole_grid,
 )
 from tameprobe import driver, functions, primitives, tameness
 from tameprobe.cli import DEFAULT_M_LIST, parse_x
@@ -35,13 +38,17 @@ from tameprobe.functions import (
     Evaluation,
     GridSpec,
     PrimitiveCompose,
+    Product,
+    Scale,
     SinusoidProbe,
     SmoothFunction,
     Sum,
+    add,
     constant,
     find_shared,
     probe,
     seminorm_profile,
+    seminorm_profiles,
     zero,
 )
 from tameprobe.maps import CirclePullback, PostComposition
@@ -197,7 +204,7 @@ def two_pass_residual(mp, x, m, s0, v, order, k=3, l=8):
     from phi's argument and the probe's closed form."""
     top, eps0 = mp.top_order(k), 1.0 / l
     lead = mp.leading_primitive()
-    s = GridSpec().points(v)
+    s = whole_grid(v)
     fact = math.factorial(top)
     z = probe(m, k, s0)
     tz, scaled_top = np.empty_like(s), np.empty_like(s)
@@ -404,7 +411,7 @@ class TestSharedEvaluation:
 
         monkeypatch.setattr(primitives, "trig_cycle", counted)
         map_residual(mp, zero(), s0, z, v, PNormSpec(2))
-        n = GridSpec().points(v).size
+        n = GridSpec().size(v)
         chunks = Counter(min(_CHUNK, n - lo) for lo in range(0, n, _CHUNK))
         assert 2 not in chunks
         # the two-point anchor evaluates v alone
@@ -458,7 +465,7 @@ class TestAnchorEvaluation:
         make_map, make_x = ANCHOR_CASES[case]
         mp, x = make_map(), make_x()
         s0, z, v = anchored_difference(mp, x, m)
-        on_grid = s0 in GridSpec().points(v)
+        on_grid = s0 in whole_grid(v)
         assert on_grid == (case == "ex2-zero")
         top = mp.top_order(3)
         want = math.factorial(top) * v.node.coeffs(
@@ -490,6 +497,93 @@ class TestAnchorEvaluation:
         for root in roots:
             assert type(root) is Sum
             assert sum(node is root for node in small) == 1
+
+
+class TestNoWholeGrid:
+    """A pass builds its points one chunk at a time, into buffers it owns
+    and reuses; no pass holds a whole grid."""
+
+    def test_sweep_builds_a_chunk_at_a_time(self, monkeypatch):
+        # ex2 at the CLI's cap m = 16384: v's grid has 2^21 + 65 points
+        sizes = []
+        points = GridSpec.points
+
+        def recording(grid, f, lo, hi, out=None):
+            s = points(grid, f, lo, hi, out)
+            sizes.append(s.size)
+            return s
+
+        monkeypatch.setattr(GridSpec, "points", recording)
+        growth_sweep(pullback_sin(), zero(), PNormSpec(2), PNormSpec(2), 3,
+                     8, [16384])
+        n = 2**21 + 65
+        # rho1(u)'s one-chunk pass, the five points around s0, then one
+        # pass over v's grid
+        assert sizes == [4097, 5] + [min(_CHUNK, n - lo)
+                                     for lo in range(0, n, _CHUNK)]
+        assert max(sizes) == _CHUNK
+
+    @staticmethod
+    def functions(seed, m, k):
+        """x, y from `random_small_function`, the probe z and its s0, and
+        three trees that share one grid (a sinusoid of frequency m + 4 in
+        each sets it) and a composition that repeats within and across
+        them, then y and z on grids of their own."""
+        rng = np.random.default_rng(seed)
+        x, y = random_small_function(rng), random_small_function(rng)
+        s0 = float(rng.uniform())
+        z = probe(m, k, s0)
+        rep = PrimitiveCompose(Sin(omega=TWO_PI), add(x.node, z.node))
+        top = SinusoidProbe(1e-3, m + 4.0, 0.1)
+        trees = (Sum(Product(rep, y.node), Scale(-2.0, rep), top),
+                 Sum(rep, x.node, top),
+                 Sum(Product(x.node, y.node), rep, top))
+        fs = [SmoothFunction(t, PERIODIC) for t in trees] + [y, z]
+        return x, z, s0, fs
+
+    def passes(self, seed, m, k, order):
+        """A many-function seminorm pass and a residual pass."""
+        x, z, s0, fs = self.functions(seed, m, k)
+        mp = pullback_sin()
+        v = difference(mp, x, z, constant(0.125))
+        return (seminorm_profiles(fs, order),
+                residual_tz(v, mp.leading_term(x, z, k), mp.top_order(k),
+                            s0, 0.125, PNormSpec(order)))
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(512, 600),
+           k=st.sampled_from([1, 3]), order=st.integers(0, 12))
+    def test_reuse_never_aliases_a_live_array(self, seed, m, k, order):
+        # every array handed out is first filled with NaN: an array that
+        # aliased a live one, or a read of what a kernel did not write,
+        # shows in the result
+        reused = []
+        real = functions._buffer
+
+        def poisoned(buffers, shape):
+            held = {id(b) for same in buffers.values() for b in same}
+            out = real(buffers, shape)
+            reused.append(id(out) in held)
+            out.fill(np.nan)
+            return out
+
+        def fresh(buffers, shape):
+            return np.full(shape, np.nan)
+
+        with pytest.MonkeyPatch.context() as mpatch:
+            mpatch.setattr(functions, "_buffer", poisoned)
+            profiles, (top, tz_sup, profile) = self.passes(seed, m, k, order)
+            mpatch.setattr(functions, "_buffer", fresh)
+            want_profiles, want = self.passes(seed, m, k, order)
+        # three trees on one grid of three chunks or more, and buffers
+        # reused
+        sizes = {GridSpec().size(f) for f in self.functions(seed, m, k)[3]}
+        assert len(sizes) == 3 and max(sizes) > 2 * _CHUNK
+        assert sum(reused) > 3 * len(reused) / 4
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(profiles, want_profiles, strict=True))
+        assert (top, tz_sup) == want[:2]
+        assert np.array_equal(profile, want[2])
 
 
 class TestGrowthSweep:

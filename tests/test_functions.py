@@ -10,6 +10,7 @@ from conftest import (
     fd_derivative,
     probe_deriv_closed_form,
     random_small_function,
+    whole_grid,
 )
 from tameprobe import functions
 from tameprobe.functions import (
@@ -38,6 +39,7 @@ from tameprobe.functions import (
     seminorm_profiles,
     value_range,
 )
+from tameprobe.driver import ANCHOR_FALLBACK, ANCHOR_POINTS
 from tameprobe.jets import MAX_ORDER
 from tameprobe.maps import PostComposition
 from tameprobe.primitives import Exp, Sin
@@ -101,6 +103,14 @@ class TestConstantCoeffs:
             assert not got.flags.writeable
             # no (order + 1) x N array is filled
             assert got.base.size == order + 1
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_constant_is_finite(self, c):
+        # the raw node still takes any float; `constant` is where a
+        # caller's number enters
+        with pytest.raises(ValueError, match="constant must be finite"):
+            constant(c)
+        assert Constant(c).c is c
 
 
 class TestPeriodicStructure:
@@ -232,17 +242,19 @@ class TestValueRange:
         vals = f.evaluate(np.arange(2**20) / 2**20)
         assert lo <= vals.min() and vals.max() <= hi
         # each end is padded by h * sup|f'|, and by no more
-        h = GridSpec().points(f)[1]
+        h = GridSpec().points(f, 0, 2)[1]
         assert hi - lo <= vals.max() - vals.min() \
             + 2.0 * h * seminorm_profile(f, 1)[1] * 1.01
 
     def test_one_grid_pass(self, monkeypatch):
+        # one walk over f's grid, a chunk's points at a time, and then the
+        # grid's first two points for its step
         built = []
         points = GridSpec.points
 
-        def counted(grid, f):
-            built.append(f)
-            return points(grid, f)
+        def counted(grid, f, lo, hi, out=None):
+            built.append((f, lo, hi))
+            return points(grid, f, lo, hi, out)
 
         def refuse(*args):
             raise AssertionError("value_range took a seminorm")
@@ -252,7 +264,16 @@ class TestValueRange:
         monkeypatch.setattr(functions, "seminorm_profiles", refuse)
         f = SmoothFunction(GRID_PATH_TREES["product"], PERIODIC)
         value_range(f)
-        assert built == [f]
+        assert built == [(f, 0, 4097), (f, 0, 2)]
+        # a grid of three chunks
+        built.clear()
+        f = SmoothFunction(Product(SinusoidProbe(0.3, 1.0, 0.1),
+                                   SinusoidProbe(1e-3, 600.0)), PERIODIC)
+        value_range(f)
+        size = GridSpec().size(f)
+        assert 2 * _CHUNK < size <= 3 * _CHUNK
+        assert built == [(f, lo, min(lo + _CHUNK, size))
+                         for lo in range(0, size, _CHUNK)] + [(f, 0, 2)]
 
 
 class TestProbeClosedForm:
@@ -306,26 +327,26 @@ class TestGridSpec:
     def test_scales_with_frequency(self):
         g = GridSpec()
         z = probe(256, 3, 0.0)
-        assert g.points(z).size >= 64 * 256
+        assert g.size(z) >= 64 * 256
 
     def test_minimum(self):
         g = GridSpec()
         f = SmoothFunction(Constant(1.0), PERIODIC)
-        assert g.points(f).size >= 4096
+        assert g.size(f) >= 4096
 
     def test_cap_is_inclusive(self, monkeypatch):
         # the minimal grids have 4097 (periodic) and 4098 points
         monkeypatch.setattr(functions, "MAX_GRID_POINTS", 4097)
-        assert GridSpec().points(sin_2pi()).size == 4097
+        assert GridSpec().size(sin_2pi()) == 4097
         with pytest.raises(PrecisionBudgetError,
                            match="a grid of 4098 points exceeds the cap of "
                                  "4097"):
-            GridSpec().points(sin_2pi(UNIT_INTERVAL))
+            GridSpec().size(sin_2pi(UNIT_INTERVAL))
 
     def test_cap(self):
         # 64 * 2^18 + 1 points; raised before anything is allocated
         with pytest.raises(PrecisionBudgetError, match="1.678e\\+07 points"):
-            GridSpec().points(probe(2**18, 3, 0.0))
+            GridSpec().size(probe(2**18, 3, 0.0))
         assert MAX_GRID_POINTS == 2**24
 
     def test_unbounded_frequency(self):
@@ -334,7 +355,67 @@ class TestGridSpec:
         f = SmoothFunction(Product(big, big), UNIT_INTERVAL)
         assert f.node.max_frequency() == math.inf
         with pytest.raises(PrecisionBudgetError, match="a grid of inf points"):
-            GridSpec().points(f)
+            GridSpec().size(f)
+
+
+def old_grid(f):
+    """f's whole grid as it was built before a grid became a recipe."""
+    size = GridSpec().size(f)
+    if f.domain == PERIODIC:
+        s = np.arange(size, dtype=float)
+        s /= size
+        return s
+    return np.linspace(0.0, 1.0, size)
+
+
+def old_nearest(s, s0):
+    """The point of the grid ``s`` nearest s0, by the rule the residual pass
+    applied to a whole grid."""
+    j = int(np.searchsorted(s, s0).clip(1, s.size - 1))
+    if s0 - s[j - 1] <= s[j] - s0:
+        j -= 1
+    return s[j]
+
+
+# frequencies of sinusoids whose grids span one, two and three chunks
+CHUNK_COUNTS = {1: 200.0, 2: 300.0, 3: 600.0}
+
+
+class TestGridRecipe:
+    """No pass holds a grid: a pass builds one chunk's points at a time,
+    and the nearest point to s0 is read off a few points."""
+
+    @pytest.mark.parametrize("domain", [PERIODIC, UNIT_INTERVAL])
+    @pytest.mark.parametrize("count", sorted(CHUNK_COUNTS))
+    def test_chunks_tile_the_old_grid(self, domain, count):
+        f = SmoothFunction(SinusoidProbe(0.1, CHUNK_COUNTS[count]), domain)
+        # the pass reuses its buffers, so each chunk's points are copied
+        parts = [ev.points.copy() for ev in functions.chunks(f, f.node)]
+        assert len(parts) == count
+        assert max(p.size for p in parts) <= _CHUNK
+        old = old_grid(f)
+        assert np.concatenate(parts).tobytes() == old.tobytes()
+        # any run of points, into a caller's array
+        out = np.empty(7)
+        for lo in (0, 1, old.size // 2, old.size - 7):
+            assert GridSpec().points(f, lo, lo + 7, out=out) is out
+            assert out.tobytes() == old[lo:lo + 7].tobytes()
+
+    @pytest.mark.parametrize("domain", [PERIODIC, UNIT_INTERVAL])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_nearest_is_the_old_rule(self, domain, count):
+        f = SmoothFunction(SinusoidProbe(0.1, CHUNK_COUNTS[count]), domain)
+        s = old_grid(f)
+        # every 7th anchor-grid point, and each end
+        anchors = np.linspace(0.0, 1.0, ANCHOR_POINTS + 1)[::7]
+        mids = (s[:-1:97] + s[1::97]) / 2.0
+        ties = [m for m, j in zip(mids, range(0, s.size - 1, 97))
+                if m - s[j] == s[j + 1] - m]
+        assert len(ties) > 10
+        s0s = [0.0, ANCHOR_FALLBACK, 1.0, -0.25, 1.25, s[-1], *anchors,
+               *mids, *np.nextafter(mids, 0.0), *np.nextafter(mids, 1.0)]
+        for s0 in s0s:
+            assert GridSpec().nearest(f, s0) == old_nearest(s, s0), s0
 
 
 # a composition that occurs twice in one tree, next to a sinusoid of its own
@@ -367,7 +448,7 @@ class TestEvaluation:
             return compose_coeffs(node, s, order)
 
         f = SmoothFunction(WITH_REPEAT, PERIODIC)
-        s = GridSpec().points(f)
+        s = whole_grid(f)
         assert 2 * _CHUNK < s.size <= 3 * _CHUNK
         want = np.maximum.accumulate(
             np.abs(WITH_REPEAT.coeffs(Evaluation(s), 6)).max(axis=1)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import GRID_PATH_TREES, random_small_function
+from conftest import GRID_PATH_TREES, random_small_function, whole_grid
 from tameprobe.cli import EXIT_CONFIG, main, parse_x
 from tameprobe.driver import ANCHOR_FALLBACK, find_s0
 from tameprobe.functions import (
@@ -114,7 +114,7 @@ class TestInDomain:
         x = SmoothFunction(SinusoidProbe(amp, freq, 0.1), PERIODIC)
         margin, ok = pullback_sin(n).in_domain(x)
         infimum = abs(n) - TWO_PI * abs(amp * freq)
-        h = GRID.points(x)[1]
+        h = GRID.points(x, 0, 2)[1]
         p2 = seminorm_profile(x, 2)[2]
         assert ok
         assert infimum - 2.0 * h * p2 <= margin <= infimum
@@ -129,7 +129,7 @@ class TestInDomain:
     def test_sinusoid_margin_needs_no_grid(self, monkeypatch, n, node, c,
                                            amp, freq):
         # |n| - sup|x'| is the infimum of |n + x'| when x' is one sinusoid
-        def no_grid(grid, f):
+        def no_grid(*args, **kwargs):
             raise AssertionError("grid built for a closed-form margin")
 
         monkeypatch.setattr(GridSpec, "points", no_grid)
@@ -164,7 +164,7 @@ class TestInDomain:
     def test_tangent_between_grid_points_excluded(self):
         # 1 + x' = 1 + cos(2 pi s) touches zero at s = 1/2, off the grid
         x = SmoothFunction(SinusoidProbe(1.0 / TWO_PI, 1.0, 0.0), PERIODIC)
-        assert 0.5 not in GRID.points(x)
+        assert 0.5 not in whole_grid(x)
         margin, ok = pullback_sin().in_domain(x)
         assert not ok and margin < 1e-9
 
@@ -184,7 +184,7 @@ class TestInDomain:
     @pytest.mark.parametrize("x", ["zero", "const:5000"])
     def test_constant_derivative_needs_no_grid(self, monkeypatch, n, x):
         # x' = 0, so the infimum of |n + x'| is |n|, with no grid
-        def no_grid(grid, f):
+        def no_grid(*args, **kwargs):
             raise AssertionError("grid built for a constant x'")
 
         monkeypatch.setattr(GridSpec, "points", no_grid)
@@ -198,7 +198,7 @@ class TestInDomain:
         # h * sup|x''|, as `in_domain` computed it before `value_range`
         x = SmoothFunction(GRID_PATH_TREES[name], PERIODIC)
         dx = x.derivative()
-        s = GRID.points(x)
+        s = whole_grid(x)
         signed = n + dx.evaluate(s)
         nearest = max(signed.min(), -signed.max())
         want = 0.0 if nearest <= 0.0 else max(
@@ -508,8 +508,8 @@ class TestFoldedTrees:
         raw = Sum(unfolded_gateaux(map_spec, Sum(x.node, z.node), u.node),
                   Scale(-1.0, unfolded_gateaux(map_spec, x.node, u.node)))
         assert v.node.max_frequency() == raw.max_frequency()
-        s = GRID.points(v)
-        assert s.size == GRID.points(SmoothFunction(raw, domain)).size
+        s = whole_grid(v)
+        assert s.size == GRID.size(SmoothFunction(raw, domain))
         # every 16th point of the first chunk: the arithmetic is per point
         s = s[:_CHUNK:16]
         for order in range(13):

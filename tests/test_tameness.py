@@ -163,13 +163,15 @@ class TestCheckTameEstimate:
 
     def test_nonfinite_rhs_raises(self):
         # z = 0 passes rho1(z) <= 1, and u's seminorms are infinite, so
-        # rho1(u) sums inf / (1 + inf) = nan
+        # rho1(u) sums inf / (1 + inf) = nan; `constant` refuses inf, so u
+        # is a raw node
         z = SmoothFunction(SinusoidProbe(0.0, 1.0), PERIODIC)
+        u = SmoothFunction(Constant(math.inf), PERIODIC)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(PrecisionBudgetError, match="rho1.u. = nan"):
                 check_tame_estimate(self.pullback(), zero(), PNormSpec(),
-                                    PNormSpec(), [(z, constant(math.inf))])
+                                    PNormSpec(), [(z, u)])
 
     def test_large_z_skipped(self):
         big = SmoothFunction(SinusoidProbe(10.0, 1.0, 0.0), PERIODIC)
@@ -365,8 +367,9 @@ class TestSharedBaseHalf:
 
     def test_one_base_half_alive_at_a_time(self, monkeypatch):
         # three u's, interleaved, on a grid of three chunks: no context
-        # outlives its chunk, and no u's pass outlives the call, so at
-        # most one -df(x, u) is held at any time
+        # outlives its chunk, and no u's pass, with the buffers that hold
+        # its base half, outlives the call, so at most one -df(x, u) is
+        # held at any time
         map_spec, x = ex4_map()
         zs = [probe(600, k, 0.5, UNIT_INTERVAL) for k in (3, 5)]
         us = [constant(c, UNIT_INTERVAL) for c in (0.125, 0.3, 0.0)]
@@ -374,15 +377,20 @@ class TestSharedBaseHalf:
         probes = probes[::2] + probes[1::2]
         # u = 0 folds df(x, u) to zero, so two u's keep a base half
         minus_bases = {(-map_spec.gateaux(x, u)).node for u in us[:2]}
-        alive, peak, chunks = [], [], []
+        contexts, buffers, peak, chunks = [], [], [], []
         context_coeffs = Evaluation.coeffs
+
+        def live(refs):
+            return {id(ref()) for ref in refs} - {id(None)}
 
         def tracking(ev, node, order):
             out = context_coeffs(ev, node, order)
             if node in minus_bases:
-                alive.append(weakref.ref(out.base))
+                contexts.append(weakref.ref(ev))
+                buffers.append((node, weakref.ref(out.base)))
                 chunks.append(ev.points.size)
-            peak.append(len({id(ref()) for ref in alive} - {id(None)}))
+            held = {nd for nd, ref in buffers if ref() is not None}
+            peak.append((len(live(contexts)), len(held)))
             return out
 
         monkeypatch.setattr(Evaluation, "coeffs", tracking)
@@ -392,7 +400,10 @@ class TestSharedBaseHalf:
         # each u's two trees read their base half in each of three chunks
         assert chunks == [n for n in (_CHUNK, _CHUNK, 38402 - 2 * _CHUNK)
                           for _ in range(2)] * 2
-        assert max(peak) == 1
+        # one context and one u's buffers at a time, and none after
+        assert [max(col) for col in zip(*peak)] == [1, 1]
+        assert live(contexts) == set()
+        assert live(ref for _, ref in buffers) == set()
 
     def test_x_evaluated_once_per_grid(self, monkeypatch):
         # the seed-0 family has one u and puts every v on one 4098-point
