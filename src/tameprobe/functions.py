@@ -453,7 +453,8 @@ def chunks(f: "SmoothFunction", *roots: Node):
     slots, buffers, size = find_shared(*roots), {}, GRID.size(f)
     for lo in range(0, size, _CHUNK):
         hi = min(lo + _CHUNK, size)
-        points = GRID.points(f, lo, hi, out=_buffer(buffers, (hi - lo,)))
+        points = GRID.points(f.domain, size, lo, hi,
+                             out=_buffer(buffers, (hi - lo,)))
         yield Evaluation(points, slots, buffers)
 
 
@@ -595,15 +596,15 @@ class GridSpec:
                 f"{MAX_GRID_POINTS}")
         return size
 
-    def points(self, f: SmoothFunction, lo: int, hi: int,
+    def points(self, domain: str, size: int, lo: int, hi: int,
                out: np.ndarray | None = None) -> np.ndarray:
-        """Points lo .. hi - 1 of f's grid, written to ``out`` if given:
-        bit for bit those of ``arange(size) / size`` (periodic) or
-        ``linspace(0, 1, size)`` (unit interval)."""
-        size = self.size(f)
+        """Points lo .. hi - 1 of the grid of ``size`` points (see `size`) on
+        ``domain``, written to ``out`` if given: bit for bit those of
+        ``arange(size) / size`` (periodic) or ``linspace(0, 1, size)``
+        (unit interval)."""
         s = np.arange(lo, hi, dtype=float)
         out = s if out is None else out
-        if f.domain == PERIODIC:
+        if domain == PERIODIC:
             return np.divide(s, size, out=out)
         # linspace's rule: j times the step 1 / (size - 1), and 1 exactly
         np.multiply(s, 1.0 / (size - 1), out=out)
@@ -616,7 +617,7 @@ class GridSpec:
         off the five points around s0 * size."""
         size = self.size(f)
         lo = min(max(math.floor(s0 * size) - 2, 0), size - 5)
-        s = self.points(f, lo, lo + 5)
+        s = self.points(f.domain, size, lo, lo + 5)
         # the first point at or above s0, or the grid's last
         j = int(np.searchsorted(s, s0).clip(1, 4))
         return float(s[j - 1] if s0 - s[j - 1] <= s[j] - s0 else s[j])
@@ -658,12 +659,13 @@ def value_range(f: SmoothFunction):
     if amp is not None:
         return -float(amp[0]), float(amp[0])
     lo, hi, slope = np.inf, -np.inf, 0.0   # running min, max and sup|f'|
-    for ev in chunks(f, f.node):
+    for i, ev in enumerate(chunks(f, f.node)):
+        if i == 0:
+            h = ev.points[1] - ev.points[0]   # the grid's step
         c = ev.coeffs(f.node, 1)
         lo, hi = np.minimum(lo, c[0].min()), np.maximum(hi, c[0].max())
         slope = np.maximum(slope, ev.abs_max(c[1]))
-    s = GRID.points(f, 0, 2)
-    pad = (s[1] - s[0]) * slope
+    pad = h * slope
     return float(lo - pad), float(hi + pad)
 
 

@@ -17,9 +17,9 @@ the first are those of g^(r-2)(w(s)), which cuts the cost to
 O((r-1) n^2).
 
 Both kernels only read their arguments and write arrays their caller
-gives them, or new ones: a grid pass hands the same read-only coefficients
-of a repeated subexpression to every node that uses it, and the arrays to
-write from its own buffers (see `functions.Evaluation`), which never share
+gives them: a grid pass hands the same read-only coefficients of a
+repeated subexpression to every node that uses it, and the arrays to write
+from its own buffers (see `functions.Evaluation`), which never share
 memory with an argument. Within the result each row is written in place;
 the ODE's level contracts its first term straight into its row and scales
 it there.
@@ -44,8 +44,9 @@ def _degree(c: np.ndarray) -> int:
 
 
 def convolve_trunc(a: np.ndarray, b: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Truncated Cauchy product along axis 0, written to ``out`` if given.
+                   out: np.ndarray) -> np.ndarray:
+    """Truncated Cauchy product along axis 0, written to ``out``, an array
+    of a's shape that shares no memory with a or b.
 
     ``out[i] = sum_j a[j] * b[i - j]``, each row as a single contraction
     in ascending j so results are bit-for-bit reproducible across runs.
@@ -57,8 +58,6 @@ def convolve_trunc(a: np.ndarray, b: np.ndarray,
     d = _degree(b)
     if d == 0:
         return np.multiply(a, b[0], out=out)
-    if out is None:
-        out = np.empty_like(a)
     for i in range(a.shape[0]):
         lo = max(i - d, 0)
         np.einsum("j...,j...->...", a[lo:i + 1], b[i - lo::-1], out=out[i])
@@ -66,7 +65,7 @@ def convolve_trunc(a: np.ndarray, b: np.ndarray,
 
 
 def compose_series(outer: np.ndarray, inner: np.ndarray, ode,
-                   empty=np.empty) -> np.ndarray:
+                   empty) -> np.ndarray:
     """Taylor coefficients of g(w(s)) from the ODE that g satisfies; every
     array it writes, the result first, comes from ``empty(shape)``.
 

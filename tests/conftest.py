@@ -63,7 +63,8 @@ def random_small_function(rng, domain=PERIODIC, n_terms=2, scale=0.3,
 def whole_grid(f):
     """Every point of f's grid in one array, as an oracle builds it; no
     pass of the package holds one."""
-    return GRID.points(f, 0, GRID.size(f))
+    size = GRID.size(f)
+    return GRID.points(f.domain, size, 0, size)
 
 
 def probe_deriv_closed_form(m, k, s0, i, s):

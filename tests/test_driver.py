@@ -508,8 +508,8 @@ class TestNoWholeGrid:
         sizes = []
         points = GridSpec.points
 
-        def recording(grid, f, lo, hi, out=None):
-            s = points(grid, f, lo, hi, out)
+        def recording(grid, domain, size, lo, hi, out=None):
+            s = points(grid, domain, size, lo, hi, out)
             sizes.append(s.size)
             return s
 

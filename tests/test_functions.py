@@ -242,38 +242,46 @@ class TestValueRange:
         vals = f.evaluate(np.arange(2**20) / 2**20)
         assert lo <= vals.min() and vals.max() <= hi
         # each end is padded by h * sup|f'|, and by no more
-        h = GridSpec().points(f, 0, 2)[1]
+        h = GridSpec().points(f.domain, GridSpec().size(f), 0, 2)[1]
         assert hi - lo <= vals.max() - vals.min() \
             + 2.0 * h * seminorm_profile(f, 1)[1] * 1.01
 
     def test_one_grid_pass(self, monkeypatch):
-        # one walk over f's grid, a chunk's points at a time, and then the
-        # grid's first two points for its step
-        built = []
-        points = GridSpec.points
+        # one walk over f's grid, a chunk's points at a time; the step is
+        # read off the first chunk, and f's tree is walked once for the size
+        built, walks = [], []
+        points, size_of = GridSpec.points, GridSpec.size
 
-        def counted(grid, f, lo, hi, out=None):
-            built.append((f, lo, hi))
-            return points(grid, f, lo, hi, out)
+        def counted(grid, domain, size, lo, hi, out=None):
+            built.append((domain, size, lo, hi))
+            return points(grid, domain, size, lo, hi, out)
+
+        def walked(grid, f):
+            walks.append(f)
+            return size_of(grid, f)
 
         def refuse(*args):
             raise AssertionError("value_range took a seminorm")
 
         monkeypatch.setattr(GridSpec, "points", counted)
+        monkeypatch.setattr(GridSpec, "size", walked)
         monkeypatch.setattr(functions, "seminorm_profile", refuse)
         monkeypatch.setattr(functions, "seminorm_profiles", refuse)
         f = SmoothFunction(GRID_PATH_TREES["product"], PERIODIC)
         value_range(f)
-        assert built == [(f, 0, 4097), (f, 0, 2)]
+        assert built == [(PERIODIC, 4097, 0, 4097)]
+        assert walks == [f]
         # a grid of three chunks
         built.clear()
+        walks.clear()
         f = SmoothFunction(Product(SinusoidProbe(0.3, 1.0, 0.1),
                                    SinusoidProbe(1e-3, 600.0)), PERIODIC)
         value_range(f)
-        size = GridSpec().size(f)
+        assert walks == [f]
+        size = size_of(GridSpec(), f)
         assert 2 * _CHUNK < size <= 3 * _CHUNK
-        assert built == [(f, lo, min(lo + _CHUNK, size))
-                         for lo in range(0, size, _CHUNK)] + [(f, 0, 2)]
+        assert built == [(PERIODIC, size, lo, min(lo + _CHUNK, size))
+                         for lo in range(0, size, _CHUNK)]
 
 
 class TestProbeClosedForm:
@@ -398,7 +406,8 @@ class TestGridRecipe:
         # any run of points, into a caller's array
         out = np.empty(7)
         for lo in (0, 1, old.size // 2, old.size - 7):
-            assert GridSpec().points(f, lo, lo + 7, out=out) is out
+            assert GridSpec().points(domain, old.size, lo, lo + 7,
+                                     out=out) is out
             assert out.tobytes() == old[lo:lo + 7].tobytes()
 
     @pytest.mark.parametrize("domain", [PERIODIC, UNIT_INTERVAL])

@@ -42,7 +42,8 @@ def tree_jet(node, s, order):
 def mul(a, b):
     """Truncated product of two one-point series via convolve_trunc."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return convolve_trunc(a[:, None], b[:, None])[:, 0]
+    a, b = a[:, None], b[:, None]
+    return convolve_trunc(a, b, np.empty_like(a))[:, 0]
 
 
 def deriv(c, i):
@@ -64,7 +65,7 @@ def horner_compose(outer, inner):
     out = np.zeros_like(outer)
     out[0] = outer[n - 1]
     for i in range(n - 2, -1, -1):
-        out = convolve_trunc(out, w)
+        out = convolve_trunc(out, w, np.empty_like(out))
         out[0] += outer[i]
     return out
 
@@ -140,7 +141,7 @@ class TestCompose:
 
     def test_exp_of_zero_jet(self):
         out = compose_series(Exp().taylor_coeffs(np.array([0.0]), 0),
-                             np.zeros((4, 1)), Exp().ode)
+                             np.zeros((4, 1)), Exp().ode, np.empty)
         np.testing.assert_allclose(out[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_inner_is_only_read(self):
@@ -149,7 +150,7 @@ class TestCompose:
         want = inner.copy()
         inner.flags.writeable = False
         out = compose_series(Sin().taylor_coeffs(inner[0], 1), inner,
-                             Sin().ode)
+                             Sin().ode, np.empty)
         assert np.array_equal(inner, want)
         assert out.shape == inner.shape
 
@@ -207,7 +208,7 @@ class TestOdeRecurrence:
         expected = horner_compose(prim.taylor_coeffs(inner[0], order), inner)
         r = len(prim.ode)
         got = compose_series(prim.taylor_coeffs(inner[0], min(r - 1, order)),
-                             inner.copy(), prim.ode)
+                             inner.copy(), prim.ode, np.empty)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("cls", sorted(_subclasses(ScalarPrimitive),
@@ -239,7 +240,8 @@ class TestOdeRecurrence:
         for order in range(MAX_ORDER + 1):
             inner = ode_inner(order, linear)
             outer = prim.taylor_coeffs(inner[0], min(r - 1, order))
-            assert np.array_equal(compose_series(outer, inner, prim.ode),
+            assert np.array_equal(compose_series(outer, inner, prim.ode,
+                                                 np.empty),
                                   chain_compose(outer, inner, prim.ode)), \
                 order
 
@@ -306,7 +308,7 @@ class TestExpOwnRecurrence:
         for order in range(13):
             inner = ode_inner(order, linear)
             outer = prim.taylor_coeffs(inner[0], min(r - 1, order))
-            got = compose_series(outer, inner, prim.ode)
+            got = compose_series(outer, inner, prim.ode, np.empty)
             want = chain_compose(outer, inner, prim.ode)
             assert np.array_equal(got, want), order
 
@@ -334,7 +336,7 @@ class TestExpOwnRecurrence:
         chain_compose(outer, inner, prim.ode)
         chained = len(calls)
         calls.clear()
-        compose_series(outer, inner, prim.ode)
+        compose_series(outer, inner, prim.ode, np.empty)
         assert (chained, len(calls)) == (counts or (chained, chained))
 
 
@@ -474,12 +476,14 @@ class TestConvolveDegree:
         for d in range(n):
             b = rng.standard_normal((n, points))
             b[d + 1:] = 0.0
-            assert np.array_equal(convolve_trunc(a, b), full_convolve(a, b))
+            assert np.array_equal(convolve_trunc(a, b, np.empty_like(a)),
+                                  full_convolve(a, b))
         if n >= 3:
             # a zero row below the top one does not lower the degree
             b = rng.standard_normal((n, points))
             b[n // 2] = 0.0
-            assert np.array_equal(convolve_trunc(a, b), full_convolve(a, b))
+            assert np.array_equal(convolve_trunc(a, b, np.empty_like(a)),
+                                  full_convolve(a, b))
 
     def test_constant_factor_contracts_one_row(self, monkeypatch):
         # a constant factor is one multiply, with no contraction at all
@@ -495,7 +499,8 @@ class TestConvolveDegree:
         a = rng.standard_normal((13, 5))
         b = np.zeros((13, 5))
         b[0] = 2.0
-        assert np.array_equal(convolve_trunc(a, b), 2.0 * a)
+        assert np.array_equal(convolve_trunc(a, b, np.empty_like(a)),
+                              2.0 * a)
         assert rows == []
 
     @pytest.mark.parametrize("order", [0, 1, 12])
@@ -507,8 +512,8 @@ class TestConvolveDegree:
         a = rng.standard_normal((order + 1, s.size))
         b = Constant(-0.3).coeffs(Evaluation(s), order)
         assert b.strides[-1] == 0
-        assert (convolve_trunc(a, b).tobytes()
-                == convolve_trunc(a, np.array(b)).tobytes())
+        assert (convolve_trunc(a, b, np.empty_like(a)).tobytes()
+                == convolve_trunc(a, np.array(b), np.empty_like(a)).tobytes())
 
     @pytest.mark.parametrize("degree", range(4))
     def test_broadcast_column_keeps_its_degree(self, degree):
@@ -523,8 +528,9 @@ class TestConvolveDegree:
             cols[-1][1] = 0.0
         for c in cols:
             b = np.broadcast_to(c, (4, 9))
-            assert (convolve_trunc(a, b).tobytes()
-                    == convolve_trunc(a, np.array(b)).tobytes())
+            assert (convolve_trunc(a, b, np.empty_like(a)).tobytes()
+                    == convolve_trunc(a, np.array(b),
+                                      np.empty_like(a)).tobytes())
 
 
 class TestDerivFromJet:

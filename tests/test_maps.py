@@ -114,7 +114,7 @@ class TestInDomain:
         x = SmoothFunction(SinusoidProbe(amp, freq, 0.1), PERIODIC)
         margin, ok = pullback_sin(n).in_domain(x)
         infimum = abs(n) - TWO_PI * abs(amp * freq)
-        h = GRID.points(x, 0, 2)[1]
+        h = GRID.points(x.domain, GRID.size(x), 0, 2)[1]
         p2 = seminorm_profile(x, 2)[2]
         assert ok
         assert infimum - 2.0 * h * p2 <= margin <= infimum
