@@ -27,7 +27,6 @@ from .driver import (
     locate_anchor,
 )
 from .functions import (
-    Constant,
     SinusoidProbe,
     SmoothFunction,
     constant,
@@ -99,7 +98,7 @@ def parse_x(descriptor: str, domain: str) -> SmoothFunction:
             return zero(domain)
         if name == "const":
             c, = _finite(args)
-            return SmoothFunction(Constant(c), domain)
+            return constant(c, domain)
         if name == "sinusoid":
             amp, freq, *phase = _finite(args)
             if len(phase) > 1:

@@ -46,7 +46,13 @@ from typing import Optional
 import numpy as np
 
 from .jets import MAX_ORDER, compose_series, convolve_trunc
-from .primitives import TWO_PI, ScalarPrimitive, trig_pair, trig_rows
+from .primitives import (
+    TWO_PI,
+    PrecisionBudgetError,
+    ScalarPrimitive,
+    trig_pair,
+    trig_rows,
+)
 
 PERIODIC = "periodic"
 UNIT_INTERVAL = "unit_interval"
@@ -61,12 +67,6 @@ GRID_FACTOR = 64
 # 1024 chunks, not its memory; the ex2 sweep at the CLI's cap m = 16384
 # over x = zero evaluates v on 2^21 + 65 points
 MAX_GRID_POINTS = 2**24
-
-
-class PrecisionBudgetError(RuntimeError):
-    """A computation would leave the double-precision or grid budget: a
-    value beyond double range, a grid above MAX_GRID_POINTS points, or a
-    certified m above the driver's cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -259,33 +259,14 @@ class Product(Node):
         return sum(ch.max_frequency() for ch in self.children)
 
     def affine_slope(self):
+        if len(self.children) == 2 and isinstance(self.children[1], Constant):
+            # c * node, as `mul(node, Constant(c))` builds it
+            a = self.children[0].affine_slope()
+            return None if a is None else self.children[1].c * a
         slopes = [ch.affine_slope() for ch in self.children]
         if all(a == 0.0 for a in slopes):
             return 0.0
         return None
-
-
-@dataclass(frozen=True)
-class Scale(Node):
-    c: float
-    child: Node
-
-    def coeffs(self, s, order):
-        child = s.coeffs(self.child, order)
-        return np.multiply(self.c, child, out=s.empty(child.shape))
-
-    def operands(self):
-        return (self.child,)
-
-    def diff(self):
-        return scale(self.c, self.child.diff())
-
-    def max_frequency(self):
-        return self.child.max_frequency()
-
-    def affine_slope(self):
-        a = self.child.affine_slope()
-        return None if a is None else self.c * a
 
 
 @dataclass(frozen=True)
@@ -462,9 +443,10 @@ def chunks(f: "SmoothFunction", *roots: Node):
 # folding constructors
 #
 # Every tree the package builds goes through these. Each gives the node of
-# the same value as Sum / Product / Scale with the identically zero and
-# unit terms left out, so no grid pass evaluates them; the remaining
-# children keep their order, so the arithmetic on them is unchanged. The
+# the same value as Sum / Product with the identically zero and unit terms
+# left out, so no grid pass evaluates them; the remaining children keep
+# their order, so the arithmetic on them is unchanged. c * node is
+# `mul(node, Constant(c))`: a constant last factor is one multiply. The
 # raw classes stay available for trees that must keep such terms.
 
 def _is_constant(node: Node, c: float) -> bool:
@@ -488,13 +470,6 @@ def mul(*nodes: Node) -> Node:
     if not kept:
         return Constant(1.0)
     return kept[0] if len(kept) == 1 else Product(*kept)
-
-
-def scale(c: float, node: Node) -> Node:
-    """``c * node``, folded as ``mul`` folds a constant factor c."""
-    if c == 0.0 or _is_constant(node, 0.0):
-        return Constant(0.0)
-    return node if c == 1.0 else Scale(c, node)
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +510,13 @@ class SmoothFunction:
         other = self._combine(other)
         if other is NotImplemented:
             return other
-        return SmoothFunction(add(self.node, scale(-1.0, other.node)),
+        return SmoothFunction(add(self.node, mul(other.node, Constant(-1.0))),
                               self.domain)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return SmoothFunction(scale(float(other), self.node), self.domain)
+            return SmoothFunction(mul(self.node, Constant(float(other))),
+                                  self.domain)
         other = self._combine(other)
         if other is NotImplemented:
             return other
@@ -549,7 +525,7 @@ class SmoothFunction:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SmoothFunction(scale(-1.0, self.node), self.domain)
+        return SmoothFunction(mul(self.node, Constant(-1.0)), self.domain)
 
     def derivative(self) -> "SmoothFunction":
         return SmoothFunction(self.node.diff(), self.domain)
@@ -627,12 +603,11 @@ GRID = GridSpec()
 
 
 def _closed_form_amplitudes(f: SmoothFunction, max_order: int):
-    """Exact per-order sup of |f^(l)| when f is a single sinusoid node."""
-    node = f.node
-    scale = 1.0
-    if isinstance(node, Scale):
-        scale = abs(node.c)
-        node = node.child
+    """Exact per-order sup of |f^(l)| when f is a sinusoid or c times one."""
+    node, factor = f.node, 1.0
+    if isinstance(node, Product) and len(node.children) == 2 \
+            and isinstance(node.children[1], Constant):
+        node, factor = node.children[0], abs(node.children[1].c)
     if not isinstance(node, SinusoidProbe):
         return None
     freq = abs(node.frequency)
@@ -640,7 +615,7 @@ def _closed_form_amplitudes(f: SmoothFunction, max_order: int):
         # partial period; the sup of the trig factor may be below 1
         return None
     w = TWO_PI * freq
-    amp = scale * abs(node.amplitude)
+    amp = factor * abs(node.amplitude)
     return np.array([amp * w**l for l in range(max_order + 1)])
 
 

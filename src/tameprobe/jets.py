@@ -94,10 +94,6 @@ def compose_series(outer: np.ndarray, inner: np.ndarray, ode,
     # g^(r) = g^(r-1): G_{r-1} runs on its own recurrence (see above)
     own = 2 <= r <= n and ode[-1] == 1.0 and not any(ode[:-1])
     levels = r - 1 if own else min(r, n)
-    # G_0, the result, is allocated before the scratch (G_i for i > 0 and
-    # dw), so that the scratch, freed on return, is what the next call
-    # allocates again; scratch allocated first measured 25 times the page
-    # faults on the ex4 check-tame claim
     rest = inner.shape[1:]
     g = [empty(inner.shape)] + [empty((n - i,) + rest)
                                 for i in range(1, levels)]

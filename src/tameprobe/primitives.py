@@ -20,7 +20,9 @@ There are four families, each a frozen dataclass closed under
 differentiation: `Sin`, `Cos`, `Polynomial` and `Exp` (e^t plus a
 polynomial). ``derivative()`` returns g' as one of the four in closed form,
 so a derivative of any order costs what g itself costs, and primitives with
-equal parameters compare and hash equal.
+equal parameters compare and hash equal. A non-finite parameter is a
+ValueError; a derivative's polynomial coefficient past double range is a
+PrecisionBudgetError.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+
+class PrecisionBudgetError(RuntimeError):
+    """A computation would leave the double-precision or grid budget: a
+    value beyond double range, a grid above MAX_GRID_POINTS points, or a
+    certified m above the driver's cap."""
+
 
 # sin(theta + i*pi/2) cycle used by trigonometric derivatives
 _TRIG_CYCLE = (np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t))
@@ -136,9 +145,22 @@ class Cos(Sin):
     shift = 1
 
 
+def _finite_coeffs(coeffs) -> tuple:
+    """``coeffs`` as a tuple of floats, each finite, else ValueError."""
+    coeffs = tuple(float(c) for c in coeffs)
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError(f"coefficients must be finite, got {coeffs!r}")
+    return coeffs
+
+
 def _derivative_coeffs(coeffs: tuple) -> tuple:
-    """Ascending coefficients of p' for those of p; () for a constant."""
-    return tuple(j * coeffs[j] for j in range(1, len(coeffs)))
+    """Ascending coefficients of p' for those of p; () for a constant. One
+    beyond double range is a PrecisionBudgetError, not a constructor's."""
+    derived = tuple(j * coeffs[j] for j in range(1, len(coeffs)))
+    if not all(map(math.isfinite, derived)):
+        raise PrecisionBudgetError(f"the derivative of the polynomial "
+                                   f"{coeffs!r} leaves double range")
+    return derived
 
 
 def _poly_rows(coeffs: tuple, t):
@@ -156,7 +178,7 @@ class Polynomial(ScalarPrimitive):
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = _finite_coeffs(self.coeffs)
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -189,6 +211,9 @@ class Exp(ScalarPrimitive):
     t + e^t, a globally increasing diffeomorphism of R."""
 
     poly: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "poly", _finite_coeffs(self.poly))
 
     @property
     def ode(self):

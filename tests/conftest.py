@@ -11,11 +11,11 @@ from tameprobe.functions import (
     UNIT_INTERVAL,
     Constant,
     Product,
-    Scale,
     SinusoidProbe,
     SmoothFunction,
     Sum,
     constant,
+    mul,
     probe,
 )
 from tameprobe.jets import MAX_ORDER
@@ -34,7 +34,7 @@ GRID_PATH_TREES = {
     "sum-near-edge": Sum(SinusoidProbe(0.15, 1.0), SinusoidProbe(0.01, 2.0,
                                                                  0.5)),
     "sum-offset": Sum(Constant(-2.5), SinusoidProbe(0.7, 3.0, 0.2),
-                      Scale(-2.0, SinusoidProbe(0.05, 16.0, 0.6))),
+                      mul(SinusoidProbe(0.05, 16.0, 0.6), Constant(-2.0))),
     "sum-steep": Sum(SinusoidProbe(3.0, 1.0), SinusoidProbe(0.01, 5.0, 0.1)),
     "product": Product(SinusoidProbe(0.3, 1.0, 0.1),
                        Sum(Constant(1.5), SinusoidProbe(0.2, 2.0, 0.3))),

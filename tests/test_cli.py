@@ -248,6 +248,30 @@ class TestDemo:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert message in err
 
+    # from finite input, phi'' of the first cubic, phi' of the second and
+    # x' leave double range; no constructor's finiteness rule may turn
+    # them into tracebacks
+    @pytest.mark.parametrize("argv, code, message", [
+        (["ex4", "--phi", "poly:0,1,0,5e307"], EXIT_BUDGET,
+         "the derivative of the polynomial (1.0, 0.0, 1.5e+308) leaves "
+         "double range"),
+        # it exited 64 with "phi must have positive derivative"
+        (["ex4", "--phi", "poly:0,1,0,1e308"], EXIT_BUDGET,
+         "the derivative of the polynomial (0.0, 1.0, 0.0, 1e+308) leaves "
+         "double range"),
+        (["ex2", "--x", "sinusoid:1e305,1000"], EXIT_CONFIG,
+         "base point outside map domain (margin 0.000e+00)"),
+    ], ids=["cubic-second-derivative", "cubic-first-derivative",
+            "x-derivative"])
+    def test_derivative_past_double_range(self, capsys, argv, code,
+                                          message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = main(["demo"] + argv + ["--m-list", "16,32"])
+        err = capsys.readouterr().err
+        assert got == code
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv, size", [
         # a winding of 1e12 exits 65 at the anchor search already
         (["--n", "1000000000"], "6.4e+10"),

@@ -39,13 +39,13 @@ from tameprobe.functions import (
     GridSpec,
     PrimitiveCompose,
     Product,
-    Scale,
     SinusoidProbe,
     SmoothFunction,
     Sum,
     add,
     constant,
     find_shared,
+    mul,
     probe,
     seminorm_profile,
     seminorm_profiles,
@@ -535,7 +535,7 @@ class TestNoWholeGrid:
         z = probe(m, k, s0)
         rep = PrimitiveCompose(Sin(omega=TWO_PI), add(x.node, z.node))
         top = SinusoidProbe(1e-3, m + 4.0, 0.1)
-        trees = (Sum(Product(rep, y.node), Scale(-2.0, rep), top),
+        trees = (Sum(Product(rep, y.node), mul(rep, Constant(-2.0)), top),
                  Sum(rep, x.node, top),
                  Sum(Product(x.node, y.node), rep, top))
         fs = [SmoothFunction(t, PERIODIC) for t in trees] + [y, z]

@@ -25,7 +25,6 @@ from tameprobe.functions import (
     PrecisionBudgetError,
     PrimitiveCompose,
     Product,
-    Scale,
     SinusoidProbe,
     SmoothFunction,
     Sum,
@@ -34,7 +33,6 @@ from tameprobe.functions import (
     find_shared,
     mul,
     probe,
-    scale,
     seminorm_profile,
     seminorm_profiles,
     value_range,
@@ -232,7 +230,8 @@ class TestValueRange:
     def test_sinusoid_exact(self, domain):
         f = SmoothFunction(SinusoidProbe(-0.3, 2.0, 0.1), domain)
         assert value_range(f) == (-0.3, 0.3)
-        f = SmoothFunction(Scale(-2.0, SinusoidProbe(0.3, 2.0, 0.1)), domain)
+        f = SmoothFunction(mul(SinusoidProbe(0.3, 2.0, 0.1), Constant(-2.0)),
+                           domain)
         assert value_range(f) == (-0.6, 0.6)
 
     @pytest.mark.parametrize("name", sorted(GRID_PATH_TREES))
@@ -432,7 +431,7 @@ class TestGridRecipe:
 REPEATED = PrimitiveCompose(Sin(omega=TWO_PI),
                             Sum(IDENTITY, SinusoidProbe(1e-4, 300.0, 0.3)))
 WITH_REPEAT = Sum(Product(REPEATED, SinusoidProbe(0.2, 300.0, 0.3, 2)),
-                  Scale(-3.0, REPEATED))
+                  mul(REPEATED, Constant(-3.0)))
 
 
 def kept_nodes(slots, *roots):
@@ -488,7 +487,7 @@ class TestEvaluation:
         twin = PrimitiveCompose(Sin(omega=TWO_PI),
                                 Sum(IDENTITY, SinusoidProbe(1e-4, 300.0, 0.3)))
         assert twin == REPEATED and twin is not REPEATED
-        tree = Sum(REPEATED, Scale(2.0, twin))
+        tree = Sum(REPEATED, mul(twin, Constant(2.0)))
         slots = find_shared(tree)
         assert slots == {id(REPEATED): 0, id(twin): 0}
         # the operands of a second occurrence are not visited, so the
@@ -532,7 +531,7 @@ class TestEvaluation:
         # a repeated operator node is
         leaf = SinusoidProbe(0.3, 2.0, 0.1)
         tree = Sum(PrimitiveCompose(Sin(omega=TWO_PI), leaf),
-                   Scale(2.0, SinusoidProbe(0.3, 2.0, 0.1)))
+                   mul(SinusoidProbe(0.3, 2.0, 0.1), Constant(2.0)))
         assert set(kept_nodes(find_shared(tree), tree)) == {leaf}
         calls = []
         sinusoid_coeffs = SinusoidProbe.coeffs
@@ -554,7 +553,7 @@ class TestEvaluation:
         z2 = z.diff().diff()
         trees = [Sum(z, Product(z.diff(), SinusoidProbe(1.0, 2.0)),
                      z2.diff()),
-                 Sum(Scale(2.0, z2), z2.diff().diff())]
+                 Sum(mul(z2, Constant(2.0)), z2.diff().diff())]
         fs = [SmoothFunction(t, PERIODIC) for t in trees]
         want = [seminorm_profile(f, 4) for f in fs]
         calls = count_trig(monkeypatch)
@@ -567,7 +566,7 @@ class TestEvaluation:
         # closed forms, two domains, grids of one and of three chunks,
         # repeats inside and across trees, and a function given twice
         fs = [SmoothFunction(WITH_REPEAT, PERIODIC),
-              SmoothFunction(Scale(2.0, REPEATED), PERIODIC),
+              SmoothFunction(mul(REPEATED, Constant(2.0)), PERIODIC),
               probe(16, 3, 0.1),
               SmoothFunction(REPEATED, UNIT_INTERVAL),
               SmoothFunction(Sum(REPEATED, SinusoidProbe(0.1, 3.0)), PERIODIC),
@@ -595,6 +594,44 @@ class TestEvaluation:
     def test_shift_is_a_nonnegative_int(self, shift):
         with pytest.raises(ValueError, match="shift must be a nonnegative"):
             SinusoidProbe(1.0, 2.0, 0.0, shift)
+
+
+class TestConstantMultiple:
+    """c * f, -f and f - g multiply by a Constant as the last factor of a
+    product, which `convolve_trunc` takes as one multiply: their
+    coefficients are np.multiply(c, coeffs), bit for bit."""
+
+    @staticmethod
+    def same_bits(a, b):
+        return np.array_equal(a, b) and \
+            np.array_equal(np.signbit(a), np.signbit(b))
+
+    # no terms: f is a constant, whose rows past the first are zeros
+    @pytest.mark.parametrize("n_terms", [0, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_last_factor_is_the_constant(self, seed, n_terms):
+        rng = np.random.default_rng(seed)
+        f, g = (random_small_function(rng, n_terms=n_terms)
+                for _ in range(2))
+        s = np.linspace(0.0, 1.0, 257)
+        cases = [(c * f, c, f) for c in (-2.5, 0.3, rng.uniform(-3.0, 3.0))]
+        cases += [(f * 0.3, 0.3, f), (-f, -1.0, f),
+                  (SmoothFunction((f - g).node.children[-1], PERIODIC),
+                   -1.0, g)]
+        for got, c, base in cases:
+            assert got.node == Product(base.node, Constant(c))
+            for order in (0, 1, 4, 12):
+                want = np.multiply(c, base.node.coeffs(Evaluation(s), order))
+                assert self.same_bits(got.node.coeffs(Evaluation(s), order),
+                                      want)
+
+    def test_slope_is_c_times_the_factors(self):
+        # sin(2 pi * (-2 s)) is 1-periodic, of frequency 2
+        minus_2s = mul(IDENTITY, Constant(-2.0))
+        assert minus_2s.affine_slope() == -2.0
+        f = SmoothFunction(PrimitiveCompose(Sin(omega=TWO_PI), minus_2s),
+                           PERIODIC)
+        assert f.node.max_frequency() == 2.0
 
 
 class TestFolding:
@@ -631,10 +668,10 @@ class TestFolding:
         assert mul(self.A, Constant(2.0)) == Product(self.A, Constant(2.0))
 
     def test_scale(self):
-        assert scale(-1.0, Constant(0.0)) == Constant(0.0)
-        assert scale(0.0, self.A) == Constant(0.0)
-        assert scale(1.0, self.A) is self.A
-        assert scale(-1.0, self.A) == Scale(-1.0, self.A)
+        assert mul(Constant(0.0), Constant(-1.0)) == Constant(0.0)
+        assert mul(self.A, Constant(0.0)) == Constant(0.0)
+        assert mul(self.A, Constant(1.0)) is self.A
+        assert mul(self.A, Constant(-1.0)) == Product(self.A, Constant(-1.0))
 
     def test_raw_constructors_do_not_fold(self):
         assert Sum(self.A, Constant(0.0)).children == (self.A, Constant(0.0))
@@ -649,6 +686,6 @@ class TestFolding:
         assert isinstance(first, Product) and len(first.children) == 2
         assert second is sin
         assert Sum(self.A, self.C).diff() == self.A.diff()
-        assert Scale(3.0, self.C).diff() == Constant(0.0)
+        assert mul(self.C, Constant(3.0)).diff() == Constant(0.0)
         fn = SmoothFunction(Sum(self.A, self.C), PERIODIC)
         assert (fn - fn.derivative().derivative() * 0.0).node == fn.node

@@ -31,6 +31,10 @@ The certificate is the driver's: the probe's k-th derivative carries
 (2 pi m)^(1/2) whatever the map, so `driver.fix_m` states the one
 inequality that certifies m for both maps, takes no map, and no map class
 defines it (``certifies``).
+
+A constant multiple c * node is a product, `functions.mul(node,
+Constant(c))`: no module defines, names or imports a node or constructor
+of its own for it (``Scale``, ``scale``).
 """
 
 import ast
@@ -49,6 +53,7 @@ RETIRED_ANCHOR_HOOKS = {"t0_candidates", "s0_bracket", "fallback_anchor",
                         "interior_s0", "fallback_s0"}
 RETIRED_PROBE_NAMES = {"ProbeParams", "build_probe"}
 RETIRED_CERTIFICATE_HOOK = "certifies"
+RETIRED_SCALE_NAMES = {"Scale", "scale"}
 
 
 def names(tree):
@@ -60,6 +65,16 @@ def names(tree):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name
+
+
+def defined(tree):
+    """Every class, function and parameter name a module's syntax tree
+    defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
 
 
 def test_only_functions_walks_chunks():
@@ -154,3 +169,14 @@ def test_the_driver_owns_the_certificate():
     assert RETIRED_CERTIFICATE_HOOK not in members
     params = list(inspect.signature(tameprobe.driver.fix_m).parameters)
     assert params == ["k", "l", "m_estimate", "deriv_mag"]
+
+
+def test_a_constant_multiple_is_a_product():
+    sources = sorted(Path(tameprobe.__file__).parent.glob("*.py"))
+    found = {}
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        used = RETIRED_SCALE_NAMES & (set(names(tree)) | set(defined(tree)))
+        if used:
+            found[path.name] = sorted(used)
+    assert found == {}

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import GRID_PATH_TREES, random_small_function, whole_grid
 from tameprobe.cli import EXIT_CONFIG, main, parse_x
+from tameprobe import PrecisionBudgetError
 from tameprobe.driver import ANCHOR_FALLBACK, find_s0
 from tameprobe.functions import (
     _CHUNK,
@@ -18,11 +19,11 @@ from tameprobe.functions import (
     GridSpec,
     PrimitiveCompose,
     Product,
-    Scale,
     SinusoidProbe,
     SmoothFunction,
     Sum,
     constant,
+    mul,
     probe,
     seminorm_profile,
     zero,
@@ -86,6 +87,28 @@ class TestConstruction:
         with pytest.raises(ValueError, match="must be finite"):
             Sin(TWO_PI, amplitude=math.nan)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Polynomial((0.0, math.inf)),
+        lambda: Exp((math.nan, 1.0)),
+        lambda: Exp((0.0, math.nan)),
+    ], ids=["poly-inf", "exp-nan", "exp-nan-slope"])
+    def test_non_finite_coefficients_rejected(self, make):
+        # the first two constructed, and the map took them; the third was
+        # refused as "phi must have positive derivative"
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            PostComposition(make())
+
+    @pytest.mark.parametrize("phi", [Polynomial((0.0, 1.0, 0.0, 1e308)),
+                                     Exp((0.0, 1.0, 1e308))],
+                             ids=["poly", "exp"])
+    def test_derivative_past_double_range(self, phi):
+        # finite coefficients whose derivative's leave double range: a
+        # budget error, not the constructor's ValueError
+        with pytest.raises(PrecisionBudgetError, match="leaves double range"):
+            phi.derivative()
+        with pytest.raises(PrecisionBudgetError, match="leaves double range"):
+            PostComposition(phi)
+
     def test_nonincreasing_phi_rejected(self):
         with pytest.raises(ValueError):
             PostComposition(Sin(omega=TWO_PI))
@@ -121,7 +144,8 @@ class TestInDomain:
 
     @pytest.mark.parametrize("n, node, c, amp, freq", [
         (1, SinusoidProbe(0.01, 1.0, 0.1), 1.0, 0.01, 1.0),
-        (-2, Scale(-3.0, SinusoidProbe(0.015, 3.0, 0.7)), 3.0, 0.015, 3.0),
+        (-2, mul(SinusoidProbe(0.015, 3.0, 0.7), Constant(-3.0)), 3.0, 0.015,
+         3.0),
         # x + z at the base point const:5000
         (1, Sum(Constant(5000.0), SinusoidProbe(1e-3, 16.0, 0.2)), 1.0,
          1e-3, 16.0),
@@ -506,7 +530,8 @@ class TestFoldedTrees:
         u = constant(0.125, domain)
         v = map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)
         raw = Sum(unfolded_gateaux(map_spec, Sum(x.node, z.node), u.node),
-                  Scale(-1.0, unfolded_gateaux(map_spec, x.node, u.node)))
+                  Product(unfolded_gateaux(map_spec, x.node, u.node),
+                          Constant(-1.0)))
         assert v.node.max_frequency() == raw.max_frequency()
         s = whole_grid(v)
         assert s.size == GRID.size(SmoothFunction(raw, domain))

@@ -20,6 +20,7 @@ from tameprobe.functions import (
     Constant,
     Evaluation,
     PrecisionBudgetError,
+    PrimitiveCompose,
     Product,
     SinusoidProbe,
     SmoothFunction,
@@ -297,19 +298,21 @@ class TestSharedBaseHalf:
         assert got == want
 
     def test_base_half_evaluated_once_per_grid(self, monkeypatch):
-        # ex4's base half is Product(PrimitiveCompose(phi', x), u); four
-        # probes share a 4098-point grid, then two share an 8194-point one
+        # ex4's base half is Product(PrimitiveCompose(phi', x), u), and
+        # -df(x, u) is that times Constant(-1.0); four probes share a
+        # 4098-point grid, then two share an 8194-point one
         map_spec, x = ex4_map()
         probes = anchored_probes(map_spec, x, [(2, 3), (2, 5), (3, 3),
                                                (3, 5), (128, 3), (128, 5)])
         want = check_per_probe(map_spec, x, PNormSpec(), PNormSpec(), probes)
         minus_base = (-map_spec.gateaux(x, probes[0][1])).node
+        phi_x = PrimitiveCompose(map_spec.phi.derivative(), x.node)
         base_calls, all_calls, kept = [], [], []
         product_coeffs, context_coeffs = Product.coeffs, Evaluation.coeffs
 
         def counted(node, s, order):
             all_calls.append(order)
-            if node.children[0].child == x.node:
+            if node.children[0] == phi_x:
                 base_calls.append((s.points.size, order))
             return product_coeffs(node, s, order)
 
@@ -329,7 +332,8 @@ class TestSharedBaseHalf:
         assert got == want
         assert got.samples_checked == 6
         assert base_calls == [(4098, 12), (8194, 12)]
-        assert len(all_calls) == 6 + 2
+        # each probe's df(x + z, u), and per grid df(x, u) and -df(x, u)
+        assert len(all_calls) == 6 + 2 + 2
         # one kept array per grid, read by each of its probes' trees
         assert len(kept) == 6 and len({id(a) for a in kept}) == 2
 
@@ -343,6 +347,7 @@ class TestSharedBaseHalf:
         u1, u2 = constant(0.125, UNIT_INTERVAL), constant(0.3, UNIT_INTERVAL)
         probes = [(z, u1), (z, u1), (z, u2), (z, u1)]
         want = check_per_probe(map_spec, x, PNormSpec(), PNormSpec(), probes)
+        phi_x = PrimitiveCompose(map_spec.phi.derivative(), x.node)
         built, evaluated = [], []
         gateaux, product_coeffs = PostComposition.gateaux, Product.coeffs
 
@@ -352,7 +357,7 @@ class TestSharedBaseHalf:
             return gateaux(spec, at, u)
 
         def counted_coeffs(node, s, order):
-            if node.children[0].child == x.node:
+            if node.children[0] == phi_x:
                 evaluated.append(s.points.size)
             return product_coeffs(node, s, order)
 
