@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import astuple, dataclass, field
@@ -34,7 +33,7 @@ from .functions import (
     zero,
 )
 from .maps import CirclePullback, DomainViolation, PostComposition
-from .primitives import TWO_PI, Cos, Exp, Polynomial, Sin
+from .primitives import TWO_PI, Cos, Exp, Polynomial, Sin, is_finite
 from .tameness import PNormSpec, check_tame_estimate
 
 EXIT_OK = 0
@@ -59,7 +58,7 @@ class ConfigError(ValueError):
 def _finite(args: str) -> list:
     """The comma-separated numbers of a descriptor, all finite."""
     vals = [float(v) for v in args.split(",")]
-    if not all(math.isfinite(v) for v in vals):
+    if not all(map(is_finite, vals)):
         raise ValueError("numbers must be finite")
     return vals
 
@@ -164,10 +163,9 @@ def _typed(val, what: str, typ: type):
 
 def _finite_number(val, what: str) -> float:
     """``val`` as a float if it is a finite JSON number."""
-    val = float(_typed(val, what, float))
-    if not math.isfinite(val):
+    if not is_finite(_typed(val, what, float)):
         raise ConfigError(f"{what} must be finite, got {val!r}")
-    return val
+    return float(val)
 
 
 def _known_keys(obj: dict, known, what: str):
@@ -179,6 +177,16 @@ def _known_keys(obj: dict, known, what: str):
                               f"{', '.join(known)})")
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at ``path``. Beside a decode error, an
+    integer of more than 4300 digits is a plain ValueError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} file: {exc}") from None
+
+
 CONFIG_KEYS = tuple(CONFIG_SCALARS) + ("m_list", "rho1", "rho2")
 PNORM_KEYS = ("truncation",)
 
@@ -186,11 +194,7 @@ PNORM_KEYS = ("truncation",)
 def _config_from_args(args) -> ScenarioConfig:
     cfg = ScenarioConfig()
     if args.config:
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
+        data = _read_json(args.config, "config")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         _known_keys(data, CONFIG_KEYS, "config")
@@ -329,11 +333,7 @@ def _explicit_probe(entry: dict, domain: str):
 
 
 def _load_probes(path: str, cfg: ScenarioConfig, map_spec, x):
-    try:
-        with open(path) as fh:
-            entries = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read probe file: {exc}") from None
+    entries = _read_json(path, "probe")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("probe file must be a nonempty JSON list")
     domain = map_spec.domain_tag

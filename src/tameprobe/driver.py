@@ -56,8 +56,9 @@ from .functions import (
     probe,
     seminorm_profile,
 )
+from .jets import MAX_ORDER
 from .maps import DomainViolation, MapSpec
-from .primitives import TWO_PI
+from .primitives import TWO_PI, is_finite
 from .tameness import PNormSpec, pnorm_eval
 
 MAX_M = 2**14
@@ -78,6 +79,8 @@ def check_sweep(k: int, l: int, m_list: Sequence[int] = (1,)):
     is nonempty and strictly ascending; k and each m obey `check_probe`."""
     if not is_integer(l) or l < 1:
         raise ValueError(f"l must be a positive integer, got {l!r}")
+    if not is_finite(l):
+        raise ValueError("l must be finite in double precision")
     if not m_list:
         raise ValueError("m list must not be empty")
     for m in m_list:
@@ -146,6 +149,8 @@ def find_s0(map_spec: MapSpec, x: SmoothFunction) -> float:
 def find_t0(map_spec: MapSpec, x: SmoothFunction, s0: float) -> float:
     """Phi's argument at the anchor point s0: n*s0 + x(s0) for the
     pullback, x(s0) for the composition."""
+    if not is_finite(s0):
+        raise ValueError(f"s0 must be finite, got {s0!r}")
     return map_spec.argument(x).values(s0)
 
 
@@ -175,6 +180,10 @@ def residual_tz(v: SmoothFunction, lead: Node, top: int, s0: float,
     above; ``rho2.of_profile`` is the same either way. With no cut the
     pass runs to max(truncation, top) and the whole profile is the grid's.
     """
+    if not (is_integer(top) and 0 <= top <= MAX_ORDER):
+        raise ValueError(f"top must be an integer in 0..{MAX_ORDER}")
+    if not (is_finite(s0) and is_finite(eps0) and eps0 > 0.0):
+        raise ValueError("s0 must be finite, and eps0 positive and finite")
     order = max(rho2.truncation, top)
     fact = np.array([math.factorial(i) for i in range(order + 1)])
     anchor = Evaluation(np.array([s0, GRID.nearest(v, s0)])).coeffs(v.node,
@@ -291,10 +300,10 @@ def fix_m(k: int, l: int, m_estimate: float, deriv_mag: float) -> int:
     (2 pi m)^(1/2) |phi_lead(t0)|, where M = ``m_estimate`` and
     |phi_lead(t0)| = ``deriv_mag``; both maps obey this one inequality."""
     check_sweep(k, l)
-    if not (math.isfinite(m_estimate) and m_estimate >= 0.0):
+    if not (is_finite(m_estimate) and m_estimate >= 0.0):
         raise ValueError(
             f"M estimate must be nonnegative and finite, got {m_estimate}")
-    if not (math.isfinite(deriv_mag) and deriv_mag > 0.0):
+    if not (is_finite(deriv_mag) and deriv_mag > 0.0):
         raise ValueError(
             f"|phi derivative at t0| must be positive and finite, got {deriv_mag}")
     m = 1

@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from .primitives import (
     TWO_PI,
     PrecisionBudgetError,
     ScalarPrimitive,
+    is_finite,
     trig_pair,
     trig_rows,
 )
@@ -100,12 +100,10 @@ class Node:
     def diff(self) -> "Node":
         raise NotImplementedError
 
-    def max_frequency(self) -> float:
-        """Structural bound on frequency content, cycles per unit."""
-        raise NotImplementedError
-
-    def affine_slope(self) -> Optional[float]:
-        """Slope a such that node - a*s is 1-periodic; None if unknown."""
+    def spectrum(self) -> tuple:
+        """(slope, f_max), read off the tree in one walk: the slope a such
+        that node - a*s is 1-periodic, None if unknown, and a structural
+        bound on the node's frequency content, in cycles per unit."""
         raise NotImplementedError
 
 
@@ -122,11 +120,8 @@ class Constant(Node):
     def diff(self):
         return Constant(0.0)
 
-    def max_frequency(self):
-        return 0.0
-
-    def affine_slope(self):
-        return 0.0
+    def spectrum(self):
+        return 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -147,11 +142,8 @@ class Affine(Node):
     def diff(self):
         return Constant(self.a)
 
-    def max_frequency(self):
-        return 0.0
-
-    def affine_slope(self):
-        return self.a
+    def spectrum(self):
+        return self.a, 0.0
 
 
 @dataclass(frozen=True)
@@ -167,11 +159,11 @@ class SinusoidProbe(Node):
 
     def __post_init__(self):
         # a quarter period, 0.25 / frequency, must be a finite double
-        if not (math.isfinite(self.frequency) and self.frequency != 0.0
+        if not (is_finite(self.frequency) and self.frequency != 0.0
                 and math.isfinite(0.25 / self.frequency)):
             raise ValueError("sinusoid frequency must be nonzero with a "
                              f"finite period, got {self.frequency!r}")
-        if not math.isfinite(self.phase):
+        if not is_finite(self.phase):
             raise ValueError(f"phase must be finite, got {self.phase!r}")
         if not (type(self.shift) is int and self.shift >= 0):
             raise ValueError("sinusoid shift must be a nonnegative int, "
@@ -188,14 +180,10 @@ class SinusoidProbe(Node):
         return SinusoidProbe(self.amplitude * w, self.frequency, self.phase,
                              self.shift + 1)
 
-    def max_frequency(self):
-        return abs(self.frequency)
-
-    def affine_slope(self):
+    def spectrum(self):
         f = self.frequency
-        if self.amplitude == 0.0 or abs(f - round(f)) < 1e-12:
-            return 0.0
-        return None
+        periodic = self.amplitude == 0.0 or abs(f - round(f)) < 1e-12
+        return (0.0 if periodic else None), abs(f)
 
 
 @dataclass(frozen=True)
@@ -217,17 +205,13 @@ class Sum(Node):
     def diff(self):
         return add(*[ch.diff() for ch in self.children])
 
-    def max_frequency(self):
-        return max(ch.max_frequency() for ch in self.children)
-
-    def affine_slope(self):
-        total = 0.0
+    def spectrum(self):
+        slope, f_max = 0.0, 0.0
         for ch in self.children:
-            a = ch.affine_slope()
-            if a is None:
-                return None
-            total += a
-        return total
+            a, f = ch.spectrum()
+            slope = None if slope is None or a is None else slope + a
+            f_max = max(f_max, f)
+        return slope, f_max
 
 
 @dataclass(frozen=True)
@@ -255,18 +239,17 @@ class Product(Node):
             terms.append(mul(*factors))
         return add(*terms)
 
-    def max_frequency(self):
-        return sum(ch.max_frequency() for ch in self.children)
-
-    def affine_slope(self):
-        if len(self.children) == 2 and isinstance(self.children[1], Constant):
+    def spectrum(self):
+        slopes, f_max = [], 0.0
+        for ch in self.children:
+            a, f = ch.spectrum()
+            slopes.append(a)
+            f_max += f
+        if len(slopes) == 2 and isinstance(self.children[1], Constant):
             # c * node, as `mul(node, Constant(c))` builds it
-            a = self.children[0].affine_slope()
-            return None if a is None else self.children[1].c * a
-        slopes = [ch.affine_slope() for ch in self.children]
-        if all(a == 0.0 for a in slopes):
-            return 0.0
-        return None
+            a = slopes[0]
+            return (None if a is None else self.children[1].c * a), f_max
+        return (0.0 if all(a == 0.0 for a in slopes) else None), f_max
 
 
 @dataclass(frozen=True)
@@ -289,21 +272,16 @@ class PrimitiveCompose(Node):
         return mul(PrimitiveCompose(self.primitive.derivative(), self.child),
                    self.child.diff())
 
-    def max_frequency(self):
-        a = self.child.affine_slope()
-        if self.primitive.is_one_periodic:
-            base = abs(a) if a is not None else 0.0
-            return base + self.child.max_frequency()
-        return self.child.max_frequency()
-
-    def affine_slope(self):
-        a = self.child.affine_slope()
-        if a == 0.0:
-            return 0.0
-        if a is not None and self.primitive.is_one_periodic \
-                and abs(a - round(a)) < 1e-12:
-            return 0.0
-        return None
+    def spectrum(self):
+        a, f = self.child.spectrum()
+        if not self.primitive.is_one_periodic:
+            return (0.0 if a == 0.0 else None), f
+        if a is None:
+            return None, f
+        # phi of a*s + (1-periodic) turns |a| times per unit; an inf slope
+        # (c * a past double range) is no integer, and round() would raise
+        integer = math.isfinite(a) and abs(a - round(a)) < 1e-12
+        return (0.0 if integer else None), abs(a) + f
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +455,9 @@ def mul(*nodes: Node) -> Node:
 
 @dataclass(frozen=True)
 class SmoothFunction:
-    """An element of one of the two ambient smooth-function spaces."""
+    """An element of one of the two ambient smooth-function spaces. A
+    periodic one is structurally 1-periodic: the slope its node's
+    `spectrum` reads is 0 to within 1e-12."""
 
     node: Node
     domain: str
@@ -486,7 +466,7 @@ class SmoothFunction:
         if self.domain not in (PERIODIC, UNIT_INTERVAL):
             raise ValueError(f"unknown domain tag {self.domain!r}")
         if self.domain == PERIODIC:
-            a = self.node.affine_slope()
+            a, _ = self.node.spectrum()
             if a is None or abs(a) > 1e-12:
                 raise ValueError(
                     "tree is not structurally 1-periodic "
@@ -553,14 +533,15 @@ class GridSpec:
     """Uniform sampling recipe for sup computations.
 
     The grid has ``max(MIN_GRID_POINTS, GRID_FACTOR * ceil(f_max))`` base
-    points plus one or two extra; the odd total breaks phase locking against
+    points, f_max being the frequency bound of f's `Node.spectrum`, plus
+    one or two extra; the odd total breaks phase locking against
     integer frequencies, so a frequency-m sinusoid is sampled at phase angles
     that fill its period densely, not aliased to GRID_FACTOR distinct values.
     A grid above MAX_GRID_POINTS points raises PrecisionBudgetError.
     """
 
     def size(self, f: SmoothFunction) -> int:
-        f_max = f.node.max_frequency()
+        _, f_max = f.node.spectrum()
         n = max(MIN_GRID_POINTS, GRID_FACTOR * math.ceil(f_max)) \
             if math.isfinite(f_max) else math.inf
         size = n + 1 if f.domain == PERIODIC else n + 2
@@ -687,6 +668,8 @@ def check_probe(k: int, m: int = 1):
         raise ValueError(f"k = {k} exceeds the order cap {MAX_ORDER}")
     if not is_integer(m) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
+    if not is_finite(m):
+        raise ValueError("m must be finite in double precision")
 
 
 def probe(m: int, k: int, s0: float, domain: str = PERIODIC) -> SmoothFunction:
@@ -699,10 +682,9 @@ def probe(m: int, k: int, s0: float, domain: str = PERIODIC) -> SmoothFunction:
 
 def constant(c: float, domain: str = PERIODIC) -> SmoothFunction:
     """The constant function c, for a finite c."""
-    c = float(c)
-    if not math.isfinite(c):
+    if not is_finite(c):
         raise ValueError(f"constant must be finite, got {c!r}")
-    return SmoothFunction(Constant(c), domain)
+    return SmoothFunction(Constant(float(c)), domain)
 
 
 def zero(domain: str = PERIODIC) -> SmoothFunction:

@@ -25,8 +25,6 @@ point s0 and the certified m are the driver's business alone.
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +41,7 @@ from .functions import (
     mul,
     value_range,
 )
-from .primitives import ScalarPrimitive
+from .primitives import ScalarPrimitive, is_finite
 
 DOMAIN_MARGIN_TOL = 1e-9
 FD_POINTS = 2049
@@ -144,11 +142,7 @@ class CirclePullback(MapSpec):
     def __init__(self, phi: ScalarPrimitive, n: int):
         if n == 0:
             raise ValueError("winding number n must be nonzero")
-        try:
-            finite = math.isfinite(float(n))
-        except OverflowError:   # an int past double range
-            finite = False
-        if not finite:
+        if not is_finite(n):
             raise ValueError("winding number n must be finite in double "
                              "precision")
         if n != int(n):
@@ -220,7 +214,7 @@ def gateaux_fd(map_spec: MapSpec, x: SmoothFunction, u: SmoothFunction,
 
     Both perturbed base points must stay inside the map's domain.
     """
-    if not (math.isfinite(t) and t > 0.0):
+    if not (is_finite(t) and t > 0.0):
         raise ValueError("step t must be positive and finite")
     xp, xm = x + t * u, x + (-t) * u
     map_spec.require_domain(xp)

@@ -21,8 +21,8 @@ differentiation: `Sin`, `Cos`, `Polynomial` and `Exp` (e^t plus a
 polynomial). ``derivative()`` returns g' as one of the four in closed form,
 so a derivative of any order costs what g itself costs, and primitives with
 equal parameters compare and hash equal. A non-finite parameter is a
-ValueError; a derivative's polynomial coefficient past double range is a
-PrecisionBudgetError.
+ValueError (`is_finite`); a derivative's amplitude or polynomial
+coefficient past double range is a PrecisionBudgetError.
 """
 
 from __future__ import annotations
@@ -39,6 +39,15 @@ class PrecisionBudgetError(RuntimeError):
     """A computation would leave the double-precision or grid budget: a
     value beyond double range, a grid above MAX_GRID_POINTS points, or a
     certified m above the driver's cap."""
+
+
+def is_finite(x) -> bool:
+    """x is a finite double: false for nan, +-inf and an int past double
+    range, where `math.isfinite` would raise OverflowError."""
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:
+        return False
 
 
 # sin(theta + i*pi/2) cycle used by trigonometric derivatives
@@ -115,7 +124,7 @@ class Sin(ScalarPrimitive):
     shift = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and math.isfinite(self.amplitude)):
+        if not (is_finite(self.omega) and is_finite(self.amplitude)):
             raise ValueError(f"{self!r}: omega and amplitude must be finite")
 
     def taylor_coeffs(self, t, order):
@@ -125,9 +134,13 @@ class Sin(ScalarPrimitive):
 
     def derivative(self):
         # sin' = cos and cos' = -sin, each times omega
+        amplitude = self.amplitude * self.omega
+        if not is_finite(amplitude):
+            raise PrecisionBudgetError(f"the derivative of {self!r} leaves "
+                                       "double range")
         if self.shift:
-            return Sin(self.omega, -self.amplitude * self.omega)
-        return Cos(self.omega, self.amplitude * self.omega)
+            return Sin(self.omega, -amplitude)
+        return Cos(self.omega, amplitude)
 
     @property
     def ode(self):
@@ -147,10 +160,10 @@ class Cos(Sin):
 
 def _finite_coeffs(coeffs) -> tuple:
     """``coeffs`` as a tuple of floats, each finite, else ValueError."""
-    coeffs = tuple(float(c) for c in coeffs)
-    if not all(map(math.isfinite, coeffs)):
+    coeffs = tuple(coeffs)
+    if not all(map(is_finite, coeffs)):
         raise ValueError(f"coefficients must be finite, got {coeffs!r}")
-    return coeffs
+    return tuple(float(c) for c in coeffs)
 
 
 def _derivative_coeffs(coeffs: tuple) -> tuple:

@@ -292,6 +292,70 @@ class TestDemo:
         assert "budget" in capsys.readouterr().err
 
 
+HUGE = 10**400
+
+
+class TestIntegerPastDoubleRange:
+    """An integer past double range, from a flag, a config or a probe
+    file, exits 64 with one error line: float() of it raised
+    OverflowError, a traceback and exit 1."""
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return code, err
+
+    def test_level_flag(self, capsys):
+        code, err = self.run(capsys, ["demo", "ex2", "--l", str(HUGE),
+                                      "--m-list", "16,32"])
+        assert code == EXIT_CONFIG
+        assert err == "error: l must be finite in double precision\n"
+
+    def test_level_inside_double_range_is_a_budget(self, capsys):
+        # u = 1e-308 is a double, and no m up to the cap certifies l
+        code, err = self.run(capsys, ["demo", "ex2", "--l", str(10**308),
+                                      "--m-list", "16,32"])
+        assert code == EXIT_BUDGET
+        assert "required m exceeds precision budget" in err
+
+    def test_level_in_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"l": HUGE}))
+        code, err = self.run(capsys, ["demo", "ex2", "--config", str(path),
+                                      "--m-list", "16,32"])
+        assert code == EXIT_CONFIG
+        assert err == "error: l must be finite in double precision\n"
+
+    def test_integer_too_long_to_read(self, tmp_path, capsys):
+        # past 4300 digits json.load raises a plain ValueError
+        path = tmp_path / "cfg.json"
+        path.write_text('{"l": 1' + "0" * 5000 + "}")
+        code, err = self.run(capsys, ["demo", "ex2", "--config", str(path),
+                                      "--m-list", "16,32"])
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: cannot read config file: Exceeds")
+
+    @pytest.mark.parametrize("entry, what", [
+        ({"m": 64, "k": 3, "s0": HUGE}, "probe s0"),
+        ({"z": {"amplitude": HUGE, "frequency": 3}, "u": {"constant": 0.125}},
+         "probe z amplitude"),
+        ({"z": {"amplitude": 0.01, "frequency": HUGE},
+          "u": {"constant": 0.125}}, "probe z frequency"),
+        ({"z": {"amplitude": 0.01, "frequency": 3, "phase": HUGE},
+          "u": {"constant": 0.125}}, "probe z phase"),
+        ({"z": {"amplitude": 0.01, "frequency": 3}, "u": {"constant": HUGE}},
+         "probe u constant"),
+    ], ids=["s0", "amplitude", "frequency", "phase", "constant"])
+    def test_probe_number(self, tmp_path, capsys, entry, what):
+        path = tmp_path / "probes.json"
+        path.write_text(json.dumps([entry]))
+        code, err = self.run(capsys, ["check-tame", "ex2", "--probes",
+                                      str(path)])
+        assert code == EXIT_CONFIG
+        assert err == f"error: {what} must be finite, got {HUGE}\n"
+
+
 class TestSweep:
     def test_csv_artifact(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -39,8 +39,8 @@ from tameprobe.functions import (
 )
 from tameprobe.driver import ANCHOR_FALLBACK, ANCHOR_POINTS
 from tameprobe.jets import MAX_ORDER
-from tameprobe.maps import PostComposition
-from tameprobe.primitives import Exp, Sin
+from tameprobe.maps import CirclePullback, PostComposition
+from tameprobe.primitives import Cos, Exp, Polynomial, Sin
 from tameprobe.tameness import PNormSpec, pnorm_eval
 
 TWO_PI = 2.0 * math.pi
@@ -360,7 +360,7 @@ class TestGridSpec:
         # frequencies add up in a product, here past double range
         big = SinusoidProbe(1.0, 1e308)
         f = SmoothFunction(Product(big, big), UNIT_INTERVAL)
-        assert f.node.max_frequency() == math.inf
+        assert f.node.spectrum()[1] == math.inf
         with pytest.raises(PrecisionBudgetError, match="a grid of inf points"):
             GridSpec().size(f)
 
@@ -628,10 +628,10 @@ class TestConstantMultiple:
     def test_slope_is_c_times_the_factors(self):
         # sin(2 pi * (-2 s)) is 1-periodic, of frequency 2
         minus_2s = mul(IDENTITY, Constant(-2.0))
-        assert minus_2s.affine_slope() == -2.0
+        assert minus_2s.spectrum()[0] == -2.0
         f = SmoothFunction(PrimitiveCompose(Sin(omega=TWO_PI), minus_2s),
                            PERIODIC)
-        assert f.node.max_frequency() == 2.0
+        assert f.node.spectrum()[1] == 2.0
 
 
 class TestFolding:
@@ -689,3 +689,131 @@ class TestFolding:
         assert mul(self.C, Constant(3.0)).diff() == Constant(0.0)
         fn = SmoothFunction(Sum(self.A, self.C), PERIODIC)
         assert (fn - fn.derivative().derivative() * 0.0).node == fn.node
+
+
+# The two methods that `Node.spectrum` replaced, kept as its reference.
+
+def reference_max_frequency(node):
+    if isinstance(node, (Constant, Affine)):
+        return 0.0
+    if isinstance(node, SinusoidProbe):
+        return abs(node.frequency)
+    if isinstance(node, Sum):
+        return max(reference_max_frequency(ch) for ch in node.children)
+    if isinstance(node, Product):
+        return sum(reference_max_frequency(ch) for ch in node.children)
+    a = reference_affine_slope(node.child)
+    if node.primitive.is_one_periodic:
+        base = abs(a) if a is not None else 0.0
+        return base + reference_max_frequency(node.child)
+    return reference_max_frequency(node.child)
+
+
+def reference_affine_slope(node):
+    if isinstance(node, Constant):
+        return 0.0
+    if isinstance(node, Affine):
+        return node.a
+    if isinstance(node, SinusoidProbe):
+        f = node.frequency
+        if node.amplitude == 0.0 or abs(f - round(f)) < 1e-12:
+            return 0.0
+        return None
+    if isinstance(node, Sum):
+        total = 0.0
+        for ch in node.children:
+            a = reference_affine_slope(ch)
+            if a is None:
+                return None
+            total += a
+        return total
+    if isinstance(node, Product):
+        if len(node.children) == 2 and isinstance(node.children[1], Constant):
+            a = reference_affine_slope(node.children[0])
+            return None if a is None else node.children[1].c * a
+        slopes = [reference_affine_slope(ch) for ch in node.children]
+        if all(a == 0.0 for a in slopes):
+            return 0.0
+        return None
+    a = reference_affine_slope(node.child)
+    if a == 0.0:
+        return 0.0
+    if a is not None and node.primitive.is_one_periodic \
+            and abs(a - round(a)) < 1e-12:
+        return 0.0
+    return None
+
+
+def map_trees():
+    """v = df(x + z, u) - df(x, u) and the leading term of ex2 (the
+    pullback of sin(2 pi t), n = 1 and 2) and of ex4 (t + e^t)."""
+    ex2 = [(CirclePullback(Sin(omega=TWO_PI), n), x)
+           for n in (1, 2) for x in (constant(0.0),
+                                     SmoothFunction(SinusoidProbe(0.02, 1.0),
+                                                    PERIODIC))]
+    ex4 = [(PostComposition(Exp((0.0, 1.0))),
+            SmoothFunction(SinusoidProbe(0.3, 1.5), UNIT_INTERVAL))]
+    for map_spec, x in ex2 + ex4:
+        domain = map_spec.domain_tag
+        u = constant(0.125, domain)
+        for m in (16, 4096):
+            z = probe(m, 3, 0.2, domain)
+            yield (map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)).node
+            yield map_spec.leading_term(x, z, 3)
+
+
+# a child of each slope: unknown, 0, an integer and not an integer
+SLOPED = [SinusoidProbe(0.1, 1.5), SinusoidProbe(0.1, 2.0, 0.3),
+          Affine(3.0, 0.2), Affine(-2.0, 0.0), Affine(2.5, 0.1),
+          Sum(Affine(1.0, 0.0), SinusoidProbe(0.1, 1.5))]
+# periodic: Sin and Cos of 2 pi t, a constant polynomial; not: the rest
+PHIS = [Sin(omega=TWO_PI), Cos(omega=2 * TWO_PI, amplitude=0.5),
+        Polynomial((0.7,)), Sin(omega=1.0), Exp((0.0, 1.0)),
+        Polynomial((0.0, 1.0))]
+
+
+def spectrum_cases():
+    rng = np.random.default_rng(5)
+    yield from GRID_PATH_TREES.values()
+    for domain in (PERIODIC, UNIT_INTERVAL):
+        for n_terms in (0, 1, 3):
+            yield random_small_function(rng, domain, n_terms=n_terms).node
+    yield from map_trees()
+    for phi in PHIS:
+        for child in SLOPED:
+            yield PrimitiveCompose(phi, child)
+            yield PrimitiveCompose(phi, PrimitiveCompose(Sin(omega=TWO_PI),
+                                                         child))
+    for child in SLOPED:
+        yield mul(child, Constant(-1.5))
+        yield Product(child, Constant(2.0), Constant(3.0))
+        yield Product(Constant(2.0), child)
+
+
+class TestSpectrum:
+    """`Node.spectrum` is the retired `affine_slope` and `max_frequency`,
+    None included, read in one walk."""
+
+    def test_matches_the_retired_methods(self):
+        cases = list(spectrum_cases())
+        assert len(cases) > 100
+        for node in cases:
+            want = (reference_affine_slope(node),
+                    reference_max_frequency(node))
+            got = node.spectrum()
+            # `==` would take None for 0.0 in neither order, and 0.0 for -0.0
+            assert got == want and [type(v) for v in got] == \
+                [type(v) for v in want], node
+
+    def test_the_children_take_every_kind_of_slope(self):
+        slopes = [child.spectrum()[0] for child in SLOPED]
+        assert slopes == [None, 0.0, 3.0, -2.0, 2.5, None]
+
+    def test_a_non_finite_slope_is_not_periodic(self):
+        # c * a past double range: the retired rule raised OverflowError
+        # from round(inf); a 1-periodic phi of it has no grid
+        steep = mul(Affine(1e300, 0.0), Constant(1e300))
+        node = PrimitiveCompose(Sin(omega=TWO_PI), steep)
+        assert node.spectrum() == (None, math.inf)
+        with pytest.raises(PrecisionBudgetError, match="inf points"):
+            GridSpec().size(SmoothFunction(node, UNIT_INTERVAL))

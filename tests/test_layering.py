@@ -35,6 +35,15 @@ defines it (``certifies``).
 A constant multiple c * node is a product, `functions.mul(node,
 Constant(c))`: no module defines, names or imports a node or constructor
 of its own for it (``Scale``, ``scale``).
+
+A node's frequency facts are one walk: every node class of `functions`
+defines `spectrum`, which gives its slope and its frequency bound
+together, and none defines the two retired methods (``max_frequency``,
+``affine_slope``).
+
+Whether a number is finite in double precision is one rule,
+`primitives.is_finite`: no other module names ``OverflowError``, the
+error that ``float`` of an int past double range raises.
 """
 
 import ast
@@ -54,6 +63,9 @@ RETIRED_ANCHOR_HOOKS = {"t0_candidates", "s0_bracket", "fallback_anchor",
 RETIRED_PROBE_NAMES = {"ProbeParams", "build_probe"}
 RETIRED_CERTIFICATE_HOOK = "certifies"
 RETIRED_SCALE_NAMES = {"Scale", "scale"}
+RETIRED_FREQUENCY_METHODS = {"max_frequency", "affine_slope"}
+NODE_CLASSES = {"Constant", "Affine", "SinusoidProbe", "Sum", "Product",
+                "PrimitiveCompose"}
 
 
 def names(tree):
@@ -180,3 +192,17 @@ def test_a_constant_multiple_is_a_product():
         if used:
             found[path.name] = sorted(used)
     assert found == {}
+
+
+def test_a_nodes_frequency_facts_are_one_walk():
+    path = Path(tameprobe.__file__).parent / "functions.py"
+    members = set(class_members(ast.parse(path.read_text())))
+    assert {(cls, "spectrum") for cls in NODE_CLASSES} <= members
+    assert {m for m in members if m[1] in RETIRED_FREQUENCY_METHODS} == set()
+
+
+def test_one_finiteness_rule():
+    sources = sorted(Path(tameprobe.__file__).parent.glob("*.py"))
+    found = [path.name for path in sources if path.name != "primitives.py"
+             and "OverflowError" in set(names(ast.parse(path.read_text())))]
+    assert found == []

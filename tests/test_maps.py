@@ -99,11 +99,14 @@ class TestConstruction:
             PostComposition(make())
 
     @pytest.mark.parametrize("phi", [Polynomial((0.0, 1.0, 0.0, 1e308)),
-                                     Exp((0.0, 1.0, 1e308))],
-                             ids=["poly", "exp"])
+                                     Exp((0.0, 1.0, 1e308)),
+                                     Sin(1e200, 1e200), Cos(1e200, -1e200),
+                                     Sin(10**200, 10**200)],
+                             ids=["poly", "exp", "sin", "cos", "sin-int"])
     def test_derivative_past_double_range(self, phi):
-        # finite coefficients whose derivative's leave double range: a
-        # budget error, not the constructor's ValueError
+        # finite parameters whose derivative's leave double range: a
+        # budget error, not the constructor's ValueError (which the
+        # sinusoids raised for an amplitude of +-inf)
         with pytest.raises(PrecisionBudgetError, match="leaves double range"):
             phi.derivative()
         with pytest.raises(PrecisionBudgetError, match="leaves double range"):
@@ -532,7 +535,7 @@ class TestFoldedTrees:
         raw = Sum(unfolded_gateaux(map_spec, Sum(x.node, z.node), u.node),
                   Product(unfolded_gateaux(map_spec, x.node, u.node),
                           Constant(-1.0)))
-        assert v.node.max_frequency() == raw.max_frequency()
+        assert v.node.spectrum() == raw.spectrum()
         s = whole_grid(v)
         assert s.size == GRID.size(SmoothFunction(raw, domain))
         # every 16th point of the first chunk: the arithmetic is per point
