@@ -273,7 +273,7 @@ def cmd_demo(cfg: ScenarioConfig) -> int:
         expected = False
     else:
         try:
-            m_est = estimate_residual_bound(map_spec, x, cfg.k, cfg.l, result)
+            m_est = estimate_residual_bound(result)
         except DomainViolation as exc:   # at an m the user's list lacks
             *coarse, last = RESIDUAL_M_COARSE
             print("no certificate: the residual bound reads m = "

@@ -113,6 +113,10 @@ class SweepResult:
     s0: float
     degenerate: bool
     deriv_mag: float
+    map_spec: MapSpec
+    x: SmoothFunction
+    k: int
+    l: int
 
 
 def find_s0(map_spec: MapSpec, x: SmoothFunction) -> float:
@@ -273,24 +277,22 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
     violation = any(r.rho1_z <= 1.0 and r.rho2_v > r.rho1_u for r in records)
     return SweepResult(records=records, slope=slope, violation=violation,
                        t0=t0, s0=s0, degenerate=degenerate,
-                       deriv_mag=deriv_mag)
+                       deriv_mag=deriv_mag, map_spec=map_spec, x=x, k=k, l=l)
 
 
-def estimate_residual_bound(map_spec: MapSpec, x: SmoothFunction,
-                            k: int, l: int, sweep: SweepResult) -> float:
+def estimate_residual_bound(sweep: SweepResult) -> float:
     """Empirical upper bound for the residual: twice the maximum of
-    sup|T_z| over a coarse sweep (m in RESIDUAL_M_COARSE), plus one; 1.0
-    when the anchor is degenerate. ``sweep`` is a sweep of the same map,
-    x, k and l, for any rho1, rho2 and m list. It has the coarse sweep's
-    anchor and rows of v up to ``top``, hence its sup|T_z| bit for bit,
-    so only the m of RESIDUAL_M_COARSE that it lacks are swept."""
+    sup|T_z| over a coarse sweep (m in RESIDUAL_M_COARSE) of ``sweep``'s
+    map, x, k and l, plus one; 1.0 when the anchor is degenerate. A row of
+    ``sweep`` has the coarse sweep's sup|T_z| bit for bit, whatever rho1
+    and rho2, so only the m of RESIDUAL_M_COARSE that it lacks are swept."""
     if sweep.degenerate:
         return 1.0
     tz_sup = {r.m: r.tz_sup for r in sweep.records}
     missing = [m for m in RESIDUAL_M_COARSE if m not in tz_sup]
     if missing:
-        coarse = growth_sweep(map_spec, x, PNormSpec(0), PNormSpec(0), k, l,
-                              missing)
+        coarse = growth_sweep(sweep.map_spec, sweep.x, PNormSpec(0),
+                              PNormSpec(0), sweep.k, sweep.l, missing)
         tz_sup.update((r.m, r.tz_sup) for r in coarse.records)
     return 2.0 * max(tz_sup[m] for m in RESIDUAL_M_COARSE) + 1.0
 

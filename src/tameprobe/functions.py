@@ -246,9 +246,9 @@ class Product(Node):
             slopes.append(a)
             f_max += f
         if len(slopes) == 2 and isinstance(self.children[1], Constant):
-            # c * node, as `mul(node, Constant(c))` builds it
+            # c * node, as `mul(node, Constant(c))` builds it; 0 stays 0
             a = slopes[0]
-            return (None if a is None else self.children[1].c * a), f_max
+            return (a and self.children[1].c * a), f_max
         return (0.0 if all(a == 0.0 for a in slopes) else None), f_max
 
 
@@ -467,7 +467,7 @@ class SmoothFunction:
             raise ValueError(f"unknown domain tag {self.domain!r}")
         if self.domain == PERIODIC:
             a, _ = self.node.spectrum()
-            if a is None or abs(a) > 1e-12:
+            if a is None or not abs(a) <= 1e-12:   # nan is not periodic
                 raise ValueError(
                     "tree is not structurally 1-periodic "
                     f"(affine slope {a!r})")
@@ -493,14 +493,12 @@ class SmoothFunction:
         return SmoothFunction(add(self.node, mul(other.node, Constant(-1.0))),
                               self.domain)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return SmoothFunction(mul(self.node, Constant(float(other))),
-                                  self.domain)
-        other = self._combine(other)
-        if other is NotImplemented:
-            return other
-        return SmoothFunction(mul(self.node, other.node), self.domain)
+    def __mul__(self, c):
+        if not isinstance(c, (int, float)):
+            return NotImplemented
+        if not is_finite(c):
+            raise ValueError(f"a scale must be finite, got {c!r}")
+        return SmoothFunction(mul(self.node, Constant(float(c))), self.domain)
 
     __rmul__ = __mul__
 

@@ -21,7 +21,7 @@ gives them: a grid pass hands the same read-only coefficients of a
 repeated subexpression to every node that uses it, and the arrays to write
 from its own buffers (see `functions.Evaluation`), which never share
 memory with an argument. Within the result each row is written in place;
-the ODE's level contracts its first term straight into its row and scales
+the ODE's level contracts its one term straight into its row and scales
 it there.
 """
 
@@ -69,18 +69,19 @@ def compose_series(outer: np.ndarray, inner: np.ndarray, ode,
     """Taylor coefficients of g(w(s)) from the ODE that g satisfies; every
     array it writes, the result first, comes from ``empty(shape)``.
 
-    ``ode`` holds ``(a_0, .., a_{r-1})`` with ``g^(r) = sum_i a_i g^(i)``;
+    ``ode`` holds ``(a_0, .., a_{r-1})`` with ``g^(r) = sum_i a_i g^(i)``,
+    of which at most one, a_q, is nonzero (see `primitives`);
     ``outer`` holds the Taylor coefficients g^(i)(w_0) / i! for i < r (rows
     past the order of ``inner`` may be left out); ``inner`` holds the
     coefficients w_j of w at the base point and is only read. With
-    G_i = g^(i)(w(s)) and G_r = sum_i a_i G_i, the chain rule
+    G_i = g^(i)(w(s)) and G_r = a_q G_q, the chain rule
     G_i' = G_{i+1} w' gives
 
         k G_{i,k} = sum_{j=1..k} j w_j G_{i+1,k-j},
 
     so the n coefficients of G_0 cost O(r n^2) per point, and O(r n) for a
-    linear w. G_i is only needed to order n-1-i, and G_r is contracted
-    term by term, skipping zero a_i, rather than stored.
+    linear w. G_i is only needed to order n-1-i, and G_r is contracted from
+    G_q rather than stored.
 
     When g^(r) = g^(r-1), as for every `Exp`, and 2 <= r <= n, G_{r-1}
     obeys the recurrence on its own, k E_k = sum_j j w_j E_{k-j}, and its
@@ -128,14 +129,11 @@ def compose_series(outer: np.ndarray, inner: np.ndarray, ode,
             elif not terms:
                 out[...] = 0.0
             else:
-                # the first term is contracted into the row and scaled
-                # there: a zeroed row plus it differs only in a zero's sign
-                q, a = terms[0]
+                # the one term is contracted into the row and scaled there:
+                # a zeroed row plus it differs only in a zero's sign
+                [(q, a)] = terms
                 np.einsum("j...,j...->...", dwk, g[q][k - top:k][::-1],
                           out=out)
                 out *= a
-                for q, a in terms[1:]:
-                    out += a * np.einsum("j...,j...->...", dwk,
-                                         g[q][k - top:k][::-1])
             out /= k
     return g[0]

@@ -12,7 +12,8 @@ that pair, writes each row in place, into an array of its caller's if
 given one.
 
 Each primitive g also declares the linear ODE with constant coefficients
-that it satisfies, ``g^(r) = sum_{i<r} ode[i] * g^(i)``. Composition
+that it satisfies, ``g^(r) = sum_{i<r} ode[i] * g^(i)``, with at most one
+nonzero term (no term for a `Polynomial`). Composition
 (`jets.compose_series`) runs on this recurrence, so it needs only the
 first r derivatives of g at the inner value.
 
@@ -93,7 +94,7 @@ class ScalarPrimitive:
     shape ``(order + 1,) + t.shape`` with entry ``i`` equal to
     ``g^(i)(t) / i!`` and ``derivative()`` returning g' in closed form, and
     declare ``ode``, the coefficients ``(a_0, .., a_{r-1})`` of the ODE
-    ``g^(r) = sum_i a_i * g^(i)``.
+    ``g^(r) = sum_i a_i * g^(i)``, of which at most one is nonzero.
     """
 
     ode: tuple

@@ -22,6 +22,7 @@ from tameprobe.functions import (
     constant,
     probe,
     seminorm_profile,
+    seminorm_profiles,
     zero,
 )
 from tameprobe.maps import CirclePullback, PostComposition, gateaux_fd
@@ -172,16 +173,18 @@ def test_criterion_8_pnorm_metric_axioms(capsys):
     rng = np.random.default_rng(8128)
     spec = PNormSpec()
     zero_ok = pnorm_eval(spec, zero()) == 0.0
-    symmetric = True
-    worst_slack = -math.inf
+    # x - y, y - x, x + y, x and y of each pair, in draw order; batches of
+    # 250 through seminorm_profiles give pnorm_eval's values bit for bit
+    fs = []
     for _ in range(1000):
         x = random_small_function(rng, scale=1.5)
         y = random_small_function(rng, scale=1.5)
-        dxy = pnorm_eval(spec, x - y)
-        symmetric = symmetric and dxy == pnorm_eval(spec, y - x)
-        worst_slack = max(worst_slack,
-                          pnorm_eval(spec, x + y)
-                          - pnorm_eval(spec, x) - pnorm_eval(spec, y))
+        fs += [x - y, y - x, x + y, x, y]
+    rho = [spec.of_profile(p) for i in range(0, len(fs), 250)
+           for p in seminorm_profiles(fs[i:i + 250], spec.truncation)]
+    pairs = [rho[i:i + 5] for i in range(0, len(rho), 5)]
+    symmetric = all(dxy == dyx for dxy, dyx, _, _, _ in pairs)
+    worst_slack = max(dsum - dx - dy for _, _, dsum, dx, dy in pairs)
     ok = zero_ok and symmetric and worst_slack <= 1e-12
     report(capsys, 8, ok, f"1000 pairs: symmetry exact = {symmetric}, worst triangle "
                   f"slack = {worst_slack:.2e} (<= 1e-12), rho(0) = 0 is "
@@ -189,15 +192,12 @@ def test_criterion_8_pnorm_metric_axioms(capsys):
 
 
 def test_criterion_9_fix_m_certificates(ex2_sweep, ex4_sweep, capsys):
-    ex2 = CirclePullback(Sin(omega=TWO_PI), 1)
-    m_est2 = estimate_residual_bound(ex2, zero(), 3, 8, ex2_sweep[0])
+    m_est2 = estimate_residual_bound(ex2_sweep[0])
     m2 = fix_m(3, 8, m_est2, TWO_PI)
     root2 = math.sqrt(TWO_PI * m2)
     ok2 = (1.0 / root2 <= 1.0 / 3.0) and (8.0 + m_est2 < root2 * TWO_PI)
 
-    ex4 = PostComposition(Exp((0.0, 1.0)))
-    m_est4 = estimate_residual_bound(ex4, zero(UNIT_INTERVAL), 3, 8,
-                                     ex4_sweep)
+    m_est4 = estimate_residual_bound(ex4_sweep)
     deriv4 = 1.0  # second derivative of t + e^t at t0 = 0
     m4 = fix_m(3, 8, m_est4, deriv4)
     ok4 = m4 > max(3.0**2, (8.0 + m_est4)**2 / deriv4**2) / TWO_PI

@@ -187,11 +187,12 @@ class TestDemo:
         (["--phi", "poly:nan"], "numbers must be finite"),
         (["--phi", "sin:3"], "sin takes no numbers"),
         (["--x", "zero:1"], "zero takes no numbers"),
+        (["--m-list", "16,x"], "bad m list '16,x'"),
     ], ids=["sinusoid-one-number", "sinusoid-four-numbers",
             "sinusoid-zero-frequency", "sinusoid-subnormal-frequency",
             "const-inf", "const-nan",
             "sinusoid-nan", "poly-nan", "sin-with-numbers",
-            "zero-with-number"])
+            "zero-with-number", "m-list-not-integer"])
     def test_bad_descriptor_rejected(self, capsys, flags, message):
         code = main(["demo", "ex2", "--m-list", "16,32"] + flags)
         err = capsys.readouterr().err
@@ -506,11 +507,12 @@ class TestCheckTame:
         ({"z": {"amplitude": 1e-4, "frequency": 2},
           "u": {"constant": 0.125, "slope": 1}},
          "unknown probe u key 'slope'"),
+        (5, "bad probe entry 5"),
     ], ids=["m-float", "m-bool", "k-float", "m-above-cap", "k-huge",
             "zero-frequency", "nan-amplitude", "huge-frequency",
             "frequency-above-cap", "subnormal-frequency", "inf-constant",
             "unknown-key-mk", "unknown-key-zu", "unknown-key-z",
-            "unknown-key-u"])
+            "unknown-key-u", "not-an-object"])
     def test_bad_probe_value_rejected(self, tmp_path, capsys, variant, phi,
                                       entry, message):
         path = self.probe_file(tmp_path, [entry])
@@ -558,8 +560,11 @@ class TestConfigFile:
         # truncaton the default truncation 12
         ({"m-list": [16, 32]}, "unknown config key 'm-list'"),
         ({"rho2": {"truncaton": 2}}, "unknown rho2 key 'truncaton'"),
+        ({"variant": "ex9"}, "variant must be one of ex2, ex4, got 'ex9'"),
+        ({"rho1": 5}, "rho1 must be a JSON object, got 5"),
     ], ids=["k-string", "m-list-int", "output-int",
-            "not-an-object", "unknown-key", "unknown-rho-key"])
+            "not-an-object", "unknown-key", "unknown-rho-key",
+            "unknown-variant", "rho-not-an-object"])
     def test_wrong_type_rejected(self, tmp_path, capsys, cfg, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -580,6 +585,16 @@ class TestConfigFile:
         code = main(["sweep", "--config", str(path), "-o", str(out)])
         assert code == EXIT_CONFIG
         assert "rho2 truncation must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_format_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        out = tmp_path / "sweep.xml"
+        path.write_text(json.dumps({"format": "xml", "m_list": [16, 32]}))
+        code = main(["sweep", "--config", str(path), "-o", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: format must be csv or json\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["config", "flag"])

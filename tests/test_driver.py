@@ -784,7 +784,7 @@ class TestFixM:
         mp = pullback_sin()
         sweep = growth_sweep(mp, zero(), PNormSpec(), PNormSpec(), 3, 8,
                              RESIDUAL_M_COARSE)
-        big_m = estimate_residual_bound(mp, zero(), 3, 8, sweep)
+        big_m = estimate_residual_bound(sweep)
         m = fix_m(3, 8, big_m, TWO_PI)
         root = math.sqrt(TWO_PI * m)
         assert 1.0 / root <= 1.0 / 3.0
@@ -818,15 +818,15 @@ class TestEstimateResidualBound:
     def test_positive_and_stable(self):
         sweep = growth_sweep(pullback_sin(), zero(), PNormSpec(),
                              PNormSpec(), 3, 8, [32])
-        got = estimate_residual_bound(pullback_sin(), zero(), 3, 8, sweep)
-        again = estimate_residual_bound(pullback_sin(), zero(), 3, 8, sweep)
+        got = estimate_residual_bound(sweep)
+        again = estimate_residual_bound(sweep)
         assert got == again > 1.0
 
     def test_degenerate_default(self):
         const = CirclePullback(Polynomial([0.1, 0.0]), 1)
         sweep = growth_sweep(const, zero(), PNormSpec(), PNormSpec(), 3, 8,
                              RESIDUAL_M_COARSE)
-        assert estimate_residual_bound(const, zero(), 3, 8, sweep) == 1.0
+        assert estimate_residual_bound(sweep) == 1.0
 
     @staticmethod
     def count_sweeps(monkeypatch):
@@ -855,9 +855,9 @@ class TestEstimateResidualBound:
         # a main sweep that lacks every m of RESIDUAL_M_COARSE
         apart = growth_sweep(mp, x, PNormSpec(), rho2, 3, 8, (32, 128))
         calls = self.count_sweeps(monkeypatch)
-        assert estimate_residual_bound(mp, x, 3, 8, main) == want
+        assert estimate_residual_bound(main) == want
         assert calls == []
-        assert estimate_residual_bound(mp, x, 3, 8, apart) == want
+        assert estimate_residual_bound(apart) == want
         assert calls == [list(RESIDUAL_M_COARSE)]
 
     def test_sweeps_only_missing_m(self, monkeypatch, capsys):
@@ -871,6 +871,5 @@ class TestEstimateResidualBound:
         main = growth_sweep(const, zero(), PNormSpec(), PNormSpec(), 3, 8,
                             [32])
         calls = self.count_sweeps(monkeypatch)
-        assert estimate_residual_bound(const, zero(), 3, 8,
-                                       sweep=main) == 1.0
+        assert estimate_residual_bound(sweep=main) == 1.0
         assert calls == []

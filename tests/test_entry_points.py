@@ -31,7 +31,6 @@ from tameprobe import (
     PrecisionBudgetError,
     Sin,
     constant,
-    estimate_residual_bound,
     find_t0,
     fix_m,
     gateaux_fd,
@@ -49,18 +48,16 @@ TWO_PI = 2.0 * math.pi
 NO_SCALAR = {"GrowthRecord", "SweepResult", "TameCheckReport",
              "SampledFunction", "ScalarPrimitive", "zero", "GridSpec",
              "SmoothFunction", "PostComposition", "find_s0", "pnorm_eval",
-             "check_tame_estimate"}
+             "check_tame_estimate", "estimate_residual_bound"}
 
 
 def ex2():
-    """The pullback of sin(2 pi t) at x = zero, a probe pair at m = 16 and
-    k = 3, its v and leading term, and a two-row sweep."""
+    """The pullback of sin(2 pi t) at x = zero, and a probe pair at m = 16
+    and k = 3 with its v and leading term."""
     map_spec = CirclePullback(Sin(omega=TWO_PI), 1)
     x, u, z = zero(), constant(0.125), probe(16, 3, 0.2)
     v = map_spec.gateaux(x + z, u) - map_spec.gateaux(x, u)
-    sweep = growth_sweep(map_spec, x, PNormSpec(2), PNormSpec(2), 3, 8,
-                         (16, 32))
-    return map_spec, x, u, v, map_spec.leading_term(x, z, 3), sweep
+    return map_spec, x, u, v, map_spec.leading_term(x, z, 3)
 
 
 def call(build, kwargs, key, value):
@@ -76,7 +73,7 @@ def call(build, kwargs, key, value):
 
 # (entry point, its valid keyword arguments, the argument that varies)
 def cases():
-    map_spec, x, u, v, lead, sweep = ex2()
+    map_spec, x, u, v, lead = ex2()
     rho = PNormSpec(2)
     yield from [
         (Sin, dict(omega=TWO_PI, amplitude=1.0), "omega"),
@@ -99,8 +96,6 @@ def cases():
     for key in ("k", "l"):
         yield (growth_sweep, dict(map_spec=map_spec, x=x, rho1=rho, rho2=rho,
                                   k=3, l=8, m_list=(16, 32)), key)
-        yield (estimate_residual_bound, dict(map_spec=map_spec, x=x, k=3,
-                                             l=8, sweep=sweep), key)
     for key in ("top", "s0", "eps0"):
         yield (residual_tz, dict(v=v, lead=lead, top=2, s0=0.2, eps0=0.125,
                                  rho2=rho), key)
@@ -151,3 +146,27 @@ def test_degenerate_scalar_is_typed_or_finite(build, kwargs, key, value):
     except TYPED:
         return
     assert all_finite(result), (build, key, value, result)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [lambda f, c: f * c, lambda f, c: c * f],
+                         ids=["f*c", "c*f"])
+@pytest.mark.parametrize("value", DEGENERATE, ids=[
+    "nan", "inf", "-inf", "0", "-1", "True", "10**400"])
+def test_scale_by_degenerate_is_typed_or_finite(scale, value):
+    # 10**400 raised a bare OverflowError from float(), and inf and nan
+    # built a tree whose slope is nan
+    f = probe(16, 3, 0.2)
+    if not is_finite(value):
+        with pytest.raises(ValueError, match="a scale must be finite"):
+            scale(f, value)
+        return
+    g = scale(f, value)
+    assert all_finite(g) and all_finite(seminorm_profile(g, 2))
+
+
+def test_product_of_functions_is_a_type_error():
+    # `*` scales a function by a number; no caller multiplies two functions
+    f = probe(16, 3, 0.2)
+    with pytest.raises(TypeError):
+        f * f

@@ -809,6 +809,17 @@ class TestSpectrum:
         slopes = [child.spectrum()[0] for child in SLOPED]
         assert slopes == [None, 0.0, 3.0, -2.0, 2.5, None]
 
+    def test_a_nan_slope_is_not_periodic(self):
+        # abs(nan) > 1e-12 is false: the check let a nan slope through
+        with pytest.raises(ValueError, match="affine slope nan"):
+            SmoothFunction(mul(IDENTITY, Constant(math.nan)), PERIODIC)
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_a_slope_of_0_stays_0_whatever_c(self, c):
+        # c * 0.0 is nan for an infinite c
+        node = mul(SinusoidProbe(0.1, 2.0, 0.3), Constant(c))
+        assert node.spectrum() == (0.0, 2.0)
+
     def test_a_non_finite_slope_is_not_periodic(self):
         # c * a past double range: the retired rule raised OverflowError
         # from round(inf); a 1-periodic phi of it has no grid

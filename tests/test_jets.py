@@ -229,6 +229,18 @@ class TestOdeRecurrence:
                           for j, a in enumerate(prim.ode))
                 np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("prim", ODE_PRIMITIVES, ids=list(ODE_CASES))
+    def test_one_term(self, prim):
+        # compose_series contracts g^(r) from the one g^(q) it names
+        assert sum(a != 0.0 for a in prim.ode) <= 1
+
+    def test_two_terms_rejected(self):
+        # g'' = g' + g: the level reads one term, and a second is an error
+        inner = ode_inner(4, linear=False)
+        outer = Exp().taylor_coeffs(inner[0], 1)
+        with pytest.raises(ValueError):
+            compose_series(outer, inner, (1.0, 1.0), np.empty)
+
     @pytest.mark.parametrize("linear", [True, False],
                              ids=["linear", "nonlinear"])
     @pytest.mark.parametrize("prim", ODE_PRIMITIVES, ids=list(ODE_CASES))
