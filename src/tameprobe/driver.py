@@ -20,18 +20,22 @@ from the `MapSpec` hooks; the driver owns the whole anchor and, in
 A sweep builds u = 1/l, df(x, u) and rho1(u) once and each probe z with
 `functions.probe`; it checks x's membership in the map's domain once, and
 x + z's once per m (building df(x + z, u) checks only the domain tag). It
-evaluates v once per m at two points, s0 and the grid point nearest it,
-and makes one grid pass over v (`residual_tz`), which takes no map: it is
-given v, T_z's leading term (`MapSpec.leading_term`), the top order, s0
-and eps0. The first point gives the witness v^(top)(s0); the second bounds
-v's seminorms from below, so that the grid pass, which gives sup|T_z| and
-rho2(v), evaluates v only up to the rung below the first one that bound
-proves saturated in rho2's sum. The pass walks `functions.chunks` over v
-and the leading term and evaluates the term in v's own context, so that
-what the term shares with v, phi_lead's composition for ex2 and z's sin
-and cos, is evaluated once per chunk. The residual bound is read off the
-main sweep's rows at the m of RESIDUAL_M_COARSE, and a coarse sweep runs
-only the m the main sweep lacks.
+evaluates v once per m at two points of the domain, s0 and s1, a quarter
+period of z away (s0 + 1/(4m), or s0 - 1/(4m) where that passes 1), and
+makes one grid pass over v (`residual_tz`), which takes no map: it is
+given v, T_z's leading term (`MapSpec.leading_term`), the top order, the
+anchor (s0, s1) and eps0. The value at s0 is the witness v^(top)(s0). z's
+sine vanishes at s0 and peaks at s1, so each rung of v, led by z's sine
+or its cosine, shows near full size at one of the two points; their values
+bound v's seminorms from below, so that the grid pass, which gives
+sup|T_z| and rho2(v), evaluates v only up to the rung below the first one
+that bound proves saturated in rho2's sum. The pass walks
+`functions.chunks` over v and the leading term and evaluates the term in
+v's own context, so that what the term shares with v, phi_lead's
+composition for ex2 and z's sin and cos, is evaluated once per chunk. The
+residual bound is read off the main sweep's rows at the m of
+RESIDUAL_M_COARSE, and a coarse sweep runs only the m the main sweep
+lacks.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .functions import (
-    GRID,
     PERIODIC,
     Evaluation,
     Node,
@@ -158,11 +161,12 @@ def find_t0(map_spec: MapSpec, x: SmoothFunction, s0: float) -> float:
     return map_spec.argument(x).values(s0)
 
 
-def residual_tz(v: SmoothFunction, lead: Node, top: int, s0: float,
-                eps0: float, rho2: PNormSpec):
-    """One evaluation of v = df(x+z, u) - df(x, u) at the anchor s0, then
-    one chunked grid pass over v; the pass takes no map. ``lead`` and
-    ``top`` are the map's `leading_term` and `top_order`, ``eps0`` is 1/l.
+def residual_tz(v: SmoothFunction, lead: Node, top: int,
+                anchor: Sequence[float], eps0: float, rho2: PNormSpec):
+    """One evaluation of v = df(x+z, u) - df(x, u) at the two anchor
+    points ``anchor = (s0, s1)``, then one chunked grid pass over v; the
+    pass takes no map. ``lead`` and ``top`` are the map's `leading_term`
+    and `top_order`, ``eps0`` is 1/l.
 
     Returns ``(top_deriv, tz_sup, profile)``: |v^(top)(s0)|, the witness
     whose sqrt(m) growth the sweep fits; the sup over the grid of |T_z|,
@@ -173,28 +177,28 @@ def residual_tz(v: SmoothFunction, lead: Node, top: int, s0: float,
     `Evaluation`, so the leading term reuses what v computed.
 
     The anchor evaluation takes v to order max(truncation, top) at s0 and
-    at the grid point nearest s0. The coefficients at the grid point,
-    max-accumulated, are lower bounds on v's seminorms. Let c be the first
-    rung whose bound is at least 2^54 (``rho2.first_saturated``). The
-    chunked pass's value at that point differs from the anchor value only
-    by rounding, far less than the factor 2, so the grid's seminorms from
-    rung c up are at least 2^53, where the P-norm term is exactly 2^(-i).
-    The pass therefore evaluates v only to order max(c - 1, top), and the
-    profile holds the lower bounds, not the grid seminorms, at rungs c and
-    above; ``rho2.of_profile`` is the same either way. With no cut the
-    pass runs to max(truncation, top) and the whole profile is the grid's.
+    s1. Both lie in [0, 1], in v's domain, so |v^(i)| i! there,
+    max-accumulated over the points and the rungs, bounds v's seminorms
+    from below, as the grid's sups do. Let c be the first rung whose bound
+    is at least 2^54 (``rho2.first_saturated``). From rung c up v's
+    seminorms are at least 2^54, where the P-norm term is exactly 2^(-i),
+    so the pass evaluates v only to order max(c - 1, top), and the profile
+    holds the bounds at rungs c and above. With no cut the pass runs to
+    max(truncation, top) and the whole profile is the grid's.
     """
     if not (is_integer(top) and 0 <= top <= MAX_ORDER):
         raise ValueError(f"top must be an integer in 0..{MAX_ORDER}")
-    if not (is_finite(s0) and is_finite(eps0) and eps0 > 0.0):
-        raise ValueError("s0 must be finite, and eps0 positive and finite")
+    if not all(is_finite(s) and 0.0 <= s <= 1.0 for s in anchor):
+        raise ValueError(f"anchor points must lie in [0, 1], got {anchor!r}")
+    if not (is_finite(eps0) and eps0 > 0.0):
+        raise ValueError("eps0 must be positive and finite")
     order = max(rho2.truncation, top)
     fact = np.array([math.factorial(i) for i in range(order + 1)])
-    anchor = Evaluation(np.array([s0, GRID.nearest(v, s0)])).coeffs(v.node,
-                                                                   order)
-    top_deriv = abs(float(fact[top] * anchor[top, 0]))
-    lower = np.maximum.accumulate(np.abs(anchor[:rho2.truncation + 1, 1])
-                                  * fact[:rho2.truncation + 1])
+    at = Evaluation(np.array(anchor, dtype=float)).coeffs(v.node, order)
+    top_deriv = abs(float(fact[top] * at[top, 0]))
+    lower = np.maximum.accumulate(
+        np.abs(at[:rho2.truncation + 1]).max(axis=1)
+        * fact[:rho2.truncation + 1])
     cut = rho2.first_saturated(lower)
     n_profile = rho2.truncation + 1 if cut is None else cut
     n = max(n_profile - 1, top)
@@ -248,9 +252,11 @@ def growth_sweep(map_spec: MapSpec, x: SmoothFunction,
             raise DomainViolation(
                 margin, f"x + z at m = {m} leaves the map's domain")
         v = map_spec.gateaux(x + z, u) - base
+        q = 0.25 / m   # a quarter period of z, where its sine peaks
+        s1 = s0 + q if s0 + q <= 1.0 else s0 - q
         top_deriv, tz_sup, v_profile = residual_tz(
-            v, map_spec.leading_term(x, z, k), map_spec.top_order(k), s0,
-            eps0, rho2)
+            v, map_spec.leading_term(x, z, k), map_spec.top_order(k),
+            (s0, s1), eps0, rho2)
         record = GrowthRecord(
             m=m,
             p_km1_z=float(seminorm_profile(z, k - 1)[k - 1]),

@@ -567,16 +567,6 @@ class GridSpec:
             out[-1] = 1.0
         return out
 
-    def nearest(self, f: SmoothFunction, s0: float) -> float:
-        """The point of f's grid nearest s0, the lower one at a tie, read
-        off the five points around s0 * size."""
-        size = self.size(f)
-        lo = min(max(math.floor(s0 * size) - 2, 0), size - 5)
-        s = self.points(f.domain, size, lo, lo + 5)
-        # the first point at or above s0, or the grid's last
-        j = int(np.searchsorted(s, s0).clip(1, 4))
-        return float(s[j - 1] if s0 - s[j - 1] <= s[j] - s0 else s[j])
-
 
 GRID = GridSpec()
 

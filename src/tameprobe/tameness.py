@@ -33,10 +33,11 @@ from .functions import (
 from .jets import MAX_ORDER
 from .maps import MapSpec
 
-# A term 2^(-i) * (p / (1 + p)) is exactly 2^(-i) once 1 + p rounds to p,
-# i.e. for p >= 2^53. A lower bound must reach twice that before a rung is
-# called saturated, so that the value the rung would have had from a
-# differently rounded evaluation is still at least 2^53.
+# A term 2^(-i) * (p / (1 + p)) is exactly 2^(-i) when 1 + p rounds to p.
+# It does for every p >= 2^54, where doubles are 4 apart. Below that it
+# need not: for p = 2^53 + 2j, 1 + p is a tie that rounds to even, up for
+# odd j, and p / (1 + p) is then 1 - 2^-52. So a rung is saturated once a
+# lower bound on its seminorm reaches 2^54.
 SATURATION = 2.0**54
 
 

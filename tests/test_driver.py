@@ -15,7 +15,7 @@ from conftest import (
     whole_grid,
 )
 from tameprobe import driver, functions, primitives, tameness
-from tameprobe.cli import DEFAULT_M_LIST, parse_x
+from tameprobe.cli import DEFAULT_M_LIST, parse_phi, parse_x
 from tameprobe.cli import main as cli_main
 from tameprobe.driver import (
     ANCHOR_FALLBACK,
@@ -230,11 +230,20 @@ def anchored_difference(mp, x, m, k=3, l=8):
     return s0, z, difference(mp, x, z, constant(1.0 / l, mp.domain_tag))
 
 
+def sweep_anchor(s0, m):
+    """(s0, s1), the anchor `growth_sweep` gives `residual_tz` for the
+    frequency-m probe at s0: s1 is a quarter period of the probe away, on
+    the side that keeps it in [0, 1]."""
+    q = 0.25 / m
+    return s0, s0 + q if s0 + q <= 1.0 else s0 - q
+
+
 def map_residual(mp, x, s0, z, v, rho2, k=3, l=8):
-    """residual_tz of v for the k-probe z at s0 and u = 1/l, with the
-    leading term and top order that the map gives."""
-    return residual_tz(v, mp.leading_term(x, z, k), mp.top_order(k), s0,
-                       1.0 / l, rho2)
+    """residual_tz of v for the k-probe z at s0 and u = 1/l, at the
+    sweep's anchor and with the leading term and top order that the map
+    gives."""
+    return residual_tz(v, mp.leading_term(x, z, k), mp.top_order(k),
+                       sweep_anchor(s0, z.node.frequency), 1.0 / l, rho2)
 
 
 def record_coeff_orders(mpatch, node):
@@ -358,19 +367,32 @@ class TestSaturationCut:
         cut = grid_order + 1
         assert profile.shape == full.shape == (13,)
         assert np.array_equal(profile[:cut], full[:cut])
-        # the grid saturates at the cut rung, and the filled rungs are
-        # saturated lower bounds
-        assert full[cut] >= 2.0**53
+        # from the cut rung up every term of the grid's profile is its
+        # weight 2^-i, as it is for the filled rungs, which are saturated
+        assert (full[cut:] / (1.0 + full[cut:]) == 1.0).all()
         assert (profile[cut:] >= SATURATION).all()
-        assert (profile[cut:] <= full[cut:] * (1.0 + 1e-12)).all()
+        # the filled rungs are v's values at s0 and s1, each point
+        # evaluated alone (test_oracle pins them to the closed form)
+        make_map, make_x = CUT_CASES[case]
+        s0, _, v = anchored_difference(make_map(), make_x(), m)
+        fact = np.array([math.factorial(i) for i in range(13)])
+        at = np.array([v.node.coeffs(Evaluation(np.array([s])), 12)[:, 0]
+                       for s in sweep_anchor(s0, m)])
+        lower = np.abs(at).max(axis=0) * fact
+        want = np.maximum.accumulate(np.concatenate([full[:cut],
+                                                     lower[cut:]]))
+        assert profile[cut:] == pytest.approx(want[cut:], rel=1e-13)
+        # points of the domain bound the seminorms from below, and the grid
+        # reaches 1 - pi/64 of each (Bernstein's inequality at 64 points
+        # per unit of frequency), so the two lower bounds are that close
+        assert (profile[cut:] * (1.0 - math.pi / 64) <= full[cut:]).all()
 
     def test_pass_shrinks(self, monkeypatch):
         mp = pullback_sin()
         s0, z, v = anchored_difference(mp, zero(), 4096)
         calls = record_coeff_orders(monkeypatch, v.node)
         map_residual(mp, zero(), s0, z, v, PNormSpec(12))
-        # s0 and its nearest grid point to order 12, then the chunks to
-        # order 5
+        # s0 and s1 to order 12, then the chunks to order 5
         assert calls[0] == (2, 12)
         assert {order for _, order in calls[1:]} == {5}
         calls.clear()
@@ -387,8 +409,8 @@ class TestResidualTakesNoMap:
         make_map, make_x = CUT_CASES[case]
         mp, x = make_map(), make_x()
         s0, _, v = anchored_difference(mp, x, m)
-        _, tz_sup, _ = residual_tz(v, Constant(0.0), mp.top_order(3), s0,
-                                   0.125, PNormSpec())
+        _, tz_sup, _ = residual_tz(v, Constant(0.0), mp.top_order(3),
+                                   sweep_anchor(s0, m), 0.125, PNormSpec())
         _, want, _ = two_pass_residual(mp, x, m, s0, v, 0)
         assert tz_sup == want
 
@@ -456,6 +478,37 @@ ANCHOR_CASES = {
 
 
 class TestAnchorEvaluation:
+    def test_anchor_at_the_right_end_steps_back(self, monkeypatch):
+        # demo ex4 --phi t_plus_exp --x sinusoid:0.3,1,0.74 anchors near 1;
+        # at m = 16, s0 + 1/64 passes 1, so s1 = s0 - 1/64, and at m = 4096
+        # s1 = s0 + 1/16384 is still in [0, 1]
+        anchors = []
+        real = driver.residual_tz
+
+        def residual(v, lead, top, anchor, *args):
+            anchors.append(anchor)
+            return real(v, lead, top, anchor, *args)
+
+        monkeypatch.setattr(driver, "residual_tz", residual)
+        res = growth_sweep(PostComposition(parse_phi("t_plus_exp")),
+                           parse_x("sinusoid:0.3,1,0.74", UNIT_INTERVAL),
+                           PNormSpec(), PNormSpec(), 3, 8, [16, 4096])
+        s0 = res.s0
+        assert s0 == 0.989990234375
+        assert anchors == [(s0, s0 - 1 / 64), (s0, s0 + 1 / 16384)]
+        assert all(0.0 <= s <= 1.0 for anchor in anchors for s in anchor)
+
+    @pytest.mark.parametrize("anchor", [(-0.25, 0.5), (0.5, 1.25),
+                                        (0.5, math.nan), (math.inf, 0.5)],
+                             ids=["below", "above", "nan", "inf"])
+    def test_anchor_off_the_unit_interval_rejected(self, anchor):
+        # off [0, 1] a unit-interval v reads its smooth extension
+        mp = composition_exp()
+        _, z, v = anchored_difference(mp, zero(UNIT_INTERVAL), 16)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            residual_tz(v, mp.leading_term(zero(UNIT_INTERVAL), z, 3),
+                        mp.top_order(3), anchor, 0.125, PNormSpec())
+
     @pytest.mark.parametrize("case", sorted(ANCHOR_CASES))
     @pytest.mark.parametrize("m", [16, 4096])
     def test_top_derivative_is_the_one_point_value(self, case, m):
@@ -517,10 +570,10 @@ class TestNoWholeGrid:
         growth_sweep(pullback_sin(), zero(), PNormSpec(2), PNormSpec(2), 3,
                      8, [16384])
         n = 2**21 + 65
-        # rho1(u)'s one-chunk pass, the five points around s0, then one
-        # pass over v's grid
-        assert sizes == [4097, 5] + [min(_CHUNK, n - lo)
-                                     for lo in range(0, n, _CHUNK)]
+        # rho1(u)'s one-chunk pass, then one pass over v's grid; the two
+        # anchor points are no grid's
+        assert sizes == [4097] + [min(_CHUNK, n - lo)
+                                  for lo in range(0, n, _CHUNK)]
         assert max(sizes) == _CHUNK
 
     @staticmethod
@@ -548,7 +601,7 @@ class TestNoWholeGrid:
         v = difference(mp, x, z, constant(0.125))
         return (seminorm_profiles(fs, order),
                 residual_tz(v, mp.leading_term(x, z, k), mp.top_order(k),
-                            s0, 0.125, PNormSpec(order)))
+                            sweep_anchor(s0, m), 0.125, PNormSpec(order)))
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(512, 600),

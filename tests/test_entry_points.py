@@ -96,8 +96,10 @@ def cases():
     for key in ("k", "l"):
         yield (growth_sweep, dict(map_spec=map_spec, x=x, rho1=rho, rho2=rho,
                                   k=3, l=8, m_list=(16, 32)), key)
-    for key in ("top", "s0", "eps0"):
-        yield (residual_tz, dict(v=v, lead=lead, top=2, s0=0.2, eps0=0.125,
+    for key in ("top", "anchor[0]", "anchor[1]", "eps0"):
+        # the m = 16 probe at s0 = 0.2, and a quarter of its period on
+        yield (residual_tz, dict(v=v, lead=lead, top=2,
+                                 anchor=(0.2, 0.2 + 0.25 / 16), eps0=0.125,
                                  rho2=rho), key)
     for i in range(2):
         yield Polynomial, dict(coeffs=(0.0, 1.0)), f"coeffs[{i}]"

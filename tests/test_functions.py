@@ -37,7 +37,6 @@ from tameprobe.functions import (
     seminorm_profiles,
     value_range,
 )
-from tameprobe.driver import ANCHOR_FALLBACK, ANCHOR_POINTS
 from tameprobe.jets import MAX_ORDER
 from tameprobe.maps import CirclePullback, PostComposition
 from tameprobe.primitives import Cos, Exp, Polynomial, Sin
@@ -375,22 +374,12 @@ def old_grid(f):
     return np.linspace(0.0, 1.0, size)
 
 
-def old_nearest(s, s0):
-    """The point of the grid ``s`` nearest s0, by the rule the residual pass
-    applied to a whole grid."""
-    j = int(np.searchsorted(s, s0).clip(1, s.size - 1))
-    if s0 - s[j - 1] <= s[j] - s0:
-        j -= 1
-    return s[j]
-
-
 # frequencies of sinusoids whose grids span one, two and three chunks
 CHUNK_COUNTS = {1: 200.0, 2: 300.0, 3: 600.0}
 
 
 class TestGridRecipe:
-    """No pass holds a grid: a pass builds one chunk's points at a time,
-    and the nearest point to s0 is read off a few points."""
+    """No pass holds a grid: a pass builds one chunk's points at a time."""
 
     @pytest.mark.parametrize("domain", [PERIODIC, UNIT_INTERVAL])
     @pytest.mark.parametrize("count", sorted(CHUNK_COUNTS))
@@ -408,22 +397,6 @@ class TestGridRecipe:
             assert GridSpec().points(domain, old.size, lo, lo + 7,
                                      out=out) is out
             assert out.tobytes() == old[lo:lo + 7].tobytes()
-
-    @pytest.mark.parametrize("domain", [PERIODIC, UNIT_INTERVAL])
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_nearest_is_the_old_rule(self, domain, count):
-        f = SmoothFunction(SinusoidProbe(0.1, CHUNK_COUNTS[count]), domain)
-        s = old_grid(f)
-        # every 7th anchor-grid point, and each end
-        anchors = np.linspace(0.0, 1.0, ANCHOR_POINTS + 1)[::7]
-        mids = (s[:-1:97] + s[1::97]) / 2.0
-        ties = [m for m, j in zip(mids, range(0, s.size - 1, 97))
-                if m - s[j] == s[j + 1] - m]
-        assert len(ties) > 10
-        s0s = [0.0, ANCHOR_FALLBACK, 1.0, -0.25, 1.25, s[-1], *anchors,
-               *mids, *np.nextafter(mids, 0.0), *np.nextafter(mids, 1.0)]
-        for s0 in s0s:
-            assert GridSpec().nearest(f, s0) == old_nearest(s, s0), s0
 
 
 # a composition that occurs twice in one tree, next to a sinusoid of its own

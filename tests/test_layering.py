@@ -23,6 +23,11 @@ defines where to look for t0 (``t0_candidates``), a bracket for s0
 (``s0_bracket``), a fixed interior s0 (``interior_s0``) or a fallback
 point or pair (``fallback_s0``, ``fallback_anchor``).
 
+Only `functions` knows where grid points lie: the driver's second anchor
+point is a quarter period of the probe from s0, not a grid point, so the
+driver names no grid (``GRID``, ``GridSpec``, ``GRID_FACTOR``) and reaches
+the grid only through `chunks`.
+
 A probe is `functions.probe(m, k, s0)` and its direction
 `functions.constant(1/l)`: no module bundles the four numbers
 (``ProbeParams``) or builds the pair from them (``build_probe``).
@@ -58,6 +63,7 @@ from tameprobe.functions import GridSpec
 PRIVATE_TO_FUNCTIONS = {"_CHUNK", "find_shared"}
 GRID_WORK = {"chunks", "GRID", "GridSpec", "seminorm_profile",
              "seminorm_profiles", "_closed_form_amplitudes"}
+GRID_LAYOUT = {"GRID", "GridSpec", "GRID_FACTOR"}
 RETIRED_ANCHOR_HOOKS = {"t0_candidates", "s0_bracket", "fallback_anchor",
                         "interior_s0", "fallback_s0"}
 RETIRED_PROBE_NAMES = {"ProbeParams", "build_probe"}
@@ -105,6 +111,13 @@ def test_only_functions_walks_chunks():
 def test_maps_does_no_grid_work():
     path = Path(tameprobe.__file__).parent / "maps.py"
     assert GRID_WORK & set(names(ast.parse(path.read_text()))) == set()
+
+
+def test_driver_knows_no_grid_layout():
+    path = Path(tameprobe.__file__).parent / "driver.py"
+    used = set(names(ast.parse(path.read_text())))
+    assert "chunks" in used
+    assert GRID_LAYOUT & used == set()
 
 
 def test_cli_leaves_the_order_cap_to_the_library():

@@ -69,11 +69,16 @@ class TestPNormSpec:
         assert PNormSpec(4).first_saturated([math.nan] * 5) is None
 
     def test_saturated_term_is_its_weight(self):
-        # from 2^53 on, 1 + p rounds to p and rung i adds exactly 2^-i
+        # from 2^54 on, 1 + p rounds to p and rung i adds exactly 2^-i
         spec = PNormSpec(2)
-        for p in (2.0**53, 3.0 * 2.0**53, SATURATION, 1e30):
+        for p in (SATURATION, 3.0 * 2.0**53, 2.0**54 + 4.0, 1e30):
             assert spec.of_profile([0.0, 0.0, p]) == 0.25
             assert spec.of_profile([0.0, p, p]) == 0.5 + 0.25
+        # below 2^54 it need not: 1 + p for p = 2^53 + 2 is a tie that
+        # rounds up to even, so the term falls short of its weight
+        p = 2.0**53 + 2.0
+        assert 1.0 + p == p + 2.0
+        assert spec.of_profile([0.0, 0.0, p]) < 0.25
 
 
 class TestPNormEval:

@@ -79,7 +79,8 @@ def test_residual_pass_is_traced():
     try:
         tracer.install()
         driver.residual_tz(v, map_spec.leading_term(zero(), z, 3),
-                           map_spec.top_order(3), 0.0, 0.125, PNormSpec(2))
+                           map_spec.top_order(3), (0.0, 0.25 / 16), 0.125,
+                           PNormSpec(2))
     finally:
         tracer.uninstall()
     names = {s[0] for s in tracer.spans}
