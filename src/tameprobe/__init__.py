@@ -28,7 +28,6 @@ from .maps import (
     CirclePullback,
     DomainViolation,
     PostComposition,
-    SampledFunction,
     gateaux_fd,
 )
 from .primitives import Cos, Exp, Polynomial, ScalarPrimitive, Sin

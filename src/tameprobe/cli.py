@@ -220,13 +220,13 @@ def _config_from_args(args) -> ScenarioConfig:
                     setattr(cfg, key, PNormSpec(**spec))
                 except ValueError as exc:
                     raise ConfigError(f"bad {key} in config: {exc}") from None
-    if getattr(args, "variant", None):
-        cfg.variant = args.variant
-    for key in ("phi", "n", "x", "k", "l", "format", "output"):
+    # a flag given overrides its key, an empty string too; demo and
+    # check-tame have no --format or --output
+    for key in CONFIG_SCALARS:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    if getattr(args, "m_list", None):
+    if args.m_list is not None:
         try:
             cfg.m_list = tuple(int(v) for v in args.m_list.split(","))
         except ValueError:

@@ -180,11 +180,11 @@ def residual_tz(v: SmoothFunction, lead: Node, top: int,
     s1. Both lie in [0, 1], in v's domain, so |v^(i)| i! there,
     max-accumulated over the points and the rungs, bounds v's seminorms
     from below, as the grid's sups do. Let c be the first rung whose bound
-    is at least 2^54 (``rho2.first_saturated``). From rung c up v's
-    seminorms are at least 2^54, where the P-norm term is exactly 2^(-i),
-    so the pass evaluates v only to order max(c - 1, top), and the profile
-    holds the bounds at rungs c and above. With no cut the pass runs to
-    max(truncation, top) and the whole profile is the grid's.
+    is at least 2^54, or truncation + 1 when none is
+    (``rho2.first_saturated``). From rung c up v's seminorms are at least
+    2^54, where the P-norm term is exactly 2^(-i), so the pass evaluates v
+    only to order max(c - 1, top), and the profile holds the grid's sups
+    below rung c and the bounds from c up.
     """
     if not (is_integer(top) and 0 <= top <= MAX_ORDER):
         raise ValueError(f"top must be an integer in 0..{MAX_ORDER}")
@@ -199,8 +199,7 @@ def residual_tz(v: SmoothFunction, lead: Node, top: int,
     lower = np.maximum.accumulate(
         np.abs(at[:rho2.truncation + 1]).max(axis=1)
         * fact[:rho2.truncation + 1])
-    cut = rho2.first_saturated(lower)
-    n_profile = rho2.truncation + 1 if cut is None else cut
+    n_profile = rho2.first_saturated(lower)
     n = max(n_profile - 1, top)
     sup = np.zeros(n + 1)
     tz_sup = 0.0

@@ -473,25 +473,17 @@ class SmoothFunction:
                     f"(affine slope {a!r})")
 
     # -- arithmetic -------------------------------------------------------
-    def _combine(self, other):
+    def __add__(self, other):
         if not isinstance(other, SmoothFunction):
             return NotImplemented
         if other.domain != self.domain:
             raise ValueError("domain tags differ")
-        return other
-
-    def __add__(self, other):
-        other = self._combine(other)
-        if other is NotImplemented:
-            return other
         return SmoothFunction(add(self.node, other.node), self.domain)
 
     def __sub__(self, other):
-        other = self._combine(other)
-        if other is NotImplemented:
-            return other
-        return SmoothFunction(add(self.node, mul(other.node, Constant(-1.0))),
-                              self.domain)
+        if not isinstance(other, SmoothFunction):
+            return NotImplemented
+        return self + -other
 
     def __mul__(self, c):
         if not isinstance(c, (int, float)):
@@ -509,13 +501,11 @@ class SmoothFunction:
         return SmoothFunction(self.node.diff(), self.domain)
 
     # -- evaluation -------------------------------------------------------
-    def _check_arg(self, s: np.ndarray):
-        if self.domain == UNIT_INTERVAL:
-            if np.any(s < 0.0) or np.any(s > 1.0):
-                raise ValueError("argument outside [0, 1] for unit-interval function")
-
     def evaluate(self, s):
-        self._check_arg(np.asarray(s, dtype=float))
+        if self.domain == UNIT_INTERVAL:
+            arr = np.asarray(s, dtype=float)
+            if np.any(arr < 0.0) or np.any(arr > 1.0):
+                raise ValueError("argument outside [0, 1] for unit-interval function")
         return self.node.values(s)
 
 
@@ -552,13 +542,12 @@ class GridSpec:
         return size
 
     def points(self, domain: str, size: int, lo: int, hi: int,
-               out: np.ndarray | None = None) -> np.ndarray:
+               out: np.ndarray) -> np.ndarray:
         """Points lo .. hi - 1 of the grid of ``size`` points (see `size`) on
-        ``domain``, written to ``out`` if given: bit for bit those of
-        ``arange(size) / size`` (periodic) or ``linspace(0, 1, size)``
-        (unit interval)."""
+        ``domain``, written to ``out``, an array of hi - lo floats: bit for
+        bit those of ``arange(size) / size`` (periodic) or
+        ``linspace(0, 1, size)`` (unit interval)."""
         s = np.arange(lo, hi, dtype=float)
-        out = s if out is None else out
         if domain == PERIODIC:
             return np.divide(s, size, out=out)
         # linspace's rule: j times the step 1 / (size - 1), and 1 exactly

@@ -25,8 +25,6 @@ point s0 and the certified m are the driver's business alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .functions import (
@@ -58,14 +56,6 @@ class DomainViolation(Exception):
                  what: str = "base point outside map domain"):
         super().__init__(f"{what} (margin {margin:.3e})")
         self.margin = margin
-
-
-@dataclass(frozen=True)
-class SampledFunction:
-    """Grid samples of a function on the common [0, 1] parameter range."""
-
-    s: np.ndarray
-    values: np.ndarray
 
 
 class MapSpec:
@@ -209,8 +199,10 @@ class PostComposition(MapSpec):
 
 
 def gateaux_fd(map_spec: MapSpec, x: SmoothFunction, u: SmoothFunction,
-               t: float) -> SampledFunction:
-    """Central-difference approximation of the directional derivative.
+               t: float):
+    """Central-difference approximation of the directional derivative, as
+    ``(s, values)``: FD_POINTS sample points of [0, 1] and the quotient
+    (f(x + t u) - f(x - t u)) / (2 t) there.
 
     Both perturbed base points must stay inside the map's domain.
     """
@@ -226,4 +218,4 @@ def gateaux_fd(map_spec: MapSpec, x: SmoothFunction, u: SmoothFunction,
     else:
         s = np.linspace(0.0, 1.0, FD_POINTS)
     vals = (fp.evaluate(s) - fm.evaluate(s)) / (2.0 * t)
-    return SampledFunction(s, vals)
+    return s, vals

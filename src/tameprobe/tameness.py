@@ -58,15 +58,16 @@ class PNormSpec:
             total += 2.0**-i * (p[i] / (1.0 + p[i]))
         return total
 
-    def first_saturated(self, lower) -> int | None:
+    def first_saturated(self, lower) -> int:
         """The first rung whose lower bound ``lower[i]`` is at least
-        SATURATION, or None. From that rung upward every seminorm at or
-        above the bound adds exactly 2^(-i), so ``of_profile`` needs no
-        more than the bound there."""
+        SATURATION, or truncation + 1 when none is: the count of rungs
+        below it. From that rung upward every seminorm at or above the
+        bound adds exactly 2^(-i), so ``of_profile`` needs no more than the
+        bound there."""
         for i in range(self.truncation + 1):
             if lower[i] >= SATURATION:
                 return i
-        return None
+        return self.truncation + 1
 
 
 def pnorm_eval(spec: PNormSpec, x: SmoothFunction) -> float:

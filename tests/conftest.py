@@ -64,7 +64,7 @@ def whole_grid(f):
     """Every point of f's grid in one array, as an oracle builds it; no
     pass of the package holds one."""
     size = GRID.size(f)
-    return GRID.points(f.domain, size, 0, size)
+    return GRID.points(f.domain, size, 0, size, np.empty(size))
 
 
 def probe_deriv_closed_form(m, k, s0, i, s):

@@ -626,6 +626,18 @@ class TestConfigFile:
         assert main(["demo", "--config", str(path)]) == EXIT_CONFIG
         assert "m list must not be empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["demo", "sweep"])
+    def test_empty_m_list_flag_rejected(self, tmp_path, capsys, command):
+        # an empty flag ran the default nine-m sweep: every flag given
+        # overrides its key, an empty one too
+        out = tmp_path / "F"
+        argv = [command, "ex2", "--m-list", ""]
+        if command == "sweep":
+            argv += ["-o", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: bad m list ''\n"
+        assert not out.exists()
+
     def test_missing_config(self):
         assert main(["demo", "--config", "/nope.json"]) == EXIT_CONFIG
 

@@ -46,7 +46,7 @@ DEGENERATE = (math.nan, math.inf, -math.inf, 0, -1, True, 10**400)
 TYPED = (ValueError, PrecisionBudgetError, DomainViolation)
 TWO_PI = 2.0 * math.pi
 NO_SCALAR = {"GrowthRecord", "SweepResult", "TameCheckReport",
-             "SampledFunction", "ScalarPrimitive", "zero", "GridSpec",
+             "ScalarPrimitive", "zero", "GridSpec",
              "SmoothFunction", "PostComposition", "find_s0", "pnorm_eval",
              "check_tame_estimate", "estimate_residual_bound"}
 

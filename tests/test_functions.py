@@ -240,7 +240,8 @@ class TestValueRange:
         vals = f.evaluate(np.arange(2**20) / 2**20)
         assert lo <= vals.min() and vals.max() <= hi
         # each end is padded by h * sup|f'|, and by no more
-        h = GridSpec().points(f.domain, GridSpec().size(f), 0, 2)[1]
+        h = GridSpec().points(f.domain, GridSpec().size(f), 0, 2,
+                              np.empty(2))[1]
         assert hi - lo <= vals.max() - vals.min() \
             + 2.0 * h * seminorm_profile(f, 1)[1] * 1.01
 
@@ -597,6 +598,19 @@ class TestConstantMultiple:
                 want = np.multiply(c, base.node.coeffs(Evaluation(s), order))
                 assert self.same_bits(got.node.coeffs(Evaluation(s), order),
                                       want)
+
+    @pytest.mark.parametrize("domain", [PERIODIC, UNIT_INTERVAL])
+    def test_difference_adds_the_negation(self, domain):
+        rng = np.random.default_rng(5)
+        f, g = (random_small_function(rng, domain=domain) for _ in range(2))
+        for a, b in ((f, g), (f, constant(0.0, domain)),
+                     (constant(2.0, domain), f)):
+            assert (a - b).node == add(a.node, mul(b.node, Constant(-1.0)))
+        other = UNIT_INTERVAL if domain == PERIODIC else PERIODIC
+        with pytest.raises(ValueError, match="domain tags differ"):
+            f - constant(1.0, other)
+        with pytest.raises(TypeError):
+            f - 2.0
 
     def test_slope_is_c_times_the_factors(self):
         # sin(2 pi * (-2 s)) is 1-periodic, of frequency 2

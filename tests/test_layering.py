@@ -49,6 +49,13 @@ together, and none defines the two retired methods (``max_frequency``,
 Whether a number is finite in double precision is one rule,
 `primitives.is_finite`: no other module names ``OverflowError``, the
 error that ``float`` of an int past double range raises.
+
+An interface has one form: `maps.gateaux_fd` returns its sample as two
+arrays, so no module defines a record for it (``SampledFunction``);
+subtraction is addition of a negation, so `SmoothFunction.__add__` and
+`evaluate` check their own arguments, with no private helper
+(``_combine``, ``_check_arg``); and `GridSpec.points` always writes into
+its caller's array, so ``out`` has no default.
 """
 
 import ast
@@ -70,6 +77,7 @@ RETIRED_PROBE_NAMES = {"ProbeParams", "build_probe"}
 RETIRED_CERTIFICATE_HOOK = "certifies"
 RETIRED_SCALE_NAMES = {"Scale", "scale"}
 RETIRED_FREQUENCY_METHODS = {"max_frequency", "affine_slope"}
+RETIRED_SECOND_FORMS = {"SampledFunction", "_combine", "_check_arg"}
 NODE_CLASSES = {"Constant", "Affine", "SinusoidProbe", "Sum", "Product",
                 "PrimitiveCompose"}
 
@@ -219,3 +227,15 @@ def test_one_finiteness_rule():
     found = [path.name for path in sources if path.name != "primitives.py"
              and "OverflowError" in set(names(ast.parse(path.read_text())))]
     assert found == []
+
+
+def test_one_form_per_interface():
+    sources = sorted(Path(tameprobe.__file__).parent.glob("*.py"))
+    found = {}
+    for path in sources:
+        used = RETIRED_SECOND_FORMS & set(defined(ast.parse(path.read_text())))
+        if used:
+            found[path.name] = sorted(used)
+    assert found == {}
+    out = inspect.signature(GridSpec.points).parameters["out"]
+    assert out.default is inspect.Parameter.empty

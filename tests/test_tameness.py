@@ -65,8 +65,9 @@ class TestPNormSpec:
         below = SATURATION * (1.0 - 2.0**-53)
         lower = [1.0, 1e6, below, SATURATION, 1e30]
         assert PNormSpec(4).first_saturated(lower) == 3
-        assert PNormSpec(2).first_saturated(lower) is None
-        assert PNormSpec(4).first_saturated([math.nan] * 5) is None
+        # no rung saturated: the count of rungs, truncation + 1
+        assert PNormSpec(2).first_saturated(lower) == 3
+        assert PNormSpec(4).first_saturated([math.nan] * 5) == 5
 
     def test_saturated_term_is_its_weight(self):
         # from 2^54 on, 1 + p rounds to p and rung i adds exactly 2^-i
