@@ -203,7 +203,7 @@ def residual_tz(v: SmoothFunction, lead: Node, top: int,
     n = max(n_profile - 1, top)
     sup = np.zeros(n + 1)
     tz_sup = 0.0
-    for ev in chunks(v, v.node, lead):
+    for ev in chunks(v, v.node, lead, order=n):
         coeffs = ev.coeffs(v.node, n)
         np.maximum(sup, ev.abs_max(coeffs) * fact[:n + 1], out=sup)
         # fact[top] * v^(top) / eps0 - lead, one operation at a time

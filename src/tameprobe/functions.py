@@ -15,14 +15,18 @@ A grid is a recipe, not an array: `GridSpec.points` writes any run of a
 grid's points, and no pass holds a grid. A grid pass evaluates its trees
 one chunk of points at a time, and `chunks` is the only loop over the
 chunks of a grid: it builds each chunk's points and gives the chunk one
-`Evaluation`. Before the loop, `find_shared` compares the pass's trees by
-value and names the operator nodes and sinusoids that occur more than
-once. A node evaluates its operands through the context, which evaluates
-each repeated node once per chunk, to the highest order asked, and serves
-lower orders as row slices. The context also keeps the sin and cos pair
-of each frequency and phase it reads until `Evaluation.drop_pairs`: a
-sinusoid's derivatives keep its phase and step its ``shift``, so z, z' and
-z^(k) of one tree read one sin and one cos.
+`Evaluation`. Chunks are sized by the coefficients they hold: at most
+_CHUNK points, and at most _CHUNK_FLOATS floats in an array of the pass's
+order. All chunks of a pass have one point count; the last ends at the
+grid's last point, so it re-reads a few points of the one before. Before
+the loop, `find_shared` compares the pass's trees by value and names the
+operator nodes and sinusoids that occur more than once. A node evaluates
+its operands through the context, which evaluates each repeated node once
+per chunk, to the highest order asked, and serves lower orders as row
+slices. The context also keeps the sin and cos pair of each frequency and
+phase it reads until `Evaluation.drop_pairs`: a sinusoid's derivatives
+keep its phase and step its ``shift``, so z, z' and z^(k) of one tree read
+one sin and one cos.
 
 Lifetimes. The pass owns its buffers: every array a node, a kernel or the
 pass itself writes, the chunk's points too, comes from
@@ -57,15 +61,17 @@ from .primitives import (
 PERIODIC = "periodic"
 UNIT_INTERVAL = "unit_interval"
 
-# the arrays a chunk keeps for its repeated nodes are (order + 1) * _CHUNK
-# floats each, and its sines and cosines _CHUNK floats each
+# a chunk has at most _CHUNK points, and at most _CHUNK_FLOATS coefficients
+# in each (order + 1)-row array, 512 KiB; its sines and cosines are one row
 _CHUNK = 1 << 14
+_CHUNK_FLOATS = 1 << 16
 MIN_GRID_POINTS = 4096
 # grid points per frequency unit of a function's highest frequency
 GRID_FACTOR = 64
-# no pass holds a grid, so the cap bounds one pass's work, 2^24 / _CHUNK =
-# 1024 chunks, not its memory; the ex2 sweep at the CLI's cap m = 16384
-# over x = zero evaluates v on 2^21 + 65 points
+# no pass holds a grid, so the cap bounds one pass's work, not its memory:
+# ceil(2^24 / floor(2^16 / 17)) = 4,353 chunks at order 16, 1,024 at order
+# 3 or below; the ex2 sweep at the CLI's cap m = 16384 over x = zero
+# evaluates v on 2^21 + 65 points
 MAX_GRID_POINTS = 2**24
 
 
@@ -150,7 +156,8 @@ class Affine(Node):
 class SinusoidProbe(Node):
     """s -> amplitude * trig_cycle(2*pi*frequency*(s - phase), shift): sin
     for shift 0, cos for 1, -sin for 2, ...; ``diff`` keeps the phase and
-    steps the shift."""
+    steps the shift. The amplitude is finite, and a derivative whose
+    amplitude would leave double range is a PrecisionBudgetError."""
 
     amplitude: float
     frequency: float
@@ -158,6 +165,9 @@ class SinusoidProbe(Node):
     shift: int = 0
 
     def __post_init__(self):
+        if not is_finite(self.amplitude):
+            raise ValueError("sinusoid amplitude must be finite, got "
+                             f"{self.amplitude!r}")
         # a quarter period, 0.25 / frequency, must be a finite double
         if not (is_finite(self.frequency) and self.frequency != 0.0
                 and math.isfinite(0.25 / self.frequency)):
@@ -176,8 +186,11 @@ class SinusoidProbe(Node):
 
     def diff(self):
         # d/ds sin(th) = 2*pi*f*cos(th), one step along the trig cycle
-        w = TWO_PI * self.frequency
-        return SinusoidProbe(self.amplitude * w, self.frequency, self.phase,
+        amplitude = self.amplitude * (TWO_PI * self.frequency)
+        if not is_finite(amplitude):
+            raise PrecisionBudgetError(f"the derivative of {self!r} leaves "
+                                       "double range")
+        return SinusoidProbe(amplitude, self.frequency, self.phase,
                              self.shift + 1)
 
     def spectrum(self):
@@ -405,15 +418,27 @@ class Evaluation:
         self._trig.clear()
 
 
-def chunks(f: "SmoothFunction", *roots: Node):
-    """The `Evaluation` of each run of at most _CHUNK points of f's grid, in
-    order, keeping what repeats in the trees ``roots``. Each chunk's points
+def chunks(f: "SmoothFunction", *roots: Node, order: int):
+    """The `Evaluation` of each chunk of f's grid, in order, keeping what
+    repeats in the trees ``roots``, which the pass evaluates to at most
+    ``order``.
+
+    A chunk holds at most _CHUNK points and at most _CHUNK_FLOATS
+    coefficients per (order + 1)-row array; call that many points cap.
+    The grid's size points split into count = ceil(size / cap) chunks of
+    step = ceil(size / count) points each, so every chunk of a pass has
+    one shape and the pass's buffers are one set. The last chunk starts at
+    size - step: it re-reads fewer than count points of the chunk before
+    it, which no max, min or sup over the grid sees. Each chunk's points
     are built when it starts, into a buffer of the pass."""
     slots, buffers, size = find_shared(*roots), {}, GRID.size(f)
-    for lo in range(0, size, _CHUNK):
-        hi = min(lo + _CHUNK, size)
-        points = GRID.points(f.domain, size, lo, hi,
-                             out=_buffer(buffers, (hi - lo,)))
+    cap = min(_CHUNK, _CHUNK_FLOATS // (order + 1))
+    count = -(-size // cap)
+    step = -(-size // count)
+    for i in range(count):
+        lo = min(i * step, size - step)
+        points = GRID.points(f.domain, size, lo, lo + step,
+                             out=_buffer(buffers, (step,)))
         yield Evaluation(points, slots, buffers)
 
 
@@ -592,7 +617,7 @@ def value_range(f: SmoothFunction):
     if amp is not None:
         return -float(amp[0]), float(amp[0])
     lo, hi, slope = np.inf, -np.inf, 0.0   # running min, max and sup|f'|
-    for i, ev in enumerate(chunks(f, f.node)):
+    for i, ev in enumerate(chunks(f, f.node, order=1)):
         if i == 0:
             h = ev.points[1] - ev.points[0]   # the grid's step
         c = ev.coeffs(f.node, 1)
@@ -626,7 +651,8 @@ def seminorm_profiles(fs, max_order: int) -> list:
             profiles[i] = np.zeros(max_order + 1)
     fact = np.array([math.factorial(l) for l in range(max_order + 1)])
     for members in groups.values():
-        for ev in chunks(fs[members[0]], *(fs[i].node for i in members)):
+        for ev in chunks(fs[members[0]], *(fs[i].node for i in members),
+                         order=max_order):
             for i in members:
                 # no coefficients stay bound while the next tree runs
                 sup = ev.abs_max(ev.coeffs(fs[i].node, max_order))

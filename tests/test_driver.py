@@ -286,8 +286,8 @@ class TestResidual:
         self.check_against_two_passes(case, m, order)
 
     def test_pass_spans_chunks(self):
-        # v's grid at m = 1024 has 64 * 1024 + 1 points: two chunks
-        assert 64 * 1024 + 1 > _CHUNK
+        # v's grid at m = 1024 has 64 * 2049 + 1 points: nine chunks
+        assert 64 * 2049 + 1 > 8 * _CHUNK
         self.check_against_two_passes("ex2-zero", 1024, "top")
 
     def check_against_two_passes(self, case, m, order):
@@ -433,12 +433,10 @@ class TestSharedEvaluation:
 
         monkeypatch.setattr(primitives, "trig_cycle", counted)
         map_residual(mp, zero(), s0, z, v, PNormSpec(2))
-        n = GridSpec().size(v)
-        chunks = Counter(min(_CHUNK, n - lo) for lo in range(0, n, _CHUNK))
-        assert 2 not in chunks
-        # the two-point anchor evaluates v alone
-        assert Counter(sizes) == {2: 6, **{size: 6 * count
-                                           for size, count in chunks.items()}}
+        # the two-point anchor evaluates v alone; the pass takes v's
+        # 131,137-point grid to order 2 in nine chunks of 14,571 points
+        assert GridSpec().size(v) == 131137
+        assert Counter(sizes) == {2: 6, 14571: 6 * 9}
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("x_node", [Constant(0.0),
@@ -570,11 +568,11 @@ class TestNoWholeGrid:
         growth_sweep(pullback_sin(), zero(), PNormSpec(2), PNormSpec(2), 3,
                      8, [16384])
         n = 2**21 + 65
-        # rho1(u)'s one-chunk pass, then one pass over v's grid; the two
-        # anchor points are no grid's
-        assert sizes == [4097] + [min(_CHUNK, n - lo)
-                                  for lo in range(0, n, _CHUNK)]
-        assert max(sizes) == _CHUNK
+        # rho1(u)'s one-chunk pass, then one pass over v's grid to order
+        # 2, in as many chunks as of _CHUNK points, all of one size; the
+        # two anchor points are no grid's
+        assert 128 * _CHUNK < n <= 129 * _CHUNK
+        assert sizes == [4097] + [16258] * 129
 
     @staticmethod
     def functions(seed, m, k):

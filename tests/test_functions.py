@@ -13,11 +13,13 @@ from conftest import (
     whole_grid,
 )
 from tameprobe import functions
+from tameprobe.driver import growth_sweep, locate_anchor, residual_tz
 from tameprobe.functions import (
     MAX_GRID_POINTS,
     PERIODIC,
     UNIT_INTERVAL,
     _CHUNK,
+    _CHUNK_FLOATS,
     Affine,
     Constant,
     Evaluation,
@@ -40,7 +42,7 @@ from tameprobe.functions import (
 from tameprobe.jets import MAX_ORDER
 from tameprobe.maps import CirclePullback, PostComposition
 from tameprobe.primitives import Cos, Exp, Polynomial, Sin
-from tameprobe.tameness import PNormSpec, pnorm_eval
+from tameprobe.tameness import PNormSpec, check_tame_estimate, pnorm_eval
 
 TWO_PI = 2.0 * math.pi
 IDENTITY = Affine(1.0, 0.0)
@@ -277,10 +279,12 @@ class TestValueRange:
                                    SinusoidProbe(1e-3, 600.0)), PERIODIC)
         value_range(f)
         assert walks == [f]
-        size = size_of(GridSpec(), f)
-        assert 2 * _CHUNK < size <= 3 * _CHUNK
-        assert built == [(PERIODIC, size, lo, min(lo + _CHUNK, size))
-                         for lo in range(0, size, _CHUNK)]
+        # to order 1 a chunk holds up to _CHUNK points: three of 12,822,
+        # the last re-reading one point of the second
+        assert size_of(GridSpec(), f) == 38465
+        assert built == [(PERIODIC, 38465, 0, 12822),
+                         (PERIODIC, 38465, 12822, 25644),
+                         (PERIODIC, 38465, 25643, 38465)]
 
 
 class TestProbeClosedForm:
@@ -387,11 +391,16 @@ class TestGridRecipe:
     def test_chunks_tile_the_old_grid(self, domain, count):
         f = SmoothFunction(SinusoidProbe(0.1, CHUNK_COUNTS[count]), domain)
         # the pass reuses its buffers, so each chunk's points are copied
-        parts = [ev.points.copy() for ev in functions.chunks(f, f.node)]
+        parts = [ev.points.copy()
+                 for ev in functions.chunks(f, f.node, order=0)]
         assert len(parts) == count
-        assert max(p.size for p in parts) <= _CHUNK
+        step = parts[0].size
+        assert {p.size for p in parts} == {step} and step <= _CHUNK
         old = old_grid(f)
-        assert np.concatenate(parts).tobytes() == old.tobytes()
+        # the last chunk ends at the grid's last point
+        overlap = count * step - old.size
+        tiled = np.concatenate(parts[:-1] + [parts[-1][overlap:]])
+        assert tiled.tobytes() == old.tobytes()
         # any run of points, into a caller's array
         out = np.empty(7)
         for lo in (0, 1, old.size // 2, old.size - 7):
@@ -400,8 +409,137 @@ class TestGridRecipe:
             assert out.tobytes() == old[lo:lo + 7].tobytes()
 
 
+def chunk_cap(order):
+    """The most points a chunk of a pass to ``order`` holds."""
+    return min(_CHUNK, _CHUNK_FLOATS // (order + 1))
+
+
+def grid_of_chunks(count, order, domain):
+    """A product of two sinusoids whose grid, to ``order``, takes count
+    chunks: its frequency F puts 64 F + 1 or 2 points, at least 4097, in
+    ((count - 1) cap, count cap]."""
+    f_max = (count * chunk_cap(order) - 2) // 64
+    return SmoothFunction(Product(SinusoidProbe(0.3, 1.0, 0.1),
+                                  SinusoidProbe(1e-3, f_max - 1.0, 0.2)),
+                          domain)
+
+
+# (order, chunk count): grids of one, two and seven chunks; to order 16 a
+# chunk holds 3,855 points, fewer than the smallest grid's 4,097
+GEOMETRY_CASES = [(order, count) for order in (0, 1, 2, 5, 12, 16)
+                  for count in (1, 2, 7) if (order, count) != (16, 1)]
+
+
+def record_passes(monkeypatch):
+    """[buffers, chunks] of each grid pass from here on: the pass's buffer
+    pool, and how many chunks shared it."""
+    passes = []
+
+    class Recording(Evaluation):
+        def __init__(self, points, slots=None, buffers=None):
+            super().__init__(points, slots, buffers)
+            if buffers is not None:
+                if not passes or passes[-1][0] is not buffers:
+                    passes.append([buffers, 0])
+                passes[-1][1] += 1
+
+    monkeypatch.setattr(functions, "Evaluation", Recording)
+    return passes
+
+
+def ex2_residual(m):
+    """residual_tz of ex2's v at x = 0 for the 3-probe of frequency m, with
+    u = 1/8 and rho2 to order 7."""
+    mp, x, u = CirclePullback(Sin(omega=TWO_PI), 1), constant(0.0), \
+        constant(0.125)
+    _, s0, _, _ = locate_anchor(mp, x)
+    z = probe(m, 3, s0)
+    v = mp.gateaux(x + z, u) - mp.gateaux(x, u)
+    return residual_tz(v, mp.leading_term(x, z, 3), mp.top_order(3),
+                       (s0, s0 + 0.25 / m), 0.125, PNormSpec(7))
+
+
+# (_CHUNK, _CHUNK_FLOATS) that force one chunk per grid, or at least five
+# chunks per pass below, by points or by coefficients
+CHUNKINGS = {"one-chunk": (2**40, 2**40), "points-bound": (997, 2**40),
+             "floats-bound": (2**40, 997 * 8)}
+
+
+class TestChunkGeometry:
+    """A pass's chunks are sized by the coefficients they hold, all of one
+    point count, so its buffers are one bounded set."""
+
+    @pytest.mark.parametrize("domain", [PERIODIC, UNIT_INTERVAL])
+    @pytest.mark.parametrize("order, count", GEOMETRY_CASES)
+    def test_chunks_of_one_size_tile_the_grid(self, order, count, domain):
+        f = grid_of_chunks(count, order, domain)
+        old = old_grid(f)
+        cap = chunk_cap(order)
+        assert old.size >= 4097 and (count - 1) * cap < old.size <= count * cap
+        parts = [ev.points.copy()
+                 for ev in functions.chunks(f, f.node, order=order)]
+        assert len(parts) == count
+        step = parts[0].size
+        assert {p.size for p in parts} == {step} and step <= cap
+        # the last chunk ends at the grid's last point, re-reading fewer
+        # than count points of the chunk before it
+        overlap = count * step - old.size
+        assert 0 <= overlap < count
+        tiled = np.concatenate(parts[:-1] + [parts[-1][overlap:]])
+        assert tiled.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("claim", ["ex2-sweep", "ex4-check"])
+    def test_one_bounded_buffer_set_per_pass(self, monkeypatch, claim):
+        # the largest pools: ex2's v to order 5 at m = 4096 holds 6.2 and
+        # ex4's 144 v's to order 12 4.1 times _CHUNK_FLOATS floats; with
+        # one set for 2^14-point chunks and one for the tail, ex2's m = 128
+        # pass held 12.5
+        passes = record_passes(monkeypatch)
+        if claim == "ex2-sweep":
+            growth_sweep(CirclePullback(Sin(omega=TWO_PI), 1), constant(0.0),
+                         PNormSpec(), PNormSpec(), 3, 8, [16, 128, 4096])
+        else:
+            map_spec, x, probes = ex4_seed0_family()
+            check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(),
+                                probes)
+        sizes = []
+        for pool, _ in passes:
+            assert len({shape[-1] for shape in pool}) == 1
+            sizes.append(sum(buf.nbytes for same in pool.values()
+                             for buf in same))
+        assert 3 * _CHUNK_FLOATS * 8 < max(sizes) <= 8 * _CHUNK_FLOATS * 8
+
+    @pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
+    def test_results_independent_of_chunking(self, monkeypatch, chunking):
+        fs = [SmoothFunction(WITH_REPEAT, PERIODIC),
+              SmoothFunction(REPEATED, UNIT_INTERVAL),
+              grid_of_chunks(2, 12, PERIODIC)]
+        spans = [grid_of_chunks(3, 1, domain)
+                 for domain in (PERIODIC, UNIT_INTERVAL)]
+
+        def results():
+            return (seminorm_profiles(fs, 12),
+                    [np.array(value_range(f)) for f in spans],
+                    list(ex2_residual(128)))
+
+        want = results()
+        passes = record_passes(monkeypatch)
+        monkeypatch.setattr(functions, "_CHUNK", CHUNKINGS[chunking][0])
+        monkeypatch.setattr(functions, "_CHUNK_FLOATS", CHUNKINGS[chunking][1])
+        got = results()
+        counts = [count for _, count in passes]
+        assert len(counts) == 6
+        if chunking == "one-chunk":
+            assert set(counts) == {1}
+        else:
+            assert min(counts) >= 5
+        for a, b in zip(got, want, strict=True):
+            assert all(np.asarray(x).tobytes() == np.asarray(y).tobytes()
+                       for x, y in zip(a, b, strict=True))
+
+
 # a composition that occurs twice in one tree, next to a sinusoid of its own
-# phase; its grid spans three chunks
+# phase; its grid has 38,465 points
 REPEATED = PrimitiveCompose(Sin(omega=TWO_PI),
                             Sum(IDENTITY, SinusoidProbe(1e-4, 300.0, 0.3)))
 WITH_REPEAT = Sum(Product(REPEATED, SinusoidProbe(0.2, 300.0, 0.3, 2)),
@@ -431,13 +569,14 @@ class TestEvaluation:
 
         f = SmoothFunction(WITH_REPEAT, PERIODIC)
         s = whole_grid(f)
-        assert 2 * _CHUNK < s.size <= 3 * _CHUNK
+        # to order 6 a chunk holds up to 65,536 / 7 points: five chunks
+        assert s.size == 38465
         want = np.maximum.accumulate(
             np.abs(WITH_REPEAT.coeffs(Evaluation(s), 6)).max(axis=1)
             * [math.factorial(i) for i in range(7)])
         monkeypatch.setattr(PrimitiveCompose, "coeffs", counted)
         got = seminorm_profile(f, 6)
-        assert calls == [6] * 3
+        assert calls == [6] * 5
         assert np.array_equal(got, want)
 
     def test_lower_order_is_a_read_only_slice(self):
@@ -537,7 +676,7 @@ class TestEvaluation:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_many_function_pass_equals_separate_calls(self):
-        # closed forms, two domains, grids of one and of three chunks,
+        # closed forms, two domains, grids of one, three and five chunks,
         # repeats inside and across trees, and a function given twice
         fs = [SmoothFunction(WITH_REPEAT, PERIODIC),
               SmoothFunction(mul(REPEATED, Constant(2.0)), PERIODIC),
@@ -568,6 +707,24 @@ class TestEvaluation:
     def test_shift_is_a_nonnegative_int(self, shift):
         with pytest.raises(ValueError, match="shift must be a nonnegative"):
             SinusoidProbe(1.0, 2.0, 0.0, shift)
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf,
+                                           10**400],
+                             ids=["nan", "inf", "-inf", "10**400"])
+    def test_amplitude_is_finite(self, amplitude):
+        # SinusoidProbe(nan, 1.0) built a node whose every value is nan
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            SinusoidProbe(amplitude, 1.0)
+
+    @pytest.mark.parametrize("amplitude", [1e305, -1e305])
+    def test_derivative_past_double_range(self, amplitude):
+        # amplitude * 2 pi f overflows; diff() built amplitude inf
+        node = SinusoidProbe(amplitude, 1000.0)
+        with pytest.raises(PrecisionBudgetError, match="leaves double range"):
+            node.diff()
+        # within range the derivative is the same node as before
+        assert SinusoidProbe(amplitude, 100.0).diff() == SinusoidProbe(
+            amplitude * (TWO_PI * 100.0), 100.0, 0.0, 1)
 
 
 class TestConstantMultiple:

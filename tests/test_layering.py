@@ -3,7 +3,7 @@
 `functions.chunks` is the only loop over a grid's chunks, and the only
 caller of `find_shared`; every other module of the package iterates
 `chunks`. This walks the package's sources and fails if another module
-names ``_CHUNK`` or ``find_shared``.
+names ``_CHUNK``, ``_CHUNK_FLOATS`` or ``find_shared``.
 
 `maps` does no grid work: every bound it reads on a function's values
 comes from `functions.value_range`, so it names no grid, chunk walk,
@@ -67,7 +67,7 @@ import pytest
 import tameprobe
 from tameprobe.functions import GridSpec
 
-PRIVATE_TO_FUNCTIONS = {"_CHUNK", "find_shared"}
+PRIVATE_TO_FUNCTIONS = {"_CHUNK", "_CHUNK_FLOATS", "find_shared"}
 GRID_WORK = {"chunks", "GRID", "GridSpec", "seminorm_profile",
              "seminorm_profiles", "_closed_form_amplitudes"}
 GRID_LAYOUT = {"GRID", "GridSpec", "GRID_FACTOR"}

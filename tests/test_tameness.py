@@ -16,7 +16,6 @@ from conftest import (
 from tameprobe.functions import (
     PERIODIC,
     UNIT_INTERVAL,
-    _CHUNK,
     Constant,
     Evaluation,
     PrecisionBudgetError,
@@ -337,11 +336,12 @@ class TestSharedBaseHalf:
                                   probes)
         assert got == want
         assert got.samples_checked == 6
-        assert base_calls == [(4098, 12), (8194, 12)]
-        # each probe's df(x + z, u), and per grid df(x, u) and -df(x, u)
-        assert len(all_calls) == 6 + 2 + 2
-        # one kept array per grid, read by each of its probes' trees
-        assert len(kept) == 6 and len({id(a) for a in kept}) == 2
+        # to order 12 the 8194-point grid is two chunks of 4097 points
+        assert base_calls == [(4098, 12), (4097, 12), (4097, 12)]
+        # per chunk, each probe's df(x + z, u), and df(x, u) and -df(x, u)
+        assert len(all_calls) == (4 + 2) + 2 * (2 + 2)
+        # one kept array per chunk, read by each of its probes' trees
+        assert len(kept) == 4 + 2 * 2 and len({id(a) for a in kept}) == 3
 
     def test_one_memo_at_a_time(self, monkeypatch):
         # df(x, u) is built once per distinct u, and its coefficients are
@@ -377,7 +377,7 @@ class TestSharedBaseHalf:
         assert evaluated == [4098] * 2
 
     def test_one_base_half_alive_at_a_time(self, monkeypatch):
-        # three u's, interleaved, on a grid of three chunks: no context
+        # three u's, interleaved, on a grid of eight chunks: no context
         # outlives its chunk, and no u's pass, with the buffers that hold
         # its base half, outlives the call, so at most one -df(x, u) is
         # held at any time
@@ -408,9 +408,9 @@ class TestSharedBaseHalf:
         report = check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(),
                                      probes)
         assert report.samples_checked == 6
-        # each u's two trees read their base half in each of three chunks
-        assert chunks == [n for n in (_CHUNK, _CHUNK, 38402 - 2 * _CHUNK)
-                          for _ in range(2)] * 2
+        # each u's two trees read their base half in each of eight chunks:
+        # to order 12 a chunk holds up to 65,536 / 13 points
+        assert chunks == [4801] * 2 * 8 * 2
         # one context and one u's buffers at a time, and none after
         assert [max(col) for col in zip(*peak)] == [1, 1]
         assert live(contexts) == set()
@@ -437,9 +437,9 @@ class TestSharedBaseHalf:
 
     def test_membership_check_keeps_x_memo(self, monkeypatch):
         # the membership checks come first and read x + z's derivatives,
-        # not x; then x is evaluated to order 12 once per grid of v (4097
-        # points for m <= 16 and 8321 for m = 64), not once more for each
-        # base half
+        # not x; then x is evaluated to order 12 once per chunk of v's
+        # grids (one of 4097 points for m <= 16 and two of 4161 of the
+        # 8321 for m = 64), not once more for each base half
         map_spec, x, probes = ex2_family()
         calls = []
         sinusoid_coeffs = SinusoidProbe.coeffs
@@ -451,7 +451,7 @@ class TestSharedBaseHalf:
 
         monkeypatch.setattr(SinusoidProbe, "coeffs", counted)
         check_tame_estimate(map_spec, x, PNormSpec(), PNormSpec(), probes)
-        assert calls == [4097, 8321]
+        assert calls == [4097, 4161, 4161]
 
     @pytest.mark.parametrize("c", [0.0, 0.3])
     def test_constant_x_not_wrapped(self, monkeypatch, c):
@@ -486,10 +486,11 @@ BASE_POINTS = {
 @st.composite
 def probe_families(draw):
     """(variant, x, probes): a few distinct probes, drawn again and again.
-    A probe's z is an (m, k) probe, with m on either side of the frequency
-    256 at which v's grid passes one 16,384-point chunk, or an explicit
-    sinusoid; its u is one of a few constants, zero among them. Probes
-    that share m draw k on their own, so some z's differ only in k."""
+    A probe's z is an (m, k) probe, with m on either side of the point
+    where v's grid takes more than one chunk to order 12 (one chunk for m
+    = 1, 3 and 16, several for 250 and 300), or an explicit sinusoid; its
+    u is one of a few constants, zero among them. Probes that share m
+    draw k on their own, so some z's differ only in k."""
     variant = draw(st.sampled_from(sorted(MAPS)))
     domain = PERIODIC if variant == "ex2" else UNIT_INTERVAL
     x = SmoothFunction(draw(st.sampled_from(BASE_POINTS[variant])), domain)
@@ -515,7 +516,7 @@ def probe_families(draw):
 
 
 def ex4_k_family():
-    """z's that differ only in k on a grid of two chunks, repeated, with
+    """z's that differ only in k on a grid of four chunks, repeated, with
     u = 1/8 and u = 0."""
     map_spec, x = ex4_map()
     z3, z5 = (probe(300, k, 0.5, UNIT_INTERVAL) for k in (3, 5))
